@@ -9,6 +9,7 @@ routed through the generic quotient machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -16,7 +17,7 @@ from . import designs
 from .designs import Block, DesignParams, DifferenceFamily
 from .field import FieldCtx, isqrt_exact
 from .galois import RingCtx, gf2_basis, gf2_span_coords
-from .groups import FiniteAbelianGroup, GroupIso, Subgroup
+from .groups import FiniteAbelianGroup, GroupIso, Subgroup, closure_generators
 
 Element = Tuple[int, ...]
 
@@ -133,8 +134,6 @@ def unit_quotient_family(
     blocks: Sequence[Iterable[Element]],
     subgroup: Iterable[Element],
     reps: Sequence[Element],
-    *,
-    structure_checked: bool = False,
 ) -> QuotientFamilyResult:
     """Derive blocks inside a unit subgroup N from a difference family in R^+.
 
@@ -142,24 +141,20 @@ def unit_quotient_family(
     is_unit, nonunits and additive_group).  Each input block must be fixed
     setwise by N, the input family must verify as a difference family in the
     additive group, and ``reps`` must be a complete transversal of R^*/N.
-    ``structure_checked=True`` skips the quadratic N-closure and invariance
-    scans for callers that have already established them structurally.
+    Closure of N and invariance of the blocks are checked completely on a
+    generating set of N, at O((|N| + |D|) log |N|) multiplications.
     """
     N = frozenset(subgroup)
     blocks = [frozenset(b) for b in blocks]
     one = ring.one
-    if one not in N:
-        raise PreconditionError("subgroup does not contain 1")
-    if not structure_checked:
-        for x in N:
-            if not ring.is_unit(x):
-                raise PreconditionError(f"subgroup element {x} is not a unit")
-            if frozenset(ring.mul(x, y) for y in N) != N:
-                raise PreconditionError(f"subgroup is not closed at {x}")
-        for D in blocks:
-            for x in N:
-                if frozenset(ring.mul(x, d) for d in D) != D:
-                    raise PreconditionError(f"block is not fixed by subgroup element {x}")
+    for x in N:
+        if not ring.is_unit(x):
+            raise PreconditionError(f"subgroup element {x} is not a unit")
+    gens = _subgroup_generators(ring, N)
+    for D in blocks:
+        for g in gens:
+            if frozenset(ring.mul(g, d) for d in D) != D:
+                raise PreconditionError(f"block is not fixed by subgroup generator {g}")
     # the transversal must tile the unit group
     covered: set = set()
     for y in reps:
@@ -208,6 +203,14 @@ def unit_quotient_family(
                     count += 1
         lambda_table[t] = count
     return QuotientFamilyResult(out_blocks, base_lambda, lambda_table)
+
+
+def _subgroup_generators(ring, N: FrozenSet[Element]) -> List[Element]:
+    """Generators of the unit subgroup N, or PreconditionError if N is not closed."""
+    try:
+        return closure_generators(N, ring.one, ring.mul)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def _check_quotient_consistency(
@@ -321,15 +324,8 @@ def cyclotomic_family(
         )
     ds = cyclotomic_difference_set(ctx, e, with_zero)
     N = ctx.mult_subgroup(e)
-    # structural stand-in for the quadratic closure/invariance scans: N is
-    # exactly the index-e log lattice, and D is N or N ∪ {0}, so x*D = D
-    for x in N:
-        if ctx.discrete_log(x) % e:
-            raise RuntimeError("subgroup is not the index-e log lattice")
     reps = [ctx.g_pow(i) for i in range(e)]
-    quotient = unit_quotient_family(
-        ctx, [ds.elements], N, reps, structure_checked=True
-    )
+    quotient = unit_quotient_family(ctx, [ds.elements], N, reps)
     phi, zv = _half_log_map(ctx, e)
     blocks: List[Block] = []
     field_blocks: List[FrozenSet[Element]] = []
@@ -425,9 +421,7 @@ def galois_ring_data(
         N = frozenset(subgroup)
         if not N <= D:
             raise PreconditionError("subgroup must be contained in D")
-        for x in N:
-            if frozenset(ring.mul(x, y) for y in N) != N:
-                raise PreconditionError(f"subgroup is not closed at {x}")
+        _subgroup_generators(ring, N)
     principal = set(ring.principal_units())
     L = frozenset(N & principal)
     basis = gf2_basis(sorted(E, key=field.encode))
@@ -441,15 +435,11 @@ def _unit_subgroup_iso(ring: RingCtx, data: GR4Data, N: FrozenSet[Element]) -> G
     part reads off the exponent lattice, the 2-part takes coordinates in a
     deterministic GF(2) basis of the principal-unit residues.
     """
-    ring_ = ring
     field = ring.residue
     m = 2**ring.n - 1
-    decomps = {x: ring_.unit_decompose(x) for x in N}
-    exps = sorted({d.a0_exponent for d in decomps.values()})
-    g0 = m
-    for i in exps:
-        g0 = _gcd(g0, i)
-    d_order = m // g0 if g0 else 1
+    decomps = {x: ring.unit_decompose(x) for x in N}
+    g0 = math.gcd(m, *(d.a0_exponent for d in decomps.values()))
+    d_order = m // g0
     two_vectors = sorted(
         {ring.residue_of(dec.a1) for x, dec in decomps.items() if dec.a0_exponent == 0},
         key=field.encode,
@@ -472,15 +462,10 @@ def _unit_subgroup_iso(ring: RingCtx, data: GR4Data, N: FrozenSet[Element]) -> G
         if not coords:
             coords = (0,)
         forward[x] = coords
-    iso = GroupIso(codomain, forward, domain=f"subgroup of GR(4,{ring.n})^*", mul=ring.mul)
+    domain = f"subgroup of GR(4,{ring.n})^*"
+    iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain=domain)
     iso.verify()
     return iso
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass

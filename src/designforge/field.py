@@ -7,6 +7,7 @@ an explicit table, which keeps all downstream verification exact and fast.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .groups import FiniteAbelianGroup
@@ -85,11 +86,8 @@ def isqrt_exact(n: int) -> Optional[int]:
     """Integer square root if n is a perfect square, else None."""
     if n < 0:
         return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 # -- polynomial arithmetic over GF(p) -----------------------------------------
@@ -385,7 +383,7 @@ class FieldCtx:
     def element_order(self, a: Element) -> int:
         if a == self.zero:
             raise ZeroDivisionError("zero has no multiplicative order")
-        return (self.q - 1) // _gcd(self._log[a], self.q - 1) if self._log[a] else 1
+        return (self.q - 1) // math.gcd(self._log[a], self.q - 1) if self._log[a] else 1
 
     # -- ring-style adapter used by the generic family machinery
 
@@ -400,9 +398,3 @@ class FieldCtx:
 
     def additive_group(self) -> FiniteAbelianGroup:
         return FiniteAbelianGroup((self.p,) * self.r)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

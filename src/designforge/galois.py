@@ -342,6 +342,6 @@ def unit_group_iso(
     for u in ring.units():
         dec = ring.unit_decompose(u)
         forward[u] = (dec.a0_exponent,) + span[ring.residue_of(dec.a1)]
-    iso = GroupIso(codomain, forward, domain=f"GR(4,{n})^*", mul=ring.mul)
+    iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain=f"GR(4,{n})^*")
     iso.verify()
     return iso

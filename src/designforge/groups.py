@@ -8,8 +8,45 @@ from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
 
 Element = Tuple[int, ...]
 
-#: Exhaustive homomorphism checks are run whenever the domain is at most this big.
-ISO_CHECK_LIMIT = 1 << 16
+
+def closure_generators(
+    elements: Iterable[Hashable],
+    identity: Hashable,
+    op: Callable[[Hashable, Hashable], Hashable],
+) -> List[Hashable]:
+    """Generators of the finite set S, picked greedily from ``sorted(S)``.
+
+    BFS from ``identity`` multiplies each reached element by each generator
+    once, O(|S| log |S|) calls of the group operation ``op``.  A product
+    outside S raises ValueError naming the witness pair (a, g), so a returned
+    list proves that S is a subgroup.
+    """
+    members = frozenset(elements)
+    if identity not in members:
+        raise ValueError(f"not a subgroup: the identity {identity!r} is missing")
+    # in a group the identity is the only idempotent
+    if op(identity, identity) != identity:
+        raise ValueError(f"not a subgroup: {identity!r} is not the identity")
+    reached = {identity}
+    gens: List[Hashable] = []
+    for s in sorted(members):
+        if s in reached:
+            continue
+        gens.append(s)
+        # old elements meet only the new generator; new ones meet them all
+        frontier, by = list(reached), [s]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in by:
+                    c = op(a, g)
+                    if c not in members:
+                        raise ValueError(f"not a subgroup: {a!r} times {g!r} leaves the set")
+                    if c not in reached:
+                        reached.add(c)
+                        nxt.append(c)
+            frontier, by = nxt, gens
+    return gens
 
 
 class FiniteAbelianGroup:
@@ -105,37 +142,23 @@ class FiniteAbelianGroup:
 
 
 class Subgroup:
-    """A verified subgroup: contains zero, closed under addition and negation."""
+    """A verified subgroup: contains zero, closed under addition (so under negation)."""
 
     __slots__ = ("parent", "elements")
 
-    def __init__(
-        self,
-        parent: FiniteAbelianGroup,
-        elements: Iterable[Element],
-        *,
-        verify: bool = True,
-    ) -> None:
+    def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[Element]) -> None:
         elems = frozenset(parent.reduce(e) for e in elements)
-        if verify:
-            if parent.zero() not in elems:
-                raise ValueError("not a subgroup: missing the zero element")
-            for a in elems:
-                if parent.neg(a) not in elems:
-                    raise ValueError(f"not a subgroup: -{a} missing")
-                for b in elems:
-                    if parent.add(a, b) not in elems:
-                        raise ValueError(f"not a subgroup: {a} + {b} escapes")
+        closure_generators(elems, parent.zero(), parent.add)
         self.parent = parent
         self.elements = elems
 
     @classmethod
     def trivial(cls, parent: FiniteAbelianGroup) -> "Subgroup":
-        return cls(parent, [parent.zero()], verify=False)
+        return cls(parent, [parent.zero()])
 
     @classmethod
     def whole(cls, parent: FiniteAbelianGroup) -> "Subgroup":
-        return cls(parent, parent.elements(), verify=False)
+        return cls(parent, parent.elements())
 
     @property
     def order(self) -> int:
@@ -170,23 +193,15 @@ class Subgroup:
         return [list(e) for e in sorted(self.elements)]
 
 
-def subgroup_generated(
-    group: FiniteAbelianGroup, gens: Iterable[Element]
-) -> Subgroup:
+def subgroup_generated(group: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:
     """Smallest subgroup containing ``gens`` (closure under repeated addition)."""
     gens = [group.reduce(g) for g in gens]
-    closure = {group.zero()}
-    frontier = list(closure)
+    frontier = {group.zero()}
+    closure = set(frontier)
     while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                s = group.add(a, g)
-                if s not in closure:
-                    closure.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return Subgroup(group, closure, verify=False)
+        frontier = {group.add(a, g) for a in frontier for g in gens} - closure
+        closure |= frontier
+    return Subgroup(group, closure)
 
 
 def cosets(
@@ -233,9 +248,9 @@ class GroupIso:
     """Tabulated isomorphism from a multiplicative domain onto an abelian group.
 
     The domain is given extensionally as a ``forward`` table keyed by whatever
-    hashable representation the domain uses (field or ring elements here).
-    ``mul`` is the domain's multiplication; when present it enables the
-    exhaustive homomorphism check.
+    hashable representation the domain uses (field or ring elements here),
+    with its multiplication ``mul`` and identity ``one``.  ``verify`` is a
+    complete check at every size, linear in the domain times its rank.
     """
 
     def __init__(
@@ -243,13 +258,15 @@ class GroupIso:
         codomain: FiniteAbelianGroup,
         forward: Dict[Hashable, Element],
         *,
+        mul: Callable[[Hashable, Hashable], Hashable],
+        one: Hashable,
         domain: str = "",
-        mul: Optional[Callable[[Hashable, Hashable], Hashable]] = None,
     ) -> None:
         self.codomain = codomain
         self.forward = dict(forward)
         self.domain = domain
         self.mul = mul
+        self.one = one
 
     def __call__(self, x: Hashable) -> Element:
         try:
@@ -261,21 +278,25 @@ class GroupIso:
         return frozenset(self(x) for x in xs)
 
     def verify(self) -> None:
-        """Check bijectivity, and the homomorphism law if the domain is small."""
+        """Check injectivity, closure, and f(xg) = f(x) + f(g) for all x and
+        each generator g; by induction over words this is the full law."""
         images = set(self.forward.values())
         if len(images) != len(self.forward):
             raise ValueError(f"isomorphism table for {self.domain} is not injective")
         for img in images:
             if not self.codomain.contains(img):
                 raise ValueError(f"image {img} outside {self.codomain}")
-        if self.mul is not None and len(self.forward) <= ISO_CHECK_LIMIT:
-            keys = list(self.forward)
-            for x in keys:
-                fx = self.forward[x]
-                for y in keys:
-                    lhs = self.forward[self.mul(x, y)]
-                    rhs = self.codomain.add(fx, self.forward[y])
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"not a homomorphism at ({x!r}, {y!r}): {lhs} != {rhs}"
-                        )
+        if self.forward.get(self.one) != self.codomain.zero():
+            raise ValueError(f"identity {self.one!r} does not map to zero")
+        try:
+            gens = closure_generators(self.forward, self.one, self.mul)
+        except ValueError as exc:
+            raise ValueError(f"domain of {self.domain}: {exc}") from None
+        for x, fx in self.forward.items():
+            for g in gens:
+                lhs = self.forward[self.mul(x, g)]
+                rhs = self.codomain.add(fx, self.forward[g])
+                if lhs != rhs:
+                    raise ValueError(
+                        f"not a homomorphism at ({x!r}, {g!r}): {lhs} != {rhs}"
+                    )

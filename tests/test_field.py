@@ -8,6 +8,7 @@ from designforge.field import (
     BUILTIN_POLYS,
     FieldCtx,
     find_irreducible,
+    isqrt_exact,
     is_irreducible,
     load_poly_table,
 )
@@ -47,6 +48,17 @@ def test_explicit_modulus_and_override_table(tmp_path):
 def test_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         FieldCtx(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+
+
+def test_isqrt_exact_is_exact_for_big_integers():
+    assert isqrt_exact(0) == 0
+    assert isqrt_exact(49) == 7
+    assert isqrt_exact(50) is None
+    assert isqrt_exact(-4) is None
+    big = 3**50 + 1
+    assert isqrt_exact(big * big) == big  # a float round trip loses this one
+    assert isqrt_exact(big * big + 1) is None
+    assert isqrt_exact(10**400) == 10**200  # too large for a float
 
 
 def test_rejects_nonprime_and_oversize():

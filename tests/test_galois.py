@@ -170,12 +170,13 @@ def test_residue_is_ring_homomorphism():
 
 
 def test_unit_group_iso_basics():
-    ring = RingCtx(3)
-    iso = unit_group_iso(ring)  # verify() runs inside
-    assert iso(ring.xi) == (1, 0, 0, 0)
-    w = ring.add(ring.one, ring.two)  # 1 + 2*1, and 1 is the first basis vector
-    assert iso(w) == (0, 1, 0, 0)
-    assert len(iso.forward) == 56
+    for n in (3, 6):
+        ring = RingCtx(n)
+        iso = unit_group_iso(ring)  # verify() runs inside
+        assert iso(ring.xi) == (1,) + (0,) * n
+        w = ring.add(ring.one, ring.two)  # 1 + 2*1, and 1 is the first basis vector
+        assert iso(w) == (0, 1) + (0,) * (n - 1)
+        assert len(iso.forward) == (2**n - 1) * 2**n
 
 
 def test_unit_group_iso_rejects_dependent_basis():

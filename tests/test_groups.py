@@ -8,6 +8,7 @@ from designforge.groups import (
     FiniteAbelianGroup,
     GroupIso,
     Subgroup,
+    closure_generators,
     cosets,
     random_rep_choice,
     subgroup_generated,
@@ -155,7 +156,7 @@ def test_group_iso_verification():
     z4 = FiniteAbelianGroup((4,))
     # multiplicative group mod 5 -> Z_4 via discrete log base 2
     forward = {1: (0,), 2: (1,), 4: (2,), 3: (3,)}
-    iso = GroupIso(z4, forward, domain="Z5*", mul=lambda a, b: a * b % 5)
+    iso = GroupIso(z4, forward, mul=lambda a, b: a * b % 5, one=1, domain="Z5*")
     iso.verify()
     assert iso(2) == (1,)
     assert iso.map_set([1, 4]) == {(0,), (2,)}
@@ -164,16 +165,33 @@ def test_group_iso_verification():
 def test_group_iso_rejects_nonhomomorphism():
     z4 = FiniteAbelianGroup((4,))
     forward = {1: (0,), 2: (2,), 4: (1,), 3: (3,)}
-    iso = GroupIso(z4, forward, domain="Z5*", mul=lambda a, b: a * b % 5)
+    iso = GroupIso(z4, forward, mul=lambda a, b: a * b % 5, one=1, domain="Z5*")
     with pytest.raises(ValueError):
         iso.verify()
 
 
 def test_group_iso_rejects_noninjective():
     z4 = FiniteAbelianGroup((4,))
-    iso = GroupIso(z4, {1: (0,), 2: (0,)}, domain="bad")
+    iso = GroupIso(z4, {1: (0,), 2: (0,)}, mul=lambda a, b: a * b % 5, one=1, domain="bad")
     with pytest.raises(ValueError):
         iso.verify()
+
+
+def test_group_iso_rejects_identity_off_zero():
+    z2 = FiniteAbelianGroup((2,))
+    iso = GroupIso(z2, {1: (1,)}, mul=lambda a, b: a * b % 5, one=1, domain="trivial")
+    with pytest.raises(ValueError, match="identity"):
+        iso.verify()
+
+
+def test_closure_generators_reports_witness():
+    z6 = FiniteAbelianGroup((6,))
+    assert closure_generators(set(z6.elements()), z6.zero(), z6.add) == [(1,)]
+    assert closure_generators({(0,), (2,), (4,)}, z6.zero(), z6.add) == [(2,)]
+    with pytest.raises(ValueError, match=r"\(2,\) times \(2,\) leaves"):
+        closure_generators({(0,), (2,)}, z6.zero(), z6.add)
+    with pytest.raises(ValueError, match="identity"):
+        closure_generators({(1,)}, z6.zero(), z6.add)
 
 
 def test_group_json_roundtrip():
