@@ -216,12 +216,12 @@ def _subgroup_generators(ring, N: FrozenSet[Element]) -> List[Element]:
 def _check_quotient_consistency(
     result: QuotientFamilyResult,
     iso_map,
-    table: Dict[Element, int],
+    report: designs.VerificationReport,
 ) -> None:
-    """Pointwise check that the derived counts equal base_lambda - lambda_t."""
+    """Pointwise check that the oracle's counts equal base_lambda - lambda_t."""
     for t, lam_t in result.lambda_table.items():
         expected = result.base_lambda - lam_t
-        got = table.get(iso_map(t), 0)
+        got = report.counts.get(iso_map(t), 0)
         if got != expected:
             raise RuntimeError(
                 f"quotient family inconsistent at t={t}: count {got}, "
@@ -360,9 +360,8 @@ def cyclotomic_family(
             "e": e,
         },
     )
-    table = designs.difference_table(family)
-    _check_quotient_consistency(quotient, phi, table)
     report = designs.verify(family)
+    _check_quotient_consistency(quotient, phi, report)
     if not report.ok:
         raise RuntimeError(f"cyclotomic family failed verification: {report.summary()}")
     return CyclotomicFamily(ds, reps, field_blocks, family, quotient)
@@ -593,9 +592,8 @@ def galois_ring_ddf(
             "modulus": list(ring.modulus),
         },
     )
-    table = designs.difference_table(family)
-    _check_quotient_consistency(quotient, lambda t: iso(t), table)
     report = designs.verify(family)
+    _check_quotient_consistency(quotient, lambda t: iso(t), report)
     if not report.ok:
         raise RuntimeError(f"unit-subgroup family failed verification: {report.summary()}")
     return GaloisRingDDF(

@@ -8,7 +8,7 @@ stay independent of it: no character sums, no shortcuts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,6 +168,7 @@ class VerificationReport:
     message: str = ""
     witness: Optional[Tuple[Element, int, str]] = None  # (element, count, expected)
     degenerate_blocks: int = 0
+    counts: Dict[Element, int] = field(default_factory=dict, repr=False)  # difference_table(family)
 
     def summary(self) -> str:
         status = "VERIFIED" if self.ok else "FAILED"
@@ -187,7 +188,8 @@ def verify(family: DifferenceFamily) -> VerificationReport:
     The difference counts must be constant on the forbidden subgroup minus
     identity and constant outside it.  When the family declares parameters,
     the realized values must match them.  Failure is reported with the first
-    witness in element order, never raised.
+    witness in element order, never raised.  The report keeps the oracle's
+    difference table as ``counts``, so callers never need to count again.
     """
     group = family.ambient
     forbidden = family.forbidden
@@ -239,6 +241,7 @@ def verify(family: DifferenceFamily) -> VerificationReport:
         message=message,
         witness=witness,
         degenerate_blocks=degenerate,
+        counts=table,
     )
 
 

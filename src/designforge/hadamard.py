@@ -114,13 +114,16 @@ def is_skew(M: SignMatrix) -> bool:
 
 
 def sylvester(k: int) -> SignMatrix:
-    """The tensor-doubled Hadamard matrix of order 2^k (normalized)."""
+    """The tensor-doubled Hadamard matrix of order 2^k (normalized), verified."""
     if k < 0:
         raise ValueError("k must be >= 0")
     H = np.array([[1]], dtype=np.int64)
     for _ in range(k):
         H = np.block([[H, H], [H, -H]])
-    return SignMatrix(H, provenance={"construction": "sylvester", "k": k})
+    result = SignMatrix(H, provenance={"construction": "sylvester", "k": k})
+    if not is_hadamard(result):
+        raise AssemblyError("Sylvester matrix is not Hadamard")
+    return result
 
 
 def normalize(M: SignMatrix) -> Tuple[SignMatrix, np.ndarray, np.ndarray]:
@@ -369,11 +372,12 @@ def _resolve_assignment(n_cosets: int, assignment: Assignment) -> List[int]:
 
 def build_symmetric_parts(
     family: DifferenceFamily,
-    H: SignMatrix,
+    H: Optional[SignMatrix] = None,
     coset_assignment: Assignment = None,
 ) -> SymmetricParts:
     """Assemble H1, H2, A, B, C for a family passing the seed conditions.
 
+    The seed H defaults to the Sylvester matrix when m is a power of two.
     ``coset_assignment`` maps the (sorted) cosets of N onto rows of the seed
     matrix with its first row removed; pass a permutation, a seed, or a
     Random for a randomized choice.  The Hadamard property must not depend
@@ -383,6 +387,12 @@ def build_symmetric_parts(
     if not cond.ok:
         raise PreconditionError(cond.summary())
     m = cond.m
+    if H is None:
+        if m & (m - 1):
+            raise PreconditionError(
+                f"m={m} is not a power of two; supply a seed matrix explicitly"
+            )
+        H = sylvester(m.bit_length() - 1)
     if H.order != m:
         raise PreconditionError(f"seed matrix has order {H.order}, need {m}")
     H_norm, _, _ = normalize(H)
@@ -500,22 +510,13 @@ def symmetric_from_ddf(
 ) -> SymmetricHadamardResult:
     """The symmetric Hadamard matrix of order m^2 from a qualifying family.
 
-    The seed H defaults to the Sylvester matrix when m is a power of two.
-    The output is verified symmetric and Hadamard; on failure the failing
-    internal identity is named.
+    The family passes the single ``check_symmetric_conditions`` call inside
+    ``build_symmetric_parts``, which also supplies the default Sylvester seed.
+    The result passes one Hadamard gate and one symmetry check; on failure
+    the failing internal identity is named.
     """
-    cond = check_symmetric_conditions(family)
-    if not cond.ok:
-        raise PreconditionError(cond.summary())
-    m = cond.m
-    if H is None:
-        if m & (m - 1):
-            raise PreconditionError(
-                f"m={m} is not a power of two; supply a seed matrix explicitly"
-            )
-        H = sylvester(m.bit_length() - 1)
     parts = build_symmetric_parts(family, H, coset_assignment)
-    v = parts.group.order
+    m = parts.m
     Jm = np.ones((m, m), dtype=np.int64)
     M = np.block(
         [

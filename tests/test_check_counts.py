@@ -1,0 +1,101 @@
+"""Each artifact passes each check exactly once, at the place that owns it.
+
+Counting wrappers around the oracle (``designs.difference_table``), the Gram
+gate (``hadamard.is_hadamard``) and the symmetric-array precondition check
+record every call made while one artifact is built.
+"""
+
+import pytest
+
+from designforge import cli, constructions, designs, hadamard
+from designforge.field import FieldCtx
+from designforge.galois import RingCtx
+from designforge.groups import FiniteAbelianGroup, Subgroup
+from designforge.search import SearchSpec, search_ddf
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Argument log per wrapped check: tables get families, Grams get orders."""
+    log = {"tables": [], "grams": [], "conditions": 0}
+    table, gram, cond = (
+        designs.difference_table,
+        hadamard.is_hadamard,
+        hadamard.check_symmetric_conditions,
+    )
+
+    def counted_table(family):
+        log["tables"].append(family)
+        return table(family)
+
+    def counted_gram(M):
+        log["grams"].append(M.order)
+        return gram(M)
+
+    def counted_cond(*args, **kwargs):
+        log["conditions"] += 1
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(designs, "difference_table", counted_table)
+    monkeypatch.setattr(hadamard, "is_hadamard", counted_gram)
+    monkeypatch.setattr(hadamard, "check_symmetric_conditions", counted_cond)
+    return log
+
+
+def test_symmetric_cli_counts(calls, capsys):
+    assert cli.main(["hadamard", "symmetric", "--n", "3"]) == 0
+    # unit_quotient_family's base check, the family's oracle, the array check
+    assert len(calls["tables"]) == 3
+    assert calls["conditions"] == 1
+    # the order-8 seed is gated by sylvester() and by the seed check
+    assert sorted(calls["grams"]) == [8, 8, 64]
+
+
+def test_skew_cli_counts(calls, capsys):
+    assert cli.main(["hadamard", "skew", "--q", "7"]) == 0
+    # szekeres_family's oracle, then skew_from_df's entry check
+    assert len(calls["tables"]) == 2
+    assert calls["grams"] == [8]
+
+
+def test_sylvester_cli_counts(calls, capsys):
+    assert cli.main(["hadamard", "sylvester", "--k", "3"]) == 0
+    assert calls["grams"] == [8]
+
+
+def test_family_oracle_runs_once(calls):
+    for result in (
+        constructions.galois_ring_ddf(RingCtx(3)),
+        constructions.cyclotomic_family(FieldCtx(37), 4),
+    ):
+        assert sum(f is result.family for f in calls["tables"]) == 1
+
+
+def test_replay_runs_the_oracle_once(calls):
+    g = FiniteAbelianGroup((6,))
+    spec = SearchSpec(group=g, forbidden=Subgroup(g, [(0,), (3,)]), m=4)
+    cert = search_ddf(spec)[0]
+    calls["tables"].clear()
+    assert cert.replay()
+    assert len(calls["tables"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["hadamard", "sylvester", "--k", "3"], 8),
+        (["hadamard", "skew", "--q", "7"], 8),
+        (["hadamard", "symmetric", "--n", "3"], 64),
+    ],
+)
+def test_failed_gate_exits_one(argv, order, monkeypatch, capsys):
+    # fail only the gate on the emitted matrix, so the library's own gate on
+    # the artifact is what the exit code reports
+    gram = hadamard.is_hadamard
+    monkeypatch.setattr(
+        hadamard, "is_hadamard", lambda M: M.order != order and gram(M)
+    )
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1

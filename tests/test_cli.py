@@ -89,9 +89,19 @@ def test_verify_corrupted_family_exits_one(tmp_path, capsys):
     assert "FAILED" in out and "witness" in out
 
 
-def test_verify_missing_file_exits_two(capsys):
-    code, _, err = run_cli(["verify", "/nonexistent/family.json"], capsys)
-    assert code == 2
+def test_io_errors_exit_two_with_one_line(tmp_path, capsys):
+    cases = {
+        "missing file": ["verify", str(tmp_path / "missing.json")],
+        "directory": ["verify", str(tmp_path)],
+        "--out into a missing directory": [
+            "construct", "szekeres", "--q", "7", "--out", str(tmp_path / "no" / "f.json"),
+        ],
+    }
+    for name, argv in cases.items():
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, name
+        assert out == "", name
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (name, err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from designforge import designs
+from designforge import constructions, designs
 from designforge.constructions import (
     PreconditionError,
     block_symmetry_report,
@@ -188,6 +190,24 @@ def test_family_q109_e4_with_zero():
 def test_family_q13_e4_with_zero_edge():
     rep = designs.verify(cyclotomic_family(FieldCtx(13), 4, with_zero=True).family)
     assert rep.ok and rep.mu == 0 and rep.sizes == (0, 1, 1, 1)
+
+
+def test_quotient_consistency_rejects_a_wrong_lambda(monkeypatch):
+    # one lambda_t off by one must disagree with the oracle's counts, which
+    # the check reads from the family's verification report
+    original = constructions.unit_quotient_family
+
+    def corrupted(*args, **kwargs):
+        res = original(*args, **kwargs)
+        table = dict(res.lambda_table)
+        table[min(table)] += 1
+        return dataclasses.replace(res, lambda_table=table)
+
+    monkeypatch.setattr(constructions, "unit_quotient_family", corrupted)
+    with pytest.raises(RuntimeError, match="quotient family inconsistent"):
+        galois_ring_ddf(RingCtx(3))
+    with pytest.raises(RuntimeError, match="quotient family inconsistent"):
+        cyclotomic_family(FieldCtx(37), 4)
 
 
 def test_family_rejects_trivial_quotient():

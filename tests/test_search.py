@@ -166,6 +166,14 @@ def test_randomized_deterministic_and_replayable():
     assert all(c.replay() for c in first)
 
 
+def test_randomized_search_raises_on_failed_replay(monkeypatch):
+    # a family that fails replay must stop the search, never vanish from it
+    monkeypatch.setattr(Certificate, "replay", lambda self: False)
+    spec = z6_spec(mode="randomized", seed=42, budget=SearchBudget(max_nodes=2000))
+    with pytest.raises(RuntimeError, match="failed replay"):
+        search_ddf(spec)
+
+
 def test_randomized_seed_changes_trajectory():
     a = search_ddf(z6_spec(mode="randomized", seed=1, budget=SearchBudget(max_nodes=500)))
     b = search_ddf(z6_spec(mode="randomized", seed=2, budget=SearchBudget(max_nodes=500)))
