@@ -18,7 +18,6 @@ from . import constructions, designs, hadamard, search
 from .constructions import PreconditionError
 from .field import FieldCtx, factorize, load_poly_table
 from .galois import RingCtx
-from .hadamard import AssemblyError
 
 POLY_TABLE_ENV = "DESIGNFORGE_POLY_TABLE"
 
@@ -69,15 +68,12 @@ def _family_text(family: designs.DifferenceFamily, report: designs.VerificationR
     return "\n".join(lines)
 
 
-def _emit_family(family: designs.DifferenceFamily, config: RunConfig) -> int:
-    report = designs.verify(family)
-    if not report.ok:
-        print(f"verification failed: {report.summary()}", file=sys.stderr)
-        return 1
+def _emit_family(result, config: RunConfig) -> int:
+    """Print a construction's family with the report its own oracle run made."""
     if config.fmt == "json":
-        _emit(_dump(family.to_json()), config)
+        _emit(_dump(result.family.to_json()), config)
     else:
-        _emit(_family_text(family, report), config)
+        _emit(_family_text(result.family, result.report), config)
     return 0
 
 
@@ -88,19 +84,19 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
             raise PreconditionError(f"{kind} needs --q")
         ctx = _field_for(args.q, config)
         if kind == "szekeres":
-            family = constructions.szekeres_family(ctx).family
+            result = constructions.szekeres_family(ctx)
         else:
             e = args.e if args.e is not None else 2
-            family = constructions.cyclotomic_family(
+            result = constructions.cyclotomic_family(
                 ctx, e, with_zero=(kind == "prop23")
-            ).family
+            )
     elif kind in ("gr4-ddf", "gr4-union", "prop34"):
         if args.n is None:
             raise PreconditionError(f"{kind} needs --n")
         ring = RingCtx(args.n)
         u = ring.residue.g_pow(args.u) if args.u is not None else None
         if kind == "prop34":
-            family = constructions.teichmuller_difference_set(ring, u).family
+            result = constructions.teichmuller_difference_set(ring, u)
         else:
             y = None
             if args.y is not None:
@@ -108,16 +104,13 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
                     raise PreconditionError(
                         f"--y {args.y} out of range for the Teichmuller list"
                     )
-            if args.y is not None:
-                y = ring.add(
-                    ring.one, ring.mul(ring.two, ring.teichmuller[args.y])
-                )
-            family = constructions.galois_ring_ddf(
+                y = ring.principal_units()[args.y]
+            result = constructions.galois_ring_ddf(
                 ring, u=u, y=y, include_ideal=(kind == "gr4-union")
-            ).family
+            )
     else:
         raise PreconditionError(f"unknown construction kind {kind!r}")
-    return _emit_family(family, config)
+    return _emit_family(result, config)
 
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
@@ -260,7 +253,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssemblyError as exc:
+    except RuntimeError as exc:  # a failed self-check, AssemblyError included
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -2,21 +2,21 @@
 
 Every construction returns its family together with the raw field- or
 ring-level blocks, and nothing leaves this module unverified: the exhaustive
-oracle in designs.py is run on each output, and the derived-family identity
-theta(t) = lambda - lambda_t is checked pointwise for every construction
-routed through the generic quotient machine.
+oracle in designs.py is run once on each output and its report is returned
+with it, and the derived-family identity theta(t) = lambda - lambda_t is
+checked pointwise for every construction routed through the generic quotient
+machine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import designs
 from .designs import Block, DesignParams, DifferenceFamily
 from .field import FieldCtx, isqrt_exact
-from .galois import RingCtx, gf2_basis, gf2_span_coords
+from .galois import RingCtx, unit_group_iso
 from .groups import FiniteAbelianGroup, GroupIso, Subgroup, closure_generators
 
 Element = Tuple[int, ...]
@@ -238,6 +238,7 @@ class SzekeresFamily:
     squares: FrozenSet[Element]
     field_blocks: Tuple[FrozenSet[Element], FrozenSet[Element]]
     family: DifferenceFamily
+    report: designs.VerificationReport  # the oracle's verdict on ``family``
 
 
 def _half_log_map(ctx: FieldCtx, e: int):
@@ -285,7 +286,7 @@ def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
     report = designs.verify(family)
     if not report.ok:
         raise RuntimeError(f"Szekeres family failed verification: {report.summary()}")
-    return SzekeresFamily(ctx, N, (d1, d2), family)
+    return SzekeresFamily(ctx, N, (d1, d2), family, report)
 
 
 def szekeres_inverse_identity(ctx: FieldCtx) -> Tuple[FrozenSet[Element], FrozenSet[Element]]:
@@ -306,6 +307,7 @@ class CyclotomicFamily:
     field_blocks: List[FrozenSet[Element]]
     family: DifferenceFamily
     quotient: QuotientFamilyResult
+    report: designs.VerificationReport
 
 
 def cyclotomic_family(
@@ -364,7 +366,7 @@ def cyclotomic_family(
     _check_quotient_consistency(quotient, phi, report)
     if not report.ok:
         raise RuntimeError(f"cyclotomic family failed verification: {report.summary()}")
-    return CyclotomicFamily(ds, reps, field_blocks, family, quotient)
+    return CyclotomicFamily(ds, reps, field_blocks, family, quotient, report)
 
 
 # -- GR(4,n) divisible difference families ---------------------------------------
@@ -386,7 +388,6 @@ class GR4Data:
     ring: RingCtx
     u: Element  # residue-field element with zero trace
     E: FrozenSet[Element]  # residue-field subgroup of order 2^(n-1)
-    E_basis: List[Element]
     D: FrozenSet[Element]  # {a(1+2b) : a in T_n^*, residue(b) in E}
     subgroup: FrozenSet[Element]  # the N the family lives in (a subgroup of D)
     L: FrozenSet[Element]  # N ∩ (principal units)
@@ -423,48 +424,7 @@ def galois_ring_data(
         _subgroup_generators(ring, N)
     principal = set(ring.principal_units())
     L = frozenset(N & principal)
-    basis = gf2_basis(sorted(E, key=field.encode))
-    return GR4Data(ring, u, E, basis, frozenset(D), N, L)
-
-
-def _unit_subgroup_iso(ring: RingCtx, data: GR4Data, N: FrozenSet[Element]) -> GroupIso:
-    """Map a subgroup of D onto its invariant-factor model Z_d x Z_2^s.
-
-    Elements xi^i(1+2b) are split through the unit decomposition; the odd
-    part reads off the exponent lattice, the 2-part takes coordinates in a
-    deterministic GF(2) basis of the principal-unit residues.
-    """
-    field = ring.residue
-    m = 2**ring.n - 1
-    decomps = {x: ring.unit_decompose(x) for x in N}
-    g0 = math.gcd(m, *(d.a0_exponent for d in decomps.values()))
-    d_order = m // g0
-    two_vectors = sorted(
-        {ring.residue_of(dec.a1) for x, dec in decomps.items() if dec.a0_exponent == 0},
-        key=field.encode,
-    )
-    basis = gf2_basis(two_vectors)
-    span = gf2_span_coords(basis, dim=ring.n)
-    moduli: List[int] = []
-    if d_order > 1:
-        moduli.append(d_order)
-    moduli.extend([2] * len(basis))
-    if not moduli:
-        moduli = [1]
-    codomain = FiniteAbelianGroup(moduli)
-    forward: Dict[Element, Element] = {}
-    for x, dec in decomps.items():
-        coords: Tuple[int, ...] = ()
-        if d_order > 1:
-            coords += (dec.a0_exponent // g0 % d_order,)
-        coords += span[ring.residue_of(dec.a1)]
-        if not coords:
-            coords = (0,)
-        forward[x] = coords
-    domain = f"subgroup of GR(4,{ring.n})^*"
-    iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain=domain)
-    iso.verify()
-    return iso
+    return GR4Data(ring, u, E, frozenset(D), N, L)
 
 
 @dataclass
@@ -479,13 +439,14 @@ class GaloisRingDDF:
     iso: GroupIso
     family: DifferenceFamily
     quotient: QuotientFamilyResult
+    report: designs.VerificationReport
 
 
 def _coset_reps(ring: RingCtx, N: FrozenSet[Element]) -> List[Element]:
     """Transversal of R^*/N: identity coset first, then by least coset member.
 
-    Within each coset a principal-unit representative of least Teichmuller
-    index is preferred, falling back to the least element.
+    Within each coset the first principal unit in ``ring.principal_units()``
+    (Teichmuller) order is preferred, falling back to the least element.
     """
     principal = ring.principal_units()
     found: List[Tuple[Element, Element]] = []  # (coset key, rep)
@@ -494,15 +455,8 @@ def _coset_reps(ring: RingCtx, N: FrozenSet[Element]) -> List[Element]:
         if u in covered:
             continue
         coset = frozenset(ring.mul(u, x) for x in N)
-        in_principal = [y for y in principal if y in coset]
-        if in_principal:
-            rep = min(
-                in_principal,
-                key=lambda y: ring.teich_index(ring.unit_decompose(y).a1),
-            )
-        else:
-            rep = min(coset)
-        found.append((min(coset), rep))
+        least = min(coset)
+        found.append((least, next((y for y in principal if y in coset), least)))
         covered |= coset
     found.sort(key=lambda pair: (pair[1] != ring.one, pair[0]))
     return [rep for _, rep in found]
@@ -523,24 +477,19 @@ def galois_ring_ddf(
     ``include_ideal=True`` replaces D by D ∪ 2R as the source difference set,
     giving sizes 2^(2(n-1)) with lambda = 2^(2(n-1)),
     mu = 2^(n-2)(2^n + 1).  ``y`` picks the second coset representative
-    (default: least Teichmuller index outside D); other subgroups take their
-    deterministic transversal.
+    (default: the first of ``ring.principal_units()`` outside D); other
+    subgroups take their deterministic transversal.
     """
     data = galois_ring_data(ring, u, subgroup)
     N = data.subgroup
     n = ring.n
     if N == data.D:
         if y is None:
-            candidates = [
-                w for w in ring.principal_units() if w not in data.D
-            ]
-            y = min(candidates, key=lambda w: ring.teich_index(
-                ring.unit_decompose(w).a1))
-        else:
-            if not ring.is_unit(y):
-                raise PreconditionError(f"y={y} is not a unit")
-            if y in data.D:
-                raise PreconditionError(f"y={y} lies in D, it does not cross cosets")
+            y = next(w for w in ring.principal_units() if w not in data.D)
+        elif not ring.is_unit(y):
+            raise PreconditionError(f"y={y} is not a unit")
+        elif y in data.D:
+            raise PreconditionError(f"y={y} lies in D, it does not cross cosets")
         reps = [ring.one, y]
     else:
         if y is not None:
@@ -550,7 +499,7 @@ def galois_ring_ddf(
     if include_ideal:
         source |= set(ring.nonunits())
     quotient = unit_quotient_family(ring, [frozenset(source)], N, reps)
-    iso = _unit_subgroup_iso(ring, data, N)
+    iso = unit_group_iso(ring, N)
     group = iso.codomain
     blocks: List[Block] = []
     ring_blocks: List[FrozenSet[Element]] = []
@@ -586,9 +535,7 @@ def galois_ring_ddf(
             "construction": "gr4-union" if include_ideal else "gr4-ddf",
             "n": n,
             "u": ring.residue.discrete_log(data.u),
-            "y": ring.teich_index(ring.unit_decompose(reps[1]).a1)
-            if N == data.D
-            else None,
+            "y": None if y is None else ring.unit_decompose(y).a1_index,
             "modulus": list(ring.modulus),
         },
     )
@@ -600,11 +547,12 @@ def galois_ring_ddf(
         data=data,
         include_ideal=include_ideal,
         reps=reps,
-        y=reps[1] if N == data.D else None,
+        y=y,
         ring_blocks=ring_blocks,
         iso=iso,
         family=family,
         quotient=quotient,
+        report=report,
     )
 
 
@@ -614,6 +562,7 @@ class TeichmullerDS:
     u: Element
     ring_elements: FrozenSet[Element]
     family: DifferenceFamily
+    report: designs.VerificationReport
 
 
 def teichmuller_difference_set(
@@ -651,7 +600,7 @@ def teichmuller_difference_set(
         raise RuntimeError(
             f"Teichmuller difference set failed verification: {report.summary()}"
         )
-    return TeichmullerDS(ring, data.u, members, family)
+    return TeichmullerDS(ring, data.u, members, family, report)
 
 
 @dataclass

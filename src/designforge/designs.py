@@ -13,7 +13,17 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import Element, FiniteAbelianGroup, Subgroup
+from .groups import (
+    Element,
+    FiniteAbelianGroup,
+    Subgroup,
+    json_elements,
+    json_field,
+    json_int,
+    json_ints,
+    json_list,
+    json_object,
+)
 
 INFINITY = "inf"
 
@@ -108,20 +118,25 @@ class DifferenceFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "DifferenceFamily":
-        group = FiniteAbelianGroup.from_json(data["group"])
-        forbidden = Subgroup(group, [tuple(e) for e in data["forbidden"]])
+        """Parse ``to_json`` output; a malformed field raises ValueError naming it."""
+        group = FiniteAbelianGroup.from_json(json_field(data, "group", "family", json_object))
+        forbidden = Subgroup(group, json_field(data, "forbidden", "family", json_elements))
         blocks = [
-            Block(group, frozenset(tuple(e) for e in blk)) for blk in data["blocks"]
+            Block(group, frozenset(json_elements(blk, f"family.blocks[{i}]")))
+            for i, blk in enumerate(json_field(data, "blocks", "family", json_list))
         ]
         declared = None
-        if "declared" in data:
-            d = data["declared"]
+        d = json_field(data, "declared", "family", json_object, None)
+        if d is not None:
+            where = "family.declared"
+            sizes = json_field(d, "K", where, json_ints, [b.size for b in blocks])
             declared = DesignParams(
-                lam=d.get("lambda"),
-                mu=d.get("mu"),
-                sizes=tuple(sorted(d.get("K", [b.size for b in blocks]))),
+                lam=json_field(d, "lambda", where, json_int, None),
+                mu=json_field(d, "mu", where, json_int, None),
+                sizes=tuple(sorted(sizes)),
             )
-        return cls(group, forbidden, blocks, declared, data.get("provenance"))
+        provenance = json_field(data, "provenance", "family", json_object, None)
+        return cls(group, forbidden, blocks, declared, provenance)
 
 
 # -- the counting oracle -------------------------------------------------------

@@ -2,32 +2,20 @@
 
 Elements are length-n tuples over Z_4, reduced by a primitive basic
 irreducible modulus.  The context tabulates the Teichmuller set, exposes the
-unit decomposition a0*(1+2*a1), and reduces onto the residue field F_{2^n}.
+unit decomposition a0*(1+2*a1), reduces onto the residue field F_{2^n}, and
+owns the coordinates that carry any unit subgroup onto Z_d x Z_2^s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .field import FieldCtx, factorize
+from .field import BUILTIN_POLYS, FieldCtx, factorize
 from .groups import FiniteAbelianGroup, GroupIso
 
 Element = Tuple[int, ...]
-
-# Moduli produced by the sign-adjusted squaring lift of the p=2 entries in
-# field.BUILTIN_POLYS; frozen here so runs are reproducible without redoing
-# the lift.  A unit test regenerates and compares them.
-RING_MODULI: Dict[int, Tuple[int, ...]] = {
-    1: (3, 1),
-    2: (1, 1, 1),
-    3: (3, 2, 3, 1),  # the degree-3 modulus the n=3 reference blocks are written in
-    4: (1, 3, 2, 0, 1),
-    5: (3, 2, 3, 0, 0, 1),
-    6: (1, 3, 0, 2, 0, 0, 1),
-    7: (3, 1, 0, 0, 2, 0, 0, 1),
-    8: (1, 2, 3, 1, 3, 2, 2, 0, 1),
-}
 
 MAX_RING_DEGREE = 12
 
@@ -66,18 +54,19 @@ class UnitDecomposition:
 
 
 class RingCtx:
-    """GR(4,n) with a fixed primitive basic irreducible modulus."""
+    """GR(4,n) with a fixed primitive basic irreducible modulus.
+
+    Given only the degree, the modulus is ``graeffe_lift`` of the primitive
+    polynomial ``BUILTIN_POLYS[(2, n)]``, for 1 <= n <= MAX_RING_DEGREE.
+    """
 
     def __init__(self, n: Optional[int] = None, modulus: Optional[Sequence[int]] = None) -> None:
         if modulus is None:
             if n is None:
                 raise ValueError("give a degree n or an explicit modulus")
-            if n in RING_MODULI:
-                modulus = RING_MODULI[n]
-            else:
-                if n > MAX_RING_DEGREE:
-                    raise ValueError(f"degree {n} exceeds the {MAX_RING_DEGREE} cap")
-                modulus = graeffe_lift(FieldCtx(2, n).modulus)
+            if not 1 <= n <= MAX_RING_DEGREE:
+                raise ValueError(f"degree {n} is outside 1..{MAX_RING_DEGREE}")
+            modulus = graeffe_lift(BUILTIN_POLYS[(2, n)])
         mod = tuple(c % 4 for c in modulus)
         if n is None:
             n = len(mod) - 1
@@ -141,16 +130,8 @@ class RingCtx:
         return tuple(c)
 
     def elements(self) -> Iterator[Element]:
-        def rec(i: int, acc: List[int]) -> Iterator[Element]:
-            if i == self.n:
-                yield tuple(acc)
-                return
-            for c in range(4):
-                acc.append(c)
-                yield from rec(i + 1, acc)
-                acc.pop()
-
-        yield from rec(0, [])
+        """All 4^n elements in the additive group's lexicographic order."""
+        return self.additive_group().elements()
 
     def format(self, a: Element) -> str:
         """Digit string (highest coefficient first) for n=3, list syntax otherwise."""
@@ -297,11 +278,9 @@ def gf2_basis(vectors: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
 
 
 def gf2_span_coords(
-    basis: Sequence[Tuple[int, ...]], dim: Optional[int] = None
+    basis: Sequence[Tuple[int, ...]], dim: int
 ) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """Map every vector in the span of an ordered basis to its coordinates."""
-    if dim is None:
-        dim = len(basis[0]) if basis else 0
+    """Map every vector of GF(2)^dim in the span of an ordered basis to its coordinates."""
     span: Dict[Tuple[int, ...], Tuple[int, ...]] = {(0,) * dim: (0,) * len(basis)}
     for k, b in enumerate(basis):
         for vec, coords in list(span.items()):
@@ -310,38 +289,43 @@ def gf2_span_coords(
     return span
 
 
-def gf2_coords(v: Tuple[int, ...], basis: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
-    """Coordinates of v in the span of an ordered GF(2) basis."""
-    span = gf2_span_coords(basis)
-    coords = span.get(tuple(v))
-    if coords is None:
-        raise ValueError(f"{v} is not in the span of the basis")
-    return coords
+def unit_group_iso(ring: RingCtx, subgroup: Iterable[Element]) -> GroupIso:
+    """Map a unit subgroup N of GR(4,n) onto its invariant-factor model Z_d x Z_2^s.
 
-
-def unit_group_iso(
-    ring: RingCtx, basis: Optional[Sequence[Tuple[int, ...]]] = None
-) -> GroupIso:
-    """Isomorphism from the full unit group onto Z_{2^n-1} x Z_2^n.
-
-    A unit xi^i*(1+2b) maps to (i, coordinates of the residue of b in the
-    given GF(2)-basis of the residue field); default basis is the polynomial
-    basis 1, xbar, ..., xbar^(n-1).
+    GR(4,n)^* = T_n^* x (1+2R), so a unit xi^i(1+2b) from ``unit_decompose``
+    splits into an odd part and a 2-part.  The odd part reads i off the
+    exponent lattice of N; the 2-part takes the coordinates of residue(b) in
+    the ``gf2_basis`` of the residues of N's principal units.  The full unit
+    group is ``unit_group_iso(ring, ring.units())``, onto Z_{2^n-1} x Z_2^n
+    (n >= 2) in the polynomial basis 1, xbar, ..., xbar^(n-1).  Trivial
+    factors are dropped.  The table passes ``GroupIso.verify`` before it is
+    returned.
     """
-    n = ring.n
-    if basis is None:
-        basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    basis = [tuple(b) for b in basis]
-    if len(gf2_basis(basis)) != len(basis):
-        raise ValueError("basis vectors are not linearly independent")
-    if len(basis) != n:
-        raise ValueError(f"need {n} basis vectors for the full unit group, got {len(basis)}")
-    codomain = FiniteAbelianGroup((2**n - 1,) + (2,) * n)
-    span = gf2_span_coords(basis, dim=n)
-    forward: Dict[Element, Tuple[int, ...]] = {}
-    for u in ring.units():
-        dec = ring.unit_decompose(u)
-        forward[u] = (dec.a0_exponent,) + span[ring.residue_of(dec.a1)]
-    iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain=f"GR(4,{n})^*")
+    m = 2**ring.n - 1
+    decomps = {x: ring.unit_decompose(x) for x in subgroup}
+    g0 = math.gcd(m, *(d.a0_exponent for d in decomps.values()))
+    d_order = m // g0
+    basis = gf2_basis(
+        [ring.residue_of(dec.a1) for dec in decomps.values() if dec.a0_exponent == 0]
+    )
+    span = gf2_span_coords(basis, ring.n)
+    moduli: List[int] = []
+    if d_order > 1:
+        moduli.append(d_order)
+    moduli.extend([2] * len(basis))
+    if not moduli:
+        moduli = [1]
+    codomain = FiniteAbelianGroup(moduli)
+    forward: Dict[Element, Element] = {}
+    for x, dec in decomps.items():
+        coords: Tuple[int, ...] = ()
+        if d_order > 1:
+            coords += (dec.a0_exponent // g0 % d_order,)
+        coords += span[ring.residue_of(dec.a1)]
+        if not coords:
+            coords = (0,)
+        forward[x] = coords
+    domain = f"unit subgroup of GR(4,{ring.n})"
+    iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain=domain)
     iso.verify()
     return iso

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Element = Tuple[int, ...]
 
@@ -47,6 +47,59 @@ def closure_generators(
                         nxt.append(c)
             frontier, by = nxt, gens
     return gens
+
+
+# -- parsed JSON, checked field by field ---------------------------------------
+
+_REQUIRED = object()
+
+
+def json_typed(name: str, *kinds: type) -> Callable[[object, str], Any]:
+    """A parser for a JSON value whose exact Python type is one of ``kinds``."""
+
+    def parse(value: object, where: str) -> Any:
+        if type(value) not in kinds:
+            raise ValueError(f"{where} is not {name}")
+        return value
+
+    return parse
+
+
+json_int = json_typed("an integer", int)
+json_list = json_typed("an array", list)
+json_object = json_typed("a JSON object", dict)
+
+
+def json_field(
+    data: object,
+    key: str,
+    where: str,
+    parse: Callable[[object, str], Any],
+    default: Any = _REQUIRED,
+) -> Any:
+    """``parse(data[key], path)`` for the JSON object ``data`` found at ``where``.
+
+    With a ``default``, a missing or null field yields it; without one, the
+    field is required.  Every malformed value raises ValueError naming its
+    JSON path, such as ``family.blocks[0][2]``.
+    """
+    path = f"{where}.{key}"
+    if json_object(data, where).get(key) is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{path} is {'null' if key in data else 'missing'}")
+        return default
+    return parse(data[key], path)
+
+
+def json_ints(value: object, where: str) -> Tuple[int, ...]:
+    if any(type(c) is not int for c in json_list(value, where)):
+        raise ValueError(f"{where} is not an array of integers")
+    return tuple(value)
+
+
+def json_elements(value: object, where: str) -> List[Element]:
+    """An array of group elements, each an array of integers."""
+    return [json_ints(e, f"{where}[{i}]") for i, e in enumerate(json_list(value, where))]
 
 
 class FiniteAbelianGroup:
@@ -138,7 +191,7 @@ class FiniteAbelianGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteAbelianGroup":
-        return cls(data["moduli"])
+        return cls(json_field(data, "moduli", "group", json_ints))
 
 
 class Subgroup:

@@ -342,13 +342,10 @@ class SymmetricParts:
     elements: List[Element]
     H1: np.ndarray
     H2: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    Ap: np.ndarray
-    Bp: np.ndarray
+    C: np.ndarray  # [i,j] = 1 iff i + j in N
+    Ap: np.ndarray  # +-1 incidence of i - j in the first block
+    Bp: np.ndarray  # +-1 incidence of i + j in the second block
     n_in: np.ndarray  # [i,j] = 1 iff i - j in N
-    n_plus: np.ndarray  # [i,j] = 1 iff i + j in N
     assignment: List[int]
 
 
@@ -375,9 +372,10 @@ def build_symmetric_parts(
     H: Optional[SignMatrix] = None,
     coset_assignment: Assignment = None,
 ) -> SymmetricParts:
-    """Assemble H1, H2, A, B, C for a family passing the seed conditions.
+    """Assemble H1, H2, A', B', C for a family passing the seed conditions.
 
-    The seed H defaults to the Sylvester matrix when m is a power of two.
+    The seed H defaults to the Sylvester matrix when m is a power of two,
+    which ``sylvester`` gates itself; a supplied seed is gated here.
     ``coset_assignment`` maps the (sorted) cosets of N onto rows of the seed
     matrix with its first row removed; pass a permutation, a seed, or a
     Random for a randomized choice.  The Hadamard property must not depend
@@ -393,11 +391,11 @@ def build_symmetric_parts(
                 f"m={m} is not a power of two; supply a seed matrix explicitly"
             )
         H = sylvester(m.bit_length() - 1)
-    if H.order != m:
+    elif H.order != m:
         raise PreconditionError(f"seed matrix has order {H.order}, need {m}")
-    H_norm, _, _ = normalize(H)
-    if not is_hadamard(H_norm):
+    elif not is_hadamard(H):
         raise PreconditionError("seed matrix is not Hadamard")
+    H_norm, _, _ = normalize(H)
     first, second = (family.blocks[i] for i in cond.block_order)
     group = family.ambient
     N = family.forbidden
@@ -416,11 +414,7 @@ def build_symmetric_parts(
     )
     H1 = Hp[row_of]
     H2 = -H1[neg]
-    A = _membership(group, first.elements)[diff]
-    B = _membership(group, second.elements)[sums]
-    C = _membership(group, N.elements)[sums]
-    J = np.ones((group.order, group.order), dtype=np.int64)
-    n_in = _membership(group, N.elements)[diff]
+    in_N = _membership(group, N.elements)
     return SymmetricParts(
         group=group,
         N=N,
@@ -428,13 +422,10 @@ def build_symmetric_parts(
         elements=elems,
         H1=H1,
         H2=H2,
-        A=A,
-        B=B,
-        C=C,
-        Ap=2 * A - J,
-        Bp=2 * B - J,
-        n_in=n_in,
-        n_plus=C.copy(),
+        C=in_N[sums],
+        Ap=2 * _membership(group, first.elements)[diff] - 1,
+        Bp=2 * _membership(group, second.elements)[sums] - 1,
+        n_in=in_N[diff],
         assignment=assignment,
     )
 
@@ -458,8 +449,7 @@ def identity_checks(parts: SymmetricParts) -> List[IdentityCheck]:
     I_m = np.eye(m, dtype=np.int64)
     J_m = np.ones((m, m), dtype=np.int64)
     H1, H2 = parts.H1, parts.H2
-    Ap, Bp, C = parts.Ap, parts.Bp, parts.C
-    n_in, n_plus = parts.n_in, parts.n_plus
+    Ap, Bp, C, n_in = parts.Ap, parts.Bp, parts.C, parts.n_in
     zeros_vm = np.zeros((v, m), dtype=np.int64)
     two_level = (v + m // 2) * I_m - (m // 2) * J_m
     checks: List[Tuple[int, str, np.ndarray, np.ndarray]] = [
@@ -467,11 +457,11 @@ def identity_checks(parts: SymmetricParts) -> List[IdentityCheck]:
         (1, "H2 H2^T coset pattern", H2 @ H2.T, m * n_in),
         (2, "H1^T H1 two-level form", H1.T @ H1, two_level),
         (2, "H2^T H2 two-level form", H2.T @ H2, two_level),
-        (3, "H1 H2^T opposite-coset pattern", H1 @ H2.T, -m * n_plus),
+        (3, "H1 H2^T opposite-coset pattern", H1 @ H2.T, -m * C),
         (4, "C C^T coset pattern", C @ C.T, (m // 2) * n_in),
         (5, "A'A'^T + B'B'^T three-level form",
          Ap @ Ap.T + Bp @ Bp.T, m * m * I_v - m * n_in),
-        (6, "A'C^T pattern", Ap @ C.T, -(m // 2) * n_plus),
+        (6, "A'C^T pattern", Ap @ C.T, -(m // 2) * C),
         (7, "B'C^T pattern", Bp @ C.T, -(m // 2) * n_in),
         (7, "C B'^T pattern", C @ Bp.T, -(m // 2) * n_in),
         (8, "B'H1 + A'H2 vanishes", Bp @ H1 + Ap @ H2, zeros_vm),
@@ -525,10 +515,6 @@ def symmetric_from_ddf(
             [parts.H2, parts.Ap, -parts.Bp - 2 * parts.C],
         ]
     )
-    if not np.isin(M, (-1, 1)).all():
-        raise AssemblyError(
-            "array has entries outside +-1 (second block must avoid N)"
-        )
     result = SignMatrix(
         M,
         provenance={

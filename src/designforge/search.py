@@ -17,7 +17,17 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from . import hadamard
 from .constructions import PreconditionError
 from .designs import Block, DesignParams, DifferenceFamily
-from .groups import Element, FiniteAbelianGroup, Subgroup, cosets
+from .groups import (
+    Element,
+    FiniteAbelianGroup,
+    Subgroup,
+    cosets,
+    json_elements,
+    json_field,
+    json_int,
+    json_object,
+    json_typed,
+)
 
 
 @dataclass
@@ -89,16 +99,24 @@ class SearchSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchSpec":
-        group = FiniteAbelianGroup.from_json(data["group"])
-        forbidden = Subgroup(group, [tuple(e) for e in data["forbidden"]])
-        budget = SearchBudget(**data.get("budget", {}))
+        """Parse ``to_json`` output; a malformed field raises ValueError naming it."""
+        group = FiniteAbelianGroup.from_json(json_field(data, "group", "spec", json_object))
+        budget = json_field(data, "budget", "spec", json_object, {})
+        unknown = set(budget) - {"max_nodes", "max_solutions", "max_seconds"}
+        if unknown:
+            raise ValueError(f"spec.budget.{min(unknown)} is not a budget field")
+        seconds = json_typed("a number", int, float)
         return cls(
             group=group,
-            forbidden=forbidden,
-            m=int(data["m"]),
-            mode=data.get("mode", "exhaustive"),
-            budget=budget,
-            seed=int(data.get("seed", 0)),
+            forbidden=Subgroup(group, json_field(data, "forbidden", "spec", json_elements)),
+            m=json_field(data, "m", "spec", json_int),
+            mode=json_field(data, "mode", "spec", json_typed("a string", str), "exhaustive"),
+            budget=SearchBudget(
+                max_nodes=json_field(budget, "max_nodes", "spec.budget", json_int, None),
+                max_solutions=json_field(budget, "max_solutions", "spec.budget", json_int, None),
+                max_seconds=json_field(budget, "max_seconds", "spec.budget", seconds, None),
+            ),
+            seed=json_field(data, "seed", "spec", json_int, 0),
         )
 
 

@@ -47,8 +47,22 @@ def test_symmetric_cli_counts(calls, capsys):
     # unit_quotient_family's base check, the family's oracle, the array check
     assert len(calls["tables"]) == 3
     assert calls["conditions"] == 1
-    # the order-8 seed is gated by sylvester() and by the seed check
-    assert sorted(calls["grams"]) == [8, 8, 64]
+    # the default order-8 seed is gated by sylvester() alone
+    assert sorted(calls["grams"]) == [8, 64]
+
+
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        # unit_quotient_family's R^+ base check, then the family's oracle
+        (["construct", "gr4-ddf", "--n", "3"], 2),
+        (["construct", "szekeres", "--q", "11"], 1),
+    ],
+)
+def test_construct_cli_counts(argv, tables, calls, capsys):
+    # the CLI prints the report the construction's own oracle run made
+    assert cli.main(argv) == 0
+    assert len(calls["tables"]) == tables
 
 
 def test_skew_cli_counts(calls, capsys):

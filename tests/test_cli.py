@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
+from designforge import constructions
 from designforge.cli import main
 
 
@@ -102,6 +104,52 @@ def test_io_errors_exit_two_with_one_line(tmp_path, capsys):
         assert code == 2, name
         assert out == "", name
         assert len(err.splitlines()) == 1 and "Traceback" not in err, (name, err)
+
+
+def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
+    family = {"group": {"moduli": [5]}, "forbidden": [[0]], "blocks": [[[1], [4]], [[2], [3]]]}
+    spec = {"group": {"moduli": [6]}, "forbidden": [[0], [3]], "m": 4}
+
+    def without(data, key):
+        return {k: v for k, v in data.items() if k != key}
+
+    cases = [
+        # (name, command, file contents, the field the error must name)
+        ("family without forbidden", ["verify"], without(family, "forbidden"), "forbidden"),
+        ("symmetric --family without forbidden", ["hadamard", "symmetric", "--family"],
+         without(family, "forbidden"), "forbidden"),
+        ("top-level list", ["verify"], [family], "family"),
+        ("block element not an array", ["verify"], dict(family, blocks=[[1, 4]]), "blocks[0][0]"),
+        ("moduli not integers", ["verify"], dict(family, group={"moduli": ["5"]}), "moduli"),
+        ("spec without forbidden", ["search"], without(spec, "forbidden"), "forbidden"),
+        ("spec budget key max_nodez", ["search"], dict(spec, budget={"max_nodez": 5}), "max_nodez"),
+    ]
+    for i, (name, command, data, field) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(command + [str(path)], capsys)
+        assert code == 2, name
+        assert out == "", name
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (name, err)
+        assert field in err, (name, err)
+
+
+def test_failed_self_check_exits_one(monkeypatch, capsys):
+    # a lambda_t off by one fails the quotient-consistency self-check, a
+    # RuntimeError inside the library: exit 1 with one line, not a traceback
+    original = constructions.unit_quotient_family
+
+    def corrupted(*args, **kwargs):
+        res = original(*args, **kwargs)
+        table = dict(res.lambda_table)
+        table[min(table)] += 1
+        return dataclasses.replace(res, lambda_table=table)
+
+    monkeypatch.setattr(constructions, "unit_quotient_family", corrupted)
+    code, out, err = run_cli(["construct", "gr4-ddf", "--n", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "quotient family inconsistent" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from designforge.designs import (
     verify_gdd,
 )
 from designforge.field import FieldCtx
-from designforge.groups import FiniteAbelianGroup, Subgroup
+from designforge.groups import FiniteAbelianGroup, Subgroup, subgroup_generated
 
 
 def _family(moduli, blocks, forbidden=None, declared=None):
@@ -240,6 +242,38 @@ def test_family_json_roundtrip():
     assert again.canonical_blocks() == fam.canonical_blocks()
     assert again.declared == fam.declared
     assert again.provenance == {"construction": "test"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_json_roundtrip_keeps_the_verdict(data):
+    # to_json, through a JSON string, then from_json: the same family and
+    # the same oracle verdict, declared parameters and provenance included
+    moduli = data.draw(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
+    )
+    g = FiniteAbelianGroup(moduli)
+    elems = list(g.elements())
+    forbidden = subgroup_generated(g, [data.draw(st.sampled_from(elems))])
+    blocks = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        size = data.draw(st.integers(min_value=0, max_value=min(5, g.order)))
+        blocks.append(Block(g, frozenset(data.draw(st.permutations(elems))[:size])))
+    fam = DifferenceFamily(g, forbidden, blocks)
+    if data.draw(st.booleans()):
+        rep = verify(fam)
+        fam.declared = DesignParams(rep.lam, rep.mu, rep.sizes)
+        fam.provenance = {"construction": "random", "order": g.order}
+    again = DifferenceFamily.from_json(json.loads(json.dumps(fam.to_json())))
+    assert again.ambient == fam.ambient
+    assert again.forbidden == fam.forbidden
+    assert again.canonical_blocks() == fam.canonical_blocks()
+    assert again.declared == fam.declared
+    assert again.provenance == fam.provenance
+    before, after = verify(fam), verify(again)
+    assert (after.ok, after.lam, after.mu, after.sizes, after.witness, after.counts) == (
+        before.ok, before.lam, before.mu, before.sizes, before.witness, before.counts
+    )
 
 
 def test_blocks_must_live_in_ambient():

@@ -1,11 +1,11 @@
 import pytest
 
-from designforge.field import BUILTIN_POLYS
+from designforge.constructions import galois_ring_data
 from designforge.galois import (
-    RING_MODULI,
+    MAX_RING_DEGREE,
     RingCtx,
     gf2_basis,
-    gf2_coords,
+    gf2_span_coords,
     graeffe_lift,
     unit_group_iso,
 )
@@ -15,9 +15,27 @@ from designforge.galois import (
 # ---------------------------------------------------------------------------
 
 
-def test_lift_reproduces_frozen_table():
-    for n, frozen in RING_MODULI.items():
-        assert graeffe_lift(BUILTIN_POLYS[(2, n)]) == frozen, n
+def test_ring_moduli_are_pinned():
+    # the lifted moduli every stdout is written in; n=3 is the reference
+    # blocks' x^3 + 3x^2 + 2x + 3
+    pinned = {
+        1: (3, 1),
+        2: (1, 1, 1),
+        3: (3, 2, 3, 1),
+        4: (1, 3, 2, 0, 1),
+        5: (3, 2, 3, 0, 0, 1),
+        6: (1, 3, 0, 2, 0, 0, 1),
+        7: (3, 1, 0, 0, 2, 0, 0, 1),
+        8: (1, 2, 3, 1, 3, 2, 2, 0, 1),
+    }
+    for n, modulus in pinned.items():
+        assert RingCtx(n).modulus == modulus, n
+
+
+def test_ring_degree_out_of_range():
+    for n in (0, -1, MAX_RING_DEGREE + 1):
+        with pytest.raises(ValueError, match="outside"):
+            RingCtx(n)
 
 
 def test_lift_degree_three_worked_example():
@@ -172,25 +190,30 @@ def test_residue_is_ring_homomorphism():
 def test_unit_group_iso_basics():
     for n in (3, 6):
         ring = RingCtx(n)
-        iso = unit_group_iso(ring)  # verify() runs inside
+        iso = unit_group_iso(ring, ring.units())  # verify() runs inside
         assert iso(ring.xi) == (1,) + (0,) * n
         w = ring.add(ring.one, ring.two)  # 1 + 2*1, and 1 is the first basis vector
         assert iso(w) == (0, 1) + (0,) * (n - 1)
         assert len(iso.forward) == (2**n - 1) * 2**n
 
 
-def test_unit_group_iso_rejects_dependent_basis():
-    ring = RingCtx(2)
-    with pytest.raises(ValueError):
-        unit_group_iso(ring, basis=[(1, 0), (1, 0)])
+def test_unit_group_iso_codomains_of_subgroups():
+    # D = T^* x (1 + 2 lift(E)) and T^* alone, both through unit_group_iso
+    for n in (3, 4, 5, 6):
+        ring = RingCtx(n)
+        D = galois_ring_data(ring).D
+        assert unit_group_iso(ring, D).codomain.moduli == (2**n - 1,) + (2,) * (n - 1)
+        teich = unit_group_iso(ring, ring.teichmuller[1:])
+        assert teich.codomain.moduli == (2**n - 1,)
 
 
 def test_gf2_helpers():
     basis = gf2_basis([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     assert len(basis) == 2  # the three vectors only span a plane
-    assert gf2_coords((1, 1, 0), basis) in {(1, 0), (0, 1), (1, 1)}
-    with pytest.raises(ValueError):
-        gf2_coords((1, 1, 1), basis)
+    span = gf2_span_coords(basis, 3)
+    assert len(span) == 4
+    assert span[(1, 1, 0)] in {(1, 0), (0, 1), (1, 1)}
+    assert (1, 1, 1) not in span
 
 
 def test_format_and_parse():

@@ -214,6 +214,8 @@ def test_identity_checks_zero_claim_on_z6():
 def test_symmetric_seed_must_match():
     with pytest.raises(PreconditionError):
         symmetric_from_ddf(z6_family(), H=sylvester(3))  # order 8 seed for m=4
+    with pytest.raises(PreconditionError, match="not Hadamard"):
+        symmetric_from_ddf(z6_family(), H=SignMatrix(np.ones((4, 4), dtype=np.int64)))
 
 
 def test_symmetric_rejects_unqualified_family():

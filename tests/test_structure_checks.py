@@ -168,7 +168,7 @@ def _iso_tables():
     log7 = {pow(3, i, 7): (i,) for i in range(6)}
     out.append(("Z7*", FiniteAbelianGroup((6,)), log7, _Z7[2], 1))
     for ring in _RINGS.values():
-        iso = unit_group_iso(ring)
+        iso = unit_group_iso(ring, ring.units())
         out.append((iso.domain, iso.codomain, iso.forward, ring.mul, ring.one))
     return out
 
