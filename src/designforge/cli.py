@@ -130,11 +130,13 @@ def _cmd_hadamard(args: argparse.Namespace, config: RunConfig) -> int:
     elif args.subkind == "skew":
         if args.q is None:
             raise PreconditionError("skew needs --q")
+        hadamard.check_matrix_order(args.q + 1)
         ctx = _field_for(args.q, config)
         family = constructions.szekeres_family(ctx).family
         matrix = hadamard.skew_from_df(family).matrix
     elif args.subkind == "symmetric":
         if args.n is not None:
+            hadamard.check_matrix_order(4, args.n)
             ring = RingCtx(args.n)
             u = ring.residue.g_pow(args.u) if args.u is not None else None
             family = constructions.galois_ring_ddf(ring, u=u).family

@@ -119,7 +119,9 @@ class DifferenceFamily:
     @classmethod
     def from_json(cls, data: dict) -> "DifferenceFamily":
         """Parse ``to_json`` output; a malformed field raises ValueError naming it."""
-        group = FiniteAbelianGroup.from_json(json_field(data, "group", "family", json_object))
+        group = FiniteAbelianGroup.from_json(
+            json_field(data, "group", "family", json_object), "family.group"
+        )
         forbidden = Subgroup(group, json_field(data, "forbidden", "family", json_elements))
         blocks = [
             Block(group, frozenset(json_elements(blk, f"family.blocks[{i}]")))

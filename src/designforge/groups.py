@@ -8,6 +8,10 @@ from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Opti
 
 Element = Tuple[int, ...]
 
+# The largest group a JSON file may name: 2^24 >= |GR(4,12)^*|, so every
+# group the library builds itself still loads.
+MAX_GROUP_ORDER = 1 << 24
+
 
 def closure_generators(
     elements: Iterable[Hashable],
@@ -190,8 +194,19 @@ class FiniteAbelianGroup:
         return {"moduli": list(self.moduli)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "FiniteAbelianGroup":
-        return cls(json_field(data, "moduli", "group", json_ints))
+    def from_json(cls, data: dict, where: str = "group") -> "FiniteAbelianGroup":
+        """Parse ``to_json`` output found at the JSON path ``where``.
+
+        A group of order above MAX_GROUP_ORDER raises ValueError before any
+        caller can allocate per-element tables for it.
+        """
+        group = cls(json_field(data, "moduli", where, json_ints))
+        if group.order > MAX_GROUP_ORDER:
+            raise ValueError(
+                f"{where}.moduli give order {group.order}, "
+                f"above MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"
+            )
+        return group
 
 
 class Subgroup:

@@ -1,8 +1,14 @@
 """Sign matrices, Hadamard predicates, and the two array constructions.
 
-All matrix arithmetic is exact small-integer numpy; nothing is floating
-point.  Group-indexed matrices use the ambient group's lexicographic element
-enumeration, which serialization records.
+Sign matrices are stored as int8.  Every matrix product runs through one
+exact kernel, ``_exact_product``, which multiplies in float32 BLAS: each
+product term, partial sum and result entry is an integer of magnitude at
+most inner_dim * max|X| * max|Y| (the order, for a +-1 Gram), and float32
+represents every integer up to 2^24 exactly, so the product is exact in any
+summation order and with FMA.  The kernel raises ValueError when that bound
+is exceeded; no check has a tolerance.  Group-indexed matrices use the
+ambient group's lexicographic element enumeration, which serialization
+records.
 """
 
 from __future__ import annotations
@@ -19,27 +25,68 @@ from .designs import DifferenceFamily
 from .groups import Element, FiniteAbelianGroup, Subgroup, cosets
 
 MAX_FINGERPRINT_ORDER = 128
+# The Hadamard gate's working set is about 9 * order^2 bytes (int8 entries,
+# their float32 copy and the float32 Gram): 0.6 GiB at this cap.
+MAX_MATRIX_ORDER = 8192
+# float32 holds every integer of magnitude up to 2^24 exactly.
+FLOAT32_EXACT_LIMIT = 1 << 24
 
 
 class AssemblyError(RuntimeError):
     """An assembled matrix failed its defining identity."""
 
 
+def check_matrix_order(base: int, exponent: int = 1) -> None:
+    """Refuse a matrix of order base^exponent above MAX_MATRIX_ORDER.
+
+    Callers run it before any order^2-sized allocation.  The exponent is
+    clamped to the cap's bit length before the power is taken (any base >= 2
+    passes the cap there), so a huge requested exponent costs nothing.
+    """
+    if base ** min(exponent, MAX_MATRIX_ORDER.bit_length()) > MAX_MATRIX_ORDER:
+        shown = f"{base}^{exponent}" if exponent != 1 else f"{base}"
+        raise PreconditionError(
+            f"matrix order {shown} exceeds MAX_MATRIX_ORDER = {MAX_MATRIX_ORDER}"
+        )
+
+
+def _max_abs(X: np.ndarray) -> int:
+    return max(int(X.max()), -int(X.min())) if X.size else 0
+
+
+def _exact_product(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
+    """The exact integer product X @ Y (Y defaults to X.T) as a float32 array.
+
+    Every term, partial sum and entry is an integer of magnitude at most
+    inner_dim * max|X| * max|Y|; while that bound is at most 2^24 the
+    float32 BLAS product equals the integer one in any summation order.
+    Above it this raises ValueError.  The default Y casts X once, and BLAS
+    can then use its symmetric rank-k kernel.
+    """
+    bound = X.shape[1] * _max_abs(X) * _max_abs(X if Y is None else Y)
+    if bound > FLOAT32_EXACT_LIMIT:
+        raise ValueError(
+            f"exact float32 product needs inner_dim * max|X| * max|Y| <= 2^24, got {bound}"
+        )
+    Xf = X.astype(np.float32)
+    return Xf @ (Xf.T if Y is None else Y.astype(np.float32))
+
+
 @dataclass
 class SignMatrix:
-    """A square matrix with entries +1/-1 and optional row/column labels."""
+    """A square matrix with entries +1/-1, stored as int8, and optional labels."""
 
     entries: np.ndarray
     labels: Optional[List] = None
     provenance: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.int64)
+        arr = np.asarray(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"need a square matrix, got shape {arr.shape}")
-        if not np.isin(arr, (-1, 1)).all():
+        if not (np.abs(arr) == 1).all():
             raise ValueError("entries must all be +1 or -1")
-        self.entries = arr
+        self.entries = arr.astype(np.int8, copy=False)
         if self.labels is not None and len(self.labels) != arr.shape[0]:
             raise ValueError("label count does not match the order")
 
@@ -85,21 +132,29 @@ class SignMatrix:
         )
 
 
+def _gram_residual(M: SignMatrix) -> np.ndarray:
+    """M M^T - order * I, exact, from the float32 Gram of ``_exact_product``."""
+    G = _exact_product(M.entries)
+    G[np.diag_indices_from(G)] -= M.order
+    return G
+
+
 def is_hadamard(M: SignMatrix) -> bool:
     """Exact check of M M^T = order * I."""
-    A = M.entries
-    return np.array_equal(A @ A.T, M.order * np.eye(M.order, dtype=np.int64))
+    return not _gram_residual(M).any()
 
 
 def hadamard_failure(M: SignMatrix) -> Optional[str]:
-    """None if M is Hadamard, else the first row pair violating orthogonality."""
-    A = M.entries
-    P = A @ A.T
-    want = M.order * np.eye(M.order, dtype=np.int64)
-    if np.array_equal(P, want):
+    """None if M is Hadamard, else the first row pair violating orthogonality.
+
+    The same exact gate as ``is_hadamard``, read for a witness.
+    """
+    G = _gram_residual(M)
+    if not G.any():
         return None
-    i, j = (int(x) for x in np.argwhere(P != want)[0])
-    return f"rows {i} and {j} have inner product {int(P[i, j])}, expected {int(want[i, j])}"
+    # every +-1 row has squared norm order, so a violation is off the diagonal
+    i, j = (int(x) for x in np.argwhere(G)[0])
+    return f"rows {i} and {j} have inner product {int(G[i, j])}, expected 0"
 
 
 def is_symmetric(M: SignMatrix) -> bool:
@@ -108,16 +163,17 @@ def is_symmetric(M: SignMatrix) -> bool:
 
 def is_skew(M: SignMatrix) -> bool:
     """Exact check of M + M^T = 2I (unit diagonal, antisymmetric elsewhere)."""
-    return np.array_equal(
-        M.entries + M.entries.T, 2 * np.eye(M.order, dtype=np.int64)
-    )
+    S = M.entries + M.entries.T
+    S[np.diag_indices_from(S)] -= 2
+    return not S.any()
 
 
 def sylvester(k: int) -> SignMatrix:
     """The tensor-doubled Hadamard matrix of order 2^k (normalized), verified."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    H = np.array([[1]], dtype=np.int64)
+    check_matrix_order(2, k)
+    H = np.array([[1]], dtype=np.int8)
     for _ in range(k):
         H = np.block([[H, H], [H, -H]])
     result = SignMatrix(H, provenance={"construction": "sylvester", "k": k})
@@ -156,7 +212,7 @@ def _index_tables(group: FiniteAbelianGroup) -> Tuple[List[Element], np.ndarray,
 
 
 def _membership(group: FiniteAbelianGroup, subset) -> np.ndarray:
-    out = np.zeros(group.order, dtype=np.int64)
+    out = np.zeros(group.order, dtype=np.int8)
     for e in subset:
         out[group.index(e)] = 1
     return out
@@ -196,6 +252,7 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
     if v % 2 == 0:
         raise PreconditionError(f"group order {v} is even, need |G| = 2m+1")
     m = (v - 1) // 2
+    check_matrix_order(4 * (m + 1))
     report = designs.verify(family)
     if not report.ok:
         raise PreconditionError(f"family failed verification: {report.summary()}")
@@ -214,8 +271,8 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
     _, diff, sums, _ = _index_tables(group)
     A = 2 * _membership(group, S)[diff] - 1
     B = 2 * _membership(group, T)[sums] - 1
-    e = np.ones((v, 1), dtype=np.int64)
-    one = np.ones((1, 1), dtype=np.int64)
+    e = np.ones((v, 1), dtype=np.int8)
+    one = np.ones((1, 1), dtype=np.int8)
     M = np.block(
         [
             [one, one, e.T, -e.T],
@@ -334,7 +391,11 @@ def check_symmetric_conditions(
 
 @dataclass
 class SymmetricParts:
-    """The pieces of the order-m^2 array, kept for the identity checks."""
+    """The pieces of the order-m^2 array, kept for the identity checks.
+
+    Every array is int8; multiply them through ``_exact_product``, since an
+    int8 product wraps.
+    """
 
     group: FiniteAbelianGroup
     N: Subgroup
@@ -379,8 +440,9 @@ def build_symmetric_parts(
     ``coset_assignment`` maps the (sorted) cosets of N onto rows of the seed
     matrix with its first row removed; pass a permutation, a seed, or a
     Random for a randomized choice.  The Hadamard property must not depend
-    on it.
+    on it.  The order m^2 is checked against MAX_MATRIX_ORDER first.
     """
+    check_matrix_order(2 * family.forbidden.order, 2)
     cond = check_symmetric_conditions(family)
     if not cond.ok:
         raise PreconditionError(cond.summary())
@@ -442,31 +504,38 @@ def identity_checks(parts: SymmetricParts) -> List[IdentityCheck]:
     """The ten exact matrix identities behind the symmetric array, separately.
 
     Each is an equality of integer matrices; any failure reports the first
-    differing entry.
+    differing entry.  Every product goes through the exact kernel of
+    ``is_hadamard`` (the int8 seed rows would wrap in an int8 product) and is
+    then combined in int64.
     """
+
+    def P(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
+        return _exact_product(X, Y).astype(np.int64)
+
     m, v = parts.m, parts.group.order
     I_v = np.eye(v, dtype=np.int64)
     I_m = np.eye(m, dtype=np.int64)
     J_m = np.ones((m, m), dtype=np.int64)
     H1, H2 = parts.H1, parts.H2
-    Ap, Bp, C, n_in = parts.Ap, parts.Bp, parts.C, parts.n_in
+    Ap, Bp = parts.Ap, parts.Bp
+    C, n_in = parts.C.astype(np.int64), parts.n_in.astype(np.int64)
     zeros_vm = np.zeros((v, m), dtype=np.int64)
     two_level = (v + m // 2) * I_m - (m // 2) * J_m
     checks: List[Tuple[int, str, np.ndarray, np.ndarray]] = [
-        (1, "H1 H1^T coset pattern", H1 @ H1.T, m * n_in),
-        (1, "H2 H2^T coset pattern", H2 @ H2.T, m * n_in),
-        (2, "H1^T H1 two-level form", H1.T @ H1, two_level),
-        (2, "H2^T H2 two-level form", H2.T @ H2, two_level),
-        (3, "H1 H2^T opposite-coset pattern", H1 @ H2.T, -m * C),
-        (4, "C C^T coset pattern", C @ C.T, (m // 2) * n_in),
+        (1, "H1 H1^T coset pattern", P(H1), m * n_in),
+        (1, "H2 H2^T coset pattern", P(H2), m * n_in),
+        (2, "H1^T H1 two-level form", P(H1.T), two_level),
+        (2, "H2^T H2 two-level form", P(H2.T), two_level),
+        (3, "H1 H2^T opposite-coset pattern", P(H1, H2.T), -m * C),
+        (4, "C C^T coset pattern", P(C), (m // 2) * n_in),
         (5, "A'A'^T + B'B'^T three-level form",
-         Ap @ Ap.T + Bp @ Bp.T, m * m * I_v - m * n_in),
-        (6, "A'C^T pattern", Ap @ C.T, -(m // 2) * C),
-        (7, "B'C^T pattern", Bp @ C.T, -(m // 2) * n_in),
-        (7, "C B'^T pattern", C @ Bp.T, -(m // 2) * n_in),
-        (8, "B'H1 + A'H2 vanishes", Bp @ H1 + Ap @ H2, zeros_vm),
-        (9, "A'H1 - B'H2 - 2CH2 vanishes", Ap @ H1 - Bp @ H2 - 2 * C @ H2, zeros_vm),
-        (10, "A'B'^T symmetric against B'A'^T", Ap @ Bp.T, Bp @ Ap.T),
+         P(Ap) + P(Bp), m * m * I_v - m * n_in),
+        (6, "A'C^T pattern", P(Ap, C.T), -(m // 2) * C),
+        (7, "B'C^T pattern", P(Bp, C.T), -(m // 2) * n_in),
+        (7, "C B'^T pattern", P(C, Bp.T), -(m // 2) * n_in),
+        (8, "B'H1 + A'H2 vanishes", P(Bp, H1) + P(Ap, H2), zeros_vm),
+        (9, "A'H1 - B'H2 - 2CH2 vanishes", P(Ap, H1) - P(Bp, H2) - P(2 * C, H2), zeros_vm),
+        (10, "A'B'^T symmetric against B'A'^T", P(Ap, Bp.T), P(Bp, Ap.T)),
     ]
     out: List[IdentityCheck] = []
     for num, name, got, want in checks:
@@ -507,7 +576,7 @@ def symmetric_from_ddf(
     """
     parts = build_symmetric_parts(family, H, coset_assignment)
     m = parts.m
-    Jm = np.ones((m, m), dtype=np.int64)
+    Jm = np.ones((m, m), dtype=np.int8)
     M = np.block(
         [
             [-Jm, parts.H1.T, parts.H2.T],
@@ -583,10 +652,10 @@ def equivalence_invariants(M: SignMatrix) -> HadamardFingerprint:
         raise ValueError(
             f"fingerprint cost grows as order^6; refusing order {v} > {MAX_FINGERPRINT_ORDER}"
         )
-    A = M.entries.astype(np.int64)
+    A = M.entries
     pair_i, pair_j = np.triu_indices(v, k=1)
     P = A[pair_i] * A[pair_j]  # one row per unordered row pair
-    G = P @ P.T
+    G = _exact_product(P)
     ii, jj = np.triu_indices(len(pair_i), k=1)
     disjoint = (
         (pair_i[ii] != pair_i[jj])
@@ -594,7 +663,7 @@ def equivalence_invariants(M: SignMatrix) -> HadamardFingerprint:
         & (pair_j[ii] != pair_i[jj])
         & (pair_j[ii] != pair_j[jj])
     )
-    vals = np.abs(G[ii[disjoint], jj[disjoint]])
+    vals = np.abs(G[ii[disjoint], jj[disjoint]]).astype(np.int64)
     counts = np.bincount(vals)
     profile = []
     for value, count in enumerate(counts):

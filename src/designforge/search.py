@@ -100,7 +100,9 @@ class SearchSpec:
     @classmethod
     def from_json(cls, data: dict) -> "SearchSpec":
         """Parse ``to_json`` output; a malformed field raises ValueError naming it."""
-        group = FiniteAbelianGroup.from_json(json_field(data, "group", "spec", json_object))
+        group = FiniteAbelianGroup.from_json(
+            json_field(data, "group", "spec", json_object), "spec.group"
+        )
         budget = json_field(data, "budget", "spec", json_object, {})
         unknown = set(budget) - {"max_nodes", "max_solutions", "max_seconds"}
         if unknown:

@@ -242,7 +242,7 @@ def test_criterion_08_symmetric_hadamard():
         for n, order in ((3, 64), (4, 256), (5, 1024)):
             res = symmetric_from_ddf(gr_ddf(n).family)
             assert res.matrix.order == order
-            A = res.matrix.entries
+            A = res.matrix.entries.astype(np.int64)
             assert np.array_equal(A, A.T)
             assert np.array_equal(A @ A.T, order * np.eye(order, dtype=np.int64))
             if n == 3:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 from designforge import constructions
 from designforge.cli import main
@@ -121,6 +122,8 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
         ("top-level list", ["verify"], [family], "family"),
         ("block element not an array", ["verify"], dict(family, blocks=[[1, 4]]), "blocks[0][0]"),
         ("moduli not integers", ["verify"], dict(family, group={"moduli": ["5"]}), "moduli"),
+        ("group of order 10^12", ["verify"], dict(family, group={"moduli": [10**12]}),
+         "family.group.moduli"),
         ("spec without forbidden", ["search"], without(spec, "forbidden"), "forbidden"),
         ("spec budget key max_nodez", ["search"], dict(spec, budget={"max_nodez": 5}), "max_nodez"),
     ]
@@ -180,6 +183,26 @@ def test_hadamard_symmetric_from_file(tmp_path, capsys):
     code, out, _ = run_cli(["hadamard", "symmetric", "--family", str(fam)], capsys)
     assert code == 0
     assert json.loads(out)["order"] == 64
+
+
+def test_oversized_hadamard_requests_exit_two_before_allocating(capsys):
+    # orders 2^15, 10^6 + 4 and 4^7 exceed MAX_MATRIX_ORDER; the CLI refuses
+    # them before building the matrix, the field or the ring
+    for argv in (
+        ["hadamard", "sylvester", "--k", "15"],
+        ["hadamard", "skew", "--q", "1000003"],
+        ["hadamard", "symmetric", "--n", "7"],
+    ):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, argv
+        assert out == "", argv
+        assert len(err.splitlines()) == 1 and "MAX_MATRIX_ORDER" in err, (argv, err)
+        assert peak < 16 << 20, (argv, peak)
 
 
 def test_hadamard_symmetric_needs_input(capsys):

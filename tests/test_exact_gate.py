@@ -1,0 +1,216 @@
+"""The float32 BLAS Hadamard gate against the int64 products it replaces.
+
+The reference functions below are the int64 ``A @ A.T`` gate, its witness,
+and the int64 identity checks the library used before every product went
+through ``hadamard._exact_product``.  The hypothesis tests require the same
+verdicts and the same witness strings on random +-1 matrices, on Hadamard
+matrices with one entry flipped, and on perturbed symmetric-array parts.
+The single-flip tests at orders 1024 and 4096 run where the int64 reference
+is too slow to keep, so their witness is computed by hand.
+"""
+
+import dataclasses
+import functools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from designforge.constructions import galois_ring_ddf, szekeres_family
+from designforge.designs import Block, DifferenceFamily
+from designforge.field import FieldCtx
+from designforge.galois import RingCtx
+from designforge.groups import FiniteAbelianGroup, Subgroup
+from designforge.hadamard import (
+    SignMatrix,
+    _exact_product,
+    build_symmetric_parts,
+    hadamard_failure,
+    identity_checks,
+    is_hadamard,
+    skew_from_df,
+    sylvester,
+    symmetric_from_ddf,
+)
+
+# ---------------------------------------------------------------------------
+# the int64 references
+# ---------------------------------------------------------------------------
+
+
+def ref_failure(A):
+    """None if A A^T = order I in int64 arithmetic, else the first bad row pair."""
+    A = A.astype(np.int64)
+    P = A @ A.T
+    want = len(A) * np.eye(len(A), dtype=np.int64)
+    if np.array_equal(P, want):
+        return None
+    i, j = (int(x) for x in np.argwhere(P != want)[0])
+    return f"rows {i} and {j} have inner product {int(P[i, j])}, expected {int(want[i, j])}"
+
+
+def ref_identity_checks(parts):
+    """The thirteen identity checks as (number, name, ok, detail), all in int64."""
+    m, v = parts.m, parts.group.order
+    H1, H2, Ap, Bp, C, n_in = (
+        x.astype(np.int64) for x in (parts.H1, parts.H2, parts.Ap, parts.Bp, parts.C, parts.n_in)
+    )
+    I_v = np.eye(v, dtype=np.int64)
+    I_m = np.eye(m, dtype=np.int64)
+    J_m = np.ones((m, m), dtype=np.int64)
+    zeros_vm = np.zeros((v, m), dtype=np.int64)
+    two_level = (v + m // 2) * I_m - (m // 2) * J_m
+    checks = [
+        (1, "H1 H1^T coset pattern", H1 @ H1.T, m * n_in),
+        (1, "H2 H2^T coset pattern", H2 @ H2.T, m * n_in),
+        (2, "H1^T H1 two-level form", H1.T @ H1, two_level),
+        (2, "H2^T H2 two-level form", H2.T @ H2, two_level),
+        (3, "H1 H2^T opposite-coset pattern", H1 @ H2.T, -m * C),
+        (4, "C C^T coset pattern", C @ C.T, (m // 2) * n_in),
+        (5, "A'A'^T + B'B'^T three-level form", Ap @ Ap.T + Bp @ Bp.T, m * m * I_v - m * n_in),
+        (6, "A'C^T pattern", Ap @ C.T, -(m // 2) * C),
+        (7, "B'C^T pattern", Bp @ C.T, -(m // 2) * n_in),
+        (7, "C B'^T pattern", C @ Bp.T, -(m // 2) * n_in),
+        (8, "B'H1 + A'H2 vanishes", Bp @ H1 + Ap @ H2, zeros_vm),
+        (9, "A'H1 - B'H2 - 2CH2 vanishes", Ap @ H1 - Bp @ H2 - 2 * C @ H2, zeros_vm),
+        (10, "A'B'^T symmetric against B'A'^T", Ap @ Bp.T, Bp @ Ap.T),
+    ]
+    out = []
+    for num, name, got, want in checks:
+        if np.array_equal(got, want):
+            out.append((num, name, True, ""))
+        else:
+            idx = tuple(int(x) for x in np.argwhere(got != want)[0])
+            out.append((num, name, False, f"first mismatch at {idx}: {int(got[idx])} != {int(want[idx])}"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def hadamard_bases():
+    """Hadamard matrices of orders 1..64 from every constructor."""
+    bases = [sylvester(k) for k in range(7)]
+    bases += [skew_from_df(szekeres_family(FieldCtx(q)).family).matrix for q in (7, 11, 19, 23)]
+    bases.append(symmetric_from_ddf(galois_ring_ddf(RingCtx(3)).family).matrix)
+    return bases
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_families():
+    g = FiniteAbelianGroup((6,))
+    blocks = [Block(g, frozenset({(1,), (5,)})), Block(g, frozenset({(1,), (2,)}))]
+    z6 = DifferenceFamily(g, Subgroup(g, [(0,), (3,)]), blocks)
+    return [z6, galois_ring_ddf(RingCtx(3)).family]
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+# ---------------------------------------------------------------------------
+
+
+def assert_gate_agrees(M):
+    want = ref_failure(M.entries)
+    assert hadamard_failure(M) == want
+    assert is_hadamard(M) == (want is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=48), st.integers(min_value=0, max_value=10**9))
+def test_gate_matches_int64_on_random_sign_matrices(order, seed):
+    rng = np.random.default_rng(seed)
+    assert_gate_agrees(SignMatrix(rng.choice(np.array([-1, 1]), size=(order, order))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_gate_matches_int64_on_flipped_hadamard_matrices(seed, flip):
+    rng = random.Random(seed)
+    base = rng.choice(hadamard_bases())
+    A = base.entries.copy()
+    if flip:
+        i, j = rng.randrange(base.order), rng.randrange(base.order)
+        A[i, j] = -A[i, j]
+    M = SignMatrix(A)
+    assert_gate_agrees(M)
+    # one flip breaks every Hadamard matrix of order > 1 (order 1 has no second row)
+    assert is_hadamard(M) == (not flip or base.order == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from(["none", "H1", "H2", "Ap", "Bp", "C", "n_in", "random"]),
+)
+def test_identity_checks_match_int64_on_perturbed_parts(seed, which):
+    rng = random.Random(seed)
+    family = rng.choice(symmetric_families())
+    parts = build_symmetric_parts(family, coset_assignment=rng.randrange(10**6))
+    if which == "random":
+        nrng = np.random.default_rng(seed)
+        signs = np.array([-1, 1], dtype=np.int8)
+        parts = dataclasses.replace(
+            parts,
+            H1=nrng.choice(signs, size=parts.H1.shape),
+            Ap=nrng.choice(signs, size=parts.Ap.shape),
+            C=nrng.choice(np.array([0, 1], dtype=np.int8), size=parts.C.shape),
+        )
+    elif which != "none":
+        X = getattr(parts, which)
+        i, j = rng.randrange(X.shape[0]), rng.randrange(X.shape[1])
+        X[i, j] = 1 - X[i, j] if which in ("C", "n_in") else -X[i, j]
+    got = [(c.number, c.name, c.ok, c.detail) for c in identity_checks(parts)]
+    assert got == ref_identity_checks(parts)
+    if which == "none":
+        assert all(ok for _, _, ok, _ in got)
+
+
+# ---------------------------------------------------------------------------
+# sizes the int64 reference cannot reach quickly
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_single_flip_rejected_with_row_pair_witness(k):
+    M = sylvester(k)
+    assert hadamard_failure(M) is None
+    rng = random.Random(k)
+    i, j = rng.randrange(1, M.order), rng.randrange(M.order)
+    A = M.entries.copy()
+    A[i, j] = -A[i, j]
+    bad = SignMatrix(A)
+    assert not is_hadamard(bad)
+    # only row i changed, so row 0 first meets it: the dot product moves by -2 A[0,j] A[i,j]
+    inner = -2 * int(M.entries[0, j]) * int(M.entries[i, j])
+    assert hadamard_failure(bad) == f"rows 0 and {i} have inner product {inner}, expected 0"
+
+
+def test_identity_checks_pass_at_m32():
+    # H1^T H1 has diagonal v + m/2 = 512 here, which an int8 product would wrap
+    parts = build_symmetric_parts(galois_ring_ddf(RingCtx(5)).family)
+    assert parts.m == 32 and parts.H1.dtype == np.int8
+    assert parts.group.order + parts.m // 2 > np.iinfo(np.int8).max
+    checks = identity_checks(parts)
+    assert len(checks) == 13 and all(c.ok for c in checks), [c for c in checks if not c.ok]
+
+
+def test_exact_product_refuses_products_float32_cannot_hold():
+    # the bound inner_dim * max|X| * max|Y| = 2^24 is still exact
+    X = np.array([[4096]], dtype=np.int64)
+    assert _exact_product(X, X)[0, 0] == 2**24
+    # 2^24 + 1 rounds to 2^24 in float32, so it must be refused, not rounded
+    with pytest.raises(ValueError, match="2\\^24"):
+        _exact_product(np.array([[2**24 + 1]]), np.array([[1]]))
+    with pytest.raises(ValueError, match="2\\^24"):
+        _exact_product(np.array([[4097]]), np.array([[4096]]))
+    # the inner dimension counts: three terms of 2^23 each
+    with pytest.raises(ValueError, match="2\\^24"):
+        _exact_product(np.full((1, 3), 2**12), np.full((3, 1), 2**11))
+    # and the Gram form X X^T uses X on both sides
+    with pytest.raises(ValueError, match="2\\^24"):
+        _exact_product(np.full((1, 2), 2**12))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,9 @@ def z6_family():
 def test_predicates_on_order_two():
     M = SignMatrix(np.array([[1, 1], [1, -1]]))
     assert is_hadamard(M) and is_symmetric(M) and not is_skew(M)
+    # skewness needs the unit diagonal as well as antisymmetry off it
+    assert is_skew(SignMatrix(np.array([[1, 1], [-1, 1]])))
+    assert not is_skew(SignMatrix(np.array([[-1, 1], [-1, -1]])))
 
 
 def test_sylvester_orders():
@@ -69,8 +73,48 @@ def test_all_ones_is_not_hadamard():
 
 
 def test_rejects_non_sign_entries():
-    with pytest.raises(ValueError):
-        SignMatrix(np.array([[1, 0], [1, 1]]))
+    # 257 and -2^63 would pass as +-1 if the int8 cast ran before the check,
+    # and int8 -128 is its own absolute value
+    for bad in (
+        np.array([[1, 0], [1, 1]]),
+        np.array([[257]]),
+        np.array([[-(2**63)]]),
+        np.array([[-128]], dtype=np.int8),
+    ):
+        with pytest.raises(ValueError):
+            SignMatrix(bad)
+
+
+def test_entries_are_stored_as_int8():
+    assert SignMatrix(np.array([[1, 1], [1, -1]], dtype=np.int64)).entries.dtype == np.int8
+    assert sylvester(3).entries.dtype == np.int8
+
+
+def test_orders_above_the_cap_are_refused_before_allocation():
+    # each builder checks the order its input implies before any order^2 array
+    g = FiniteAbelianGroup((8191,))  # skew order 2 * 8191 + 2 = 16384
+    skew_family = DifferenceFamily(
+        g, Subgroup.trivial(g), [Block(g, frozenset({(1,)})), Block(g, frozenset({(2,)}))]
+    )
+    g = FiniteAbelianGroup((128,))  # |N| = 64, so m = 128 and order m^2 = 16384
+    sym_family = DifferenceFamily(
+        g, Subgroup(g, [(2 * i,) for i in range(64)]), [Block(g, frozenset({(1,)}))] * 2
+    )
+    calls = [
+        lambda: sylvester(14),
+        lambda: sylvester(10**12),
+        lambda: skew_from_df(skew_family),
+        lambda: build_symmetric_parts(sym_family),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="MAX_MATRIX_ORDER"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_normalize():
