@@ -1,4 +1,12 @@
-"""Finite abelian groups Z_m1 x ... x Z_mk with explicit tuple elements."""
+"""Finite abelian groups Z_m1 x ... x Z_mk.
+
+Elements have two forms.  At the boundary (JSON, text output, provenance,
+``Block`` and ``DifferenceFamily`` fields) an element is a tuple of reduced
+residues.  Hot paths work on its mixed-radix code instead: the element's
+rank in lexicographic order, an integer in 0..order-1, so code order is
+tuple order.  ``FiniteAbelianGroup`` owns the radix weights and converts
+between the two forms.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +14,16 @@ import itertools
 import random
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 Element = Tuple[int, ...]
 
 # The largest group a JSON file may name: 2^24 >= |GR(4,12)^*|, so every
 # group the library builds itself still loads.
 MAX_GROUP_ORDER = 1 << 24
+# Codes of groups up to this order are int32: code arithmetic forms digit
+# sums below 2 * order, which must not wrap.
+INT32_CODE_ORDER = 1 << 30
 
 
 def closure_generators(
@@ -70,6 +83,7 @@ def json_typed(name: str, *kinds: type) -> Callable[[object, str], Any]:
 
 
 json_int = json_typed("an integer", int)
+json_number = json_typed("a number", int, float)
 json_list = json_typed("an array", list)
 json_object = json_typed("a JSON object", dict)
 
@@ -109,12 +123,16 @@ def json_elements(value: object, where: str) -> List[Element]:
 class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
-    Elements are plain tuples of residues, one per modulus, always kept
-    reduced.  The group object carries the arithmetic; elements carry no
-    back-reference, so element sets are cheap to build and hash.
+    Boundary elements are plain tuples of residues, one per modulus, always
+    kept reduced; elements carry no back-reference, so element sets are cheap
+    to build and hash.  The working form is the mixed-radix code
+    ``sum(c_i * weights[i])``: ``index``/``element`` convert one element,
+    ``encode``/``decode`` whole arrays, and ``code_sub``/``code_add`` combine
+    code arrays one coordinate at a time, never materialising a coordinate
+    axis.
     """
 
-    __slots__ = ("moduli", "order")
+    __slots__ = ("moduli", "order", "weights")
 
     def __init__(self, moduli: Sequence[int]) -> None:
         mods = tuple(int(m) for m in moduli)
@@ -123,10 +141,12 @@ class FiniteAbelianGroup:
         if any(m < 1 for m in mods):
             raise ValueError(f"moduli must all be >= 1, got {mods}")
         self.moduli = mods
-        order = 1
-        for m in mods:
-            order *= m
-        self.order = order
+        # weights[i] is the product of the moduli after position i
+        weights = [1] * len(mods)
+        for i in range(len(mods) - 2, -1, -1):
+            weights[i] = weights[i + 1] * mods[i + 1]
+        self.weights = tuple(weights)
+        self.order = weights[0] * mods[0]
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup({list(self.moduli)})"
@@ -175,18 +195,55 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(m) for m in self.moduli))
 
     def index(self, a: Element) -> int:
-        """Mixed-radix rank of an element in lexicographic order."""
-        idx = 0
-        for c, m in zip(a, self.moduli):
-            idx = idx * m + (c % m)
-        return idx
+        """Mixed-radix code of an element: its rank in lexicographic order."""
+        return sum((c % m) * w for c, m, w in zip(a, self.moduli, self.weights))
 
     def element(self, idx: int) -> Element:
-        coords = []
-        for m in reversed(self.moduli):
-            coords.append(idx % m)
-            idx //= m
-        return tuple(reversed(coords))
+        """The element whose code is ``idx``."""
+        return tuple((idx // w) % m for m, w in zip(self.moduli, self.weights))
+
+    @property
+    def code_dtype(self) -> type:
+        """int32 up to INT32_CODE_ORDER, else int64."""
+        return np.int32 if self.order <= INT32_CODE_ORDER else np.int64
+
+    def encode(self, coords: object) -> np.ndarray:
+        """Codes of an array (or sequence) of elements, one per row, as ``code_dtype``."""
+        dims = len(self.moduli)
+        arr = np.asarray(coords, dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, dims)
+        if arr.ndim != 2 or arr.shape[1] != dims:
+            raise ValueError(f"elements of shape {arr.shape} do not live in {self}")
+        codes = (arr % np.array(self.moduli)) @ np.array(self.weights, dtype=np.int64)
+        return codes.astype(self.code_dtype)
+
+    def decode(self, codes: object) -> np.ndarray:
+        """Elements of an array of codes, one row of residues per code."""
+        arr = np.asarray(codes).reshape(-1, 1)
+        return (arr // np.array(self.weights)) % np.array(self.moduli)
+
+    def code_sub(self, x: object, y: object) -> np.ndarray:
+        """Codes of x - y for code arrays x and y, broadcast together."""
+        return self._code_combine(x, y, np.subtract)
+
+    def code_add(self, x: object, y: object) -> np.ndarray:
+        """Codes of x + y for code arrays x and y, broadcast together."""
+        return self._code_combine(x, y, np.add)
+
+    def _code_combine(self, x: object, y: object, op: Callable) -> np.ndarray:
+        # one coordinate at a time: the digits come from the (small) inputs,
+        # and the broadcast result holds codes only, at the inputs' dtype
+        # (a*w +- b*w) mod m*w = ((a +- b) mod m) * w, with a, b digits of x, y
+        out: Any = None
+        for m, w in zip(self.moduli, self.weights):
+            digit = op((x // w) % m * w, (y // w) % m * w)
+            digit %= m * w
+            if out is None:
+                out = digit
+            else:
+                out += digit
+        return out
 
     # -- serialization ---------------------------------------------------
 

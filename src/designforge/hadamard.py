@@ -22,7 +22,7 @@ import numpy as np
 from . import designs
 from .constructions import PreconditionError
 from .designs import DifferenceFamily
-from .groups import Element, FiniteAbelianGroup, Subgroup, cosets
+from .groups import INT32_CODE_ORDER, Element, FiniteAbelianGroup, Subgroup, cosets
 
 MAX_FINGERPRINT_ORDER = 128
 # The Hadamard gate's working set is about 9 * order^2 bytes (int8 entries,
@@ -198,23 +198,28 @@ def normalize(M: SignMatrix) -> Tuple[SignMatrix, np.ndarray, np.ndarray]:
 
 
 def _index_tables(group: FiniteAbelianGroup) -> Tuple[List[Element], np.ndarray, np.ndarray, np.ndarray]:
-    """Element list plus encoded i-j, i+j and -i tables for the group."""
-    elems = list(group.elements())
-    coords = np.array(elems, dtype=np.int64)
-    moduli = np.array(group.moduli, dtype=np.int64)
-    weights = np.ones(len(group.moduli), dtype=np.int64)
-    for i in range(len(group.moduli) - 2, -1, -1):
-        weights[i] = weights[i + 1] * group.moduli[i + 1]
-    diff = ((coords[:, None, :] - coords[None, :, :]) % moduli) @ weights
-    sums = ((coords[:, None, :] + coords[None, :, :]) % moduli) @ weights
-    neg = ((-coords) % moduli) @ weights
-    return elems, diff, sums, neg
+    """Element list plus int32 code tables of i-j, i+j and -i for the group.
+
+    Row and column positions are the elements' mixed-radix codes.  Each
+    table is built one coordinate at a time in int32; a group above
+    INT32_CODE_ORDER, whose code arithmetic could wrap int32, is refused
+    before anything is allocated.
+    """
+    if group.code_dtype is not np.int32:
+        raise ValueError(
+            f"group order {group.order} is above INT32_CODE_ORDER = {INT32_CODE_ORDER}, "
+            "too large for int32 index tables"
+        )
+    codes = np.arange(group.order, dtype=np.int32)
+    diff = group.code_sub(codes[:, None], codes[None, :])
+    sums = group.code_add(codes[:, None], codes[None, :])
+    neg = group.code_sub(0, codes)
+    return list(group.elements()), diff, sums, neg
 
 
 def _membership(group: FiniteAbelianGroup, subset) -> np.ndarray:
     out = np.zeros(group.order, dtype=np.int8)
-    for e in subset:
-        out[group.index(e)] = 1
+    out[group.encode(list(subset))] = 1
     return out
 
 
@@ -464,17 +469,13 @@ def build_symmetric_parts(
     elems, diff, sums, neg = _index_tables(group)
     coset_list = cosets(group, N)
     assignment = _resolve_assignment(len(coset_list), coset_assignment)
-    coset_of = {}
+    # element positions coincide with their mixed-radix codes, so the code
+    # tables index rows directly
+    coset_of = np.empty(group.order, dtype=np.int64)
     for ci, (_, cs) in enumerate(coset_list):
-        for e in cs:
-            coset_of[group.index(e)] = ci
+        coset_of[group.encode(list(cs))] = ci
     Hp = H_norm.entries[1:, :]  # rows indexed by cosets
-    # element positions coincide with their mixed-radix encodings, so the
-    # encoded difference/sum/negation tables index rows directly
-    row_of = np.array(
-        [assignment[coset_of[group.index(e)]] for e in elems], dtype=np.int64
-    )
-    H1 = Hp[row_of]
+    H1 = Hp[np.asarray(assignment, dtype=np.int64)[coset_of]]
     H2 = -H1[neg]
     in_N = _membership(group, N.elements)
     return SymmetricParts(

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from . import hadamard
 from .constructions import PreconditionError
 from .designs import Block, DesignParams, DifferenceFamily
@@ -21,10 +23,10 @@ from .groups import (
     Element,
     FiniteAbelianGroup,
     Subgroup,
-    cosets,
     json_elements,
     json_field,
     json_int,
+    json_number,
     json_object,
     json_typed,
 )
@@ -98,27 +100,31 @@ class SearchSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SearchSpec":
-        """Parse ``to_json`` output; a malformed field raises ValueError naming it."""
+    def from_json(cls, data: dict, where: str = "spec") -> "SearchSpec":
+        """Parse ``to_json`` output found at the JSON path ``where``.
+
+        A malformed field raises ValueError naming its path, such as
+        ``spec.budget.max_nodes``.
+        """
         group = FiniteAbelianGroup.from_json(
-            json_field(data, "group", "spec", json_object), "spec.group"
+            json_field(data, "group", where, json_object), f"{where}.group"
         )
-        budget = json_field(data, "budget", "spec", json_object, {})
+        budget = json_field(data, "budget", where, json_object, {})
         unknown = set(budget) - {"max_nodes", "max_solutions", "max_seconds"}
         if unknown:
-            raise ValueError(f"spec.budget.{min(unknown)} is not a budget field")
-        seconds = json_typed("a number", int, float)
+            raise ValueError(f"{where}.budget.{min(unknown)} is not a budget field")
+        in_budget = f"{where}.budget"
         return cls(
             group=group,
-            forbidden=Subgroup(group, json_field(data, "forbidden", "spec", json_elements)),
-            m=json_field(data, "m", "spec", json_int),
-            mode=json_field(data, "mode", "spec", json_typed("a string", str), "exhaustive"),
+            forbidden=Subgroup(group, json_field(data, "forbidden", where, json_elements)),
+            m=json_field(data, "m", where, json_int),
+            mode=json_field(data, "mode", where, json_typed("a string", str), "exhaustive"),
             budget=SearchBudget(
-                max_nodes=json_field(budget, "max_nodes", "spec.budget", json_int, None),
-                max_solutions=json_field(budget, "max_solutions", "spec.budget", json_int, None),
-                max_seconds=json_field(budget, "max_seconds", "spec.budget", seconds, None),
+                max_nodes=json_field(budget, "max_nodes", in_budget, json_int, None),
+                max_solutions=json_field(budget, "max_solutions", in_budget, json_int, None),
+                max_seconds=json_field(budget, "max_seconds", in_budget, json_number, None),
             ),
-            seed=json_field(data, "seed", "spec", json_int, 0),
+            seed=json_field(data, "seed", where, json_int, 0),
         )
 
 
@@ -142,14 +148,18 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
-        spec = SearchSpec.from_json(data["spec"])
-        family = DifferenceFamily.from_json(data)
+        """Parse ``to_json`` output; a malformed field raises ValueError naming it,
+        such as ``certificate.spec.m`` or ``certificate.nodes``."""
+        where = "certificate"
+        spec = SearchSpec.from_json(
+            json_field(data, "spec", where, json_object), f"{where}.spec"
+        )
         return cls(
-            family=family,
+            family=DifferenceFamily.from_json(data),
             spec=spec,
-            nodes=int(data.get("nodes", 0)),
-            seed=int(data.get("seed", 0)),
-            elapsed=float(data.get("elapsed", 0.0)),
+            nodes=json_field(data, "nodes", where, json_int, 0),
+            seed=json_field(data, "seed", where, json_int, 0),
+            elapsed=float(json_field(data, "elapsed", where, json_number, 0.0)),
         )
 
     def replay(self) -> bool:
@@ -181,39 +191,75 @@ class _Budget:
         return self.max_solutions is None or self.solutions < self.max_solutions
 
 
-def _coset_structure(spec: SearchSpec):
-    """Non-forbidden cosets, sorted, with the negation pairing between them."""
-    group = spec.group
-    all_cosets = cosets(group, spec.forbidden)
-    outside = [cs for _, cs in all_cosets if min(cs) not in spec.forbidden]
-    neg_of: Dict[FrozenSet, FrozenSet] = {}
-    for cs in outside:
-        neg_of[cs] = frozenset(group.neg(x) for x in cs)
-    return outside, neg_of
+class _CodeTables:
+    """The spec's group as mixed-radix codes 0..v-1, for the search's hot loops.
+
+    ``diff[x * v + y]`` is the code of x - y, so ``diff[:v]`` negates;
+    ``targets[d]`` is the frequency the family needs at difference d (0 at
+    d = 0, which no pair of distinct elements produces); ``outside`` lists
+    the cosets of the forbidden subgroup other than itself, each as sorted
+    codes, in order of their least member.  Code order is lexicographic
+    tuple order, so every sorted list here lines up with the tuple elements.
+    """
+
+    def __init__(self, spec: SearchSpec) -> None:
+        group = spec.group
+        v = group.order
+        codes = np.arange(v)
+        self.v = v
+        self.elements = list(group.elements())  # by code, shared by every certificate
+        self.diff: List[int] = group.code_sub(codes[:, None], codes[None, :]).ravel().tolist()
+        self.neg = self.diff[:v]
+        _, lam, mu = spec.targets()
+        in_n = group.encode(list(spec.forbidden.elements)).tolist()
+        self.targets = [mu] * v
+        for x in in_n:
+            self.targets[x] = lam
+        self.targets[0] = 0
+        self.per_coset = spec.m // 4
+        self.outside: List[List[int]] = []
+        seen = set(in_n)
+        for x in range(v):
+            if x not in seen:
+                # x + n = x - (-n)
+                coset = sorted(self.diff[x * v + self.neg[n]] for n in in_n)
+                seen.update(coset)
+                self.outside.append(coset)
+
+    def pair_counts(self, *blocks: Iterable[int]) -> List[int]:
+        """Difference counts over the ordered pairs of distinct points of each block."""
+        diff, v = self.diff, self.v
+        counts = [0] * v
+        for block in blocks:
+            elems = list(block)
+            for x in elems:
+                row = x * v
+                for y in elems:
+                    if x != y:
+                        counts[diff[row + y]] += 1
+        return counts
 
 
-def _first_block_choices(spec: SearchSpec) -> List[List[FrozenSet[Element]]]:
+def _first_block_choices(tables: _CodeTables) -> List[List[FrozenSet[int]]]:
     """Per negation-orbit-of-cosets options for a symmetric, balanced block.
 
     A paired coset contributes a free m/4-subset mirrored into its partner;
     a self-paired coset is filled from its internal {x, -x} orbits.
     """
-    group = spec.group
-    per_coset = spec.m // 4
-    outside, neg_of = _coset_structure(spec)
-    handled: Set[FrozenSet] = set()
-    choice_groups: List[List[FrozenSet[Element]]] = []
-    for cs in outside:
-        if cs in handled:
+    neg, per_coset = tables.neg, tables.per_coset
+    handled: Set[int] = set()  # least codes of the cosets already covered
+    choice_groups: List[List[FrozenSet[int]]] = []
+    for cs in tables.outside:
+        if cs[0] in handled:
             continue
-        partner = neg_of[cs]
+        partner = sorted(neg[x] for x in cs)
         if partner == cs:
-            orbits: List[Tuple[Element, ...]] = []
-            seen: Set[Element] = set()
-            for x in sorted(cs):
+            orbits: List[Tuple[int, ...]] = []
+            seen: Set[int] = set()
+            for x in cs:
                 if x in seen:
                     continue
-                nx = group.neg(x)
+                nx = neg[x]
                 orbit = (x,) if nx == x else (x, nx)
                 seen.update(orbit)
                 orbits.append(orbit)
@@ -223,95 +269,85 @@ def _first_block_choices(spec: SearchSpec) -> List[List[FrozenSet[Element]]]:
                 for sel in itertools.combinations(orbits, r)
                 if sum(len(o) for o in sel) == per_coset
             ]
-            handled.add(cs)
+            handled.add(cs[0])
         else:
             options = [
-                frozenset(sub) | frozenset(group.neg(x) for x in sub)
-                for sub in itertools.combinations(sorted(cs), per_coset)
+                frozenset(sub) | frozenset(neg[x] for x in sub)
+                for sub in itertools.combinations(cs, per_coset)
             ]
-            handled.add(cs)
-            handled.add(partner)
+            handled.add(cs[0])
+            handled.add(partner[0])
         choice_groups.append(options)
     return choice_groups
 
 
-def _symmetric_first_blocks(spec: SearchSpec, budget: _Budget) -> Iterator[FrozenSet[Element]]:
+def _symmetric_first_blocks(tables: _CodeTables, budget: _Budget) -> Iterator[FrozenSet[int]]:
     """Negation-closed blocks meeting every outside coset in exactly m/4 points."""
-    for assignment in itertools.product(*_first_block_choices(spec)):
+    for assignment in itertools.product(*_first_block_choices(tables)):
         if not budget.spend_node():
             return
         yield frozenset(itertools.chain.from_iterable(assignment))
 
 
 def _balanced_blocks(
-    spec: SearchSpec,
-    base_counts: Dict[Element, int],
+    tables: _CodeTables,
+    base_counts: List[int],
     budget: _Budget,
-) -> Iterator[FrozenSet[Element]]:
+) -> Iterator[FrozenSet[int]]:
     """Coset-balanced second blocks whose differences complete the targets.
 
     Depth-first over the outside cosets, keeping a running difference count
-    and pruning as soon as any frequency overshoots its target.
+    and pruning a choice as soon as any frequency overshoots its target.
     """
-    group = spec.group
-    _, lam, mu = spec.targets()
-    targets = {
-        d: (lam if d in spec.forbidden else mu)
-        for d in group.elements()
-        if d != group.zero()
-    }
-    per_coset = spec.m // 4
-    outside, _ = _coset_structure(spec)
-    sub = group.sub
+    diff, neg, v, targets = tables.diff, tables.neg, tables.v, tables.targets
+    outside, per_coset = tables.outside, tables.per_coset
 
-    def rec(idx: int, chosen: List[Element], counts: Dict[Element, int]) -> Iterator[FrozenSet[Element]]:
+    def extend(counts: List[int], chosen: List[int], extra: Tuple[int, ...]) -> Optional[List[int]]:
+        """The counts with extra's new pairs added, or None once one overshoots."""
+        merged = counts[:]
+        for i, x in enumerate(extra):
+            row = x * v
+            for y in itertools.chain(chosen, extra[i + 1 :]):
+                d = diff[row + y]
+                merged[d] += 1
+                if merged[d] > targets[d]:
+                    return None
+                d = neg[d]
+                merged[d] += 1
+                if merged[d] > targets[d]:
+                    return None
+        return merged
+
+    def rec(idx: int, chosen: List[int], counts: List[int]) -> Iterator[FrozenSet[int]]:
         if not budget.spend_node():
             return
         if idx == len(outside):
-            if all(counts.get(d, 0) == t for d, t in targets.items()):
+            if counts == targets:
                 yield frozenset(chosen)
             return
-        for extra in itertools.combinations(sorted(outside[idx]), per_coset):
-            delta: Dict[Element, int] = {}
-            ok = True
-            new_elems = list(extra)
-            for i, x in enumerate(new_elems):
-                for y in itertools.chain(chosen, new_elems[i + 1 :]):
-                    for d in (sub(x, y), sub(y, x)):
-                        delta[d] = delta.get(d, 0) + 1
-            for d, extra_count in delta.items():
-                if counts.get(d, 0) + extra_count > targets.get(d, 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            merged = dict(counts)
-            for d, c in delta.items():
-                merged[d] = merged.get(d, 0) + c
-            yield from rec(idx + 1, chosen + new_elems, merged)
+        for extra in itertools.combinations(outside[idx], per_coset):
+            merged = extend(counts, chosen, extra)
+            if merged is not None:
+                yield from rec(idx + 1, chosen + list(extra), merged)
 
-    yield from rec(0, [], dict(base_counts))
-
-
-def _pair_counts(group: FiniteAbelianGroup, elems: Iterable[Element]) -> Dict[Element, int]:
-    out: Dict[Element, int] = {}
-    elems = list(elems)
-    for x in elems:
-        for y in elems:
-            if x != y:
-                d = group.sub(x, y)
-                out[d] = out.get(d, 0) + 1
-    return out
+    yield from rec(0, [], list(base_counts))
 
 
 def _make_certificate(
-    spec: SearchSpec, d1: FrozenSet[Element], d2: FrozenSet[Element], budget: _Budget, t0: float
+    spec: SearchSpec,
+    tables: _CodeTables,
+    d1: FrozenSet[int],
+    d2: FrozenSet[int],
+    budget: _Budget,
+    t0: float,
 ) -> Certificate:
+    """Decode the two code blocks into a family, and replay it."""
     k, lam, mu = spec.targets()
+    group, elements = spec.group, tables.elements
     family = DifferenceFamily(
-        ambient=spec.group,
+        ambient=group,
         forbidden=spec.forbidden,
-        blocks=[Block(spec.group, d1), Block(spec.group, d2)],
+        blocks=[Block(group, frozenset(elements[c] for c in d)) for d in (d1, d2)],
         declared=DesignParams(lam, mu, (k, k)),
         provenance={"construction": "search", "m": spec.m, "mode": spec.mode},
     )
@@ -333,27 +369,26 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
     Exhaustive mode is complete when the budget is unlimited; certificates
     come out in canonical order.  Randomized mode is deterministic for a
     given seed.  Zero false positives: every certificate has already been
-    replayed through the independent verifier.
+    replayed through the independent verifier.  Both modes work on
+    mixed-radix codes; certificates hold tuple elements.
     """
     spec.validate()
     t0 = time.perf_counter()
     budget = _Budget(spec.budget)
+    tables = _CodeTables(spec)
     certs: List[Certificate] = []
     if spec.mode == "exhaustive":
-        for d1 in _symmetric_first_blocks(spec, budget):
-            base = _pair_counts(spec.group, d1)
-            if any(
-                c > (spec.targets()[1] if d in spec.forbidden else spec.targets()[2])
-                for d, c in base.items()
-            ):
+        for d1 in _symmetric_first_blocks(tables, budget):
+            base = tables.pair_counts(d1)
+            if any(c > t for c, t in zip(base, tables.targets)):
                 continue
-            for d2 in _balanced_blocks(spec, base, budget):
+            for d2 in _balanced_blocks(tables, base, budget):
                 if not budget.room_for_solutions():
                     return _sorted_certs(certs)
-                certs.append(_make_certificate(spec, d1, d2, budget, t0))
+                certs.append(_make_certificate(spec, tables, d1, d2, budget, t0))
                 budget.solutions += 1
     else:
-        certs = _randomized_search(spec, budget, t0)
+        certs = _randomized_search(spec, tables, budget, t0)
     return _sorted_certs(certs)
 
 
@@ -361,7 +396,9 @@ def _sorted_certs(certs: List[Certificate]) -> List[Certificate]:
     return sorted(certs, key=lambda c: c.family.canonical_blocks())
 
 
-def _randomized_search(spec: SearchSpec, budget: _Budget, t0: float) -> List[Certificate]:
+def _randomized_search(
+    spec: SearchSpec, tables: _CodeTables, budget: _Budget, t0: float
+) -> List[Certificate]:
     """Seeded restart hill-climbing on the squared frequency deviation.
 
     Moves swap one element of the second block for an unused one inside the
@@ -369,35 +406,26 @@ def _randomized_search(spec: SearchSpec, budget: _Budget, t0: float) -> List[Cer
     block is redrawn on every restart.
     """
     rng = random.Random(spec.seed)
-    group = spec.group
-    k, lam, mu = spec.targets()
-    per_coset = spec.m // 4
-    outside, neg_of = _coset_structure(spec)
-    targets = {
-        d: (lam if d in spec.forbidden else mu)
-        for d in group.elements()
-        if d != group.zero()
-    }
+    per_coset = tables.per_coset
+    outside, targets = tables.outside, tables.targets
 
-    def deviation(d1: FrozenSet, d2: FrozenSet) -> int:
-        fam_counts = _pair_counts(group, d1)
-        for d, c in _pair_counts(group, d2).items():
-            fam_counts[d] = fam_counts.get(d, 0) + c
-        return sum((fam_counts.get(d, 0) - t) ** 2 for d, t in targets.items())
+    def deviation(d1: FrozenSet[int], d2: FrozenSet[int]) -> int:
+        counts = tables.pair_counts(d1, d2)
+        return sum((c - t) ** 2 for c, t in zip(counts, targets))
 
-    choice_groups = _first_block_choices(spec)
+    choice_groups = _first_block_choices(tables)
     if any(not options for options in choice_groups):
         return []
 
-    def random_d1() -> FrozenSet:
+    def random_d1() -> FrozenSet[int]:
         return frozenset(
             itertools.chain.from_iterable(rng.choice(options) for options in choice_groups)
         )
 
-    def random_d2() -> FrozenSet:
-        chosen: Set[Element] = set()
+    def random_d2() -> FrozenSet[int]:
+        chosen: Set[int] = set()
         for cs in outside:
-            chosen.update(rng.sample(sorted(cs), per_coset))
+            chosen.update(rng.sample(cs, per_coset))
         return frozenset(chosen)
 
     certs: List[Certificate] = []
@@ -408,8 +436,8 @@ def _randomized_search(spec: SearchSpec, budget: _Budget, t0: float) -> List[Cer
         stall = 0
         while score > 0 and stall < 200 and budget.spend_node():
             cs = rng.choice(outside)
-            inside = sorted(set(cs) & d2)
-            outside_pts = sorted(set(cs) - d2)
+            inside = [x for x in cs if x in d2]
+            outside_pts = [x for x in cs if x not in d2]
             if not inside or not outside_pts:
                 stall += 1
                 continue
@@ -423,7 +451,7 @@ def _randomized_search(spec: SearchSpec, budget: _Budget, t0: float) -> List[Cer
             else:
                 stall += 1
         if score == 0:
-            cert = _make_certificate(spec, d1, d2, budget, t0)
+            cert = _make_certificate(spec, tables, d1, d2, budget, t0)
             key = tuple(map(tuple, cert.family.canonical_blocks()))
             if key not in seen_families:
                 seen_families.add(key)
@@ -448,35 +476,38 @@ def canonical_form(
     additive shadow of multiplying by forbidden-subgroup elements);
     negation: negating all blocks at once.  Because block shifts are
     independent, the least sorted image is the sorted tuple of per-block
-    least translates, taken over both negation states.
+    least translates, taken over both negation states.  The images are
+    formed on mixed-radix codes, whose order is lexicographic tuple order,
+    and only the least one is decoded.
     """
     for name in symmetries:
         if name not in SYMMETRY_NAMES:
             raise ValueError(f"unknown symmetry {name!r}; pick from {SYMMETRY_NAMES}")
     group = family.ambient
-    shifts: Sequence[Element]
     if "translation" in symmetries:
-        shifts = list(group.elements())
+        shifts = np.arange(group.order)
     elif "n_multiplication" in symmetries:
-        shifts = sorted(family.forbidden.elements)
+        shifts = group.encode(list(family.forbidden.elements))
     else:
-        shifts = [group.zero()]
+        shifts = np.zeros(1, dtype=np.int64)
     negations = (False, True) if "negation" in symmetries else (False,)
-    best: Optional[Tuple[Tuple[Element, ...], ...]] = None
+    blocks = [group.encode(list(block.elements)) for block in family.blocks]
+    best: Optional[Tuple[Tuple[int, ...], ...]] = None
     for neg in negations:
-        canon_blocks = []
-        for block in family.blocks:
-            elems = (
-                [group.neg(x) for x in block.elements] if neg else list(block.elements)
-            )
-            canon_blocks.append(
-                min(tuple(sorted(group.add(x, t) for x in elems)) for t in shifts)
-            )
-        cand = tuple(sorted(canon_blocks))
+        images = (group.code_sub(0, b) if neg else b for b in blocks)
+        cand = tuple(sorted(_least_translate(group, b, shifts) for b in images))
         if best is None or cand < best:
             best = cand
     assert best is not None
-    return best
+    return tuple(tuple(map(group.element, blk)) for blk in best)
+
+
+def _least_translate(
+    group: FiniteAbelianGroup, codes: np.ndarray, shifts: np.ndarray
+) -> Tuple[int, ...]:
+    """The lexicographically least sorted translate of a code block."""
+    images = group.code_add(shifts[:, None], codes[None, :]).tolist()
+    return min(tuple(sorted(row)) for row in images)
 
 
 def dedupe(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -266,6 +267,39 @@ def test_search_seeded_runs_identical(tmp_path, capsys):
     _, out1, _ = run_cli(["search", str(path), "--seed", "9"], capsys)
     _, out2, _ = run_cli(["search", str(path), "--seed", "9"], capsys)
     assert out1 == out2
+
+
+def m8_spec_file(tmp_path, **fields):
+    """Z_7 x Z_2^2 with N = {0} x Z_2^2, the group of the GR(4,3) family."""
+    spec = {
+        "group": {"moduli": [7, 2, 2]},
+        "forbidden": [[0, a, b] for a in range(2) for b in range(2)],
+        "m": 8,
+        **fields,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_search_m8_stdout_is_pinned(tmp_path, capsys):
+    # the full exhaustive walk (1152 certificates, 36 orbits, 135312 nodes)
+    # and a seeded randomized run (10 certificates in 18420 nodes): any
+    # change to the node order, the pruning or the random trajectory shows
+    cases = [
+        (
+            {"mode": "exhaustive", "seed": 0},
+            "ad053234d8cfffd44c99b3d012dda381206132cbf6e712ae3baf3afe27f9f893",
+        ),
+        (
+            {"mode": "randomized", "seed": 0, "budget": {"max_nodes": 20000}},
+            "0a19ddcb9a699898a3848a3cc5d757dea83436b7845e2b0a1d9d71fef6b50231",
+        ),
+    ]
+    for fields, sha256 in cases:
+        code, out, _ = run_cli(["search", str(m8_spec_file(tmp_path, **fields))], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_construct_deterministic_output(capsys):

@@ -1,12 +1,15 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge import designs, hadamard
 from designforge.constructions import PreconditionError, galois_ring_ddf
 from designforge.designs import Block, DesignParams, DifferenceFamily
 from designforge.galois import RingCtx
-from designforge.groups import FiniteAbelianGroup, Subgroup
+from designforge.groups import FiniteAbelianGroup, Subgroup, subgroup_generated
 from designforge.search import (
     Certificate,
     SearchBudget,
@@ -86,6 +89,78 @@ def test_certificate_json_roundtrip():
     assert again.replay()
 
 
+def test_certificate_json_names_bad_fields():
+    data = search_ddf(z6_spec())[0].to_json()
+    cases = [
+        ({k: v for k, v in data.items() if k != "spec"}, "certificate.spec is missing"),
+        (dict(data, nodes=True), "certificate.nodes is not an integer"),
+        (dict(data, nodes="12"), "certificate.nodes is not an integer"),
+        (dict(data, seed=1.5), "certificate.seed is not an integer"),
+        (dict(data, elapsed="soon"), "certificate.elapsed is not a number"),
+        (dict(data, spec=dict(data["spec"], m="4")), "certificate.spec.m is not an integer"),
+        (dict(data, spec=[]), "certificate.spec is not a JSON object"),
+        (
+            dict(data, spec=dict(data["spec"], budget={"max_nodez": 1})),
+            "certificate.spec.budget.max_nodez is not a budget field",
+        ),
+        ([], "certificate is not a JSON object"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError) as info:
+            Certificate.from_json(bad)
+        assert str(info.value) == message
+    # a null optional field reads as absent
+    assert Certificate.from_json(dict(data, nodes=None)).nodes == 0
+
+
+@st.composite
+def search_specs(draw):
+    moduli = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
+    g = FiniteAbelianGroup(moduli)
+    gens = draw(st.lists(st.sampled_from(list(g.elements())), max_size=2))
+    optional_int = st.none() | st.integers(min_value=0, max_value=10**12)
+    return SearchSpec(
+        group=g,
+        forbidden=subgroup_generated(g, gens),
+        m=draw(st.integers(min_value=-8, max_value=64)),
+        mode=draw(st.sampled_from(["exhaustive", "randomized"])),
+        budget=SearchBudget(
+            max_nodes=draw(optional_int),
+            max_solutions=draw(optional_int),
+            max_seconds=draw(
+                st.none() | st.integers(0, 100) | st.floats(0, 1e6, allow_nan=False)
+            ),
+        ),
+        seed=draw(st.integers(min_value=-(2**40), max_value=2**40)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_specs(), st.data())
+def test_spec_and_certificate_json_roundtrip(spec, data):
+    assert SearchSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+    g = spec.group
+    elems = list(g.elements())
+    blocks = [
+        Block(g, frozenset(data.draw(st.lists(st.sampled_from(elems), max_size=6))))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2)))
+    ]
+    cert = Certificate(
+        family=DifferenceFamily(
+            g, spec.forbidden, blocks, DesignParams(0, 1, tuple(sorted(b.size for b in blocks)))
+        ),
+        spec=spec,
+        nodes=data.draw(st.integers(min_value=0, max_value=10**9)),
+        seed=spec.seed,
+        elapsed=data.draw(st.floats(min_value=0, max_value=1e4, allow_nan=False)),
+    )
+    again = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert again.to_json() == cert.to_json()
+    assert again.spec == spec
+    assert (again.nodes, again.seed) == (cert.nodes, cert.seed)
+    assert again.elapsed == round(cert.elapsed, 6)
+
+
 def test_budget_limits_nodes():
     spec = z6_spec(budget=SearchBudget(max_nodes=2))
     assert len(search_ddf(spec)) <= 1
@@ -108,8 +183,9 @@ def test_rediscovers_galois_ring_family():
 
 
 def test_rediscovers_n3_family_at_m8():
-    # full enumeration over Z_7 x Z_2^2 (about half a minute); the known
-    # two-block family must appear up to translation and negation
+    # full enumeration over Z_7 x Z_2^2 (135312 nodes, about 3 s on mixed-radix
+    # codes); the known two-block family must appear up to translation and
+    # negation
     fam = galois_ring_ddf(RingCtx(3)).family
     spec = SearchSpec(group=fam.ambient, forbidden=fam.forbidden, m=8)
     certs = search_ddf(spec)
