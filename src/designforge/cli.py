@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from . import constructions, designs, hadamard, search
 from .constructions import PreconditionError
@@ -43,12 +43,17 @@ def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(text: str, config: RunConfig) -> None:
+def _emit(chunks: Iterable[str], config: RunConfig) -> None:
+    """Write the chunks, in order, to the --out file or to stdout.
+
+    Callers pass only verified artifacts, so --out is opened here, after the
+    gate.  Chunks are ``str``: a redirected stdout may have no byte buffer.
+    """
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
 
 
 def _field_for(q: int, config: RunConfig) -> FieldCtx:
@@ -71,9 +76,9 @@ def _family_text(family: designs.DifferenceFamily, report: designs.VerificationR
 def _emit_family(result, config: RunConfig) -> int:
     """Print a construction's family with the report its own oracle run made."""
     if config.fmt == "json":
-        _emit(_dump(result.family.to_json()), config)
+        _emit([_dump(result.family.to_json()) + "\n"], config)
     else:
-        _emit(_family_text(result.family, result.report), config)
+        _emit([_family_text(result.family, result.report) + "\n"], config)
     return 0
 
 
@@ -148,10 +153,7 @@ def _cmd_hadamard(args: argparse.Namespace, config: RunConfig) -> int:
         matrix = hadamard.symmetric_from_ddf(family).matrix
     else:
         raise PreconditionError(f"unknown hadamard subkind {args.subkind!r}")
-    if config.fmt == "json":
-        _emit(_dump(matrix.to_json()), config)
-    else:
-        _emit(matrix.to_text(), config)
+    _emit(matrix.iter_json() if config.fmt == "json" else matrix.iter_text(), config)
     return 0
 
 
@@ -182,7 +184,7 @@ def _cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
             }
         )
     )
-    _emit("\n".join(lines), config)
+    _emit(["\n".join(lines) + "\n"], config)
     return 0
 
 

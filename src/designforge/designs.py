@@ -148,14 +148,17 @@ class DifferenceFamily:
 # -- the counting oracle -------------------------------------------------------
 
 
-def difference_table(family: DifferenceFamily) -> Dict[Element, int]:
-    """Counts of x - y over all ordered pairs of distinct elements per block.
+def difference_totals(family: DifferenceFamily) -> np.ndarray:
+    """Counts of x - y over all ordered pairs of distinct elements per block,
+    as an int64 array indexed by the difference's mixed-radix code; code
+    order is element order.  This is the one oracle run behind
+    ``difference_table`` and ``verify``.
 
-    Exhaustive pair enumeration on mixed-radix codes: each block is taken in
-    chunks of ``_ORACLE_ROWS`` rows against all of its k columns, the chunk's
+    Exhaustive pair enumeration on codes: each block is taken in chunks of
+    ``_ORACLE_ROWS`` rows against all of its k columns, the chunk's
     difference codes are built one coordinate at a time and tallied with a
     bincount, so every ordered pair is formed and no k x k x dims array
-    exists.  The table's keys are tuple elements.
+    exists.
     """
     group = family.ambient
     totals = np.zeros(group.order, dtype=np.int64)
@@ -168,11 +171,21 @@ def difference_table(family: DifferenceFamily) -> Dict[Element, int]:
             counts = np.bincount(group.code_sub(rows[:, None], codes[None, :]).ravel())
             totals[: counts.size] += counts
         totals[0] -= block.size  # remove the x == y diagonal
+    return totals
+
+
+def _nonzero_table(group: FiniteAbelianGroup, totals: np.ndarray) -> Dict[Element, int]:
+    """The nonzero entries of code-indexed totals, keyed by tuple element."""
     nonzero = np.flatnonzero(totals[1:]) + 1
     return {
         tuple(e): int(c)
         for e, c in zip(group.decode(nonzero).tolist(), totals[nonzero].tolist())
     }
+
+
+def difference_table(family: DifferenceFamily) -> Dict[Element, int]:
+    """The nonzero counts of ``difference_totals``, keyed by tuple element."""
+    return _nonzero_table(family.ambient, difference_totals(family))
 
 
 def difference_count(family: DifferenceFamily, d: Element) -> int:
@@ -213,28 +226,31 @@ def verify(family: DifferenceFamily) -> VerificationReport:
     the realized values must match them.  Failure is reported with the first
     witness in element order, never raised.  The report keeps the oracle's
     difference table as ``counts``, so callers never need to count again.
+    Everything is read off the code-indexed totals with a membership mask of
+    the forbidden subgroup; no group element is walked in Python.
     """
     group = family.ambient
     forbidden = family.forbidden
-    table = difference_table(family)
-    zero = group.zero()
-    lam: Optional[int] = None
-    mu: Optional[int] = None
+    totals = difference_totals(family)
+    # codes 1..v-1 in order are the nonzero elements in element order
+    counts = totals[1:]
+    in_n = np.zeros(group.order, dtype=bool)
+    in_n[group.encode(list(forbidden.elements))] = True
+    in_n = in_n[1:]
+    out_n = ~in_n
+    lam_at, mu_at = _first(in_n), _first(out_n)
+    lam = None if lam_at is None else int(counts[lam_at])
+    mu = None if mu_at is None else int(counts[mu_at])
+    first_off = []  # (position, expected) of each region's first count off its value
+    for region, name, value in ((in_n, "lambda", lam), (out_n, "mu", mu)):
+        if value is not None:
+            at = _first(region & (counts != value))
+            if at is not None:
+                first_off.append((at, f"{name}={value}"))
     witness = None
-    for d in group.elements():
-        if d == zero:
-            continue
-        got = table.get(d, 0)
-        if d in forbidden:
-            if lam is None:
-                lam = got
-            elif got != lam and witness is None:
-                witness = (d, got, f"lambda={lam}")
-        else:
-            if mu is None:
-                mu = got
-            elif got != mu and witness is None:
-                witness = (d, got, f"mu={mu}")
+    if first_off:
+        at, expected = min(first_off)
+        witness = (group.element(at + 1), int(counts[at]), expected)
     sizes = family.sizes()
     degenerate = sum(1 for k in sizes if k <= 1)
     ok = witness is None
@@ -264,8 +280,13 @@ def verify(family: DifferenceFamily) -> VerificationReport:
         message=message,
         witness=witness,
         degenerate_blocks=degenerate,
-        counts=table,
+        counts=_nonzero_table(group, totals),
     )
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """The index of the first True in a boolean array, or None."""
+    return int(mask.argmax()) if mask.any() else None
 
 
 # -- development ----------------------------------------------------------------

@@ -13,9 +13,10 @@ records.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +31,9 @@ MAX_FINGERPRINT_ORDER = 128
 MAX_MATRIX_ORDER = 8192
 # float32 holds every integer of magnitude up to 2^24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
+# Entries the streaming writers turn into text per block of rows: each block
+# holds a few bytes per entry, about 3 MiB at this size.
+WRITE_BLOCK_ENTRIES = 1 << 18
 
 
 class AssemblyError(RuntimeError):
@@ -99,10 +103,22 @@ class SignMatrix:
             self.entries, other.entries
         )
 
+    def _block_rows(self) -> Iterator[np.ndarray]:
+        """The int8 entries in blocks of whole rows, about WRITE_BLOCK_ENTRIES each."""
+        step = max(1, WRITE_BLOCK_ENTRIES // max(1, self.order))
+        for start in range(0, self.order, step):
+            yield self.entries[start : start + step]
+
+    def iter_text(self) -> Iterator[str]:
+        """``to_text()`` plus a final newline, a block of rows per chunk."""
+        for block in self._block_rows():
+            buf = np.empty((block.shape[0], self.order + 1), dtype=np.uint8)
+            buf[:, :-1] = np.where(block == 1, np.uint8(ord("+")), np.uint8(ord("-")))
+            buf[:, -1] = ord("\n")
+            yield buf.tobytes().decode("ascii")
+
     def to_text(self) -> str:
-        return "\n".join(
-            "".join("+" if x == 1 else "-" for x in row) for row in self.entries
-        )
+        return "".join(self.iter_text())[:-1]
 
     @classmethod
     def from_text(cls, text: str) -> "SignMatrix":
@@ -112,13 +128,41 @@ class SignMatrix:
         ]
         return cls(np.array(rows, dtype=np.int64))
 
-    def to_json(self) -> dict:
-        data: dict = {"order": self.order, "rows": self.entries.tolist()}
+    def _json_extras(self) -> dict:
+        """The optional fields of ``to_json``: row labels and provenance."""
+        data: dict = {}
         if self.labels is not None:
             data["row_labels"] = [list(l) if isinstance(l, tuple) else l for l in self.labels]
         if self.provenance is not None:
             data["provenance"] = self.provenance
         return data
+
+    def to_json(self) -> dict:
+        return {"order": self.order, "rows": self.entries.tolist(), **self._json_extras()}
+
+    def iter_json(self) -> Iterator[str]:
+        """``json.dumps(to_json(), sort_keys=True, separators=(",", ":"))`` plus a
+        final newline, written from the int8 entries a block of rows per chunk.
+
+        "rows" sorts last among the keys, so the other fields go first through
+        ``json.dumps`` itself.  Each row is laid out as a ``,`` (dropped before
+        the first row), ``[``, then a ``-``, ``1``, ``,`` triple per entry with
+        the ``-`` masked out for +1 entries, the last ``,`` being ``]``.
+        """
+        head = json.dumps(
+            {"order": self.order, **self._json_extras()}, sort_keys=True, separators=(",", ":")
+        )
+        yield head[:-1] + ',"rows":['
+        template = np.frombuffer(bytearray(",[" + "-1," * self.order, "ascii"), dtype=np.uint8)
+        template[-1] = ord("]")
+        first = True
+        for block in self._block_rows():
+            keep = np.ones((block.shape[0], template.size), dtype=bool)
+            keep[:, 2::3] = block != 1
+            keep[0, 0] = not first
+            first = False
+            yield np.broadcast_to(template, keep.shape)[keep].tobytes().decode("ascii")
+        yield "]}\n"
 
     @classmethod
     def from_json(cls, data: dict) -> "SignMatrix":

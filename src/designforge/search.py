@@ -8,11 +8,12 @@ the independent verifier before it leaves this module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -240,50 +241,48 @@ class _CodeTables:
         return counts
 
 
-def _first_block_choices(tables: _CodeTables) -> List[List[FrozenSet[int]]]:
-    """Per negation-orbit-of-cosets options for a symmetric, balanced block.
+_Options = Callable[[], Iterator[FrozenSet[int]]]
 
-    A paired coset contributes a free m/4-subset mirrored into its partner;
-    a self-paired coset is filled from its internal {x, -x} orbits.
+
+def _mirrored_options(cs: List[int], neg: List[int], per_coset: int) -> Iterator[FrozenSet[int]]:
+    """A per_coset-subset of a coset together with its negation in the partner coset."""
+    for sub in itertools.combinations(cs, per_coset):
+        yield frozenset(sub) | frozenset(neg[x] for x in sub)
+
+
+def _first_block_choices(tables: _CodeTables) -> List[_Options]:
+    """Per negation pair of outside cosets, the options for a symmetric, balanced block.
+
+    An option is an m/4-subset of the pair's first coset mirrored into its
+    partner.  No outside coset is its own partner: G/N has odd order m - 1,
+    so x + N = -x + N forces 2x in N and then x in N.  Each entry makes a
+    fresh iterator over its options, in ``itertools.combinations`` order, so
+    no option is built before it is reached.
     """
     neg, per_coset = tables.neg, tables.per_coset
-    handled: Set[int] = set()  # least codes of the cosets already covered
-    choice_groups: List[List[FrozenSet[int]]] = []
+    partners: Set[int] = set()  # least codes of the partner cosets already covered
+    choice_groups: List[_Options] = []
     for cs in tables.outside:
-        if cs[0] in handled:
+        if cs[0] in partners:
             continue
-        partner = sorted(neg[x] for x in cs)
-        if partner == cs:
-            orbits: List[Tuple[int, ...]] = []
-            seen: Set[int] = set()
-            for x in cs:
-                if x in seen:
-                    continue
-                nx = neg[x]
-                orbit = (x,) if nx == x else (x, nx)
-                seen.update(orbit)
-                orbits.append(orbit)
-            options = [
-                frozenset(itertools.chain.from_iterable(sel))
-                for r in range(len(orbits) + 1)
-                for sel in itertools.combinations(orbits, r)
-                if sum(len(o) for o in sel) == per_coset
-            ]
-            handled.add(cs[0])
-        else:
-            options = [
-                frozenset(sub) | frozenset(neg[x] for x in sub)
-                for sub in itertools.combinations(cs, per_coset)
-            ]
-            handled.add(cs[0])
-            handled.add(partner[0])
-        choice_groups.append(options)
+        partners.add(min(neg[x] for x in cs))
+        choice_groups.append(functools.partial(_mirrored_options, cs, neg, per_coset))
     return choice_groups
+
+
+def _lazy_product(choice_groups: Sequence[_Options], prefix: tuple = ()) -> Iterator[tuple]:
+    """``itertools.product`` over the groups' options, in the same order, with
+    one open iterator per group instead of every option of every group."""
+    if len(prefix) == len(choice_groups):
+        yield prefix
+        return
+    for option in choice_groups[len(prefix)]():
+        yield from _lazy_product(choice_groups, prefix + (option,))
 
 
 def _symmetric_first_blocks(tables: _CodeTables, budget: _Budget) -> Iterator[FrozenSet[int]]:
     """Negation-closed blocks meeting every outside coset in exactly m/4 points."""
-    for assignment in itertools.product(*_first_block_choices(tables)):
+    for assignment in _lazy_product(_first_block_choices(tables)):
         if not budget.spend_node():
             return
         yield frozenset(itertools.chain.from_iterable(assignment))
@@ -413,9 +412,7 @@ def _randomized_search(
         counts = tables.pair_counts(d1, d2)
         return sum((c - t) ** 2 for c, t in zip(counts, targets))
 
-    choice_groups = _first_block_choices(tables)
-    if any(not options for options in choice_groups):
-        return []
+    choice_groups = [list(options()) for options in _first_block_choices(tables)]
 
     def random_d1() -> FrozenSet[int]:
         return frozenset(

@@ -1,6 +1,6 @@
 """Each artifact passes each check exactly once, at the place that owns it.
 
-Counting wrappers around the oracle (``designs.difference_table``), the Gram
+Counting wrappers around the oracle (``designs.difference_totals``), the Gram
 gate (``hadamard.is_hadamard``) and the symmetric-array precondition check
 record every call made while one artifact is built.
 """
@@ -19,7 +19,7 @@ def calls(monkeypatch):
     """Argument log per wrapped check: tables get families, Grams get orders."""
     log = {"tables": [], "grams": [], "conditions": 0}
     table, gram, cond = (
-        designs.difference_table,
+        designs.difference_totals,
         hadamard.is_hadamard,
         hadamard.check_symmetric_conditions,
     )
@@ -36,7 +36,7 @@ def calls(monkeypatch):
         log["conditions"] += 1
         return cond(*args, **kwargs)
 
-    monkeypatch.setattr(designs, "difference_table", counted_table)
+    monkeypatch.setattr(designs, "difference_totals", counted_table)
     monkeypatch.setattr(hadamard, "is_hadamard", counted_gram)
     monkeypatch.setattr(hadamard, "check_symmetric_conditions", counted_cond)
     return log

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 
-from designforge import constructions
+from designforge import cli, constructions, hadamard
 from designforge.cli import main
 
 
@@ -204,6 +205,67 @@ def test_oversized_hadamard_requests_exit_two_before_allocating(capsys):
         assert out == "", argv
         assert len(err.splitlines()) == 1 and "MAX_MATRIX_ORDER" in err, (argv, err)
         assert peak < 16 << 20, (argv, peak)
+
+
+# stdout sha256 of the matrix commands: any change to the printed bytes shows
+PINNED_MATRICES = [
+    (["skew", "--q", "251"],
+     "a3d2c6dedd6375434c44501bb7b2793a2bbf1f307c309eaa0fb4dd5a4b071b37"),
+    (["skew", "--q", "251", "--format", "text"],
+     "0f4010bff11083e2eb596712dc8681afd4e9b5f14cf8460c51546ed9d1831573"),
+    (["symmetric", "--n", "4"],
+     "74eeaa42e6a5047b6f0af907d35df5f247bffd7d3ba5781135548f727f1b5ef6"),
+    (["symmetric", "--n", "4", "--format", "text"],
+     "92fbd8f02da6f6f570c7b8f1c0dd527c4dfdd529c2e3162ebc8863f197c4b71b"),
+    (["sylvester", "--k", "6"],
+     "f4c4db92f1fe6904913da1247e84dbdd56732fc6ed2454122cabe4491dd12211"),
+    (["sylvester", "--k", "6", "--format", "text"],
+     "4518db41461e778092703f40280d663dab31e031b0c622674a2edd8f8f7a8e4e"),
+]
+
+
+def test_hadamard_stdout_is_pinned(capsys):
+    for argv, sha256 in PINNED_MATRICES:
+        code, out, err = run_cli(["hadamard", *argv], capsys)
+        assert code == 0 and err == "", argv
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, argv
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    for argv, _ in PINNED_MATRICES[:2]:
+        _, out, _ = run_cli(["hadamard", *argv], capsys)
+        path = tmp_path / "matrix.out"
+        code, printed, _ = run_cli(["hadamard", *argv, "--out", str(path)], capsys)
+        assert code == 0 and printed == ""
+        assert path.read_bytes() == out.encode()
+
+
+def test_out_into_a_directory_exits_two(tmp_path, capsys):
+    code, out, err = run_cli(["hadamard", "sylvester", "--k", "3", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_failed_gate_writes_no_out_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hadamard, "is_hadamard", lambda M: False)
+    path = tmp_path / "matrix.json"
+    code, out, err = run_cli(["hadamard", "sylvester", "--k", "3", "--out", str(path)], capsys)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
+def test_streamed_order_4096_output_stays_small():
+    # the int8 matrix itself is 16 MiB; writing it adds a block of rows at a
+    # time, never a nested list or the whole 42 MB string
+    matrix = hadamard.sylvester(12)
+    tracemalloc.start()
+    try:
+        cli._emit(matrix.iter_json(), cli.RunConfig(out=os.devnull))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
 
 
 def test_hadamard_symmetric_needs_input(capsys):

@@ -131,6 +131,78 @@ def test_verify_corrupted_family_reports_witness():
     assert difference_table(fam).get(d, 0) == got
 
 
+def tuple_walk(family):
+    """(lam, mu, witness) by walking every element as a tuple, with ``in``
+    tests against the forbidden subgroup: the reference for ``verify``."""
+    group, forbidden = family.ambient, family.forbidden
+    table = difference_table(family)
+    lam = mu = witness = None
+    for d in group.elements():
+        if d == group.zero():
+            continue
+        got = table.get(d, 0)
+        if d in forbidden:
+            if lam is None:
+                lam = got
+            elif got != lam and witness is None:
+                witness = (d, got, f"lambda={lam}")
+        else:
+            if mu is None:
+                mu = got
+            elif got != mu and witness is None:
+                witness = (d, got, f"mu={mu}")
+    return (lam if forbidden.order > 1 else None), mu, witness
+
+
+def test_verify_matches_the_tuple_walk_on_named_families():
+    g = FiniteAbelianGroup((6,))
+    everything = [(x,) for x in range(6)]
+    families = [
+        # passing and failing, with a non-trivial N
+        _family((6,), [[(1,), (5,)], [(1,), (2,)]], forbidden=[(0,), (3,)]),
+        _family((6,), [[(1,), (5,)], [(1,), (4,)]], forbidden=[(0,), (3,)]),
+        # counts off both lambda (first at 4) and mu (first at 3)
+        _family((8,), [[(0,), (1,), (2,)]], forbidden=[(0,), (2,), (4,), (6,)]),
+        # passing and failing, with a trivial N
+        szekeres_family(FieldCtx(11)).family,
+        _family((7,), [[(1,), (2,), (4,)]]),
+        _family((7,), [[(1,), (2,), (5,)]]),
+        # N = G: every difference is in N, none outside
+        _family((6,), [[(0,), (1,), (3,)]], forbidden=everything),
+        _family((6,), [[(0,), (1,), (2,), (3,), (4,), (5,)]], forbidden=everything),
+        DifferenceFamily(g, Subgroup.whole(g), [Block(g, frozenset())]),
+        # a trivial group
+        _family((1,), [[(0,)]]),
+    ]
+    verdicts = set()
+    for fam in families:
+        rep = verify(fam)
+        assert (rep.lam, rep.mu, rep.witness) == tuple_walk(fam), fam
+        verdicts.add((rep.ok, fam.forbidden.is_trivial(), fam.forbidden.order == g.order))
+    assert {(True, True, False), (False, True, False), (True, False, False),
+            (False, False, False), (True, False, True), (False, False, True)} <= verdicts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_verify_matches_the_tuple_walk_on_random_families(data):
+    moduli = data.draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
+    g = FiniteAbelianGroup(moduli)
+    elems = list(g.elements())
+    gens = data.draw(st.lists(st.sampled_from(elems), max_size=2))
+    forbidden = data.draw(
+        st.sampled_from([Subgroup.trivial(g), Subgroup.whole(g), subgroup_generated(g, gens)])
+    )
+    blocks = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        size = data.draw(st.integers(min_value=0, max_value=min(6, g.order)))
+        blocks.append(Block(g, frozenset(data.draw(st.permutations(elems))[:size])))
+    fam = DifferenceFamily(g, forbidden, blocks)
+    rep = verify(fam)
+    assert (rep.lam, rep.mu, rep.witness) == tuple_walk(fam)
+    assert rep.counts == difference_table(fam)
+
+
 def test_verify_flags_degenerate_blocks():
     fam = _family((3,), [[(0,)], [(1,)]])
     rep = verify(fam)

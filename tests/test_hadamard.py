@@ -1,10 +1,11 @@
+import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from designforge import designs
+from designforge import designs, hadamard
 from designforge.constructions import (
     PreconditionError,
     galois_ring_data,
@@ -134,6 +135,54 @@ def test_text_roundtrip():
     s = sylvester(2)
     assert SignMatrix.from_text(s.to_text()) == s
     assert SignMatrix.from_json(s.to_json()) == s
+
+
+def naive_text(M):
+    """The text form built one entry at a time."""
+    return "".join("".join("+" if x == 1 else "-" for x in row) + "\n" for row in M.entries)
+
+
+def sample_matrices():
+    """All three kinds, orders 1 to 1024, with and without labels and provenance."""
+    ring3 = RingCtx(3)
+    group = ring3.additive_group()
+    ds = DifferenceFamily(
+        group, Subgroup.trivial(group), [Block(group, frozenset(galois_ring_data(ring3).D))]
+    )
+    labelled = hadamard_from_difference_set(ds)
+    out = [sylvester(k) for k in range(11)]
+    fields = (FieldCtx(7), FieldCtx(19), FieldCtx(3, 3), FieldCtx(251))
+    out += [skew_from_df(szekeres_family(ctx).family).matrix for ctx in fields]
+    out += [symmetric_from_ddf(z6_family()).matrix]
+    out += [symmetric_from_ddf(galois_ring_ddf(RingCtx(n)).family).matrix for n in (3, 5)]
+    out += [
+        labelled,
+        SignMatrix(labelled.entries, labels=labelled.labels),
+        SignMatrix(sylvester(5).entries),
+        SignMatrix(-np.eye(3, dtype=np.int8) + (1 - np.eye(3, dtype=np.int8))),
+    ]
+    return out
+
+
+def test_streamed_writers_match_the_reference_encoders():
+    matrices = sample_matrices()
+    assert {M.order for M in matrices} >= {1, 3, 8, 16, 20, 28, 64, 252, 1024}
+    assert any(M.labels is not None and M.provenance is None for M in matrices)
+    for M in matrices:
+        want = json.dumps(M.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert "".join(M.iter_json()) == want, M.order
+        assert "".join(M.iter_text()) == naive_text(M), M.order
+        assert M.to_text() == naive_text(M)[:-1]
+
+
+@pytest.mark.parametrize("entries", [1, 5, 64, 1000])
+def test_streamed_writers_across_block_boundaries(entries, monkeypatch):
+    monkeypatch.setattr(hadamard, "WRITE_BLOCK_ENTRIES", entries)
+    for M in (sylvester(0), sylvester(3), skew_from_df(szekeres_family(FieldCtx(19)).family).matrix):
+        chunks = list(M.iter_json())
+        assert "".join(chunks) == json.dumps(M.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert "".join(M.iter_text()) == naive_text(M)
+        assert len(chunks) - 2 == -(-M.order // max(1, entries // M.order))
 
 
 # ---------------------------------------------------------------------------

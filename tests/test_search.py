@@ -1,11 +1,14 @@
+import functools
 import itertools
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designforge import designs, hadamard
+from designforge import designs, hadamard, search
 from designforge.constructions import PreconditionError, galois_ring_ddf
 from designforge.designs import Block, DesignParams, DifferenceFamily
 from designforge.galois import RingCtx
@@ -166,6 +169,53 @@ def test_budget_limits_nodes():
     assert len(search_ddf(spec)) <= 1
     spec = z6_spec(budget=SearchBudget(max_solutions=1))
     assert len(search_ddf(spec)) == 1
+
+
+def test_lazy_product_matches_itertools_product():
+    for sizes in [(), (3,), (2, 3), (3, 0, 2), (1, 4, 2, 3)]:
+        lists = [[(i, j) for j in range(n)] for i, n in enumerate(sizes)]
+        groups = [functools.partial(iter, options) for options in lists]
+        assert list(search._lazy_product(groups)) == list(itertools.product(*lists))
+
+
+def test_first_blocks_keep_the_product_order_under_a_budget():
+    g = FiniteAbelianGroup((7, 2, 2))
+    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    spec = SearchSpec(group=g, forbidden=n, m=8)
+    tables = search._CodeTables(spec)
+    lists = [list(options()) for options in search._first_block_choices(tables)]
+    want = [frozenset(itertools.chain.from_iterable(a)) for a in itertools.product(*lists)]
+    assert len(want) == 6 ** 3
+    for max_nodes in (None, 1, 5, 300):
+        budget = search._Budget(SearchBudget(max_nodes=max_nodes))
+        got = list(search._symmetric_first_blocks(tables, budget))
+        assert got == want[:max_nodes]
+
+
+_PEAK_RSS = """
+import json, resource, sys
+from designforge import cli
+m = int(sys.argv[1]); v = m * (m - 1) // 2; step = 2 * v // m
+spec = {"group": {"moduli": [v]}, "forbidden": [[step * i] for i in range(m // 2)],
+        "m": m, "mode": "exhaustive", "budget": {"max_nodes": 1}}
+with open(sys.argv[2], "w") as fh:
+    json.dump(spec, fh)
+assert cli.main(["search", sys.argv[2]]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_first_block_options_are_not_built_ahead_of_the_budget(tmp_path):
+    # cyclic specs with max_nodes = 1: each negation pair of cosets has
+    # C(m/2, m/4) options, 924 at m=24 and 12870 at m=32, of which one is used
+    peaks = []
+    for m in (24, 32):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(m), str(tmp_path / f"spec{m}.json")],
+            capture_output=True, text=True, check=True,
+        )
+        peaks.append(int(proc.stderr.split()[-1]))  # KiB on Linux
+    assert peaks[1] - peaks[0] < 10 * 1024, peaks
 
 
 def test_rediscovers_galois_ring_family():
