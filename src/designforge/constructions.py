@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import designs
 from .designs import Block, DesignParams, DifferenceFamily
-from .field import FieldCtx, isqrt_exact
-from .galois import RingCtx, unit_group_iso
-from .groups import FiniteAbelianGroup, GroupIso, Subgroup, closure_generators
+from .field import FieldCtx, UnitTables, isqrt_exact
+from .galois import RingCtx, unit_group_iso, unit_subgroup_split
+from .groups import FiniteAbelianGroup, GroupIso, Subgroup, closure_table
 
 Element = Tuple[int, ...]
 
@@ -137,40 +139,35 @@ def unit_quotient_family(
 ) -> QuotientFamilyResult:
     """Derive blocks inside a unit subgroup N from a difference family in R^+.
 
-    ``ring`` may be a FieldCtx or RingCtx (anything with one/mul/inv/sub,
-    is_unit, nonunits and additive_group).  Each input block must be fixed
-    setwise by N, the input family must verify as a difference family in the
-    additive group, and ``reps`` must be a complete transversal of R^*/N.
-    Closure of N and invariance of the blocks are checked completely on a
-    generating set of N, at O((|N| + |D|) log |N|) multiplications.
+    ``ring`` may be a FieldCtx or RingCtx; both expose ``unit_tables``, and
+    everything between encoding the inputs and decoding the result runs on
+    additive and log codes.  Each input block must be fixed setwise by N,
+    the input family must verify as a difference family in the additive
+    group, and ``reps`` must be a complete transversal of R^*/N.  Closure of
+    N and invariance of the blocks are checked completely on a generating
+    set of N.
     """
-    N = frozenset(subgroup)
+    tables: UnitTables = ring.unit_tables
+    group = tables.additive
     blocks = [frozenset(b) for b in blocks]
-    one = ring.one
-    for x in N:
-        if not ring.is_unit(x):
-            raise PreconditionError(f"subgroup element {x} is not a unit")
-    gens = _subgroup_generators(ring, N)
-    for D in blocks:
+    block_codes = [group.code_set(D) for D in blocks]
+    members = list(frozenset(subgroup))
+    by_code = dict(zip(group.encode(members).tolist(), members))
+    n_codes = np.array(sorted(by_code), dtype=np.int64)
+    n_elements = [by_code[c] for c in n_codes.tolist()]  # the caller's tuples, by code
+    n_logs = tables.log[n_codes]
+    if (n_logs < 0).any():
+        x = n_elements[int(np.argmax(n_logs < 0))]
+        raise PreconditionError(f"subgroup element {x} is not a unit")
+    gens = _subgroup_generators(tables, n_codes)
+    for D in block_codes:
+        in_d = _mask(group.order, D)
         for g in gens:
-            if frozenset(ring.mul(g, d) for d in D) != D:
-                raise PreconditionError(f"block is not fixed by subgroup generator {g}")
-    # the transversal must tile the unit group
-    covered: set = set()
-    for y in reps:
-        if not ring.is_unit(y):
-            raise PreconditionError(f"transversal element {y} is not a unit")
-        coset = {ring.mul(y, x) for x in N}
-        if covered & coset:
-            raise PreconditionError(f"transversal element {y} repeats a coset")
-        covered |= coset
-    n_units = sum(1 for _ in ring.units())
-    if len(covered) != n_units:
-        raise PreconditionError(
-            f"transversal covers {len(covered)} of {n_units} units"
-        )
+            if not in_d[tables.scale(g, D)].all():
+                g_elem = group.element(int(tables.exp[g]))
+                raise PreconditionError(f"block is not fixed by subgroup generator {g_elem}")
+    rep_logs = _transversal_logs(tables, n_logs, reps)
     # the input family must be a difference family in the additive group
-    group = ring.additive_group()
     base = DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
@@ -181,36 +178,97 @@ def unit_quotient_family(
         raise PreconditionError(
             f"input blocks are not a difference family in R^+: {report.summary()}"
         )
-    base_lambda = report.mu
+    n_position = np.full(tables.exp.size, -1, dtype=np.int64)
+    n_position[n_logs] = np.arange(n_codes.size)
     out_blocks: List[Tuple[int, Element, FrozenSet[Element]]] = []
-    for i, D in enumerate(blocks):
-        for y in reps:
-            y_inv = ring.inv(y)
-            shifted = frozenset(
-                ring.mul(y_inv, ring.sub(d, one)) for d in D
-            )
-            out_blocks.append((i, y, shifted & N))
-    # lambda_t = sum_i |D_i ∩ (D_i - t + 1) ∩ (I + 1)| over the nonunit translates
-    ideal_plus_one = [ring.add(z, one) for z in ring.nonunits()]
-    lambda_table: Dict[Element, int] = {}
-    for t in N:
-        if t == one:
-            continue
-        count = 0
-        for D in blocks:
-            for z in ideal_plus_one:
-                if z in D and ring.add(z, ring.sub(t, one)) in D:
-                    count += 1
-        lambda_table[t] = count
-    return QuotientFamilyResult(out_blocks, base_lambda, lambda_table)
+    for i, D in enumerate(block_codes):
+        shifted = tables.log[group.code_sub(D, tables.one)]
+        shifted = shifted[shifted >= 0]
+        for y, y_inv in zip(reps, tables.inv(rep_logs).tolist()):
+            inside = n_position[tables.mul(y_inv, shifted)]
+            sub = frozenset(n_elements[p] for p in inside[inside >= 0].tolist())
+            out_blocks.append((i, y, sub))
+    # lambda_t = sum_i #{(z, w) : z in D_i ∩ (I + 1), w in D_i, w - z = t - 1}
+    ideal_plus_one = _mask(
+        group.order, group.code_add(np.flatnonzero(tables.log < 0), tables.one)
+    )
+    pair_counts = np.zeros(group.order, dtype=np.int64)
+    for D in block_codes:
+        Z = D[ideal_plus_one[D]]
+        pair_counts += np.bincount(
+            group.code_sub(D[None, :], Z[:, None]).ravel(), minlength=group.order
+        )
+    lambda_t = pair_counts[group.code_sub(n_codes, tables.one)].tolist()
+    lambda_table = {t: lam for t, lam in zip(n_elements, lambda_t) if t != ring.one}
+    return QuotientFamilyResult(out_blocks, report.mu, lambda_table)
 
 
-def _subgroup_generators(ring, N: FrozenSet[Element]) -> List[Element]:
-    """Generators of the unit subgroup N, or PreconditionError if N is not closed."""
+def _decode(group: FiniteAbelianGroup, codes: np.ndarray) -> List[Element]:
+    return list(map(tuple, group.decode(codes).tolist()))
+
+
+def _decode_set(group: FiniteAbelianGroup, codes: np.ndarray) -> FrozenSet[Element]:
+    return frozenset(_decode(group, codes))
+
+
+def _mask(size: int, codes: np.ndarray) -> np.ndarray:
+    out = np.zeros(size, dtype=bool)
+    out[codes] = True
+    return out
+
+
+def _shift_overlap(group: FiniteAbelianGroup, codes: np.ndarray, y: Element) -> int:
+    """|(S + y) ∩ S| for the set S with the given codes."""
+    return int(_mask(group.order, codes)[group.code_sub(codes, group.index(y))].sum())
+
+
+def _subgroup_generators(tables: UnitTables, codes: np.ndarray) -> np.ndarray:
+    """Log codes of generators of the units with the given additive codes, or
+    PreconditionError if they are not closed; picked in element order."""
+    group = tables.additive
+    logs = tables.log[codes]
+    if tables.one not in codes:
+        raise PreconditionError(
+            f"not a subgroup: the identity {group.element(tables.one)} is missing"
+        )
+    position = np.full(tables.exp.size, -1, dtype=np.int64)
+    position[logs] = np.arange(codes.size)
     try:
-        return closure_generators(N, ring.one, ring.mul)
+        gens, _ = closure_table(
+            codes.size,
+            int(position[0]),
+            lambda a, b: position[tables.mul(logs[a], logs[b])],
+            lambda p: group.element(int(codes[p])),
+        )
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
+    return logs[gens]
+
+
+def _transversal_logs(
+    tables: UnitTables, n_logs: np.ndarray, reps: Sequence[Element]
+) -> np.ndarray:
+    """Log codes of ``reps``, or PreconditionError unless their cosets y*N
+    tile the unit group, checked in order: a nonunit or a coset that repeats
+    an earlier one is named."""
+    group = tables.additive
+    rep_logs = tables.log[group.encode(list(reps))]
+    nonunit = np.flatnonzero(rep_logs < 0)
+    valid = nonunit[0] if nonunit.size else len(reps)
+    # cosets of a subgroup are equal or disjoint: name each by its least log code
+    cosets = tables.mul(rep_logs[:valid, None], n_logs[None, :])
+    labels = cosets.min(axis=1, initial=tables.exp.size)
+    seen: set = set()
+    for k, label in enumerate(labels.tolist()):
+        if label in seen:
+            raise PreconditionError(f"transversal element {reps[k]} repeats a coset")
+        seen.add(label)
+    if nonunit.size:
+        raise PreconditionError(f"transversal element {reps[valid]} is not a unit")
+    covered = len(seen) * n_logs.size
+    if covered != tables.exp.size:
+        raise PreconditionError(f"transversal covers {covered} of {tables.exp.size} units")
+    return rep_logs
 
 
 def _check_quotient_consistency(
@@ -336,8 +394,10 @@ def cyclotomic_family(
         blocks.append(Block(zv, frozenset(phi(x) for x in sub)))
     # block-size law |D_{1,y}| = |(N+y) ∩ N| for the zero-free construction
     if not with_zero:
+        group = ctx.unit_tables.additive
+        n_codes = group.code_set(N)
         for (_, y, sub) in quotient.blocks:
-            shifted = sum(1 for x in N if ctx.sub(x, y) in N)
+            shifted = _shift_overlap(group, n_codes, y)
             if len(sub) != shifted:
                 raise RuntimeError(
                     f"block-size law violated at y={y}: {len(sub)} != {shifted}"
@@ -405,26 +465,30 @@ def galois_ring_data(
         u = trace_zero_default(field)
     if u == field.zero or field.trace(u) != 0:
         raise PreconditionError(f"u={u} must be nonzero with zero trace")
-    E = frozenset(x for x in field.elements() if field.trace(field.mul(u, x)) == 0)
-    if len(E) != 2 ** (ring.n - 1):
+    n, tables = ring.n, ring.unit_tables
+    group = tables.additive
+    # x -> Tr(ux) is GF(2)-linear, so it is read off the basis 1, xbar, ...
+    basis_traces = [field.trace(field.mul(u, field.element((0,) * j + (1,)))) for j in range(n)]
+    residues = ring.residue_group().decode(np.arange(2**n))
+    in_e = residues @ np.array(basis_traces) % 2 == 0
+    E = frozenset(map(tuple, residues[in_e].tolist()))
+    if len(E) != 2 ** (n - 1):
         raise RuntimeError(f"|E| = {len(E)} is not 2^(n-1)")
-    lifts = [ring.lift(x) for x in sorted(E, key=field.encode)]
-    D = set()
-    for a in ring.teichmuller[1:]:
-        for b in lifts:
-            D.add(ring.mul(a, ring.add(ring.one, ring.mul(ring.two, b))))
-    if len(D) != 2 ** (ring.n - 1) * (2**ring.n - 1):
-        raise RuntimeError(f"|D| = {len(D)} is not 2^(n-1)(2^n - 1)")
+    # D = T^* x (1 + 2 lift(E)): the log codes whose 2-part lies in E
+    d_logs = np.arange(tables.m)[:, None] << n | np.flatnonzero(in_e)
+    d_codes = np.flatnonzero(_mask(group.order, tables.exp[d_logs]))
     if subgroup is None:
-        N = frozenset(D)
+        n_codes = d_codes
     else:
-        N = frozenset(subgroup)
-        if not N <= D:
+        n_codes = group.code_set(subgroup)
+        if not _mask(group.order, d_codes)[n_codes].all():
             raise PreconditionError("subgroup must be contained in D")
-        _subgroup_generators(ring, N)
-    principal = set(ring.principal_units())
-    L = frozenset(N & principal)
-    return GR4Data(ring, u, E, frozenset(D), N, L)
+        _subgroup_generators(tables, n_codes)
+    D = _decode_set(group, d_codes)
+    N = D if subgroup is None else frozenset(subgroup)
+    # the principal units 1 + 2R are the log codes with odd part 0
+    L = _decode_set(group, n_codes[tables.log[n_codes] < 2**n])
+    return GR4Data(ring, u, E, D, N, L)
 
 
 @dataclass
@@ -446,20 +510,41 @@ def _coset_reps(ring: RingCtx, N: FrozenSet[Element]) -> List[Element]:
     """Transversal of R^*/N: identity coset first, then by least coset member.
 
     Within each coset the first principal unit in ``ring.principal_units()``
-    (Teichmuller) order is preferred, falling back to the least element.
+    (Teichmuller) order is preferred, falling back to the least element.  N
+    is a verified subgroup of Z_m x Z_2^n, so it is the product of g0*Z_m
+    (g0 = gcd of m and its odd parts) and a subspace V of its 2-parts, and
+    the coset of the unit with log code (i, b) is named by (i mod g0, the
+    least member of b + V).
     """
-    principal = ring.principal_units()
-    found: List[Tuple[Element, Element]] = []  # (coset key, rep)
-    covered: set = set()
-    for u in ring.units():
-        if u in covered:
-            continue
-        coset = frozenset(ring.mul(u, x) for x in N)
-        least = min(coset)
-        found.append((least, next((y for y in principal if y in coset), least)))
-        covered |= coset
-    found.sort(key=lambda pair: (pair[1] != ring.one, pair[0]))
-    return [rep for _, rep in found]
+    tables = ring.unit_tables
+    n = ring.n
+    logs = tables.log[tables.additive.code_set(N)].astype(np.int64)
+    g0, _, coords = unit_subgroup_split(ring, logs)
+    span = np.flatnonzero(coords >= 0)
+    least_in_coset = (np.arange(2**n)[:, None] ^ span[None, :]).min(axis=1)
+
+    def key(log: np.ndarray) -> np.ndarray:
+        return (log >> n) % g0 << n | least_in_coset[log & (2**n - 1)]
+
+    units = np.flatnonzero(tables.log >= 0)
+    keys = key(tables.log[units].astype(np.int64))
+    least = np.full(tables.exp.size, units.size, dtype=np.int64)
+    np.minimum.at(least, keys, np.arange(units.size))
+    principal = tables.log[tables.additive.encode(ring.principal_units())].astype(np.int64)
+    first = np.full(tables.exp.size, principal.size, dtype=np.int64)
+    np.minimum.at(first, key(principal), np.arange(principal.size))
+    found = []  # (rep is not 1, least member, rep) per coset
+    for k in np.flatnonzero(least < units.size).tolist():
+        low = int(units[least[k]])
+        rep = int(tables.exp[principal[first[k]]]) if first[k] < principal.size else low
+        found.append((rep != tables.one, low, rep))
+    return _decode(tables.additive, np.array([rep for _, _, rep in sorted(found)]))
+
+
+def _principal_index(ring: RingCtx, y: Element) -> int:
+    """The Teichmuller index of a1 in the unit decomposition y = a0(1 + 2 a1)."""
+    two_part = int(ring.unit_tables.log[ring.additive_group().index(y)]) & (2**ring.n - 1)
+    return ring.teich_index(ring.lift(ring.residue_group().element(two_part)))
 
 
 def galois_ring_ddf(
@@ -522,8 +607,10 @@ def galois_ring_ddf(
             raise RuntimeError(f"block sizes {sizes} disagree with {expected_k}")
         # size law k_y = |(D + y) ∩ D| for the plain construction
         if not include_ideal:
+            additive = ring.additive_group()
+            d_codes = additive.code_set(data.D)
             for (_, rep, sub) in quotient.blocks:
-                law = sum(1 for x in data.D if ring.sub(x, rep) in data.D)
+                law = _shift_overlap(additive, d_codes, rep)
                 if len(sub) != law:
                     raise RuntimeError(f"size law violated at y={rep}")
     family = DifferenceFamily(
@@ -535,7 +622,7 @@ def galois_ring_ddf(
             "construction": "gr4-union" if include_ideal else "gr4-ddf",
             "n": n,
             "u": ring.residue.discrete_log(data.u),
-            "y": None if y is None else ring.unit_decompose(y).a1_index,
+            "y": None if y is None else _principal_index(ring, y),
             "modulus": list(ring.modulus),
         },
     )
@@ -573,15 +660,14 @@ def teichmuller_difference_set(
     Verified with parameters (2^n - 1, 2^(n-1) - 1, 2^(n-2) - 1).
     """
     data = galois_ring_data(ring, u)
-    two = ring.two
-    members = frozenset(
-        x
-        for x in ring.teichmuller[1:]
-        if ring.sub(x, two) in data.D
-    )
-    n = ring.n
+    n, tables = ring.n, ring.unit_tables
+    additive = tables.additive
+    teich = tables.exp[np.arange(tables.m) << n]  # xi^i at position i
+    in_d = _mask(additive.order, additive.code_set(data.D))
+    exponents = np.flatnonzero(in_d[additive.code_sub(teich, additive.index(ring.two))])
+    members = _decode_set(additive, teich[exponents])
     group = FiniteAbelianGroup((2**n - 1,))
-    mapped = frozenset(((ring.teich_index(x) - 1) % (2**n - 1),) for x in members)
+    mapped = frozenset((i,) for i in exponents.tolist())
     family = DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .groups import FiniteAbelianGroup
 
@@ -206,6 +209,76 @@ def load_poly_table(path: str) -> Dict[Tuple[int, int], Poly]:
     return table
 
 
+# -- unit groups as log codes ----------------------------------------------------
+
+
+class UnitTables:
+    """The unit group of a finite local ring R as log codes.
+
+    R^* = Z_m x Z_2^bits: a unit is xi^i (1 + 2b), with xi a primitive
+    (Teichmuller) element of order m and b running over a GF(2)-space of
+    dimension ``bits`` (0 for a field, where the unit is g^i).  Its log code
+    is ``i << bits | b``, so unit multiplication adds the first coordinate
+    mod m and xors the second.  ``exp`` maps each log code to the unit's
+    additive code in ``additive`` (the mixed-radix code of its coefficient
+    tuple), and ``log`` maps every additive code back, -1 on the nonunits.
+    """
+
+    __slots__ = ("additive", "m", "bits", "exp", "log")
+
+    def __init__(
+        self, additive: FiniteAbelianGroup, m: int, bits: int, exp: np.ndarray, log: np.ndarray
+    ) -> None:
+        self.additive = additive
+        self.m = m
+        self.bits = bits
+        self.exp = exp
+        self.log = log
+
+    @classmethod
+    def from_exp(
+        cls, additive: FiniteAbelianGroup, m: int, bits: int, exp: np.ndarray, units: np.ndarray
+    ) -> "UnitTables":
+        """The tables for ``exp``, where ``units`` masks the additive codes of
+        the units.  One bincount proves exp a bijection onto them (every unit
+        hit once, no nonunit hit) before log is built as its inverse."""
+        hits = np.bincount(exp, minlength=additive.order)
+        if exp.size != m << bits or not (hits == units).all():
+            raise RuntimeError(f"exp is not a bijection onto the units of {additive}")
+        log = np.full(additive.order, -1, dtype=exp.dtype)
+        log[exp] = np.arange(exp.size, dtype=exp.dtype)
+        for table in (exp, log):
+            table.setflags(write=False)  # shared by every caller of the context
+        return cls(additive, m, bits, exp, log)
+
+    @property
+    def one(self) -> int:
+        """The additive code of 1."""
+        return int(self.exp[0])
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Log code of the product of the units with log codes a and b."""
+        bits = self.bits
+        return ((a >> bits) + (b >> bits)) % self.m << bits | ((a ^ b) & ((1 << bits) - 1))
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """Log code of the inverse."""
+        bits = self.bits
+        return (-(a >> bits)) % self.m << bits | (a & ((1 << bits) - 1))
+
+    def scale(self, x: int, codes: np.ndarray) -> np.ndarray:
+        """Additive codes of x * c for the unit with log code x and any
+        elements c.  A nonunit c lies in the maximal ideal, so 1 + c is a
+        unit and x * c = x(1 + c) - x."""
+        logs = self.log[codes]
+        unit = logs >= 0
+        out = np.empty_like(codes)
+        out[unit] = self.exp[self.mul(x, logs[unit])]
+        shifted = self.log[self.additive.code_add(codes[~unit], self.one)]
+        out[~unit] = self.additive.code_sub(self.exp[self.mul(x, shifted)], self.exp[x])
+        return out
+
+
 # -- the field context ---------------------------------------------------------
 
 
@@ -386,6 +459,14 @@ class FieldCtx:
         return (self.q - 1) // math.gcd(self._log[a], self.q - 1) if self._log[a] else 1
 
     # -- ring-style adapter used by the generic family machinery
+
+    @cached_property
+    def unit_tables(self) -> UnitTables:
+        """The exp/log tables as additive codes, built on first use."""
+        group = self.additive_group()
+        units = np.ones(self.q, dtype=bool)
+        units[0] = False
+        return UnitTables.from_exp(group, self.q - 1, 0, group.encode(self._exp), units)
 
     def is_unit(self, a: Element) -> bool:
         return a != self.zero

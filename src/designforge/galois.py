@@ -1,18 +1,26 @@
 """Exact arithmetic in the Galois ring GR(4,n).
 
-Elements are length-n tuples over Z_4, reduced by a primitive basic
-irreducible modulus.  The context tabulates the Teichmuller set, exposes the
-unit decomposition a0*(1+2*a1), reduces onto the residue field F_{2^n}, and
-owns the coordinates that carry any unit subgroup onto Z_d x Z_2^s.
+At the boundary an element is a length-n tuple over Z_4, reduced by a
+primitive basic irreducible modulus; the tuple arithmetic of ``RingCtx`` is
+the reference.  Hot paths hold an element as its additive code, its
+mixed-radix rank in Z_4^n, and a unit also as its log code (i, bbar) for
+xi^i(1+2*lift(bbar)), through one log/exp table pair per ring
+(``RingCtx.unit_tables``).  The context tabulates the Teichmuller set,
+exposes the unit decomposition a0*(1+2*a1), reduces onto the residue field
+F_{2^n}, and owns the coordinates that carry any unit subgroup onto
+Z_d x Z_2^s.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .field import BUILTIN_POLYS, FieldCtx, factorize
+import numpy as np
+
+from .field import BUILTIN_POLYS, FieldCtx, UnitTables, factorize
 from .groups import FiniteAbelianGroup, GroupIso
 
 Element = Tuple[int, ...]
@@ -245,87 +253,156 @@ class RingCtx:
 
     def principal_units(self) -> List[Element]:
         """Units of the form 1 + 2b, b Teichmuller, in Teichmuller order."""
-        return [self.add(self.one, self.mul(self.two, b)) for b in self.teichmuller]
+        return [self.add(self.one, self.add(b, b)) for b in self.teichmuller]
 
     def additive_group(self) -> FiniteAbelianGroup:
         return FiniteAbelianGroup((4,) * self.n)
+
+    def residue_group(self) -> FiniteAbelianGroup:
+        """The residue field's additive group Z_2^n, whose codes index bbar."""
+        return FiniteAbelianGroup((2,) * self.n)
+
+    # -- code arithmetic ----------------------------------------------------
+
+    @cached_property
+    def unit_tables(self) -> UnitTables:
+        """GR(4,n)^* = T^* x (1+2R) = Z_(2^n-1) x Z_2^n on additive codes, built
+        on first use.
+
+        ``exp[i << n | b]`` is xi^i(1 + 2*lift(bbar)), where b is the Z_2^n
+        code of bbar.  Since 2y depends only on the residue of y, it is built
+        additively as teich[i] + 2*(xibar^i * bbar), with the residue product
+        read off the residue-field logs of the Teichmuller residues.
+        """
+        n, m = self.n, 2**self.n - 1
+        group, residues = self.additive_group(), self.residue_group()
+        teich = group.encode(self.teichmuller)  # [0, 1, xi, ..., xi^(m-1)]
+        # twice[c] = 2*lift(cbar) for the residue with Z_2^n code c
+        twice = group.encode(2 * residues.decode(np.arange(2**n)))
+        res_of_xi = residues.encode(group.decode(teich[1:]) % 2)  # code of xibar^k
+        # the residue-field log of each nonzero residue code; 0 has none
+        res_log = np.zeros(2**n, dtype=np.int64)
+        res_log[res_of_xi] = np.arange(m)
+        xi_times_b = res_of_xi[(np.arange(m)[:, None] + res_log) % m]
+        xi_times_b[:, 0] = 0
+        exp = group.code_add(teich[1:, None], twice[xi_times_b]).ravel()
+        units = np.ones(group.order, dtype=bool)
+        units[twice] = False  # the nonunits 2R
+        return UnitTables.from_exp(group, m, n, exp, units)
+
+    @cached_property
+    def _product_matrix(self) -> np.ndarray:
+        """Row i*n + j holds the coefficients of x^(i+j) mod the modulus."""
+        n = self.n
+        return np.array(
+            [self.element((0,) * (i + j) + (1,)) for i in range(n) for j in range(n)],
+            dtype=np.int64,
+        )
+
+    def mul_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Additive codes of the products of two code arrays, elementwise.
+
+        Schoolbook multiplication in Z_4[x]/(g) on digit arrays: the n^2
+        digit products, summed through the reduced powers x^(i+j).  It reads
+        neither log nor exp table, so it can check them.
+        """
+        n = self.n
+        # an additive code has coefficient j in base-4 digit n-1-j
+        shifts = 2 * np.arange(n - 1, -1, -1)
+        x = (np.asarray(a, dtype=np.int64)[:, None] >> shifts) & 3
+        y = (np.asarray(b, dtype=np.int64)[:, None] >> shifts) & 3
+        terms = (x[:, :, None] * y[:, None, :]).reshape(-1, n * n)
+        digits = (terms @ self._product_matrix) & 3
+        return (digits << shifts).sum(axis=1)
 
 
 # -- GF(2)-linear helpers on the residue field ---------------------------------
 
 
-def gf2_basis(vectors: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Gaussian elimination over GF(2) with deterministic pivoting.
+def gf2_coordinates(vectors: Iterable[int], n: int) -> Tuple[List[int], np.ndarray]:
+    """A GF(2) basis of the span of residue-field vectors, and coordinates in it.
 
-    Vectors are processed in ascending encoded order (constant term least
-    significant); the returned basis is the list of pivot vectors in
-    insertion order.
+    Vectors are Z_2^n codes (so xor adds them).  They are taken in ascending
+    polynomial order, the constant term least significant, and each one
+    outside the span of those kept so far is kept.  Returns the basis and an
+    array over Z_2^n holding each vector's coordinates as a Z_2^s code (the
+    first basis vector most significant), or -1 outside the span.
     """
-    basis: List[Tuple[int, ...]] = []
-    echelon: List[Tuple[int, ...]] = []
-    pivots: List[int] = []
-    for v in sorted({tuple(v) for v in vectors}, key=lambda t: tuple(reversed(t))):
-        w = list(v)
-        for evec, piv in zip(echelon, pivots):
-            if w[piv]:
-                w = [(a + b) % 2 for a, b in zip(w, evec)]
-        nz = next((i for i, c in enumerate(w) if c), None)
-        if nz is not None:
+    poly = FiniteAbelianGroup((2,) * n).decode(np.arange(1 << n)) @ (1 << np.arange(n))
+    of_poly = np.empty(1 << n, dtype=np.int64)
+    of_poly[poly] = np.arange(1 << n)
+    present = np.zeros(1 << n, dtype=bool)
+    present[poly[np.asarray(list(vectors), dtype=np.int64)]] = True
+    in_span = np.zeros(1 << n, dtype=bool)
+    in_span[0] = True
+    span = np.zeros(1, dtype=np.int64)
+    basis: List[int] = []
+    for v in of_poly[np.flatnonzero(present)].tolist():
+        if not in_span[v]:
             basis.append(v)
-            echelon.append(tuple(w))
-            pivots.append(nz)
-    return basis
+            span = np.concatenate([span, span ^ v])
+            in_span[span] = True
+    span = np.zeros(1, dtype=np.int64)
+    for v in reversed(basis):
+        span = np.concatenate([span, span ^ v])
+    coords = np.full(1 << n, -1, dtype=np.int64)
+    coords[span] = np.arange(span.size)
+    return basis, coords
 
 
-def gf2_span_coords(
-    basis: Sequence[Tuple[int, ...]], dim: int
-) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
-    """Map every vector of GF(2)^dim in the span of an ordered basis to its coordinates."""
-    span: Dict[Tuple[int, ...], Tuple[int, ...]] = {(0,) * dim: (0,) * len(basis)}
-    for k, b in enumerate(basis):
-        for vec, coords in list(span.items()):
-            new = tuple((a + c) % 2 for a, c in zip(vec, b))
-            span[new] = coords[:k] + (1,) + coords[k + 1 :]
-    return span
+def unit_subgroup_split(ring: RingCtx, logs: np.ndarray) -> Tuple[int, List[int], np.ndarray]:
+    """The structure of a unit subgroup N, given by its log codes.
+
+    N <= Z_m x Z_2^n with m odd, so N = g0*Z_m x V: g0 is the gcd of m and
+    the odd parts, and V is spanned by the 2-parts of N's principal units.
+    Returns g0 and the ``gf2_coordinates`` basis of V with its coordinates.
+    """
+    n = ring.n
+    odd, two = logs >> n, logs & (2**n - 1)
+    g0 = math.gcd(ring.unit_tables.m, *set(odd.tolist()))
+    basis, coords = gf2_coordinates(two[odd == 0].tolist(), n)
+    return g0, basis, coords
 
 
 def unit_group_iso(ring: RingCtx, subgroup: Iterable[Element]) -> GroupIso:
     """Map a unit subgroup N of GR(4,n) onto its invariant-factor model Z_d x Z_2^s.
 
-    GR(4,n)^* = T_n^* x (1+2R), so a unit xi^i(1+2b) from ``unit_decompose``
+    A unit xi^i(1+2b) has log code (i, bbar) in ``ring.unit_tables``, so it
     splits into an odd part and a 2-part.  The odd part reads i off the
-    exponent lattice of N; the 2-part takes the coordinates of residue(b) in
-    the ``gf2_basis`` of the residues of N's principal units.  The full unit
-    group is ``unit_group_iso(ring, ring.units())``, onto Z_{2^n-1} x Z_2^n
-    (n >= 2) in the polynomial basis 1, xbar, ..., xbar^(n-1).  Trivial
+    exponent lattice of N; the 2-part takes the coordinates of bbar in the
+    ``gf2_coordinates`` basis of the residues of N's principal units.  The
+    full unit group is ``unit_group_iso(ring, ring.units())``, onto
+    Z_{2^n-1} x Z_2^n (n >= 2) in the polynomial basis 1, xbar, ...,
+    xbar^(n-1), where each image code is the unit's log code.  Trivial
     factors are dropped.  The table passes ``GroupIso.verify`` before it is
-    returned.
+    returned; the check multiplies with ``RingCtx.mul_codes``, never with
+    the tables it checks.
     """
-    m = 2**ring.n - 1
-    decomps = {x: ring.unit_decompose(x) for x in subgroup}
-    g0 = math.gcd(m, *(d.a0_exponent for d in decomps.values()))
+    tables = ring.unit_tables
+    group, n, m = tables.additive, ring.n, tables.m
+    members = sorted(frozenset(subgroup))  # element order is code order
+    codes = group.encode(members)
+    logs = tables.log[codes].astype(np.int64)
+    if (logs < 0).any():
+        raise ZeroDivisionError(f"{members[int(np.argmax(logs < 0))]} is not a unit")
+    g0, basis, coords = unit_subgroup_split(ring, logs)
+    odd, two = logs >> n, logs & (2**n - 1)
     d_order = m // g0
-    basis = gf2_basis(
-        [ring.residue_of(dec.a1) for dec in decomps.values() if dec.a0_exponent == 0]
+    two_coords = coords[two]
+    if (two_coords < 0).any():
+        x = members[int(np.argmax(two_coords < 0))]
+        raise ValueError(f"not a subgroup: the 2-part of {x} is not a principal unit of it")
+    moduli = ([d_order] if d_order > 1 else []) + [2] * len(basis)
+    codomain = FiniteAbelianGroup(moduli or [1])
+    images = (odd // g0 % d_order << len(basis)) + two_coords
+    iso = GroupIso.from_codes(
+        codomain,
+        group,
+        members,
+        images,
+        mul=ring.mul_codes,
+        one=group.index(ring.one),
+        domain=f"unit subgroup of GR(4,{n})",
     )
-    span = gf2_span_coords(basis, ring.n)
-    moduli: List[int] = []
-    if d_order > 1:
-        moduli.append(d_order)
-    moduli.extend([2] * len(basis))
-    if not moduli:
-        moduli = [1]
-    codomain = FiniteAbelianGroup(moduli)
-    forward: Dict[Element, Element] = {}
-    for x, dec in decomps.items():
-        coords: Tuple[int, ...] = ()
-        if d_order > 1:
-            coords += (dec.a0_exponent // g0 % d_order,)
-        coords += span[ring.residue_of(dec.a1)]
-        if not coords:
-            coords = (0,)
-        forward[x] = coords
-    domain = f"unit subgroup of GR(4,{ring.n})"
-    iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain=domain)
     iso.verify()
     return iso

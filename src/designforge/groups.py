@@ -26,6 +26,88 @@ MAX_GROUP_ORDER = 1 << 24
 INT32_CODE_ORDER = 1 << 30
 
 
+def closure_table(
+    count: int,
+    identity: int,
+    op: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    name: Callable[[int], object] = int,
+) -> Tuple[List[int], np.ndarray]:
+    """Generators of a finite set S, held by position 0..count-1, and its
+    product table under them.
+
+    ``op`` multiplies two position arrays elementwise and returns the
+    product's position, or -1 for a product outside S.  Generators are picked
+    greedily in position order.  Each new generator s is absorbed by
+    doubling: the reached set is multiplied by s, s^2, s^4, ... until it
+    stops growing, so a cyclic S of order k costs log k array rounds rather
+    than k.  Then every element of S meets every generator once:
+    ``table[x, j]`` is the position of x * gens[j].  A product outside S
+    raises ValueError naming the witness pair (a, g) through ``name``, so a
+    returned table proves that S is a subgroup: S holds the identity, is
+    reached from it by products of generators, and is closed under each of
+    them.
+    """
+    if identity < 0:
+        raise ValueError("not a subgroup: the identity is missing")
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c = op(a, b)
+        outside = np.flatnonzero(c < 0)
+        if outside.size:
+            j = outside[0]
+            raise ValueError(
+                f"not a subgroup: {name(int(a[j]))!r} times {name(int(b[j]))!r} leaves the set"
+            )
+        return c
+
+    one = np.array([identity])
+    # in a group the identity is the only idempotent
+    if op(one, one)[0] != identity:
+        raise ValueError(f"not a subgroup: {name(identity)!r} is not the identity")
+    reached = np.zeros(count, dtype=bool)
+    reached[identity] = True
+    gens: List[int] = []
+    while not reached.all():
+        s = int(np.argmin(reached))
+        gens.append(s)
+        reached[s] = True  # so every round makes progress, whatever op does
+        power = np.array([s])
+        while True:
+            members = np.flatnonzero(reached)
+            new = product(members, np.repeat(power, members.size))
+            new = new[~reached[new]]
+            if not new.size:
+                break
+            reached[new] = True
+            power = product(power, power)
+    every = np.arange(count)
+    table = np.empty((count, len(gens)), dtype=np.int64)
+    for j, g in enumerate(gens):
+        table[:, j] = op(every, np.full(count, g))
+    outside = np.argwhere(table < 0)  # row-major: the first element, then its generator
+    if outside.size:
+        x, j = outside[0]
+        raise ValueError(
+            f"not a subgroup: {name(int(x))!r} times {name(gens[j])!r} leaves the set"
+        )
+    return gens, table
+
+
+def _position_op(
+    members: Sequence[Hashable], op: Callable[[Hashable, Hashable], Hashable]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``op`` on the elements of ``members``, lifted to arrays of their positions."""
+    position = {x: p for p, x in enumerate(members)}
+
+    def lifted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.array(
+            [position.get(op(members[i], members[j]), -1) for i, j in zip(a.tolist(), b.tolist())],
+            dtype=np.int64,
+        )
+
+    return lifted
+
+
 def closure_generators(
     elements: Iterable[Hashable],
     identity: Hashable,
@@ -33,37 +115,17 @@ def closure_generators(
 ) -> List[Hashable]:
     """Generators of the finite set S, picked greedily from ``sorted(S)``.
 
-    BFS from ``identity`` multiplies each reached element by each generator
-    once, O(|S| log |S|) calls of the group operation ``op``.  A product
-    outside S raises ValueError naming the witness pair (a, g), so a returned
-    list proves that S is a subgroup.
+    ``closure_table`` on the sorted elements: O(|S| log |S|) calls of the
+    group operation ``op``.  A product outside S raises ValueError naming the
+    witness pair (a, g), so a returned list proves that S is a subgroup.
     """
-    members = frozenset(elements)
+    members = sorted(frozenset(elements))
     if identity not in members:
         raise ValueError(f"not a subgroup: the identity {identity!r} is missing")
-    # in a group the identity is the only idempotent
-    if op(identity, identity) != identity:
-        raise ValueError(f"not a subgroup: {identity!r} is not the identity")
-    reached = {identity}
-    gens: List[Hashable] = []
-    for s in sorted(members):
-        if s in reached:
-            continue
-        gens.append(s)
-        # old elements meet only the new generator; new ones meet them all
-        frontier, by = list(reached), [s]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in by:
-                    c = op(a, g)
-                    if c not in members:
-                        raise ValueError(f"not a subgroup: {a!r} times {g!r} leaves the set")
-                    if c not in reached:
-                        reached.add(c)
-                        nxt.append(c)
-            frontier, by = nxt, gens
-    return gens
+    gens, _ = closure_table(
+        len(members), members.index(identity), _position_op(members, op), members.__getitem__
+    )
+    return [members[g] for g in gens]
 
 
 # -- parsed JSON, checked field by field ---------------------------------------
@@ -217,6 +279,12 @@ class FiniteAbelianGroup:
             raise ValueError(f"elements of shape {arr.shape} do not live in {self}")
         codes = (arr % np.array(self.moduli)) @ np.array(self.weights, dtype=np.int64)
         return codes.astype(self.code_dtype)
+
+    def code_set(self, elements: Iterable[Element]) -> np.ndarray:
+        """Sorted distinct codes of some elements."""
+        present = np.zeros(self.order, dtype=bool)
+        present[self.encode(list(elements))] = True
+        return np.flatnonzero(present).astype(self.code_dtype)
 
     def decode(self, codes: object) -> np.ndarray:
         """Elements of an array of codes, one row of residues per code."""
@@ -372,10 +440,14 @@ def random_rep_choice(rng: random.Random) -> Callable[[frozenset], Element]:
 class GroupIso:
     """Tabulated isomorphism from a multiplicative domain onto an abelian group.
 
-    The domain is given extensionally as a ``forward`` table keyed by whatever
-    hashable representation the domain uses (field or ring elements here),
-    with its multiplication ``mul`` and identity ``one``.  ``verify`` is a
-    complete check at every size, linear in the domain times its rank.
+    The table is held by position: the domain's elements in a fixed order,
+    the codomain code of each one's image, and the domain's multiplication
+    lifted to position arrays.  The plain constructor takes the table as a
+    dict keyed by any hashable, sortable representation with a pairwise
+    ``mul``; ``from_codes`` takes a domain held as mixed-radix codes with a
+    batched multiplication, and decodes ``forward`` only when it is read.
+    ``verify`` is one complete check for both, at every size, linear in the
+    domain times its rank.
     """
 
     def __init__(
@@ -388,10 +460,56 @@ class GroupIso:
         domain: str = "",
     ) -> None:
         self.codomain = codomain
-        self.forward = dict(forward)
         self.domain = domain
-        self.mul = mul
         self.one = one
+        self._forward: Optional[Dict[Hashable, Element]] = dict(forward)
+        keys = sorted(self._forward)
+        self._name: Callable[[int], object] = keys.__getitem__
+        self._op = _position_op(keys, mul)
+        self._one = keys.index(one) if one in self._forward else -1
+        self._images: Optional[np.ndarray] = None  # encoded by verify, after its range check
+        self._keys: Sequence[Hashable] = keys
+
+    @classmethod
+    def from_codes(
+        cls,
+        codomain: FiniteAbelianGroup,
+        elements: FiniteAbelianGroup,
+        members: Sequence[Element],
+        images: np.ndarray,
+        *,
+        mul: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        one: int,
+        domain: str = "",
+    ) -> "GroupIso":
+        """The table ``members[p] -> images[p]`` for distinct elements of
+        ``elements`` in element (so code) order onto codes in ``codomain``,
+        where ``mul`` multiplies two code arrays elementwise and ``one`` is
+        the identity's code."""
+        keys = elements.encode(members)
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError(f"domain of {domain} is not in element order")
+        iso = cls.__new__(cls)
+        iso.codomain = codomain
+        iso.domain = domain
+        iso.one = elements.element(one)
+        iso._forward = None
+        iso._keys = members
+        iso._images = np.asarray(images, dtype=np.int64)
+        lookup = np.full(elements.order, -1, dtype=np.int64)
+        lookup[keys] = np.arange(keys.size)
+        iso._name = members.__getitem__
+        iso._op = lambda a, b: lookup[mul(keys[a], keys[b])]
+        iso._one = int(lookup[one])
+        return iso
+
+    @property
+    def forward(self) -> Dict[Hashable, Element]:
+        """The table as a dict from domain elements to codomain tuples."""
+        if self._forward is None:
+            images = map(tuple, self.codomain.decode(self._images).tolist())
+            self._forward = dict(zip(self._keys, images))
+        return self._forward
 
     def __call__(self, x: Hashable) -> Element:
         try:
@@ -402,26 +520,40 @@ class GroupIso:
     def map_set(self, xs: Iterable[Hashable]) -> frozenset:
         return frozenset(self(x) for x in xs)
 
+    def _image_codes(self) -> np.ndarray:
+        if self._images is None:  # a dict table: check its tuples before encoding them
+            images = [self._forward[k] for k in self._keys]
+            for img in images:
+                if not self.codomain.contains(img):
+                    raise ValueError(f"image {img} outside {self.codomain}")
+            self._images = self.codomain.encode(images).astype(np.int64)
+        outside = self._images[(self._images < 0) | (self._images >= self.codomain.order)]
+        if outside.size:
+            raise ValueError(f"image code {int(outside[0])} outside {self.codomain}")
+        return self._images
+
     def verify(self) -> None:
-        """Check injectivity, closure, and f(xg) = f(x) + f(g) for all x and
-        each generator g; by induction over words this is the full law."""
-        images = set(self.forward.values())
-        if len(images) != len(self.forward):
+        """Check the images, injectivity, and f(xg) = f(x) + f(g) for all x
+        and each generator g of the domain; by induction over words this is
+        the full law.  Products come from the domain's own multiplication,
+        never from the table under test."""
+        images = self._image_codes()
+        if images.size and np.bincount(images).max() > 1:
             raise ValueError(f"isomorphism table for {self.domain} is not injective")
-        for img in images:
-            if not self.codomain.contains(img):
-                raise ValueError(f"image {img} outside {self.codomain}")
-        if self.forward.get(self.one) != self.codomain.zero():
+        if self._one < 0 or images[self._one] != 0:
             raise ValueError(f"identity {self.one!r} does not map to zero")
         try:
-            gens = closure_generators(self.forward, self.one, self.mul)
+            gens, table = closure_table(images.size, self._one, self._op, self._name)
         except ValueError as exc:
             raise ValueError(f"domain of {self.domain}: {exc}") from None
-        for x, fx in self.forward.items():
-            for g in gens:
-                lhs = self.forward[self.mul(x, g)]
-                rhs = self.codomain.add(fx, self.forward[g])
-                if lhs != rhs:
-                    raise ValueError(
-                        f"not a homomorphism at ({x!r}, {g!r}): {lhs} != {rhs}"
-                    )
+        lhs = images[table]
+        rhs = self.codomain.code_add(images[:, None], images[gens][None, :])
+        bad = np.argwhere(lhs != rhs)  # row-major: the first element, then its generator
+        if bad.size:
+            x, j = bad[0]
+            got = self.codomain.element(int(lhs[x, j]))
+            want = self.codomain.element(int(rhs[x, j]))
+            raise ValueError(
+                f"not a homomorphism at ({self._name(int(x))!r}, {self._name(gens[j])!r}): "
+                f"{got} != {want}"
+            )

@@ -8,8 +8,8 @@ the independent verifier before it leaves this module.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -244,29 +244,61 @@ class _CodeTables:
 _Options = Callable[[], Iterator[FrozenSet[int]]]
 
 
-def _mirrored_options(cs: List[int], neg: List[int], per_coset: int) -> Iterator[FrozenSet[int]]:
-    """A per_coset-subset of a coset together with its negation in the partner coset."""
-    for sub in itertools.combinations(cs, per_coset):
-        yield frozenset(sub) | frozenset(neg[x] for x in sub)
+class _MirroredOptions:
+    """The options for one negation pair of outside cosets: a
+    per_coset-subset of the first coset together with its negation in the
+    partner coset, in ``itertools.combinations`` order.  Calling it makes a
+    fresh iterator over them, so no option is built before it is reached."""
+
+    __slots__ = ("cs", "neg", "per_coset")
+
+    def __init__(self, cs: List[int], neg: List[int], per_coset: int) -> None:
+        self.cs = cs
+        self.neg = neg
+        self.per_coset = per_coset
+
+    def __call__(self) -> Iterator[FrozenSet[int]]:
+        return map(self._mirror, itertools.combinations(self.cs, self.per_coset))
+
+    def draw(self, rng: random.Random) -> FrozenSet[int]:
+        """The option ``rng.choice(list(self()))`` would draw, without the list:
+        ``rng.randrange(k)`` makes the same draw as ``rng.choice`` over k
+        items, and the index is unranked into combinations order."""
+        rank = rng.randrange(math.comb(len(self.cs), self.per_coset))
+        return self._mirror(_unrank_combination(self.cs, self.per_coset, rank))
+
+    def _mirror(self, sub: Sequence[int]) -> FrozenSet[int]:
+        return frozenset(sub) | frozenset(self.neg[x] for x in sub)
 
 
-def _first_block_choices(tables: _CodeTables) -> List[_Options]:
+def _unrank_combination(items: Sequence[int], r: int, rank: int) -> List[int]:
+    """The ``rank``-th r-subset of ``items`` in ``itertools.combinations`` order."""
+    out: List[int] = []
+    start = 0
+    for left in range(r, 0, -1):
+        # skip past the subsets whose next item is items[start]
+        while rank >= (skipped := math.comb(len(items) - start - 1, left - 1)):
+            rank -= skipped
+            start += 1
+        out.append(items[start])
+        start += 1
+    return out
+
+
+def _first_block_choices(tables: _CodeTables) -> List[_MirroredOptions]:
     """Per negation pair of outside cosets, the options for a symmetric, balanced block.
 
-    An option is an m/4-subset of the pair's first coset mirrored into its
-    partner.  No outside coset is its own partner: G/N has odd order m - 1,
-    so x + N = -x + N forces 2x in N and then x in N.  Each entry makes a
-    fresh iterator over its options, in ``itertools.combinations`` order, so
-    no option is built before it is reached.
+    No outside coset is its own partner: G/N has odd order m - 1, so
+    x + N = -x + N forces 2x in N and then x in N.
     """
     neg, per_coset = tables.neg, tables.per_coset
     partners: Set[int] = set()  # least codes of the partner cosets already covered
-    choice_groups: List[_Options] = []
+    choice_groups: List[_MirroredOptions] = []
     for cs in tables.outside:
         if cs[0] in partners:
             continue
         partners.add(min(neg[x] for x in cs))
-        choice_groups.append(functools.partial(_mirrored_options, cs, neg, per_coset))
+        choice_groups.append(_MirroredOptions(cs, neg, per_coset))
     return choice_groups
 
 
@@ -412,11 +444,11 @@ def _randomized_search(
         counts = tables.pair_counts(d1, d2)
         return sum((c - t) ** 2 for c, t in zip(counts, targets))
 
-    choice_groups = [list(options()) for options in _first_block_choices(tables)]
+    choice_groups = _first_block_choices(tables)
 
     def random_d1() -> FrozenSet[int]:
         return frozenset(
-            itertools.chain.from_iterable(rng.choice(options) for options in choice_groups)
+            itertools.chain.from_iterable(options.draw(rng) for options in choice_groups)
         )
 
     def random_d2() -> FrozenSet[int]:

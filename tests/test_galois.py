@@ -4,11 +4,11 @@ from designforge.constructions import galois_ring_data
 from designforge.galois import (
     MAX_RING_DEGREE,
     RingCtx,
-    gf2_basis,
-    gf2_span_coords,
+    gf2_coordinates,
     graeffe_lift,
     unit_group_iso,
 )
+from designforge.groups import FiniteAbelianGroup
 
 # ---------------------------------------------------------------------------
 # modulus lifting
@@ -208,12 +208,12 @@ def test_unit_group_iso_codomains_of_subgroups():
 
 
 def test_gf2_helpers():
-    basis = gf2_basis([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    z2 = FiniteAbelianGroup((2, 2, 2))
+    basis, coords = gf2_coordinates([z2.index(v) for v in [(1, 1, 0), (0, 1, 1), (1, 0, 1)]], 3)
     assert len(basis) == 2  # the three vectors only span a plane
-    span = gf2_span_coords(basis, 3)
-    assert len(span) == 4
-    assert span[(1, 1, 0)] in {(1, 0), (0, 1), (1, 1)}
-    assert (1, 1, 1) not in span
+    assert (coords >= 0).sum() == 4
+    assert coords[z2.index((1, 1, 0))] in {1, 2, 3}
+    assert coords[z2.index((1, 1, 1))] == -1
 
 
 def test_format_and_parse():

@@ -218,6 +218,57 @@ def test_first_block_options_are_not_built_ahead_of_the_budget(tmp_path):
     assert peaks[1] - peaks[0] < 10 * 1024, peaks
 
 
+def test_randomized_first_blocks_are_drawn_without_building_the_options(tmp_path):
+    # the same cyclic specs in randomized mode: each restart draws one option
+    # per pair of cosets by unranking, so no option list is ever built
+    script = _PEAK_RSS.replace('"mode": "exhaustive"', '"mode": "randomized"')
+    assert script != _PEAK_RSS
+    peaks = []
+    for m in (24, 32):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(m), str(tmp_path / f"spec{m}.json")],
+            capture_output=True, text=True, check=True,
+        )
+        peaks.append(int(proc.stderr.split()[-1]))  # KiB on Linux
+    assert peaks[1] - peaks[0] < 10 * 1024, peaks
+
+
+def test_unranked_combinations_follow_itertools_order():
+    for n in range(7):
+        items = [10 * i + 3 for i in range(n)]
+        for r in range(n + 1):
+            want = [list(c) for c in itertools.combinations(items, r)]
+            got = [search._unrank_combination(items, r, k) for k in range(len(want))]
+            assert got == want, (n, r)
+
+
+def _draw_from_the_list(options, rng):
+    """The former draw: every option built, then ``rng.choice``."""
+    return rng.choice(list(options()))
+
+
+def test_randomized_trajectories_match_the_list_draw(monkeypatch):
+    # seeds 0..9 at m=8 over Z_7 x Z_2^2: the same certificates after the same
+    # node counts as when every option list was built and drawn from
+    g = FiniteAbelianGroup((7, 2, 2))
+    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+
+    def trajectories():
+        out = []
+        for seed in range(10):
+            spec = SearchSpec(
+                group=g, forbidden=n, m=8, mode="randomized", seed=seed,
+                budget=SearchBudget(max_nodes=3000),
+            )
+            out.append([(c.nodes, c.family.canonical_blocks()) for c in search_ddf(spec)])
+        return out
+
+    unranked = trajectories()
+    monkeypatch.setattr(search._MirroredOptions, "draw", _draw_from_the_list)
+    assert trajectories() == unranked
+    assert sum(map(len, unranked)) > 0
+
+
 def test_rediscovers_galois_ring_family():
     # the n=2 unit-subgroup family lives in Z_3 x Z_2 with m = 4
     res = galois_ring_ddf(RingCtx(2))
