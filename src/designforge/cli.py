@@ -8,6 +8,7 @@ runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,6 @@ POLY_TABLE_ENV = "DESIGNFORGE_POLY_TABLE"
 class RunConfig:
     poly_table_path: Optional[str] = None
     fmt: str = "json"
-    seed: int = 0
     budget: Optional[int] = None
     out: Optional[str] = None
 
@@ -188,7 +188,10 @@ def _cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: a parser sits in reference cycles, so one per call would
+    leave garbage for the cyclic collector after every call."""
     parser = argparse.ArgumentParser(
         prog="designforge",
         description=(

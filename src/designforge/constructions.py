@@ -706,37 +706,37 @@ def block_symmetry_report(result: GaloisRingDDF) -> BlockSymmetryReport:
 
     (i) the first block is closed under negation, (ii) the second block never
     contains a point and its negative, (iii) both blocks miss the forbidden
-    coset and meet every other coset of it in exactly 2^(n-2) points.
+    coset and meet every other coset of it in exactly 2^(n-2) points.  The
+    forbidden subgroup is 0 x Z_2^n in Z_{2^n-1} x Z_2^n, so its cosets, in
+    least-member order, are the first coordinates j; ``coset_counts[j]`` is
+    read off one bincount of its coset index per block.
     """
     if result.data.subgroup != result.data.D:
         raise ValueError("symmetry report is defined for the N = D family")
     family = result.family
     group = family.ambient
     n = result.data.ring.n
-    m = 2**n - 1
-    d1 = family.blocks[0].elements
-    d2 = family.blocks[1].elements
-    neg = group.neg
-    d1_closed = all(neg(a) in d1 for a in d1)
-    d2_free = all(neg(a) not in d2 for a in d2)
+    d1, d2 = (block.codes for block in family.blocks)
+    d1_closed = bool(group.negatives_in(d1).all())
+    d2_free = not group.negatives_in(d2).any()
+    index = family.forbidden.coset_index()
+    n_cosets = group.order // family.forbidden.order
+    counts = [np.bincount(index[d], minlength=n_cosets).tolist() for d in (d1, d2)]
+    coset_counts = dict(enumerate(zip(*counts)))
     expected = 2 ** (n - 2)
-    coset_counts: Dict[int, Tuple[int, int]] = {}
     witness = None
     if not d1_closed:
         witness = "negation escapes the first block"
     elif not d2_free:
         witness = "negation collides inside the second block"
-    for j in range(m):
-        coset = {e for e in group.elements() if e[0] == j}
-        c1 = len(d1 & coset)
-        c2 = len(d2 & coset)
-        coset_counts[j] = (c1, c2)
-        want = 0 if j == 0 else expected
-        if (c1, c2) != (want, want) and witness is None:
-            witness = f"coset {j} meets the blocks {c1}/{c2} times, expected {want}"
-    ok = witness is None
+    else:
+        for j, (c1, c2) in coset_counts.items():
+            want = 0 if j == 0 else expected
+            if (c1, c2) != (want, want):
+                witness = f"coset {j} meets the blocks {c1}/{c2} times, expected {want}"
+                break
     return BlockSymmetryReport(
-        ok=ok,
+        ok=witness is None,
         d1_negation_closed=d1_closed,
         d2_negation_free=d2_free,
         coset_counts=coset_counts,

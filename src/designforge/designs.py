@@ -7,6 +7,7 @@ stay independent of it: no character sums, no shortcuts.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -51,13 +52,16 @@ class Block:
     def sorted_elements(self) -> List[Element]:
         return sorted(self.elements)
 
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """The elements' mixed-radix codes in element order, so sorted; read-only."""
+        codes = self.ambient.encode(self.sorted_elements())
+        codes.flags.writeable = False
+        return codes
+
     def translate(self, t: Element) -> "Block":
         add = self.ambient.add
         return Block(self.ambient, frozenset(add(x, t) for x in self.elements))
-
-    def negate(self) -> "Block":
-        neg = self.ambient.neg
-        return Block(self.ambient, frozenset(neg(x) for x in self.elements))
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ def difference_totals(family: DifferenceFamily) -> np.ndarray:
     for block in family.blocks:
         if block.size < 2:
             continue
-        codes = group.encode(list(block.elements))
+        codes = block.codes
         for start in range(0, block.size, _ORACLE_ROWS):
             rows = codes[start : start + _ORACLE_ROWS]
             counts = np.bincount(group.code_sub(rows[:, None], codes[None, :]).ravel())
@@ -235,7 +239,7 @@ def verify(family: DifferenceFamily) -> VerificationReport:
     # codes 1..v-1 in order are the nonzero elements in element order
     counts = totals[1:]
     in_n = np.zeros(group.order, dtype=bool)
-    in_n[group.encode(list(forbidden.elements))] = True
+    in_n[forbidden.codes] = True
     in_n = in_n[1:]
     out_n = ~in_n
     lam_at, mu_at = _first(in_n), _first(out_n)

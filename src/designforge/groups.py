@@ -11,7 +11,6 @@ between the two forms.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -299,6 +298,13 @@ class FiniteAbelianGroup:
         """Codes of x + y for code arrays x and y, broadcast together."""
         return self._code_combine(x, y, np.add)
 
+    def negatives_in(self, codes: np.ndarray) -> np.ndarray:
+        """For each of the sorted distinct ``codes``, whether its negative is
+        among them too: all True for a negation-closed set, all False for a
+        skew one."""
+        neg = self.code_sub(0, codes)
+        return codes[np.searchsorted(codes, neg) % max(codes.size, 1)] == neg
+
     def _code_combine(self, x: object, y: object, op: Callable) -> np.ndarray:
         # one coordinate at a time: the digits come from the (small) inputs,
         # and the broadcast result holds codes only, at the inputs' dtype
@@ -335,15 +341,23 @@ class FiniteAbelianGroup:
 
 
 class Subgroup:
-    """A verified subgroup: contains zero, closed under addition (so under negation)."""
+    """A verified subgroup: contains zero, closed under addition (so under negation).
 
-    __slots__ = ("parent", "elements")
+    ``elements`` is the boundary form and ``codes`` the sorted mixed-radix
+    codes; ``coset_index`` is the one place cosets are computed.
+    """
+
+    __slots__ = ("parent", "elements", "codes", "_generators", "_coset_index")
 
     def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[Element]) -> None:
         elems = frozenset(parent.reduce(e) for e in elements)
-        closure_generators(elems, parent.zero(), parent.add)
+        gens = closure_generators(elems, parent.zero(), parent.add)
         self.parent = parent
         self.elements = elems
+        self.codes = parent.encode(sorted(elems))  # code order is element order
+        self.codes.flags.writeable = False
+        self._generators = parent.encode(gens).tolist()
+        self._coset_index: Optional[np.ndarray] = None
 
     @classmethod
     def trivial(cls, parent: FiniteAbelianGroup) -> "Subgroup":
@@ -360,14 +374,42 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
 
+    def coset_index(self) -> np.ndarray:
+        """The coset number of every code of the parent, read-only, built on
+        first use (neither loading nor verifying a family builds it).
+
+        Cosets are numbered by their least member in code (so element) order,
+        so the subgroup itself is coset 0.  ``least[x]``, the least member of
+        x's coset, comes from doubling along each generator g: a round takes
+        the minimum over x + j*g for j below a span that then doubles, until
+        a round changes nothing, which first happens once the span covers
+        the cycle of g.  A round is two gathers over G, and there are about
+        log|N| rounds.
+        """
+        if self._coset_index is None:
+            group = self.parent
+            every = np.arange(group.order, dtype=group.code_dtype)
+            least = every
+            for g in self._generators:
+                step = group.code_add(every, g)  # step[x] = x + span*g, span = 1 first
+                while True:
+                    shifted = np.minimum(least, least[step])
+                    if np.array_equal(shifted, least):
+                        break
+                    least = shifted
+                    step = step[step]
+            # a coset's number is the rank of its least member among all of them
+            self._coset_index = np.searchsorted(np.flatnonzero(least == every), least)
+            self._coset_index.flags.writeable = False
+        return self._coset_index
+
+    def coset_codes(self) -> np.ndarray:
+        """The codes of each coset, one sorted row per coset in index order."""
+        index = self.coset_index()
+        return np.argsort(index, kind="stable").reshape(-1, self.order)
+
     def __contains__(self, a: Element) -> bool:
         return a in self.elements
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(sorted(self.elements))
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -397,44 +439,20 @@ def subgroup_generated(group: FiniteAbelianGroup, gens: Iterable[Element]) -> Su
     return Subgroup(group, closure)
 
 
-def cosets(
-    group: FiniteAbelianGroup,
-    sub: Subgroup,
-    *,
-    rep_choice: Optional[Callable[[frozenset], Element]] = None,
-) -> List[Tuple[Element, frozenset]]:
-    """Partition of the group into cosets of ``sub``.
+def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> List[Tuple[Element, frozenset]]:
+    """Partition of the group into cosets of ``sub``, decoded from ``sub.coset_index()``.
 
-    Cosets are listed in lexicographic order of their smallest member; the
-    representative is that smallest member unless ``rep_choice`` overrides it.
-    Downstream results must not depend on the representative choice, so
-    tests rerun constructions with randomized choices.
+    One (representative, coset) pair per coset in index order, that is by
+    least member, with the least member as representative; ``sub`` itself
+    comes first with representative zero.
     """
     if sub.parent != group:
         raise ValueError("subgroup does not belong to this group")
-    seen: Dict[Element, None] = {}
     out: List[Tuple[Element, frozenset]] = []
-    for a in group.elements():
-        if a in seen:
-            continue
-        coset = frozenset(group.add(a, n) for n in sub.elements)
-        for x in coset:
-            seen[x] = None
-        rep = rep_choice(coset) if rep_choice is not None else min(coset)
-        if rep not in coset:
-            raise ValueError(f"representative {rep} not inside its coset")
-        out.append((rep, coset))
-    out.sort(key=lambda pair: min(pair[1]))
+    for row in sub.coset_codes():
+        members = [tuple(e) for e in group.decode(row).tolist()]
+        out.append((members[0], frozenset(members)))
     return out
-
-
-def random_rep_choice(rng: random.Random) -> Callable[[frozenset], Element]:
-    """A coset-representative picker drawing uniformly from each coset."""
-
-    def pick(coset: frozenset) -> Element:
-        return rng.choice(sorted(coset))
-
-    return pick
 
 
 class GroupIso:

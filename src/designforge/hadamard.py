@@ -23,7 +23,7 @@ import numpy as np
 from . import designs
 from .constructions import PreconditionError
 from .designs import DifferenceFamily
-from .groups import INT32_CODE_ORDER, Element, FiniteAbelianGroup, Subgroup, cosets
+from .groups import INT32_CODE_ORDER, FiniteAbelianGroup, Subgroup
 
 MAX_FINGERPRINT_ORDER = 128
 # The Hadamard gate's working set is about 9 * order^2 bytes (int8 entries,
@@ -241,8 +241,8 @@ def normalize(M: SignMatrix) -> Tuple[SignMatrix, np.ndarray, np.ndarray]:
 # -- group-indexed incidence machinery ------------------------------------------
 
 
-def _index_tables(group: FiniteAbelianGroup) -> Tuple[List[Element], np.ndarray, np.ndarray, np.ndarray]:
-    """Element list plus int32 code tables of i-j, i+j and -i for the group.
+def _index_tables(group: FiniteAbelianGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int32 code tables of i-j, i+j and -i for the group.
 
     Row and column positions are the elements' mixed-radix codes.  Each
     table is built one coordinate at a time in int32; a group above
@@ -258,12 +258,12 @@ def _index_tables(group: FiniteAbelianGroup) -> Tuple[List[Element], np.ndarray,
     diff = group.code_sub(codes[:, None], codes[None, :])
     sums = group.code_add(codes[:, None], codes[None, :])
     neg = group.code_sub(0, codes)
-    return list(group.elements()), diff, sums, neg
+    return diff, sums, neg
 
 
-def _membership(group: FiniteAbelianGroup, subset) -> np.ndarray:
+def _membership(group: FiniteAbelianGroup, codes: np.ndarray) -> np.ndarray:
     out = np.zeros(group.order, dtype=np.int8)
-    out[group.encode(list(subset))] = 1
+    out[codes] = 1
     return out
 
 
@@ -275,13 +275,6 @@ class SkewHadamardResult:
     matrix: SignMatrix
     skew_block_index: int
     family: DifferenceFamily
-
-
-def _is_skew_set(group: FiniteAbelianGroup, block) -> bool:
-    elems = block if isinstance(block, frozenset) else block.elements
-    if group.zero() in elems:
-        return False
-    return all(group.neg(a) not in elems for a in elems)
 
 
 def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
@@ -310,16 +303,15 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
             f"family has K={list(report.sizes)}, lambda={report.mu}; "
             f"need K=[{m},{m}], lambda={m - 1}"
         )
-    skew_idx = next(
-        (i for i, b in enumerate(family.blocks) if _is_skew_set(group, b)), None
-    )
+    codes = [block.codes for block in family.blocks]
+    skew_idx = next((i for i, c in enumerate(codes) if not group.negatives_in(c).any()), None)
     if skew_idx is None:
         raise PreconditionError("neither block satisfies the skewness condition")
-    S = family.blocks[skew_idx].elements | {group.zero()}
-    T = family.blocks[1 - skew_idx].elements
-    _, diff, sums, _ = _index_tables(group)
-    A = 2 * _membership(group, S)[diff] - 1
-    B = 2 * _membership(group, T)[sums] - 1
+    diff, sums, _ = _index_tables(group)
+    in_S = _membership(group, codes[skew_idx])
+    in_S[0] = 1  # the skew block plus the identity
+    A = 2 * in_S[diff] - 1
+    B = 2 * _membership(group, codes[1 - skew_idx])[sums] - 1
     e = np.ones((v, 1), dtype=np.int8)
     one = np.ones((1, 1), dtype=np.int8)
     M = np.block(
@@ -377,6 +369,10 @@ def check_symmetric_conditions(
     blocks meeting every nonidentity coset of N in exactly m/4 points while
     missing N itself.  Blocks may arrive in either order (serialization
     sorts them); ``block_order`` reports which one plays the type-1 role.
+    When neither block is negation-closed, the witness is the least element
+    of the first block whose negative it misses; a balance failure names
+    the first coset off m/4, by least member, and the first block there.
+    Coset counts are one bincount of ``N.coset_index()`` per block.
     """
     group = family.ambient
     N = family.forbidden
@@ -403,36 +399,25 @@ def check_symmetric_conditions(
             f"frequencies ({report.lam},{report.mu}), need ({lam},{mu})"
         )
 
-    def neg_witness(block) -> Optional[Element]:
-        return next((a for a in block.elements if group.neg(a) not in block.elements), None)
-
+    codes = [block.codes for block in family.blocks]
+    closed = group.negatives_in(codes[0])
     block_order = (0, 1)
-    if neg_witness(family.blocks[0]) is None:
-        block_order = (0, 1)
-    elif neg_witness(family.blocks[1]) is None:
-        block_order = (1, 0)
-    else:
-        failures.append(
-            f"neither block is negation-closed (first fails at "
-            f"{neg_witness(family.blocks[0])})"
-        )
-    for i, block in enumerate(family.blocks):
-        hits = len(block.elements & N.elements)
-        if hits:
-            failures.append(f"block {i} meets N in {hits} points, need 0")
-    for rep, coset in cosets(group, N):
-        if rep in N:
-            continue
-        for i, block in enumerate(family.blocks):
-            got = len(block.elements & coset)
-            if got != m // 4:
-                failures.append(
-                    f"block {i} meets coset of {rep} in {got} points, need {m // 4}"
-                )
-                break
+    if not closed.all():
+        if group.negatives_in(codes[1]).all():
+            block_order = (1, 0)
         else:
-            continue
-        break
+            witness = group.element(int(codes[0][np.argmin(closed)]))
+            failures.append(f"neither block is negation-closed (first fails at {witness})")
+    # points of each block per coset of N, by coset number; N itself is coset 0
+    index = N.coset_index()
+    counts = np.stack([np.bincount(index[c], minlength=group.order // N.order) for c in codes])
+    for i in np.flatnonzero(counts[:, 0]).tolist():
+        failures.append(f"block {i} meets N in {counts[i, 0]} points, need 0")
+    off = np.argwhere(counts[:, 1:].T != m // 4) + (1, 0)  # row-major: first coset, then block
+    if off.size:
+        c, i = off[0].tolist()
+        rep = group.element(int(np.argmax(index == c)))  # the coset's least member
+        failures.append(f"block {i} meets coset of {rep} in {counts[i, c]} points, need {m // 4}")
     return SeedConditionReport(
         not failures, m, failures, report.lam, report.mu, report.sizes, block_order
     )
@@ -449,7 +434,6 @@ class SymmetricParts:
     group: FiniteAbelianGroup
     N: Subgroup
     m: int
-    elements: List[Element]
     H1: np.ndarray
     H2: np.ndarray
     C: np.ndarray  # [i,j] = 1 iff i + j in N
@@ -510,28 +494,24 @@ def build_symmetric_parts(
     first, second = (family.blocks[i] for i in cond.block_order)
     group = family.ambient
     N = family.forbidden
-    elems, diff, sums, neg = _index_tables(group)
-    coset_list = cosets(group, N)
-    assignment = _resolve_assignment(len(coset_list), coset_assignment)
+    diff, sums, neg = _index_tables(group)
     # element positions coincide with their mixed-radix codes, so the code
-    # tables index rows directly
-    coset_of = np.empty(group.order, dtype=np.int64)
-    for ci, (_, cs) in enumerate(coset_list):
-        coset_of[group.encode(list(cs))] = ci
+    # tables and the coset index address rows directly
+    coset_of = N.coset_index()
+    assignment = _resolve_assignment(group.order // N.order, coset_assignment)
     Hp = H_norm.entries[1:, :]  # rows indexed by cosets
     H1 = Hp[np.asarray(assignment, dtype=np.int64)[coset_of]]
     H2 = -H1[neg]
-    in_N = _membership(group, N.elements)
+    in_N = (coset_of == 0).astype(np.int8)
     return SymmetricParts(
         group=group,
         N=N,
         m=m,
-        elements=elems,
         H1=H1,
         H2=H2,
         C=in_N[sums],
-        Ap=2 * _membership(group, first.elements)[diff] - 1,
-        Bp=2 * _membership(group, second.elements)[sums] - 1,
+        Ap=2 * _membership(group, first.codes)[diff] - 1,
+        Bp=2 * _membership(group, second.codes)[sums] - 1,
         n_in=in_N[diff],
         assignment=assignment,
     )
@@ -656,9 +636,9 @@ def hadamard_from_difference_set(family: DifferenceFamily) -> SignMatrix:
     if len(family.blocks) != 1:
         raise PreconditionError("need a single-block family")
     group = family.ambient
-    elems, diff, _, _ = _index_tables(group)
-    A = 2 * _membership(group, family.blocks[0].elements)[diff] - 1
-    M = SignMatrix(A, labels=elems, provenance={"construction": "difference-set"})
+    diff, _, _ = _index_tables(group)
+    A = 2 * _membership(group, family.blocks[0].codes)[diff] - 1
+    M = SignMatrix(A, labels=list(group.elements()), provenance={"construction": "difference-set"})
     if not is_hadamard(M):
         raise AssemblyError("difference set does not give a Hadamard matrix")
     return M

@@ -212,20 +212,12 @@ class _CodeTables:
         self.diff: List[int] = group.code_sub(codes[:, None], codes[None, :]).ravel().tolist()
         self.neg = self.diff[:v]
         _, lam, mu = spec.targets()
-        in_n = group.encode(list(spec.forbidden.elements)).tolist()
         self.targets = [mu] * v
-        for x in in_n:
+        for x in spec.forbidden.codes.tolist():
             self.targets[x] = lam
         self.targets[0] = 0
         self.per_coset = spec.m // 4
-        self.outside: List[List[int]] = []
-        seen = set(in_n)
-        for x in range(v):
-            if x not in seen:
-                # x + n = x - (-n)
-                coset = sorted(self.diff[x * v + self.neg[n]] for n in in_n)
-                seen.update(coset)
-                self.outside.append(coset)
+        self.outside: List[List[int]] = spec.forbidden.coset_codes()[1:].tolist()
 
     def pair_counts(self, *blocks: Iterable[int]) -> List[int]:
         """Difference counts over the ordered pairs of distinct points of each block."""
@@ -516,11 +508,11 @@ def canonical_form(
     if "translation" in symmetries:
         shifts = np.arange(group.order)
     elif "n_multiplication" in symmetries:
-        shifts = group.encode(list(family.forbidden.elements))
+        shifts = family.forbidden.codes
     else:
         shifts = np.zeros(1, dtype=np.int64)
     negations = (False, True) if "negation" in symmetries else (False,)
-    blocks = [group.encode(list(block.elements)) for block in family.blocks]
+    blocks = [block.codes for block in family.blocks]
     best: Optional[Tuple[Tuple[int, ...], ...]] = None
     for neg in negations:
         images = (group.code_sub(0, b) if neg else b for b in blocks)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -266,6 +267,23 @@ def test_streamed_order_4096_output_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20, peak
+
+
+def test_repeated_calls_leave_no_parser_garbage(capsys):
+    # the parser is built once; a fresh one per call would leave its actions
+    # and formatters in reference cycles after every call
+    argv = ["hadamard", "sylvester", "--k", "2"]
+    assert run_cli(argv, capsys)[0] == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli(argv, capsys)[0] == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not leaked, leaked[:5]
 
 
 def test_hadamard_symmetric_needs_input(capsys):

@@ -1,12 +1,12 @@
 """Mixed-radix code paths against the tuple implementations they replace.
 
 The reference functions below are the tuple-based oracle, index tables,
-second-block walk, pair counts and canonical form the library used before
-its hot paths moved to mixed-radix codes.  The hypothesis tests require the
-code paths to give the same counts, verdicts, witnesses, tables, blocks,
-node counts and canonical forms on random groups and blocks; the negative
-controls require both to reject the same perturbed families with the same
-witness.
+coset walk, seed-condition and block-symmetry scans, second-block walk, pair
+counts and canonical form the library used before its hot paths moved to
+mixed-radix codes.  The hypothesis tests require the code paths to give the
+same counts, verdicts, witnesses, tables, cosets, blocks, node counts and
+canonical forms on random groups and blocks; the negative controls require
+both to reject the same perturbed families with the same witness.
 """
 
 import itertools
@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designforge import designs, groups, hadamard, search
-from designforge.constructions import galois_ring_ddf
+from designforge.constructions import block_symmetry_report, galois_ring_ddf
 from designforge.designs import Block, DifferenceFamily, difference_table, verify
 from designforge.galois import RingCtx
 from designforge.groups import FiniteAbelianGroup, Subgroup, cosets, subgroup_generated
+from designforge.hadamard import check_symmetric_conditions
 from designforge.search import SYMMETRY_NAMES, SearchSpec, canonical_form
 
 # ---------------------------------------------------------------------------
@@ -85,9 +86,74 @@ def ref_pair_counts(group, elems):
     return out
 
 
+def ref_cosets(group, sub):
+    """Cosets by a walk over all of G: (least member, coset), by least member."""
+    seen = set()
+    out = []
+    for a in group.elements():
+        if a in seen:
+            continue
+        coset = frozenset(group.add(a, n) for n in sub.elements)
+        seen |= coset
+        out.append((min(coset), coset))
+    out.sort(key=lambda pair: pair[0])
+    return out
+
+
+def ref_symmetric_structure_failures(family, m):
+    """The negation and coset-balance failures of the seed conditions, on
+    tuples; the negation witness is the least element of the first block
+    whose negative is missing."""
+    group, N = family.ambient, family.forbidden
+    blocks = [b.elements for b in family.blocks]
+
+    def escapes(block):
+        return sorted(a for a in block if group.neg(a) not in block)
+
+    failures = []
+    if escapes(blocks[0]) and escapes(blocks[1]):
+        failures.append(
+            f"neither block is negation-closed (first fails at {escapes(blocks[0])[0]})"
+        )
+    for i, block in enumerate(blocks):
+        hits = len(block & N.elements)
+        if hits:
+            failures.append(f"block {i} meets N in {hits} points, need 0")
+    for rep, coset in ref_cosets(group, N)[1:]:
+        bad = [i for i, block in enumerate(blocks) if len(block & coset) != m // 4]
+        if bad:
+            got = len(blocks[bad[0]] & coset)
+            failures.append(f"block {bad[0]} meets coset of {rep} in {got} points, need {m // 4}")
+            break
+    return failures
+
+
+def ref_block_symmetry(result):
+    """(ok, closed, free, coset_counts, witness) by a first-coordinate scan of G per coset."""
+    group = result.family.ambient
+    n = result.data.ring.n
+    d1, d2 = (b.elements for b in result.family.blocks)
+    d1_closed = all(group.neg(a) in d1 for a in d1)
+    d2_free = all(group.neg(a) not in d2 for a in d2)
+    witness = None
+    if not d1_closed:
+        witness = "negation escapes the first block"
+    elif not d2_free:
+        witness = "negation collides inside the second block"
+    coset_counts = {}
+    for j in range(2**n - 1):
+        coset = {e for e in group.elements() if e[0] == j}
+        c1, c2 = len(d1 & coset), len(d2 & coset)
+        coset_counts[j] = (c1, c2)
+        want = 0 if j == 0 else 2 ** (n - 2)
+        if (c1, c2) != (want, want) and witness is None:
+            witness = f"coset {j} meets the blocks {c1}/{c2} times, expected {want}"
+    return witness is None, d1_closed, d2_free, coset_counts, witness
+
+
 def ref_coset_structure(spec):
     group = spec.group
-    outside = [cs for _, cs in cosets(group, spec.forbidden) if min(cs) not in spec.forbidden]
+    outside = [cs for _, cs in ref_cosets(group, spec.forbidden)[1:]]
     neg_of = {cs: frozenset(group.neg(x) for x in cs) for cs in outside}
     return outside, neg_of
 
@@ -328,14 +394,13 @@ def test_oracle_negative_controls_match_reference():
 @given(moduli_lists)
 def test_index_tables_match_reference(moduli):
     g = FiniteAbelianGroup(moduli)
-    elems, diff, sums, neg = hadamard._index_tables(g)
-    r_elems, r_diff, r_sums, r_neg = ref_index_tables(g)
-    assert elems == r_elems
+    diff, sums, neg = hadamard._index_tables(g)
+    elems, r_diff, r_sums, r_neg = ref_index_tables(g)
     for new, ref in ((diff, r_diff), (sums, r_sums), (neg, r_neg)):
         assert new.dtype == np.int32
         assert np.array_equal(new, ref)
     subset = elems[:: max(1, len(elems) // 3)]
-    member = hadamard._membership(g, subset)
+    member = hadamard._membership(g, g.encode(subset))
     assert [i for i in range(g.order) if member[i]] == [g.index(e) for e in subset]
 
 
@@ -349,6 +414,161 @@ def test_index_tables_refuse_groups_beyond_int32_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# cosets
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def groups_with_subgroups(draw):
+    g = FiniteAbelianGroup(draw(moduli_lists))
+    kind = draw(st.sampled_from(["trivial", "generated", "whole"]))
+    if kind == "trivial":
+        return g, Subgroup.trivial(g)
+    if kind == "whole":
+        return g, Subgroup.whole(g)
+    gens = draw(st.lists(st.sampled_from(list(g.elements())), max_size=3))
+    return g, subgroup_generated(g, gens)
+
+
+@settings(max_examples=120, deadline=None)
+@given(groups_with_subgroups())
+def test_coset_index_matches_the_tuple_walk(group_and_sub):
+    g, n = group_and_sub
+    ref = ref_cosets(g, n)
+    assert cosets(g, n) == ref
+    number = {x: j for j, (_, coset) in enumerate(ref) for x in coset}
+    index = n.coset_index()
+    assert index.tolist() == [number[e] for e in g.elements()]
+    assert not index.flags.writeable and n.coset_index() is index
+    assert n.codes.tolist() == sorted(g.index(e) for e in n.elements)
+    spec = SearchSpec(group=g, forbidden=n, m=4)
+    assert search._CodeTables(spec).outside == [
+        sorted(g.index(e) for e in coset) for _, coset in ref[1:]
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(moduli_lists, st.data())
+def test_negation_check_matches_tuple_negation(moduli, data):
+    g = FiniteAbelianGroup(moduli)
+    elems = sorted(data.draw(st.sets(st.sampled_from(list(g.elements())))))
+    block = frozenset(elems)
+    got = g.negatives_in(g.encode(elems)).tolist()
+    assert got == [g.neg(x) in block for x in elems]
+
+
+def test_loading_a_subgroup_builds_no_coset_index():
+    g = FiniteAbelianGroup((1 << 12, 1 << 12))
+    n = Subgroup(g, [(0, 0), (0, 1 << 11)])
+    fam = DifferenceFamily(g, n, [Block(g, frozenset({(1, 0), (2, 0), (4, 0)}))])
+    verify(fam)
+    assert n._coset_index is None
+
+
+def _z6_family():
+    g = FiniteAbelianGroup((6,))
+    n = Subgroup(g, [(0,), (3,)])
+    return DifferenceFamily(
+        g, n, [Block(g, frozenset({(1,), (5,)})), Block(g, frozenset({(1,), (2,)}))]
+    )
+
+
+def _replace_point(family, i, old, new):
+    blocks = list(family.blocks)
+    blocks[i] = Block(family.ambient, (blocks[i].elements - {old}) | {new})
+    return DifferenceFamily(family.ambient, family.forbidden, blocks)
+
+
+def _structure_failures(family, m=None):
+    report = check_symmetric_conditions(family, m)
+    return [f for f in report.failures if f.startswith(("neither", "block "))]
+
+
+def _seed_families():
+    return [(_z6_family(), 4), (galois_ring_ddf(RingCtx(3)).family, 8)]
+
+
+def test_seed_condition_failures_match_the_tuple_reference():
+    rng = random.Random(11)
+    for fam, m in _seed_families():
+        g, n = fam.ambient, fam.forbidden
+        assert _structure_failures(fam) == ref_symmetric_structure_failures(fam, m) == []
+        first, second = (sorted(b.elements) for b in fam.blocks)
+        rep_of = {x: rep for rep, coset in ref_cosets(g, n) for x in coset}
+        other_coset = min(
+            x for x in g.elements()
+            if rep_of[x] not in (g.zero(), rep_of[second[0]]) and x not in second
+        )
+        same_coset = max(
+            x for x in g.elements() if rep_of[x] == rep_of[first[-1]] and x not in first
+        )
+        perturbed = {
+            "into N": _replace_point(fam, 0, rng.choice(first), max(n.elements)),
+            "unbalanced": _replace_point(fam, 1, second[0], other_coset),
+            # the first block loses its negation symmetry, the second never had it
+            "neither closed": _replace_point(fam, 0, first[-1], same_coset),
+            "both skew": DifferenceFamily(g, n, [fam.blocks[1], fam.blocks[1]]),
+        }
+        for name, bad in perturbed.items():
+            got = _structure_failures(bad)
+            assert got == ref_symmetric_structure_failures(bad, m), name
+            assert got, name
+        for _ in range(20):
+            i = rng.randrange(2)
+            block = sorted(fam.blocks[i].elements)
+            bad = _replace_point(
+                fam, i, rng.choice(block), rng.choice(sorted(set(g.elements()) - set(block)))
+            )
+            assert _structure_failures(bad) == ref_symmetric_structure_failures(bad, m)
+
+
+def test_negation_witness_is_the_least_offending_element():
+    fam = galois_ring_ddf(RingCtx(3)).family
+    g = fam.ambient
+    bad = DifferenceFamily(g, fam.forbidden, [fam.blocks[1], fam.blocks[1]])
+    least = min(a for a in fam.blocks[1].elements if g.neg(a) not in fam.blocks[1].elements)
+    assert f"(first fails at {least})" in check_symmetric_conditions(bad).summary()
+
+
+def _symmetry_fields(report):
+    return (
+        report.ok,
+        report.d1_negation_closed,
+        report.d2_negation_free,
+        report.coset_counts,
+        report.witness,
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_block_symmetry_report_matches_the_first_coordinate_scan(n):
+    res = galois_ring_ddf(RingCtx(n))
+    assert _symmetry_fields(block_symmetry_report(res)) == ref_block_symmetry(res)
+    assert block_symmetry_report(res).ok
+
+
+def test_block_symmetry_negation_controls_match_the_scan():
+    res = galois_ring_ddf(RingCtx(4))
+    fam = res.family
+    g = fam.ambient
+    d1, d2 = (sorted(b.elements) for b in fam.blocks)
+    original = list(fam.blocks)
+    # swap a point of the first block for another point of the same coset:
+    # the coset counts hold, negation closure breaks
+    same_coset = next(e for e in g.elements() if e[0] == d1[0][0] and e not in fam.blocks[0].elements)
+    fam.blocks[0] = Block(g, (original[0].elements - {d1[0]}) | {same_coset})
+    rep = block_symmetry_report(res)
+    assert _symmetry_fields(rep) == ref_block_symmetry(res)
+    assert not rep.d1_negation_closed and rep.witness == "negation escapes the first block"
+    # put a point and its negative into the second block
+    fam.blocks[0] = original[0]
+    fam.blocks[1] = Block(g, (original[1].elements - {d2[0]}) | {g.neg(d2[1])})
+    rep = block_symmetry_report(res)
+    assert _symmetry_fields(rep) == ref_block_symmetry(res)
+    assert not rep.d2_negation_free and "collides" in rep.witness
 
 
 # ---------------------------------------------------------------------------

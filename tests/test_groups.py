@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +8,6 @@ from designforge.groups import (
     Subgroup,
     closure_generators,
     cosets,
-    random_rep_choice,
     subgroup_generated,
 )
 
@@ -136,15 +133,6 @@ def test_cosets_partition_property():
         assert not (seen & c)
         seen |= c
     assert len(seen) == g.order
-
-
-def test_random_rep_choice_still_partitions():
-    g = FiniteAbelianGroup((6,))
-    n = Subgroup(g, [(0,), (3,)])
-    rng = random.Random(5)
-    cs = cosets(g, n, rep_choice=random_rep_choice(rng))
-    for rep, c in cs:
-        assert rep in c
 
 
 # ---------------------------------------------------------------------------
