@@ -8,6 +8,7 @@ stay independent of it: no character sums, no shortcuts.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -27,10 +28,9 @@ from .groups import (
 )
 
 INFINITY = "inf"
-# Rows of a block the oracle differences against all k columns at once: a
-# chunk holds _ORACLE_ROWS * k codes, about 2 MB of int32 at k = 4095.
-# 64 to 256 rows ran equally fast on the benchmark's oracle inputs.
-_ORACLE_ROWS = 128
+# Rows of a block the oracle pairs with all k columns at once: a chunk holds
+# _ORACLE_ROWS * k int64 pair keys, about 2 MB at k = 4095.
+_ORACLE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -158,24 +158,97 @@ def difference_totals(family: DifferenceFamily) -> np.ndarray:
     order is element order.  This is the one oracle run behind
     ``difference_table`` and ``verify``.
 
-    Exhaustive pair enumeration on codes: each block is taken in chunks of
-    ``_ORACLE_ROWS`` rows against all of its k columns, the chunk's
-    difference codes are built one coordinate at a time and tallied with a
-    bincount, so every ordered pair is formed and no k x k x dims array
-    exists.
+    Exhaustive pair enumeration on codes, one add per ordered pair: see
+    ``_add_block_differences``.
     """
     group = family.ambient
     totals = np.zeros(group.order, dtype=np.int64)
     for block in family.blocks:
-        if block.size < 2:
-            continue
-        codes = block.codes
-        for start in range(0, block.size, _ORACLE_ROWS):
-            rows = codes[start : start + _ORACLE_ROWS]
-            counts = np.bincount(group.code_sub(rows[:, None], codes[None, :]).ravel())
-            totals[: counts.size] += counts
-        totals[0] -= block.size  # remove the x == y diagonal
+        if block.size >= 2:
+            _add_block_differences(group, block.codes, totals)
+            totals[0] -= block.size  # remove the x == y diagonal
     return totals
+
+
+def _add_block_differences(group: FiniteAbelianGroup, codes: np.ndarray, totals: np.ndarray) -> None:
+    """Add the counts of x - y over the ordered pairs of distinct codes.
+
+    Trailing coordinate i gets a padded slot of 2*m_i - 1 values: a row x
+    with digit a_i contributes a_i and a column y with digit b_i contributes
+    m_i - 1 - b_i, so their sum a_i - b_i + m_i - 1 lies in [0, 2*m_i - 2]
+    and never carries into the next slot.  Each pair's key is then one add
+    of a row offset and a column offset, tallied by one bincount per chunk
+    of ``_ORACLE_ROWS`` rows into an int32 histogram (a bin never counts
+    more than k pairs), which ``_fold`` relabels to residues.  Trailing
+    coordinates are padded while the histogram keeps within max(chunk
+    pairs, |G|) bins.  The leading ones are differenced by ``code_sub`` on
+    their prefix codes, once per run of rows sharing a prefix (the codes
+    are sorted), and join that run's column offsets.
+    """
+    k = codes.size
+    rows = min(_ORACLE_ROWS, k)
+    lead = _unpadded_prefix(group.moduli, max(rows * k, group.order))
+    trail = group.moduli[lead:]
+    if max(trail, default=1) == 1:
+        # nothing padded: every code is its own prefix, so each chunk is
+        # differenced whole and its group codes count straight into the totals
+        for start in range(0, k, rows):
+            counts = np.bincount(group.code_sub(codes[start : start + rows, None], codes[None, :]).ravel())
+            totals[: counts.size] += counts
+        return
+    prefixes = codes.astype(np.int64)  # loses its trailing digits below
+    row_offsets = np.zeros(k, dtype=np.int64)
+    col_offsets = np.zeros(k, dtype=np.int64)
+    slot = 1  # the padded radix weight of the current coordinate
+    for m in reversed(trail):
+        digit = prefixes % m
+        prefixes //= m
+        row_offsets += digit * slot
+        col_offsets += (m - 1 - digit) * slot
+        slot *= 2 * m - 1
+    prefix_group = FiniteAbelianGroup(group.moduli[:lead] or (1,))
+    hist = np.zeros(prefix_group.order * slot, dtype=np.int32)
+    keys = np.empty(rows * k, dtype=np.int64)  # the one chunk, reused
+    cols_prefix = None  # the prefix whose column offsets ``cols`` holds
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        chunk = keys[: (stop - start) * k].reshape(stop - start, k)
+        cuts = np.flatnonzero(prefixes[start + 1 : stop] != prefixes[start : stop - 1])
+        bounds = [start, *(cuts + start + 1).tolist(), stop]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if prefixes[a] != cols_prefix:  # a run may span chunks
+                cols_prefix = prefixes[a]
+                cols = prefix_group.code_sub(cols_prefix, prefixes) * slot + col_offsets
+            np.add(row_offsets[a:b, None], cols, out=chunk[a - start : b - start])
+        counts = np.bincount(chunk.ravel())
+        hist[: counts.size] += counts
+        del counts  # one chunk's bincount alive at a time
+    folded = _fold(hist.reshape((prefix_group.order, *(2 * m - 1 for m in trail))), trail)
+    totals.reshape(folded.shape)[...] += folded
+
+
+def _unpadded_prefix(moduli: Tuple[int, ...], bound: int) -> int:
+    """How many leading coordinates stay unpadded when trailing ones are
+    padded, from the last one, while the histogram keeps within ``bound``."""
+    lead = len(moduli)
+    bins = math.prod(moduli)
+    while lead and bins // moduli[lead - 1] * (2 * moduli[lead - 1] - 1) <= bound:
+        lead -= 1
+        bins = bins // moduli[lead] * (2 * moduli[lead] - 1)
+    return lead
+
+
+def _fold(hist: np.ndarray, moduli: Tuple[int, ...]) -> np.ndarray:
+    """Relabel the padded slots of axes 1.. to residues, in place on views.
+
+    Slot value v holds a - b + m - 1, so v >= m - 1 is the residue
+    v - (m - 1) and v < m - 1 the residue v + 1, the same bin as slot v + m.
+    """
+    for axis, m in enumerate(moduli, start=1):
+        at = (slice(None),) * axis
+        hist[at + (slice(m, 2 * m - 1),)] += hist[at + (slice(0, m - 1),)]
+        hist = hist[at + (slice(m - 1, None),)]
+    return hist
 
 
 def _nonzero_table(group: FiniteAbelianGroup, totals: np.ndarray) -> Dict[Element, int]:

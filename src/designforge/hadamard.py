@@ -372,7 +372,9 @@ def check_symmetric_conditions(
     When neither block is negation-closed, the witness is the least element
     of the first block whose negative it misses; a balance failure names
     the first coset off m/4, by least member, and the first block there.
-    Coset counts are one bincount of ``N.coset_index()`` per block.
+    Coset counts are one bincount of ``N.coset_index()`` per block.  A
+    failure of m, |N|, |G| or the block count is reported alone, before the
+    oracle and the coset index cost anything.
     """
     group = family.ambient
     N = family.forbidden
@@ -387,6 +389,7 @@ def check_symmetric_conditions(
         failures.append(f"|G|={group.order}, need m(m-1)/2={m * (m - 1) // 2}")
     if len(family.blocks) != 2:
         failures.append(f"need 2 blocks, got {len(family.blocks)}")
+    if failures:  # a wrong shape is refused before the oracle and the coset index run
         return SeedConditionReport(False, m, failures)
     report = designs.verify(family)
     if not report.ok:

@@ -321,39 +321,53 @@ def _balanced_blocks(
 
     Depth-first over the outside cosets, keeping a running difference count
     and pruning a choice as soon as any frequency overshoots its target.
+    The recursion lives in module-level functions, so a call leaves no
+    closures in reference cycles behind.
     """
-    diff, neg, v, targets = tables.diff, tables.neg, tables.v, tables.targets
-    outside, per_coset = tables.outside, tables.per_coset
+    yield from _balanced_from(tables, budget, 0, [], list(base_counts))
 
-    def extend(counts: List[int], chosen: List[int], extra: Tuple[int, ...]) -> Optional[List[int]]:
-        """The counts with extra's new pairs added, or None once one overshoots."""
-        merged = counts[:]
-        for i, x in enumerate(extra):
-            row = x * v
-            for y in itertools.chain(chosen, extra[i + 1 :]):
-                d = diff[row + y]
-                merged[d] += 1
-                if merged[d] > targets[d]:
-                    return None
-                d = neg[d]
-                merged[d] += 1
-                if merged[d] > targets[d]:
-                    return None
-        return merged
 
-    def rec(idx: int, chosen: List[int], counts: List[int]) -> Iterator[FrozenSet[int]]:
-        if not budget.spend_node():
-            return
-        if idx == len(outside):
-            if counts == targets:
-                yield frozenset(chosen)
-            return
-        for extra in itertools.combinations(outside[idx], per_coset):
-            merged = extend(counts, chosen, extra)
-            if merged is not None:
-                yield from rec(idx + 1, chosen + list(extra), merged)
+def _balanced_from(
+    tables: _CodeTables, budget: _Budget, idx: int, chosen: List[int], counts: List[int]
+) -> Iterator[FrozenSet[int]]:
+    """The blocks that extend ``chosen`` over the outside cosets from ``idx`` on."""
+    if not budget.spend_node():
+        return
+    outside, targets = tables.outside, tables.targets
+    if idx == len(outside):
+        if counts == targets:
+            yield frozenset(chosen)
+        return
+    diff, neg, v = tables.diff, tables.neg, tables.v
+    for extra in itertools.combinations(outside[idx], tables.per_coset):
+        merged = _extended_counts(diff, neg, v, targets, counts, chosen, extra)
+        if merged is not None:
+            yield from _balanced_from(tables, budget, idx + 1, chosen + list(extra), merged)
 
-    yield from rec(0, [], list(base_counts))
+
+def _extended_counts(
+    diff: Sequence[int],
+    neg: Sequence[int],
+    v: int,
+    targets: List[int],
+    counts: List[int],
+    chosen: List[int],
+    extra: Tuple[int, ...],
+) -> Optional[List[int]]:
+    """The counts with extra's new pairs added, or None once one overshoots."""
+    merged = counts[:]
+    for i, x in enumerate(extra):
+        row = x * v
+        for y in itertools.chain(chosen, extra[i + 1 :]):
+            d = diff[row + y]
+            merged[d] += 1
+            if merged[d] > targets[d]:
+                return None
+            d = neg[d]
+            merged[d] += 1
+            if merged[d] > targets[d]:
+                return None
+    return merged
 
 
 def _make_certificate(

@@ -5,9 +5,11 @@ gate (``hadamard.is_hadamard``) and the symmetric-array precondition check
 record every call made while one artifact is built.
 """
 
+import json
+
 import pytest
 
-from designforge import cli, constructions, designs, hadamard
+from designforge import cli, constructions, designs, groups, hadamard
 from designforge.field import FieldCtx
 from designforge.galois import RingCtx
 from designforge.groups import FiniteAbelianGroup, Subgroup
@@ -113,3 +115,25 @@ def test_failed_gate_exits_one(argv, order, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_wrong_group_order_is_refused_before_the_oracle(calls, monkeypatch, tmp_path, capsys):
+    # two 2-point blocks and |N| = 2 in Z_{2^24}: m = 4 needs |G| = 6, and
+    # neither the oracle nor the coset index over all of G may run to say so
+    coset_index = []
+    monkeypatch.setattr(
+        groups.Subgroup, "coset_index", lambda self: coset_index.append(self) or None
+    )
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "group": {"moduli": [1 << 24]},
+        "forbidden": [[0], [1 << 23]],
+        "blocks": [[[1], [2]], [[3], [4]]],
+    }))
+    assert cli.main(["hadamard", "symmetric", "--family", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "|G|=16777216, need m(m-1)/2=6" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert calls["conditions"] == 1
+    assert calls["tables"] == [] and coset_index == []

@@ -342,14 +342,15 @@ def test_code_arithmetic_matches_tuple_arithmetic(moduli, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(moduli_lists, st.data())
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4), st.data())
 def test_oracle_matches_reference_at_every_chunk_size(moduli, data):
+    # chunk sizes between 1 row and the whole block move the padded split
     g = FiniteAbelianGroup(moduli)
-    fam = random_family(data, g)
+    fam = random_family(data, g, max_blocks=4, max_size=16)
     k = max(1, max(b.size for b in fam.blocks))
     want = ref_difference_table(fam)
     want_report = report_fields(with_reference_oracle(fam))
-    for table, report in oracle_runs(fam, (1, k, k + 1)):
+    for table, report in oracle_runs(fam, sorted({1, max(1, k // 3), max(1, k // 2), k, k + 1})):
         assert table == want
         assert report_fields(report) == want_report
         assert report.counts == want
@@ -383,6 +384,131 @@ def test_oracle_negative_controls_match_reference():
                 assert table == ref_difference_table(bad)
                 assert report_fields(report) == want
         assert all(report.ok for _, report in oracle_runs(fam, (1, 64)))
+
+
+def _padded_splits(family, rows):
+    """The number of unpadded leading coordinates per block of size >= 2."""
+    g = family.ambient
+    return {
+        designs._unpadded_prefix(g.moduli, max(min(rows, b.size) * b.size, g.order))
+        for b in family.blocks
+        if b.size >= 2
+    }
+
+
+@pytest.mark.parametrize(
+    "moduli, k",
+    [
+        ((7,), 4),  # one coordinate: padded from 13 pairs on
+        ((2, 3), 5),
+        ((1, 5, 2), 6),
+        ((6, 7), 12),
+        ((4, 1, 3, 2), 11),
+        ((3, 1, 7, 5, 2), 42),
+    ],
+)
+def test_oracle_matches_reference_at_every_split(moduli, k):
+    # every chunk size from 1 row to the whole block walks the split from
+    # nothing padded through some padded to all padded; empty and 1-point
+    # blocks ride along
+    g = FiniteAbelianGroup(moduli)
+    rng = random.Random(f"splits/{moduli}")
+    elems = list(g.elements())
+    blocks = [Block(g, frozenset(rng.sample(elems, size))) for size in (k, 0, 1, k - 1)]
+    fam = DifferenceFamily(g, subgroup_generated(g, [rng.choice(elems)]), blocks)
+    want = ref_difference_table(fam)
+    want_report = report_fields(with_reference_oracle(fam))
+    chunks = range(1, k + 2)
+    seen = set().union(*(_padded_splits(fam, rows) for rows in chunks))
+    assert {0, len(moduli)} <= seen
+    if len(moduli) > 1:
+        assert seen - {0, len(moduli)}
+    for table, report in oracle_runs(fam, chunks):
+        assert table == want
+        assert report_fields(report) == want_report
+
+
+def chunked_code_totals(family, rows=128):
+    """The former oracle: 128 rows of whole-code differences per bincount."""
+    group = family.ambient
+    totals = np.zeros(group.order, dtype=np.int64)
+    for block in family.blocks:
+        if block.size < 2:
+            continue
+        codes = block.codes
+        for start in range(0, block.size, rows):
+            diffs = group.code_sub(codes[start : start + rows, None], codes[None, :])
+            counts = np.bincount(diffs.ravel())
+            totals[: counts.size] += counts
+        totals[0] -= block.size
+    return totals
+
+
+def traced_peak(oracle, family):
+    """(totals, traced peak bytes) of one oracle run, block codes cached."""
+    oracle(family)
+    tracemalloc.start()
+    try:
+        totals = oracle(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return totals, peak
+
+
+def _bent_family():
+    g = FiniteAbelianGroup((2,) * 12)
+    bent = frozenset(
+        x for x in g.elements() if sum(x[i] * x[i + 1] for i in range(0, 12, 2)) % 2
+    )
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block(g, bent)])
+
+
+def _z2_20_family():
+    g = FiniteAbelianGroup((2,) * 20)
+    rng = random.Random(20)
+    points = set()
+    while len(points) < 50:
+        points.add(tuple(rng.randrange(2) for _ in range(20)))
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block(g, frozenset(points))])
+
+
+@pytest.mark.parametrize(
+    "build, unpadded",
+    [
+        (lambda: _paley_family(8191), 0),  # all padded: 16381 bins
+        (_bent_family, 4),  # 3^8 * 2^4 bins, within one 64 x 2016 chunk
+        (_z2_20_family, 20),  # nothing padded: |G| bins already
+    ],
+)
+def test_oracle_peak_stays_within_the_former_oracle(build, unpadded):
+    fam = build()
+    (block,) = fam.blocks
+    rows = min(designs._ORACLE_ROWS, block.size)
+    bound = max(rows * block.size, fam.ambient.order)
+    assert designs._unpadded_prefix(fam.ambient.moduli, bound) == unpadded
+    want, former = traced_peak(chunked_code_totals, fam)
+    got, peak = traced_peak(designs.difference_totals, fam)
+    assert np.array_equal(got, want)
+    assert peak <= former
+    if unpadded == 0:
+        assert former < 6.5 * 2**20  # 6.2 MiB for Paley's 4095 x 128 chunk
+
+
+def test_fold_relabels_each_slot_to_its_residue():
+    # slot v of modulus m holds a - b + m - 1: the bins v and v + m (v < m - 1)
+    # are one residue, v - (m - 1)
+    for moduli in ((1,), (2,), (5,), (3, 4), (2, 1, 3)):
+        g = FiniteAbelianGroup(moduli)
+        padded = np.zeros((1, *(2 * m - 1 for m in moduli)), dtype=np.int32)
+        want = np.zeros(g.order, dtype=np.int64)
+        for a in g.elements():
+            for b in g.elements():
+                padded[(0, *(x - y + m - 1 for x, y, m in zip(a, b, moduli)))] += 1
+                want[g.index(g.sub(a, b))] += 1
+        folded = designs._fold(padded, moduli)
+        assert folded.shape == (1, *moduli)
+        assert folded.ravel().tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 import subprocess
@@ -190,6 +191,31 @@ def test_first_blocks_keep_the_product_order_under_a_budget():
         budget = search._Budget(SearchBudget(max_nodes=max_nodes))
         got = list(search._symmetric_first_blocks(tables, budget))
         assert got == want[:max_nodes]
+
+
+def test_second_block_search_leaves_no_cyclic_closures():
+    # a recursive closure refers to itself through its cell, so nested
+    # recursion helpers would wait for the cyclic collector after every call
+    fam = galois_ring_ddf(RingCtx(3)).family
+    spec = SearchSpec(
+        group=fam.ambient, forbidden=fam.forbidden, m=8,
+        budget=SearchBudget(max_solutions=256),
+    )
+    first = search_ddf(spec)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        second = search_ddf(spec)
+        gc.collect()
+        names = [getattr(obj, "__name__", None) for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert [c.family.canonical_blocks() for c in second] == [
+        c.family.canonical_blocks() for c in first
+    ]
+    assert second[-1].nodes == first[-1].nodes == 30077
+    assert "rec" not in names and "extend" not in names
 
 
 _PEAK_RSS = """
