@@ -41,7 +41,23 @@ class Block:
     elements: FrozenSet[Element]
 
     def __post_init__(self) -> None:
-        for e in self.elements:
+        # one integer array and a min/max per coordinate; a ragged, non-integer
+        # or out-of-range input is then scanned for its first failing element
+        elements = list(self.elements)
+        moduli = self.ambient.moduli
+        try:
+            coords = np.array(elements)
+        except ValueError:  # ragged
+            coords = None
+        if (
+            coords is not None
+            and coords.dtype.kind in "iu"
+            and coords.shape == (len(elements), len(moduli))
+            and (coords.min(axis=0) >= 0).all()
+            and (coords.max(axis=0) < moduli).all()
+        ):
+            return
+        for e in elements:
             if not self.ambient.contains(e):
                 raise ValueError(f"block element {e} outside {self.ambient}")
 

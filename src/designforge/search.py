@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -201,6 +202,16 @@ class _CodeTables:
     the cosets of the forbidden subgroup other than itself, each as sorted
     codes, in order of their least member.  Code order is lexicographic
     tuple order, so every sorted list here lines up with the tuple elements.
+
+    The exhaustive walk keeps its counts packed into one int, a field of
+    ``width`` bits per difference code d at bit ``width * d``, holding
+    ``count + 2^(width-1) - 1 - targets[d]``.  A count overshoots its target
+    exactly when its field's high bit is set, so one AND with ``high`` finds
+    any overshoot, and ``complete`` (every field at ``2^(width-1) - 1``) is
+    the packed form of counts equal to the targets.  ``2^(width-1)`` exceeds
+    k(k-1), the ordered pairs of one block, so a field that starts at most
+    at its target plus one choice's pairs stays below ``2^width``: no field
+    carries into the next.
     """
 
     def __init__(self, spec: SearchSpec) -> None:
@@ -211,13 +222,19 @@ class _CodeTables:
         self.elements = list(group.elements())  # by code, shared by every certificate
         self.diff: List[int] = group.code_sub(codes[:, None], codes[None, :]).ravel().tolist()
         self.neg = self.diff[:v]
-        _, lam, mu = spec.targets()
+        k, lam, mu = spec.targets()
         self.targets = [mu] * v
         for x in spec.forbidden.codes.tolist():
             self.targets[x] = lam
         self.targets[0] = 0
         self.per_coset = spec.m // 4
         self.outside: List[List[int]] = spec.forbidden.coset_codes()[1:].tolist()
+        self.width = (k * (k - 1)).bit_length() + 1
+        fields = range(0, v * self.width, self.width)
+        self.high = sum(1 << (shift + self.width - 1) for shift in fields)
+        self.complete = sum(((1 << (self.width - 1)) - 1) << shift for shift in fields)
+        # built on first use by the exhaustive walk, one outside coset at a time
+        self._packed_cosets: List[Optional[_PackedCoset]] = [None] * len(self.outside)
 
     def pair_counts(self, *blocks: Iterable[int]) -> List[int]:
         """Difference counts over the ordered pairs of distinct points of each block."""
@@ -231,6 +248,48 @@ class _CodeTables:
                     if x != y:
                         counts[diff[row + y]] += 1
         return counts
+
+    def pack(self, counts: Iterable[int]) -> int:
+        """The packed, biased form of a count list whose counts are at most their targets."""
+        width, bias = self.width, (1 << (self.width - 1)) - 1
+        return sum(
+            (c + bias - t) << (width * d) for d, (c, t) in enumerate(zip(counts, self.targets))
+        )
+
+    def pair_vector(self, x: int, y: int) -> int:
+        """The packed counts of the ordered pairs (x, y) and (y, x)."""
+        diff, v, width = self.diff, self.v, self.width
+        return (1 << (width * diff[x * v + y])) + (1 << (width * diff[y * v + x]))
+
+    def packed_coset(self, idx: int) -> "_PackedCoset":
+        """The options and pair rows of outside coset ``idx``, built on first use."""
+        packed = self._packed_cosets[idx]
+        if packed is None:
+            packed = self._packed_cosets[idx] = _PackedCoset(self, idx)
+        return packed
+
+
+class _PackedCoset:
+    """One outside coset's share of the packed walk.
+
+    ``options`` holds, in ``itertools.combinations`` order, each per_coset
+    subset of the coset as (its codes, their positions in the coset, the
+    packed counts of the pairs inside it); ``rows[i]`` holds the packed
+    pair vector of the coset's i-th point against each point of the later
+    cosets, in coset order.
+    """
+
+    __slots__ = ("options", "rows")
+
+    def __init__(self, tables: _CodeTables, idx: int) -> None:
+        cs = tables.outside[idx]
+        pair = tables.pair_vector
+        self.options = []
+        for locs in itertools.combinations(range(len(cs)), tables.per_coset):
+            inside = sum(pair(cs[i], cs[j]) for i, j in itertools.combinations(locs, 2))
+            self.options.append((tuple(cs[i] for i in locs), locs, inside))
+        later = list(itertools.chain.from_iterable(tables.outside[idx + 1 :]))
+        self.rows = [[pair(x, y) for y in later] for x in cs]
 
 
 _Options = Callable[[], Iterator[FrozenSet[int]]]
@@ -319,55 +378,60 @@ def _balanced_blocks(
 ) -> Iterator[FrozenSet[int]]:
     """Coset-balanced second blocks whose differences complete the targets.
 
-    Depth-first over the outside cosets, keeping a running difference count
-    and pruning a choice as soon as any frequency overshoots its target.
-    The recursion lives in module-level functions, so a call leaves no
-    closures in reference cycles behind.
+    Depth-first over the outside cosets, keeping the running difference
+    counts packed (see ``_CodeTables``) and pruning a choice as soon as any
+    frequency it touches overshoots its target.  The recursion lives in
+    module-level functions, so a call leaves no closures in reference
+    cycles behind.
     """
-    yield from _balanced_from(tables, budget, 0, [], list(base_counts))
+    targets = tables.targets
+    packed = tables.pack(map(min, base_counts, targets))
+    points = sum(map(len, tables.outside))
+    walk = _balanced_from(tables, budget, 0, (), packed, [0] * points)
+    if all(c <= t for c, t in zip(base_counts, targets)):
+        yield from walk
+    else:
+        # No block completes a base that already overshoots.  Its fields are
+        # packed at their targets, so a choice touching one is pruned, and the
+        # walk spends the nodes it would spend on the unclamped counts.
+        for _ in walk:
+            pass
 
 
 def _balanced_from(
-    tables: _CodeTables, budget: _Budget, idx: int, chosen: List[int], counts: List[int]
+    tables: _CodeTables,
+    budget: _Budget,
+    idx: int,
+    chosen: Tuple[int, ...],
+    packed: int,
+    cross: List[int],
 ) -> Iterator[FrozenSet[int]]:
-    """The blocks that extend ``chosen`` over the outside cosets from ``idx`` on."""
+    """The blocks that extend ``chosen`` over the outside cosets from ``idx`` on.
+
+    ``packed`` holds the counts so far; ``cross`` holds, for each point of
+    the cosets from ``idx`` on, the packed pairs it forms with ``chosen``.
+    A choice's counts are then ``packed`` plus its inside pairs plus the
+    cross vectors of its points.
+    """
     if not budget.spend_node():
         return
-    outside, targets = tables.outside, tables.targets
-    if idx == len(outside):
-        if counts == targets:
+    if idx == len(tables.outside):
+        if packed == tables.complete:
             yield frozenset(chosen)
         return
-    diff, neg, v = tables.diff, tables.neg, tables.v
-    for extra in itertools.combinations(outside[idx], tables.per_coset):
-        merged = _extended_counts(diff, neg, v, targets, counts, chosen, extra)
-        if merged is not None:
-            yield from _balanced_from(tables, budget, idx + 1, chosen + list(extra), merged)
-
-
-def _extended_counts(
-    diff: Sequence[int],
-    neg: Sequence[int],
-    v: int,
-    targets: List[int],
-    counts: List[int],
-    chosen: List[int],
-    extra: Tuple[int, ...],
-) -> Optional[List[int]]:
-    """The counts with extra's new pairs added, or None once one overshoots."""
-    merged = counts[:]
-    for i, x in enumerate(extra):
-        row = x * v
-        for y in itertools.chain(chosen, extra[i + 1 :]):
-            d = diff[row + y]
-            merged[d] += 1
-            if merged[d] > targets[d]:
-                return None
-            d = neg[d]
-            merged[d] += 1
-            if merged[d] > targets[d]:
-                return None
-    return merged
+    coset = tables.packed_coset(idx)
+    rows, high = coset.rows, tables.high
+    size = len(rows)
+    for extra, locs, inside in coset.options:
+        merged = packed + inside
+        for i in locs:
+            merged += cross[i]
+        if merged & high:
+            continue
+        later = cross[size:]
+        for i in locs:
+            later = list(map(operator.add, later, rows[i]))
+        yield from _balanced_from(tables, budget, idx + 1, chosen + extra, merged, later)
 
 
 def _make_certificate(
@@ -445,11 +509,6 @@ def _randomized_search(
     rng = random.Random(spec.seed)
     per_coset = tables.per_coset
     outside, targets = tables.outside, tables.targets
-
-    def deviation(d1: FrozenSet[int], d2: FrozenSet[int]) -> int:
-        counts = tables.pair_counts(d1, d2)
-        return sum((c - t) ** 2 for c, t in zip(counts, targets))
-
     choice_groups = _first_block_choices(tables)
 
     def random_d1() -> FrozenSet[int]:
@@ -467,7 +526,8 @@ def _randomized_search(
     seen_families: Set[tuple] = set()
     while budget.spend_node() and budget.room_for_solutions():
         d1, d2 = random_d1(), random_d2()
-        score = deviation(d1, d2)
+        counts = tables.pair_counts(d1, d2)
+        score = sum((c - t) ** 2 for c, t in zip(counts, targets))
         stall = 0
         while score > 0 and stall < 200 and budget.spend_node():
             cs = rng.choice(outside)
@@ -477,12 +537,13 @@ def _randomized_search(
                 stall += 1
                 continue
             out_pt, in_pt = rng.choice(inside), rng.choice(outside_pts)
-            cand = (d2 - {out_pt}) | {in_pt}
-            cand_score = deviation(d1, cand)
+            cand_score, change = _scored_swap(tables, counts, score, d2, out_pt, in_pt)
             if cand_score <= score:
                 if cand_score < score:
                     stall = 0
-                d2, score = cand, cand_score
+                d2, score = (d2 - {out_pt}) | {in_pt}, cand_score
+                for d, step in change.items():
+                    counts[d] += step
             else:
                 stall += 1
         if score == 0:
@@ -495,10 +556,48 @@ def _randomized_search(
     return certs
 
 
+def _scored_swap(
+    tables: _CodeTables,
+    counts: List[int],
+    score: int,
+    d2: FrozenSet[int],
+    out_pt: int,
+    in_pt: int,
+) -> Tuple[int, Dict[int, int]]:
+    """The squared deviation after swapping ``out_pt`` of ``d2`` for ``in_pt``,
+    with the count changes that make the swap.
+
+    Only the differences of the two points against the rest of ``d2``, in
+    both orientations, change; a count c that moves by s with target t
+    changes the score by (c + s - t)^2 - (c - t)^2 = s (2 (c - t) + s).
+    """
+    diff, neg = tables.diff, tables.neg
+    row_out, row_in = out_pt * tables.v, in_pt * tables.v
+    change: Dict[int, int] = {}
+    get = change.get
+    for y in d2:
+        if y != out_pt:
+            d = diff[row_out + y]
+            change[d] = get(d, 0) - 1
+            d = neg[d]
+            change[d] = get(d, 0) - 1
+            d = diff[row_in + y]
+            change[d] = get(d, 0) + 1
+            d = neg[d]
+            change[d] = get(d, 0) + 1
+    targets = tables.targets
+    for d, step in change.items():
+        score += step * (2 * (counts[d] - targets[d]) + step)
+    return score, change
+
+
 # -- orbit reduction --------------------------------------------------------------
 
 
 SYMMETRY_NAMES = ("translation", "negation", "n_multiplication")
+# Codes formed per ``code_add`` by ``_canonical_forms``: 32 KB of int32 codes
+# per slice, so deduplicating a search's certificates adds no peak memory.
+_TRANSLATES_AT_ONCE = 1 << 13
 
 
 def canonical_form(
@@ -511,38 +610,82 @@ def canonical_form(
     additive shadow of multiplying by forbidden-subgroup elements);
     negation: negating all blocks at once.  Because block shifts are
     independent, the least sorted image is the sorted tuple of per-block
-    least translates, taken over both negation states.  The images are
-    formed on mixed-radix codes, whose order is lexicographic tuple order,
-    and only the least one is decoded.
+    least translates, taken over both negation states.
+    """
+    return _canonical_forms([family], symmetries)[0]
+
+
+def _canonical_forms(
+    families: Sequence[DifferenceFamily], symmetries: Sequence[str]
+) -> List[Tuple[Tuple[Element, ...], ...]]:
+    """``canonical_form`` of each family, batched.
+
+    The blocks are stacked by ambient group, block size and shift set, each
+    stack with its negation beneath it.  One ``code_add`` per stack forms
+    every translate on mixed-radix codes (in slices of a bounded number of
+    translates), whose order is lexicographic tuple order; each translate is
+    sorted along its row, and one lexsort with the block as its primary key
+    puts each block's least translate first among its own.  The least image
+    is chosen on codes and only it is decoded.
     """
     for name in symmetries:
         if name not in SYMMETRY_NAMES:
             raise ValueError(f"unknown symmetry {name!r}; pick from {SYMMETRY_NAMES}")
-    group = family.ambient
-    if "translation" in symmetries:
-        shifts = np.arange(group.order)
-    elif "n_multiplication" in symmetries:
-        shifts = family.forbidden.codes
-    else:
-        shifts = np.zeros(1, dtype=np.int64)
-    negations = (False, True) if "negation" in symmetries else (False,)
-    blocks = [block.codes for block in family.blocks]
-    best: Optional[Tuple[Tuple[int, ...], ...]] = None
-    for neg in negations:
-        images = (group.code_sub(0, b) if neg else b for b in blocks)
-        cand = tuple(sorted(_least_translate(group, b, shifts) for b in images))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return tuple(tuple(map(group.element, blk)) for blk in best)
+    negations = 2 if "negation" in symmetries else 1
+    # per (group, block size, shifts): the group, the shifts, the block codes
+    # and the family of each block
+    stacks: Dict[tuple, Tuple[FiniteAbelianGroup, np.ndarray, List[np.ndarray], List[int]]] = {}
+    for f, family in enumerate(families):
+        group = family.ambient
+        if "translation" in symmetries:
+            shifts = np.arange(group.order, dtype=group.code_dtype)
+        elif "n_multiplication" in symmetries:
+            shifts = family.forbidden.codes
+        else:
+            shifts = np.zeros(1, dtype=group.code_dtype)
+        for block in family.blocks:
+            key = (group, block.size, shifts.tobytes())
+            stack = stacks.setdefault(key, (group, shifts, [], []))
+            stack[2].append(block.codes)
+            stack[3].append(f)
+    # images[f][neg]: the codes of the least translates of family f's blocks
+    images: List[List[List[Tuple[int, ...]]]] = [
+        [[] for _ in range(negations)] for _ in families
+    ]
+    element_of: Dict[FiniteAbelianGroup, Dict[int, Element]] = {}
+    for group, shifts, blocks, owners in stacks.values():
+        codes = np.stack(blocks)
+        if negations == 2:
+            codes = np.concatenate([codes, group.code_sub(0, codes)])
+        step = max(1, _TRANSLATES_AT_ONCE // (shifts.size * max(codes.shape[1], 1)))
+        least = np.concatenate(
+            [_least_translates(group, codes[i : i + step], shifts) for i in range(0, len(codes), step)]
+        )
+        for r, row in enumerate(least.tolist()):
+            neg, i = divmod(r, len(owners))
+            images[owners[i]][neg].append(tuple(row))
+        used = np.sort(least, axis=None)
+        used = used[np.diff(used, prepend=-1) != 0]
+        element_of.setdefault(group, {}).update(
+            zip(used.tolist(), map(tuple, group.decode(used).tolist()))
+        )
+    forms = []
+    for family, states in zip(families, images):
+        best = min(tuple(sorted(state)) for state in states)
+        elements = element_of.get(family.ambient, {})
+        forms.append(tuple(tuple(elements[c] for c in blk) for blk in best))
+    return forms
 
 
-def _least_translate(
+def _least_translates(
     group: FiniteAbelianGroup, codes: np.ndarray, shifts: np.ndarray
-) -> Tuple[int, ...]:
-    """The lexicographically least sorted translate of a code block."""
-    images = group.code_add(shifts[:, None], codes[None, :]).tolist()
-    return min(tuple(sorted(row)) for row in images)
+) -> np.ndarray:
+    """The lexicographically least sorted translate of each row of ``codes``."""
+    translates = np.sort(group.code_add(shifts[:, None], codes[:, None, :]), axis=2)
+    rows, count, size = translates.shape
+    flat = translates.reshape(rows * count, size)
+    block_of = np.repeat(np.arange(rows, dtype=flat.dtype), count)
+    return flat[np.lexsort(np.vstack([flat.T[::-1], block_of]))[::count]]
 
 
 def dedupe(
@@ -551,12 +694,11 @@ def dedupe(
 ) -> List[Certificate]:
     """One certificate per orbit of the declared symmetry actions.
 
-    The kept representative is the one whose canonical image is
-    lexicographically least; output order follows that canonical image.
+    The kept representative is the first certificate of its orbit in input
+    order; output order follows the canonical image.
     """
     best: Dict[tuple, Certificate] = {}
-    for cert in certs:
-        key = canonical_form(cert.family, symmetries)
+    for cert, key in zip(certs, _canonical_forms([c.family for c in certs], symmetries)):
         if key not in best:
             best[key] = cert
     return [best[k] for k in sorted(best)]

@@ -723,6 +723,41 @@ def test_canonical_forms_of_the_m8_family_match_reference():
         assert canonical_form(fam, symmetries) == ref_canonical_form(fam, symmetries)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(moduli_lists, min_size=1, max_size=4), st.data())
+def test_batched_canonical_forms_match_reference(moduli_per_family, data):
+    # several families at once, over different groups and block sizes, so the
+    # blocks fall into several stacks
+    fams = [random_family(data, FiniteAbelianGroup(moduli)) for moduli in moduli_per_family]
+    for symmetries in SYMMETRY_SUBSETS:
+        assert search._canonical_forms(fams, symmetries) == [
+            ref_canonical_form(fam, symmetries) for fam in fams
+        ]
+
+
+def ref_dedupe(certs, symmetries):
+    best = {}
+    for cert in certs:
+        best.setdefault(ref_canonical_form(cert.family, symmetries), cert)
+    return [best[k] for k in sorted(best)]
+
+
+def test_dedupe_keeps_the_first_certificate_of_each_orbit():
+    # certificates from three groups; the kept representative and the order
+    # must match the tuple reference
+    specs = [
+        _spec(*SPECS["Z6, m=4"]),
+        _spec(*SPECS["Z3xZ2, m=4"]),
+        _spec(*SPECS["Z7xZ2^2, m=8"]),
+    ]
+    specs[2].budget = search.SearchBudget(max_solutions=16)
+    certs = [cert for spec in specs for cert in search.search_ddf(spec)]
+    assert len(certs) == 4 + 4 + 16
+    for symmetries in SYMMETRY_SUBSETS:
+        kept = search.dedupe(certs, symmetries)
+        assert [id(c) for c in kept] == [id(c) for c in ref_dedupe(certs, symmetries)]
+
+
 # ---------------------------------------------------------------------------
 # the exhaustive walk
 # ---------------------------------------------------------------------------

@@ -352,3 +352,30 @@ def test_blocks_must_live_in_ambient():
     g = FiniteAbelianGroup((6,))
     with pytest.raises(ValueError):
         Block(g, frozenset({(7,)}))
+
+
+def test_block_range_check_names_the_first_failing_element():
+    # the witness is the first element, in the frozenset's iteration order,
+    # that has the wrong length or a coordinate outside [0, modulus)
+    g = FiniteAbelianGroup((6, 4))
+
+    def fails(e):
+        return len(e) != 2 or not all(0 <= c < m for c, m in zip(e, g.moduli))
+
+    valid = [(a, b) for a in range(6) for b in range(4)]
+    bad_kinds = {
+        "ragged": [(1,), (2, 3, 0), ()],
+        "negative": [(-1, 0), (0, -3), (-6, -4)],
+        "too large": [(6, 0), (0, 4), (2**40, 1)],
+    }
+    mixed = [e for kind in bad_kinds.values() for e in kind]
+    for name, bad in [*bad_kinds.items(), ("mixed", mixed)]:
+        for count in range(1, len(bad) + 1):
+            elements = frozenset(valid[: 5 * count] + bad[:count])
+            witness = next(e for e in elements if fails(e))
+            with pytest.raises(ValueError) as info:
+                Block(g, elements)
+            assert str(info.value) == f"block element {witness} outside {g}", name
+    # in range, including both ends of every coordinate
+    assert Block(g, frozenset(valid)).size == 24
+    assert Block(g, frozenset()).size == 0

@@ -310,8 +310,8 @@ def test_rediscovers_galois_ring_family():
 
 
 def test_rediscovers_n3_family_at_m8():
-    # full enumeration over Z_7 x Z_2^2 (135312 nodes, about 3 s on mixed-radix
-    # codes); the known two-block family must appear up to translation and
+    # full enumeration over Z_7 x Z_2^2 (135312 nodes, about 1.5 s with packed
+    # counts); the known two-block family must appear up to translation and
     # negation
     fam = galois_ring_ddf(RingCtx(3)).family
     spec = SearchSpec(group=fam.ambient, forbidden=fam.forbidden, m=8)
@@ -414,3 +414,211 @@ def test_dedupe_rejects_unknown_symmetry():
     certs = search_ddf(z6_spec())
     with pytest.raises(ValueError):
         dedupe(certs, ["mirror"])
+
+
+# ---------------------------------------------------------------------------
+# packed counts and swap deltas against the per-pair kernel and full rescoring
+# ---------------------------------------------------------------------------
+
+
+def ref_extended_counts(diff, neg, v, targets, counts, chosen, extra):
+    """The former per-pair kernel: the counts with extra's new pairs added,
+    or None once one overshoots."""
+    merged = counts[:]
+    for i, x in enumerate(extra):
+        row = x * v
+        for y in itertools.chain(chosen, extra[i + 1 :]):
+            d = diff[row + y]
+            merged[d] += 1
+            if merged[d] > targets[d]:
+                return None
+            d = neg[d]
+            merged[d] += 1
+            if merged[d] > targets[d]:
+                return None
+    return merged
+
+
+def ref_walk_nodes(tables, idx, chosen, counts):
+    """The former walk's nodes in depth-first order, as (idx, chosen, counts)."""
+    yield idx, chosen, counts
+    if idx == len(tables.outside):
+        return
+    for extra in itertools.combinations(tables.outside[idx], tables.per_coset):
+        merged = ref_extended_counts(
+            tables.diff, tables.neg, tables.v, tables.targets, counts, list(chosen), extra
+        )
+        if merged is not None:
+            yield from ref_walk_nodes(tables, idx + 1, chosen + extra, merged)
+
+
+def ref_pack(tables, counts):
+    """Field d, at bit width * d, holds count + 2^(width-1) - 1 - target."""
+    w = tables.width
+    return sum(
+        (c + (1 << (w - 1)) - 1 - t) << (w * d)
+        for d, (c, t) in enumerate(zip(counts, tables.targets))
+    )
+
+
+def _record_packed_walks(monkeypatch):
+    """Per call of ``_balanced_blocks``: its tables, base counts and every node
+    the packed walk enters, as (idx, chosen, packed)."""
+    walks = []
+    real_blocks, real_from = search._balanced_blocks, search._balanced_from
+
+    def blocks(tables, base, budget):
+        walks.append((tables, list(base), []))
+        return real_blocks(tables, base, budget)
+
+    def from_(tables, budget, idx, chosen, packed, cross):
+        walks[-1][2].append((idx, tuple(chosen), packed))
+        return real_from(tables, budget, idx, chosen, packed, cross)
+
+    monkeypatch.setattr(search, "_balanced_blocks", blocks)
+    monkeypatch.setattr(search, "_balanced_from", from_)
+    return walks
+
+
+def _assert_walks_match_reference(walks, max_nodes=None):
+    """Each recorded walk against the reference walk from the same base, up to
+    ``max_nodes`` nodes: once a budget runs out, every later call spends a
+    failing node and returns, so the order departs from the unbudgeted walk."""
+    nodes = 0
+    for tables, base, packed_nodes in walks:
+        packed_nodes = packed_nodes[:max_nodes]
+        ref = itertools.islice(ref_walk_nodes(tables, 0, (), base), len(packed_nodes))
+        assert [(i, c, ref_pack(tables, counts)) for i, c, counts in ref] == packed_nodes
+        nodes += len(packed_nodes)
+    return nodes
+
+
+def test_packed_walk_matches_the_per_pair_kernel_at_m8(monkeypatch):
+    # every node of the capped m=8 walk: the same children (so the same
+    # accept/reject decision on every choice) and the same counts
+    walks = _record_packed_walks(monkeypatch)
+    g = FiniteAbelianGroup((7, 2, 2))
+    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    spec = SearchSpec(group=g, forbidden=n, m=8, budget=SearchBudget(max_solutions=256))
+    certs = search_ddf(spec)
+    assert len(certs) == 256 and certs[-1].nodes == 30077
+    # 43 second-block walks, the last closed at the 257th block
+    assert len(walks) == 43
+    assert _assert_walks_match_reference(walks) == 30236
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_packed_walk_matches_the_per_pair_kernel_on_cyclic_specs(monkeypatch, m):
+    # the first 5000 nodes over Z_v, v = m(m-1)/2, with wider fields and more
+    # cosets, from the first first block whose counts fit the targets
+    v = m * (m - 1) // 2
+    g = FiniteAbelianGroup((v,))
+    n = Subgroup(g, [(2 * v // m * i,) for i in range(m // 2)])
+    spec = SearchSpec(group=g, forbidden=n, m=m)
+    tables = search._CodeTables(spec)
+    assert tables.width == (m * (m - 2) // 4 * (m * (m - 2) // 4 - 1)).bit_length() + 1
+    fits = next(
+        d1
+        for d1 in search._symmetric_first_blocks(tables, search._Budget(SearchBudget()))
+        if all(c <= t for c, t in zip(tables.pair_counts(d1), tables.targets))
+    )
+    walks = _record_packed_walks(monkeypatch)
+    budget = search._Budget(SearchBudget(max_nodes=5000))
+    assert list(search._balanced_blocks(tables, tables.pair_counts(fits), budget)) == []
+    assert len(walks[0][2]) > 5000
+    assert _assert_walks_match_reference(walks, 5000) == 5000
+
+
+def test_packed_fields_accept_the_target_and_reject_one_more():
+    # the first and the last field, with every other count at its target
+    g = FiniteAbelianGroup((7, 2, 2))
+    spec = SearchSpec(
+        group=g, forbidden=Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)]), m=8
+    )
+    tables = search._CodeTables(spec)
+    w, v = tables.width, tables.v
+    k = spec.targets()[0]
+    assert 1 << (w - 1) > k * (k - 1) >= 1 << (w - 2)
+    at_target = tables.pack(tables.targets)
+    assert at_target == ref_pack(tables, tables.targets) == tables.complete
+    assert not at_target & tables.high
+    for d in (0, v - 1):
+        one = 1 << (w * d)
+        assert (at_target + one) & tables.high  # target + 1
+        if tables.targets[d]:
+            below = list(tables.targets)
+            below[d] -= 1
+            reaches = tables.pack(below) + one
+            assert not reaches & tables.high and reaches == tables.complete
+        # a whole block's pairs on top of a count at its target stay in the field
+        most = at_target + k * (k - 1) * one
+        assert most >> (w * (d + 1)) == at_target >> (w * (d + 1))
+        assert most & tables.high == 1 << (w * d + w - 1)
+
+
+def test_an_overshooting_base_completes_no_block():
+    # one count above its target at difference 0, which no pair of distinct
+    # points forms: every choice is pruned as before, so the same nodes are
+    # spent, but no block completes the base
+    g = FiniteAbelianGroup((7, 2, 2))
+    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    spec = SearchSpec(group=g, forbidden=n, m=8, budget=SearchBudget(max_solutions=1))
+    d1 = frozenset(search_ddf(spec)[0].family.blocks[0].codes.tolist())
+    tables = search._CodeTables(spec)
+    base = tables.pair_counts(d1)
+    fits = search._Budget(SearchBudget())
+    assert list(search._balanced_blocks(tables, base, fits))
+    over = search._Budget(SearchBudget())
+    assert list(search._balanced_blocks(tables, [1] + base[1:], over)) == []
+    assert over.nodes == fits.nodes
+
+
+def _check_every_swap(spec):
+    """Run the search, checking each swap's delta score and count changes
+    against a full ``pair_counts`` rescoring of the candidate."""
+    real_counts, real_swap = search._CodeTables.pair_counts, search._scored_swap
+    restarts, steps = [], []
+
+    def deviation(tables, counts):
+        return sum((c - t) ** 2 for c, t in zip(counts, tables.targets))
+
+    def pair_counts(self, *blocks):
+        restarts.append(blocks[0])
+        return real_counts(self, *blocks)
+
+    def scored_swap(tables, counts, score, d2, out_pt, in_pt):
+        # the running counts and score are those of d2: each step checks the
+        # candidate's, and a restart's come from pair_counts
+        cand_score, change = real_swap(tables, counts, score, d2, out_pt, in_pt)
+        full = real_counts(tables, restarts[-1], (d2 - {out_pt}) | {in_pt})
+        assert cand_score == deviation(tables, full)
+        assert [c + change.get(d, 0) for d, c in enumerate(counts)] == full
+        steps.append(cand_score)
+        return cand_score, change
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search._CodeTables, "pair_counts", pair_counts)
+        mp.setattr(search, "_scored_swap", scored_swap)
+        certs = search_ddf(spec)
+    assert steps and len(restarts) < len(steps)
+    return certs
+
+
+def test_swap_deltas_match_full_rescoring_at_m8():
+    g = FiniteAbelianGroup((7, 2, 2))
+    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    for seed in range(10):
+        spec = SearchSpec(
+            group=g, forbidden=n, m=8, mode="randomized", seed=seed,
+            budget=SearchBudget(max_nodes=1000),
+        )
+        _check_every_swap(spec)
+
+
+def test_swap_deltas_match_full_rescoring_on_cyclic_m12():
+    g = FiniteAbelianGroup((66,))
+    spec = SearchSpec(
+        group=g, forbidden=Subgroup(g, [(11 * i,) for i in range(6)]), m=12,
+        mode="randomized", seed=0, budget=SearchBudget(max_nodes=2000),
+    )
+    assert _check_every_swap(spec) == []
