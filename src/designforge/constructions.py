@@ -73,9 +73,9 @@ def _check_cyclotomic_conditions(q: int, e: int, with_zero: bool) -> None:
     if e == 8 and with_zero:
         a = isqrt_exact((q - 441) // 64) if (q - 441) % 64 == 0 else None
         b = isqrt_exact((q - 49) // 8) if (q - 49) % 8 == 0 else None
-        if a is None or b is None or a % 2 == 0 or b % 2 == 0:
+        if a is None or b is None or a % 2 == 1 or b % 2 == 0:
             raise PreconditionError(
-                f"q={q} fails q = 441 + 64a^2 = 49 + 8b^2 with a, b odd"
+                f"q={q} fails q = 441 + 64a^2 = 49 + 8b^2 with a even, b odd"
             )
         return
     raise PreconditionError(f"index e={e} is not one of 2, 4, 8")
@@ -94,24 +94,25 @@ def cyclotomic_difference_set(
     if (q - 1) % e != 0:
         raise PreconditionError(f"e={e} does not divide q-1={q - 1}")
     _check_cyclotomic_conditions(q, e, with_zero)
-    D = set(ctx.mult_subgroup(e))
+    tables = ctx.unit_tables
+    group = tables.additive
+    codes = tables.exp[::e]  # the index-e subgroup: the log codes divisible by e
     if with_zero:
-        D.add(ctx.zero)
-    k = len(D)
+        codes = np.append(codes, 0)
+    k = codes.size
     lam, rem = divmod(k * (k - 1), q - 1)
     if rem:
         raise PreconditionError(f"k(k-1) = {k*(k-1)} is not divisible by q-1 = {q - 1}")
-    group = ctx.additive_group()
     family = DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
-        blocks=[Block(group, frozenset(D))],
+        blocks=[Block(group, codes)],
         declared=DesignParams(None, lam, (k,)),
     )
     report = designs.verify(family)
     if not report.ok:
         raise RuntimeError(f"cyclotomic set failed verification: {report.summary()}")
-    return CyclotomicDS(ctx, e, with_zero, frozenset(D), q, k, lam)
+    return CyclotomicDS(ctx, e, with_zero, frozenset(group.decode_elements(codes)), q, k, lam)
 
 
 # -- the generic quotient machine ----------------------------------------------
@@ -149,7 +150,6 @@ def unit_quotient_family(
     """
     tables: UnitTables = ring.unit_tables
     group = tables.additive
-    blocks = [frozenset(b) for b in blocks]
     block_codes = [group.code_set(D) for D in blocks]
     members = list(frozenset(subgroup))
     by_code = dict(zip(group.encode(members).tolist(), members))
@@ -171,7 +171,7 @@ def unit_quotient_family(
     base = DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
-        blocks=[Block(group, D) for D in blocks],
+        blocks=[Block(group, D) for D in block_codes],
     )
     report = designs.verify(base)
     if not report.ok or report.mu is None:
@@ -201,14 +201,6 @@ def unit_quotient_family(
     lambda_t = pair_counts[group.code_sub(n_codes, tables.one)].tolist()
     lambda_table = {t: lam for t, lam in zip(n_elements, lambda_t) if t != ring.one}
     return QuotientFamilyResult(out_blocks, report.mu, lambda_table)
-
-
-def _decode(group: FiniteAbelianGroup, codes: np.ndarray) -> List[Element]:
-    return list(map(tuple, group.decode(codes).tolist()))
-
-
-def _decode_set(group: FiniteAbelianGroup, codes: np.ndarray) -> FrozenSet[Element]:
-    return frozenset(_decode(group, codes))
 
 
 def _mask(size: int, codes: np.ndarray) -> np.ndarray:
@@ -299,19 +291,6 @@ class SzekeresFamily:
     report: designs.VerificationReport  # the oracle's verdict on ``family``
 
 
-def _half_log_map(ctx: FieldCtx, e: int):
-    """Map the index-e subgroup onto Z_((q-1)/e) through the discrete log."""
-    v = (ctx.q - 1) // e
-
-    def phi(x: Element) -> Element:
-        log = ctx.discrete_log(x)
-        if log % e:
-            raise ValueError(f"{x} is not in the index-{e} subgroup")
-        return ((log // e) % v,)
-
-    return phi, FiniteAbelianGroup((v,))
-
-
 def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
     """The two-block family (N-1) ∩ N, (N+1) ∩ N over the nonzero squares N.
 
@@ -324,15 +303,15 @@ def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
         raise PreconditionError(f"q={q} fails q = 3 (mod 4)")
     if q < 7:
         raise PreconditionError(f"q={q} is too small (need q >= 7)")
-    N = ctx.mult_subgroup(2)
-    one = ctx.one
-    d1 = frozenset(x for x in N if ctx.add(x, one) in N)  # (N-1) ∩ N
-    d2 = frozenset(x for x in N if ctx.sub(x, one) in N)  # (N+1) ∩ N
-    phi, zv = _half_log_map(ctx, 2)
-    blocks = [
-        Block(zv, frozenset(phi(x) for x in d1)),
-        Block(zv, frozenset(phi(x) for x in d2)),
-    ]
+    tables = ctx.unit_tables
+    group = tables.additive
+    squares = tables.exp[::2]
+    in_n = _mask(q, squares)
+    d1 = squares[in_n[group.code_add(squares, tables.one)]]  # (N-1) ∩ N
+    d2 = squares[in_n[group.code_sub(squares, tables.one)]]  # (N+1) ∩ N
+    # g^(2i) maps to i in Z_((q-1)/2)
+    zv = FiniteAbelianGroup(((q - 1) // 2,))
+    blocks = [Block(zv, tables.log[d] // 2) for d in (d1, d2)]
     k = (q - 3) // 4
     family = DifferenceFamily(
         ambient=zv,
@@ -344,7 +323,8 @@ def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
     report = designs.verify(family)
     if not report.ok:
         raise RuntimeError(f"Szekeres family failed verification: {report.summary()}")
-    return SzekeresFamily(ctx, N, (d1, d2), family, report)
+    d1_elems, d2_elems = (frozenset(group.decode_elements(d)) for d in (d1, d2))
+    return SzekeresFamily(ctx, ctx.mult_subgroup(2), (d1_elems, d2_elems), family, report)
 
 
 def szekeres_inverse_identity(ctx: FieldCtx) -> Tuple[FrozenSet[Element], FrozenSet[Element]]:
@@ -386,16 +366,15 @@ def cyclotomic_family(
     N = ctx.mult_subgroup(e)
     reps = [ctx.g_pow(i) for i in range(e)]
     quotient = unit_quotient_family(ctx, [ds.elements], N, reps)
-    phi, zv = _half_log_map(ctx, e)
-    blocks: List[Block] = []
-    field_blocks: List[FrozenSet[Element]] = []
-    for _, y, sub in quotient.blocks:
-        field_blocks.append(sub)
-        blocks.append(Block(zv, frozenset(phi(x) for x in sub)))
+    tables = ctx.unit_tables
+    group = tables.additive
+    # g^(e*i) maps to i in Z_((q-1)/e)
+    zv = FiniteAbelianGroup(((ctx.q - 1) // e,))
+    field_blocks = [sub for _, _, sub in quotient.blocks]
+    blocks = [Block(zv, tables.log[group.encode(list(sub))] // e) for sub in field_blocks]
     # block-size law |D_{1,y}| = |(N+y) ∩ N| for the zero-free construction
     if not with_zero:
-        group = ctx.unit_tables.additive
-        n_codes = group.code_set(N)
+        n_codes = tables.exp[::e]
         for (_, y, sub) in quotient.blocks:
             shifted = _shift_overlap(group, n_codes, y)
             if len(sub) != shifted:
@@ -423,7 +402,7 @@ def cyclotomic_family(
         },
     )
     report = designs.verify(family)
-    _check_quotient_consistency(quotient, phi, report)
+    _check_quotient_consistency(quotient, lambda t: (ctx.discrete_log(t) // e,), report)
     if not report.ok:
         raise RuntimeError(f"cyclotomic family failed verification: {report.summary()}")
     return CyclotomicFamily(ds, reps, field_blocks, family, quotient, report)
@@ -484,10 +463,10 @@ def galois_ring_data(
         if not _mask(group.order, d_codes)[n_codes].all():
             raise PreconditionError("subgroup must be contained in D")
         _subgroup_generators(tables, n_codes)
-    D = _decode_set(group, d_codes)
+    D = frozenset(group.decode_elements(d_codes))
     N = D if subgroup is None else frozenset(subgroup)
     # the principal units 1 + 2R are the log codes with odd part 0
-    L = _decode_set(group, n_codes[tables.log[n_codes] < 2**n])
+    L = frozenset(group.decode_elements(n_codes[tables.log[n_codes] < 2**n]))
     return GR4Data(ring, u, E, D, N, L)
 
 
@@ -538,7 +517,7 @@ def _coset_reps(ring: RingCtx, N: FrozenSet[Element]) -> List[Element]:
         low = int(units[least[k]])
         rep = int(tables.exp[principal[first[k]]]) if first[k] < principal.size else low
         found.append((rep != tables.one, low, rep))
-    return _decode(tables.additive, np.array([rep for _, _, rep in sorted(found)]))
+    return tables.additive.decode_elements([rep for _, _, rep in sorted(found)])
 
 
 def _principal_index(ring: RingCtx, y: Element) -> int:
@@ -580,18 +559,13 @@ def galois_ring_ddf(
         if y is not None:
             raise PreconditionError("y can only be chosen for the N = D family")
         reps = _coset_reps(ring, N)
-    source = set(data.D)
-    if include_ideal:
-        source |= set(ring.nonunits())
-    quotient = unit_quotient_family(ring, [frozenset(source)], N, reps)
+    source = data.D | frozenset(ring.nonunits()) if include_ideal else data.D
+    quotient = unit_quotient_family(ring, [source], N, reps)
     iso = unit_group_iso(ring, N)
-    group = iso.codomain
-    blocks: List[Block] = []
-    ring_blocks: List[FrozenSet[Element]] = []
-    for _, rep, sub in quotient.blocks:
-        ring_blocks.append(sub)
-        blocks.append(Block(group, iso.map_set(sub)))
-    forbidden = Subgroup(group, iso.map_set(data.L))
+    group, additive = iso.codomain, ring.additive_group()
+    ring_blocks = [sub for _, _, sub in quotient.blocks]
+    blocks = [Block(group, iso.map_codes(additive.encode(list(sub)))) for sub in ring_blocks]
+    forbidden = Subgroup(group, iso.map_codes(additive.encode(list(data.L))))
     lam = 2 ** (2 * (n - 1)) if include_ideal else 2**n * (2 ** (n - 2) - 1)
     mu = (
         2 ** (n - 2) * (2**n + 1)
@@ -607,7 +581,6 @@ def galois_ring_ddf(
             raise RuntimeError(f"block sizes {sizes} disagree with {expected_k}")
         # size law k_y = |(D + y) ∩ D| for the plain construction
         if not include_ideal:
-            additive = ring.additive_group()
             d_codes = additive.code_set(data.D)
             for (_, rep, sub) in quotient.blocks:
                 law = _shift_overlap(additive, d_codes, rep)
@@ -665,13 +638,12 @@ def teichmuller_difference_set(
     teich = tables.exp[np.arange(tables.m) << n]  # xi^i at position i
     in_d = _mask(additive.order, additive.code_set(data.D))
     exponents = np.flatnonzero(in_d[additive.code_sub(teich, additive.index(ring.two))])
-    members = _decode_set(additive, teich[exponents])
+    members = frozenset(additive.decode_elements(teich[exponents]))
     group = FiniteAbelianGroup((2**n - 1,))
-    mapped = frozenset((i,) for i in exponents.tolist())
     family = DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
-        blocks=[Block(group, mapped)],
+        blocks=[Block(group, exponents)],
         declared=DesignParams(
             None, 2 ** (n - 2) - 1, (2 ** (n - 1) - 1,)
         ),

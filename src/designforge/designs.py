@@ -7,7 +7,6 @@ stay independent of it: no character sums, no shortcuts.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,51 +32,46 @@ INFINITY = "inf"
 _ORACLE_ROWS = 64
 
 
-@dataclass(frozen=True)
 class Block:
-    """A subset of a finite abelian group."""
+    """A subset of a finite abelian group, stored only as its members' sorted,
+    distinct, read-only codes; ``elements`` and ``sorted_elements`` decode them."""
 
-    ambient: FiniteAbelianGroup
-    elements: FrozenSet[Element]
+    __slots__ = ("ambient", "codes")
 
-    def __post_init__(self) -> None:
-        # one integer array and a min/max per coordinate; a ragged, non-integer
-        # or out-of-range input is then scanned for its first failing element
-        elements = list(self.elements)
-        moduli = self.ambient.moduli
-        try:
-            coords = np.array(elements)
-        except ValueError:  # ragged
-            coords = None
-        if (
-            coords is not None
-            and coords.dtype.kind in "iu"
-            and coords.shape == (len(elements), len(moduli))
-            and (coords.min(axis=0) >= 0).all()
-            and (coords.max(axis=0) < moduli).all()
-        ):
-            return
-        for e in elements:
-            if not self.ambient.contains(e):
-                raise ValueError(f"block element {e} outside {self.ambient}")
+    def __init__(self, ambient: FiniteAbelianGroup, codes: object) -> None:
+        self.ambient = ambient
+        self.codes = ambient.sorted_codes(codes, "block")
+
+    @classmethod
+    def from_elements(cls, ambient: FiniteAbelianGroup, elements: Iterable[Element]) -> "Block":
+        """The block with the given boundary elements, each range-checked as
+        a ``block element`` by ``checked_encode``."""
+        return cls(ambient, ambient.checked_encode(list(elements), "block element"))
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.codes.size
+
+    @property
+    def elements(self) -> FrozenSet[Element]:
+        """The members as boundary tuples, decoded on each call."""
+        return frozenset(self.sorted_elements())
 
     def sorted_elements(self) -> List[Element]:
-        return sorted(self.elements)
+        return self.ambient.decode_elements(self.codes)
 
-    @functools.cached_property
-    def codes(self) -> np.ndarray:
-        """The elements' mixed-radix codes in element order, so sorted; read-only."""
-        codes = self.ambient.encode(self.sorted_elements())
-        codes.flags.writeable = False
-        return codes
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Block)
+            and self.ambient == other.ambient
+            and np.array_equal(self.codes, other.codes)
+        )
 
-    def translate(self, t: Element) -> "Block":
-        add = self.ambient.add
-        return Block(self.ambient, frozenset(add(x, t) for x in self.elements))
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.codes.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Block({self.ambient!r}, {self.codes.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ class DifferenceFamily:
     def to_json(self) -> dict:
         data = {
             "group": self.ambient.to_json(),
-            "forbidden": [list(e) for e in sorted(self.forbidden.elements)],
+            "forbidden": self.forbidden.to_json(),
             "blocks": [[list(e) for e in blk] for blk in self.canonical_blocks()],
         }
         if self.declared is not None:
@@ -146,9 +140,11 @@ class DifferenceFamily:
         group = FiniteAbelianGroup.from_json(
             json_field(data, "group", "family", json_object), "family.group"
         )
-        forbidden = Subgroup(group, json_field(data, "forbidden", "family", json_elements))
+        forbidden = Subgroup.from_elements(
+            group, json_field(data, "forbidden", "family", json_elements)
+        )
         blocks = [
-            Block(group, frozenset(json_elements(blk, f"family.blocks[{i}]")))
+            Block.from_elements(group, frozenset(json_elements(blk, f"family.blocks[{i}]")))
             for i, blk in enumerate(json_field(data, "blocks", "family", json_list))
         ]
         declared = None
@@ -270,10 +266,7 @@ def _fold(hist: np.ndarray, moduli: Tuple[int, ...]) -> np.ndarray:
 def _nonzero_table(group: FiniteAbelianGroup, totals: np.ndarray) -> Dict[Element, int]:
     """The nonzero entries of code-indexed totals, keyed by tuple element."""
     nonzero = np.flatnonzero(totals[1:]) + 1
-    return {
-        tuple(e): int(c)
-        for e, c in zip(group.decode(nonzero).tolist(), totals[nonzero].tolist())
-    }
+    return dict(zip(group.decode_elements(nonzero), totals[nonzero].tolist()))
 
 
 def difference_table(family: DifferenceFamily) -> Dict[Element, int]:
@@ -283,9 +276,10 @@ def difference_table(family: DifferenceFamily) -> Dict[Element, int]:
 
 def difference_count(family: DifferenceFamily, d: Element) -> int:
     """How many ordered pairs in the family have difference d (d != 0)."""
-    if family.ambient.reduce(d) == family.ambient.zero():
+    code = int(family.ambient.encode([d])[0])
+    if code == 0:
         raise ValueError("difference counts are only defined for nonzero d")
-    return difference_table(family).get(family.ambient.reduce(d), 0)
+    return int(difference_totals(family)[code])
 
 
 @dataclass
@@ -386,12 +380,10 @@ def _first(mask: np.ndarray) -> Optional[int]:
 
 
 def develop(family: DifferenceFamily) -> List[Block]:
-    """All translates of all blocks (with multiplicity): |G| * b blocks."""
-    out: List[Block] = []
-    for block in family.blocks:
-        for t in family.ambient.elements():
-            out.append(block.translate(t))
-    return out
+    """All translates of all blocks, each by every code in turn: |G| * b blocks."""
+    group = family.ambient
+    shifts = np.arange(group.order, dtype=group.code_dtype)[:, None]
+    return [Block(group, row) for b in family.blocks for row in group.code_add(shifts, b.codes)]
 
 
 @dataclass
@@ -507,16 +499,9 @@ def one_rotational_design(family: DifferenceFamily) -> PointedDesign:
             f"block sizes {sizes} are not of the shape {{lam, (lam+1)^(b-1)}} "
             f"with lam={lam}"
         )
-    points: List = [e for e in family.ambient.elements()]
-    blocks: List[FrozenSet] = []
-    for block in family.blocks:
-        for t in family.ambient.elements():
-            translated = block.translate(t).elements
-            if block.size == lam:
-                blocks.append(frozenset(translated) | {INFINITY})
-            else:
-                blocks.append(frozenset(translated))
-    points.append(INFINITY)
+    points: List = [*family.ambient.elements(), INFINITY]
+    # the translates of the size-lam block gain the new point
+    blocks = [b.elements | {INFINITY} if b.size == lam else b.elements for b in develop(family)]
     report = verify_gdd(blocks, [[p] for p in points], mu=lam)
     if not report.ok:
         raise ValueError(f"pointed development failed: {report.summary()}")

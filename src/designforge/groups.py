@@ -1,17 +1,18 @@
 """Finite abelian groups Z_m1 x ... x Z_mk.
 
-Elements have two forms.  At the boundary (JSON, text output, provenance,
-``Block`` and ``DifferenceFamily`` fields) an element is a tuple of reduced
-residues.  Hot paths work on its mixed-radix code instead: the element's
-rank in lexicographic order, an integer in 0..order-1, so code order is
-tuple order.  ``FiniteAbelianGroup`` owns the radix weights and converts
-between the two forms.
+Elements have two forms.  The stored and working form is the mixed-radix
+code: the element's rank in lexicographic order, an integer in 0..order-1,
+so code order is tuple order.  ``Block`` and ``Subgroup`` hold codes only.
+A tuple of reduced residues is the boundary form, read from and written to
+JSON, text output, provenance and failure witnesses, and decoded from codes
+when it is asked for.  ``FiniteAbelianGroup`` owns the radix weights and
+converts between the two forms.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,13 +185,11 @@ def json_elements(value: object, where: str) -> List[Element]:
 class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
-    Boundary elements are plain tuples of residues, one per modulus, always
-    kept reduced; elements carry no back-reference, so element sets are cheap
-    to build and hash.  The working form is the mixed-radix code
-    ``sum(c_i * weights[i])``: ``index``/``element`` convert one element,
-    ``encode``/``decode`` whole arrays, and ``code_sub``/``code_add`` combine
-    code arrays one coordinate at a time, never materialising a coordinate
-    axis.
+    Boundary elements are tuples of residues, one per modulus.  The stored
+    and working form is the mixed-radix code ``sum(c_i * weights[i])``:
+    ``index``/``element`` convert one element, ``encode``/``decode`` whole
+    arrays, and ``code_sub``/``code_add`` combine code arrays one coordinate
+    at a time, never materialising a coordinate axis.
     """
 
     __slots__ = ("moduli", "order", "weights")
@@ -222,11 +221,6 @@ class FiniteAbelianGroup:
 
     def zero(self) -> Element:
         return (0,) * len(self.moduli)
-
-    def reduce(self, coords: Sequence[int]) -> Element:
-        if len(coords) != len(self.moduli):
-            raise ValueError(f"element {tuple(coords)} does not live in {self}")
-        return tuple(c % m for c, m in zip(coords, self.moduli))
 
     def contains(self, a: Sequence[int]) -> bool:
         return len(a) == len(self.moduli) and all(
@@ -281,14 +275,42 @@ class FiniteAbelianGroup:
 
     def code_set(self, elements: Iterable[Element]) -> np.ndarray:
         """Sorted distinct codes of some elements."""
-        present = np.zeros(self.order, dtype=bool)
-        present[self.encode(list(elements))] = True
-        return np.flatnonzero(present).astype(self.code_dtype)
+        return self.sorted_codes(self.encode(list(elements)), "element")
+
+    def checked_encode(self, elements: Sequence[Element], what: str) -> np.ndarray:
+        """Codes of boundary elements that must already be reduced residues,
+        one per modulus, checked with one int64 array and two comparisons.
+        The first element, in the given order, that fails raises ValueError
+        ``{what} {e} outside {self}``."""
+        try:
+            coords = np.array(elements, dtype=np.int64).reshape(len(elements), len(self.moduli))
+        except (ValueError, TypeError, OverflowError):  # ragged, wrong length, not integers
+            coords = None
+        if coords is None or (coords < 0).any() or (coords >= self.moduli).any():
+            for e in elements:
+                if not self.contains(e):
+                    raise ValueError(f"{what} {e} outside {self}")
+        return self.encode(coords)
+
+    def sorted_codes(self, codes: object, what: str) -> np.ndarray:
+        """Sorted distinct codes as a read-only ``code_dtype`` array; a code
+        outside 0..order-1 raises ValueError naming the least or greatest.
+        No ``np.unique``: it imports ``numpy.ma``, 1.7 MB of peak RSS."""
+        arr = np.sort(np.asarray(codes, dtype=np.int64), axis=None)
+        if arr.size and (arr[0] < 0 or arr[-1] >= self.order):
+            raise ValueError(f"{what} code {arr[0] if arr[0] < 0 else arr[-1]} outside {self}")
+        arr = arr[np.diff(arr, prepend=-1) != 0].astype(self.code_dtype)
+        arr.flags.writeable = False
+        return arr
 
     def decode(self, codes: object) -> np.ndarray:
         """Elements of an array of codes, one row of residues per code."""
         arr = np.asarray(codes).reshape(-1, 1)
         return (arr // np.array(self.weights)) % np.array(self.moduli)
+
+    def decode_elements(self, codes: object) -> List[Element]:
+        """The boundary tuples of an array of codes, in its order."""
+        return list(map(tuple, self.decode(codes).tolist()))
 
     def code_sub(self, x: object, y: object) -> np.ndarray:
         """Codes of x - y for code arrays x and y, broadcast together."""
@@ -343,36 +365,55 @@ class FiniteAbelianGroup:
 class Subgroup:
     """A verified subgroup: contains zero, closed under addition (so under negation).
 
-    ``elements`` is the boundary form and ``codes`` the sorted mixed-radix
-    codes; ``coset_index`` is the one place cosets are computed.
+    Its one stored form is ``codes``, its members' sorted codes; ``elements``
+    decodes them.  ``coset_index`` is the one place cosets are computed.
     """
 
-    __slots__ = ("parent", "elements", "codes", "_generators", "_coset_index")
+    __slots__ = ("parent", "codes", "_generators", "_coset_index")
 
-    def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[Element]) -> None:
-        elems = frozenset(parent.reduce(e) for e in elements)
-        gens = closure_generators(elems, parent.zero(), parent.add)
+    def __init__(self, parent: FiniteAbelianGroup, codes: object) -> None:
+        codes = parent.sorted_codes(codes, "subgroup")
+        if not codes.size or codes[0] != 0:
+            raise ValueError(f"not a subgroup: the identity {parent.zero()!r} is missing")
+
+        def position_of_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            total = parent.code_add(codes[a], codes[b])
+            at = np.searchsorted(codes, total) % codes.size
+            return np.where(codes[at] == total, at, -1)
+
+        gens, _ = closure_table(
+            codes.size, 0, position_of_sum, lambda p: parent.element(int(codes[p]))
+        )
         self.parent = parent
-        self.elements = elems
-        self.codes = parent.encode(sorted(elems))  # code order is element order
-        self.codes.flags.writeable = False
-        self._generators = parent.encode(gens).tolist()
+        self.codes = codes
+        self._generators = codes[gens].tolist()
         self._coset_index: Optional[np.ndarray] = None
 
     @classmethod
+    def from_elements(cls, parent: FiniteAbelianGroup, elements: Iterable[Element]) -> "Subgroup":
+        """The subgroup with the given boundary elements, each range-checked
+        as a ``forbidden element``: files name no other subgroups."""
+        return cls(parent, parent.checked_encode(list(elements), "forbidden element"))
+
+    @classmethod
     def trivial(cls, parent: FiniteAbelianGroup) -> "Subgroup":
-        return cls(parent, [parent.zero()])
+        return cls(parent, [0])
 
     @classmethod
     def whole(cls, parent: FiniteAbelianGroup) -> "Subgroup":
-        return cls(parent, parent.elements())
+        return cls(parent, np.arange(parent.order))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.codes.size
+
+    @property
+    def elements(self) -> FrozenSet[Element]:
+        """The members as boundary tuples, decoded on each call."""
+        return frozenset(self.parent.decode_elements(self.codes))
 
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return self.codes.size == 1
 
     def coset_index(self) -> np.ndarray:
         """The coset number of every code of the parent, read-only, built on
@@ -408,35 +449,34 @@ class Subgroup:
         index = self.coset_index()
         return np.argsort(index, kind="stable").reshape(-1, self.order)
 
-    def __contains__(self, a: Element) -> bool:
-        return a in self.elements
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.parent == other.parent
-            and self.elements == other.elements
+            and np.array_equal(self.codes, other.codes)
         )
 
     def __hash__(self) -> int:
-        return hash((self.parent, self.elements))
+        return hash((self.parent, self.codes.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
     def to_json(self) -> list:
-        return [list(e) for e in sorted(self.elements)]
+        return self.parent.decode(self.codes).tolist()
 
 
 def subgroup_generated(group: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:
     """Smallest subgroup containing ``gens`` (closure under repeated addition)."""
-    gens = [group.reduce(g) for g in gens]
-    frontier = {group.zero()}
-    closure = set(frontier)
-    while frontier:
-        frontier = {group.add(a, g) for a in frontier for g in gens} - closure
-        closure |= frontier
-    return Subgroup(group, closure)
+    steps = group.encode(list(gens))
+    reached = np.zeros(group.order, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=group.code_dtype)
+    while frontier.size:
+        frontier = group.sorted_codes(group.code_add(frontier[:, None], steps[None, :]), "sum")
+        frontier = frontier[~reached[frontier]]
+        reached[frontier] = True
+    return Subgroup(group, np.flatnonzero(reached))
 
 
 def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> List[Tuple[Element, frozenset]]:
@@ -450,7 +490,7 @@ def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> List[Tuple[Element, froz
         raise ValueError("subgroup does not belong to this group")
     out: List[Tuple[Element, frozenset]] = []
     for row in sub.coset_codes():
-        members = [tuple(e) for e in group.decode(row).tolist()]
+        members = group.decode_elements(row)
         out.append((members[0], frozenset(members)))
     return out
 
@@ -463,7 +503,8 @@ class GroupIso:
     lifted to position arrays.  The plain constructor takes the table as a
     dict keyed by any hashable, sortable representation with a pairwise
     ``mul``; ``from_codes`` takes a domain held as mixed-radix codes with a
-    batched multiplication, and decodes ``forward`` only when it is read.
+    batched multiplication, maps codes (``map_codes``) and decodes ``forward``
+    only when it is read.
     ``verify`` is one complete check for both, at every size, linear in the
     domain times its rank.
     """
@@ -487,6 +528,7 @@ class GroupIso:
         self._one = keys.index(one) if one in self._forward else -1
         self._images: Optional[np.ndarray] = None  # encoded by verify, after its range check
         self._keys: Sequence[Hashable] = keys
+        self._position: Optional[np.ndarray] = None  # domain code -> position, from_codes only
 
     @classmethod
     def from_codes(
@@ -514,7 +556,7 @@ class GroupIso:
         iso._forward = None
         iso._keys = members
         iso._images = np.asarray(images, dtype=np.int64)
-        lookup = np.full(elements.order, -1, dtype=np.int64)
+        iso._position = lookup = np.full(elements.order, -1, dtype=np.int64)
         lookup[keys] = np.arange(keys.size)
         iso._name = members.__getitem__
         iso._op = lambda a, b: lookup[mul(keys[a], keys[b])]
@@ -525,8 +567,7 @@ class GroupIso:
     def forward(self) -> Dict[Hashable, Element]:
         """The table as a dict from domain elements to codomain tuples."""
         if self._forward is None:
-            images = map(tuple, self.codomain.decode(self._images).tolist())
-            self._forward = dict(zip(self._keys, images))
+            self._forward = dict(zip(self._keys, self.codomain.decode_elements(self._images)))
         return self._forward
 
     def __call__(self, x: Hashable) -> Element:
@@ -535,16 +576,17 @@ class GroupIso:
         except KeyError:
             raise KeyError(f"{x!r} is not in the domain of this isomorphism") from None
 
-    def map_set(self, xs: Iterable[Hashable]) -> frozenset:
-        return frozenset(self(x) for x in xs)
+    def map_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Image codes of the domain elements with the given codes (``from_codes`` tables)."""
+        positions = self._position[codes]
+        if (positions < 0).any():
+            raise KeyError(f"code {codes[positions < 0][0]} is not in the domain of this isomorphism")
+        return self._images[positions]
 
     def _image_codes(self) -> np.ndarray:
         if self._images is None:  # a dict table: check its tuples before encoding them
             images = [self._forward[k] for k in self._keys]
-            for img in images:
-                if not self.codomain.contains(img):
-                    raise ValueError(f"image {img} outside {self.codomain}")
-            self._images = self.codomain.encode(images).astype(np.int64)
+            self._images = self.codomain.checked_encode(images, "image").astype(np.int64)
         outside = self._images[(self._images < 0) | (self._images >= self.codomain.order)]
         if outside.size:
             raise ValueError(f"image code {int(outside[0])} outside {self.codomain}")

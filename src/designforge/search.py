@@ -118,7 +118,9 @@ class SearchSpec:
         in_budget = f"{where}.budget"
         return cls(
             group=group,
-            forbidden=Subgroup(group, json_field(data, "forbidden", where, json_elements)),
+            forbidden=Subgroup.from_elements(
+                group, json_field(data, "forbidden", where, json_elements)
+            ),
             m=json_field(data, "m", where, json_int),
             mode=json_field(data, "mode", where, json_typed("a string", str), "exhaustive"),
             budget=SearchBudget(
@@ -200,8 +202,7 @@ class _CodeTables:
     ``targets[d]`` is the frequency the family needs at difference d (0 at
     d = 0, which no pair of distinct elements produces); ``outside`` lists
     the cosets of the forbidden subgroup other than itself, each as sorted
-    codes, in order of their least member.  Code order is lexicographic
-    tuple order, so every sorted list here lines up with the tuple elements.
+    codes, in order of their least member.
 
     The exhaustive walk keeps its counts packed into one int, a field of
     ``width`` bits per difference code d at bit ``width * d``, holding
@@ -219,7 +220,6 @@ class _CodeTables:
         v = group.order
         codes = np.arange(v)
         self.v = v
-        self.elements = list(group.elements())  # by code, shared by every certificate
         self.diff: List[int] = group.code_sub(codes[:, None], codes[None, :]).ravel().tolist()
         self.neg = self.diff[:v]
         k, lam, mu = spec.targets()
@@ -436,19 +436,18 @@ def _balanced_from(
 
 def _make_certificate(
     spec: SearchSpec,
-    tables: _CodeTables,
     d1: FrozenSet[int],
     d2: FrozenSet[int],
     budget: _Budget,
     t0: float,
 ) -> Certificate:
-    """Decode the two code blocks into a family, and replay it."""
+    """The family of the two code blocks, replayed."""
     k, lam, mu = spec.targets()
-    group, elements = spec.group, tables.elements
+    group = spec.group
     family = DifferenceFamily(
         ambient=group,
         forbidden=spec.forbidden,
-        blocks=[Block(group, frozenset(elements[c] for c in d)) for d in (d1, d2)],
+        blocks=[Block(group, list(d)) for d in (d1, d2)],
         declared=DesignParams(lam, mu, (k, k)),
         provenance={"construction": "search", "m": spec.m, "mode": spec.mode},
     )
@@ -471,7 +470,7 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
     come out in canonical order.  Randomized mode is deterministic for a
     given seed.  Zero false positives: every certificate has already been
     replayed through the independent verifier.  Both modes work on
-    mixed-radix codes; certificates hold tuple elements.
+    mixed-radix codes, and certificates hold their blocks as codes.
     """
     spec.validate()
     t0 = time.perf_counter()
@@ -486,7 +485,7 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
             for d2 in _balanced_blocks(tables, base, budget):
                 if not budget.room_for_solutions():
                     return _sorted_certs(certs)
-                certs.append(_make_certificate(spec, tables, d1, d2, budget, t0))
+                certs.append(_make_certificate(spec, d1, d2, budget, t0))
                 budget.solutions += 1
     else:
         certs = _randomized_search(spec, tables, budget, t0)
@@ -494,7 +493,8 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
 
 
 def _sorted_certs(certs: List[Certificate]) -> List[Certificate]:
-    return sorted(certs, key=lambda c: c.family.canonical_blocks())
+    # canonical_blocks order, on codes: code order is element order
+    return sorted(certs, key=lambda c: sorted(b.codes.tolist() for b in c.family.blocks))
 
 
 def _randomized_search(
@@ -547,8 +547,8 @@ def _randomized_search(
             else:
                 stall += 1
         if score == 0:
-            cert = _make_certificate(spec, tables, d1, d2, budget, t0)
-            key = tuple(map(tuple, cert.family.canonical_blocks()))
+            cert = _make_certificate(spec, d1, d2, budget, t0)
+            key = tuple(sorted(tuple(b.codes.tolist()) for b in cert.family.blocks))
             if key not in seen_families:
                 seen_families.add(key)
                 certs.append(cert)
@@ -664,10 +664,9 @@ def _canonical_forms(
         for r, row in enumerate(least.tolist()):
             neg, i = divmod(r, len(owners))
             images[owners[i]][neg].append(tuple(row))
-        used = np.sort(least, axis=None)
-        used = used[np.diff(used, prepend=-1) != 0]
+        used = group.sorted_codes(least, "translate")
         element_of.setdefault(group, {}).update(
-            zip(used.tolist(), map(tuple, group.decode(used).tolist()))
+            zip(used.tolist(), group.decode_elements(used))
         )
     forms = []
     for family, states in zip(families, images):

@@ -228,7 +228,7 @@ def test_criterion_07_skew_hadamard():
 def _z6_family():
     spec = search.SearchSpec(
         group=FiniteAbelianGroup((6,)),
-        forbidden=Subgroup(FiniteAbelianGroup((6,)), [(0,), (3,)]),
+        forbidden=Subgroup.from_elements(FiniteAbelianGroup((6,)), [(0,), (3,)]),
         m=4,
     )
     return search.search_ddf(spec)[0].family
@@ -283,7 +283,7 @@ def test_criterion_10_search_completeness():
     t0 = time.perf_counter()
     try:
         g = FiniteAbelianGroup((6,))
-        n = Subgroup(g, [(0,), (3,)])
+        n = Subgroup.from_elements(g, [(0,), (3,)])
         spec = search.SearchSpec(group=g, forbidden=n, m=4)
         certs = search.search_ddf(spec)
         assert all(c.replay() for c in certs)
@@ -296,7 +296,7 @@ def test_criterion_10_search_completeness():
             for d2 in itertools.combinations(list(g.elements()), 2):
                 fam = DifferenceFamily(
                     g, n,
-                    [Block(g, frozenset(d1)), Block(g, frozenset(d2))],
+                    [Block.from_elements(g, frozenset(d1)), Block.from_elements(g, frozenset(d2))],
                     DesignParams(0, 1, (2, 2)),
                 )
                 if designs.verify(fam).ok and check_symmetric_conditions(fam, 4).ok:
@@ -316,13 +316,13 @@ def test_criterion_11_negative_controls():
     try:
         # families: swap one element of a passing instance
         g = FiniteAbelianGroup((6,))
-        n = Subgroup(g, [(0,), (3,)])
+        n = Subgroup.from_elements(g, [(0,), (3,)])
         good = DifferenceFamily(
-            g, n, [Block(g, frozenset({(1,), (5,)})), Block(g, frozenset({(1,), (2,)}))]
+            g, n, [Block.from_elements(g, frozenset({(1,), (5,)})), Block.from_elements(g, frozenset({(1,), (2,)}))]
         )
         assert designs.verify(good).ok
         bad = DifferenceFamily(
-            g, n, [Block(g, frozenset({(1,), (5,)})), Block(g, frozenset({(1,), (4,)}))]
+            g, n, [Block.from_elements(g, frozenset({(1,), (5,)})), Block.from_elements(g, frozenset({(1,), (4,)}))]
         )
         rep = designs.verify(bad)
         assert not rep.ok and rep.witness is not None

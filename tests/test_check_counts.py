@@ -89,7 +89,7 @@ def test_family_oracle_runs_once(calls):
 
 def test_replay_runs_the_oracle_once(calls):
     g = FiniteAbelianGroup((6,))
-    spec = SearchSpec(group=g, forbidden=Subgroup(g, [(0,), (3,)]), m=4)
+    spec = SearchSpec(group=g, forbidden=Subgroup.from_elements(g, [(0,), (3,)]), m=4)
     cert = search_ddf(spec)[0]
     calls["tables"].clear()
     assert cert.replay()

@@ -61,6 +61,18 @@ def test_construct_prop23_and_prop34(capsys):
     assert json.loads(out)["declared"] == {"K": [7], "lambda": None, "mu": 3}
 
 
+def test_construct_prop23_octic_with_zero(capsys):
+    # 26041 = 441 + 64*20^2 = 49 + 8*57^2: Lehmer's condition has a even, b odd
+    code, out, _ = run_cli(["construct", "prop23", "--q", "26041", "--e", "8"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["group"] == {"moduli": [3255]}
+    assert data["declared"] == {"K": [406] + [407] * 7, "lambda": None, "mu": 406}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "67c3827a1b432d862011f36570339ae87e1f631d221b36902eddd4d7ddf077c1"
+    )
+
+
 def test_construct_gr4_union(capsys):
     code, out, _ = run_cli(["construct", "gr4-union", "--n", "3"], capsys)
     assert code == 0
@@ -129,6 +141,15 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
          "family.group.moduli"),
         ("spec without forbidden", ["search"], without(spec, "forbidden"), "forbidden"),
         ("spec budget key max_nodez", ["search"], dict(spec, budget={"max_nodez": 5}), "max_nodez"),
+        # forbidden elements get the range check that block elements get
+        ("forbidden element out of range", ["verify"],
+         {"group": {"moduli": [7]}, "forbidden": [[0], [7], [-14]], "blocks": [[[1], [2], [4]]]},
+         "forbidden element (7,) outside FiniteAbelianGroup([7])"),
+        ("block element out of range", ["verify"],
+         {"group": {"moduli": [7]}, "forbidden": [[0]], "blocks": [[[1], [2], [11]]]},
+         "block element (11,) outside FiniteAbelianGroup([7])"),
+        ("spec forbidden element out of range", ["search"], dict(spec, forbidden=[[0], [9]]),
+         "forbidden element (9,) outside FiniteAbelianGroup([6])"),
     ]
     for i, (name, command, data, field) in enumerate(cases):
         path = tmp_path / f"case{i}.json"

@@ -199,9 +199,8 @@ def ref_balanced_blocks(spec, base_counts, budget):
     """Depth-first second blocks on tuples, with a dict of running counts."""
     group = spec.group
     _, lam, mu = spec.targets()
-    targets = {
-        d: (lam if d in spec.forbidden else mu) for d in group.elements() if d != group.zero()
-    }
+    forbidden = spec.forbidden.elements
+    targets = {d: (lam if d in forbidden else mu) for d in group.elements() if d != group.zero()}
     per_coset = spec.m // 4
     outside, _ = ref_coset_structure(spec)
     sub = group.sub
@@ -266,7 +265,7 @@ def random_family(data, group, max_blocks=3, max_size=8):
     blocks = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=max_blocks))):
         size = data.draw(st.integers(min_value=0, max_value=min(max_size, group.order)))
-        blocks.append(Block(group, frozenset(data.draw(st.permutations(elems))[:size])))
+        blocks.append(Block.from_elements(group, frozenset(data.draw(st.permutations(elems))[:size])))
     return DifferenceFamily(group, subgroup_generated(group, gens), blocks)
 
 
@@ -359,7 +358,7 @@ def test_oracle_matches_reference_at_every_chunk_size(moduli, data):
 def _paley_family(p):
     g = FiniteAbelianGroup((p,))
     squares = frozenset(((x * x) % p,) for x in range(1, p))
-    return DifferenceFamily(g, Subgroup.trivial(g), [Block(g, squares)])
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, squares)])
 
 
 def test_oracle_negative_controls_match_reference():
@@ -370,7 +369,7 @@ def test_oracle_negative_controls_match_reference():
             block = fam.blocks[rng.randrange(len(fam.blocks))]
             drop = rng.choice(sorted(block.elements))
             add = rng.choice(sorted(set(fam.ambient.elements()) - block.elements))
-            broken = Block(fam.ambient, (block.elements - {drop}) | {add})
+            broken = Block.from_elements(fam.ambient, (block.elements - {drop}) | {add})
             bad = DifferenceFamily(
                 fam.ambient,
                 fam.forbidden,
@@ -414,7 +413,7 @@ def test_oracle_matches_reference_at_every_split(moduli, k):
     g = FiniteAbelianGroup(moduli)
     rng = random.Random(f"splits/{moduli}")
     elems = list(g.elements())
-    blocks = [Block(g, frozenset(rng.sample(elems, size))) for size in (k, 0, 1, k - 1)]
+    blocks = [Block.from_elements(g, frozenset(rng.sample(elems, size))) for size in (k, 0, 1, k - 1)]
     fam = DifferenceFamily(g, subgroup_generated(g, [rng.choice(elems)]), blocks)
     want = ref_difference_table(fam)
     want_report = report_fields(with_reference_oracle(fam))
@@ -461,7 +460,7 @@ def _bent_family():
     bent = frozenset(
         x for x in g.elements() if sum(x[i] * x[i + 1] for i in range(0, 12, 2)) % 2
     )
-    return DifferenceFamily(g, Subgroup.trivial(g), [Block(g, bent)])
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, bent)])
 
 
 def _z2_20_family():
@@ -470,7 +469,7 @@ def _z2_20_family():
     points = set()
     while len(points) < 50:
         points.add(tuple(rng.randrange(2) for _ in range(20)))
-    return DifferenceFamily(g, Subgroup.trivial(g), [Block(g, frozenset(points))])
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, frozenset(points))])
 
 
 @pytest.mark.parametrize(
@@ -588,23 +587,23 @@ def test_negation_check_matches_tuple_negation(moduli, data):
 
 def test_loading_a_subgroup_builds_no_coset_index():
     g = FiniteAbelianGroup((1 << 12, 1 << 12))
-    n = Subgroup(g, [(0, 0), (0, 1 << 11)])
-    fam = DifferenceFamily(g, n, [Block(g, frozenset({(1, 0), (2, 0), (4, 0)}))])
+    n = Subgroup.from_elements(g, [(0, 0), (0, 1 << 11)])
+    fam = DifferenceFamily(g, n, [Block.from_elements(g, frozenset({(1, 0), (2, 0), (4, 0)}))])
     verify(fam)
     assert n._coset_index is None
 
 
 def _z6_family():
     g = FiniteAbelianGroup((6,))
-    n = Subgroup(g, [(0,), (3,)])
+    n = Subgroup.from_elements(g, [(0,), (3,)])
     return DifferenceFamily(
-        g, n, [Block(g, frozenset({(1,), (5,)})), Block(g, frozenset({(1,), (2,)}))]
+        g, n, [Block.from_elements(g, frozenset({(1,), (5,)})), Block.from_elements(g, frozenset({(1,), (2,)}))]
     )
 
 
 def _replace_point(family, i, old, new):
     blocks = list(family.blocks)
-    blocks[i] = Block(family.ambient, (blocks[i].elements - {old}) | {new})
+    blocks[i] = Block.from_elements(family.ambient, (blocks[i].elements - {old}) | {new})
     return DifferenceFamily(family.ambient, family.forbidden, blocks)
 
 
@@ -685,13 +684,13 @@ def test_block_symmetry_negation_controls_match_the_scan():
     # swap a point of the first block for another point of the same coset:
     # the coset counts hold, negation closure breaks
     same_coset = next(e for e in g.elements() if e[0] == d1[0][0] and e not in fam.blocks[0].elements)
-    fam.blocks[0] = Block(g, (original[0].elements - {d1[0]}) | {same_coset})
+    fam.blocks[0] = Block.from_elements(g, (original[0].elements - {d1[0]}) | {same_coset})
     rep = block_symmetry_report(res)
     assert _symmetry_fields(rep) == ref_block_symmetry(res)
     assert not rep.d1_negation_closed and rep.witness == "negation escapes the first block"
     # put a point and its negative into the second block
     fam.blocks[0] = original[0]
-    fam.blocks[1] = Block(g, (original[1].elements - {d2[0]}) | {g.neg(d2[1])})
+    fam.blocks[1] = Block.from_elements(g, (original[1].elements - {d2[0]}) | {g.neg(d2[1])})
     rep = block_symmetry_report(res)
     assert _symmetry_fields(rep) == ref_block_symmetry(res)
     assert not rep.d2_negation_free and "collides" in rep.witness
@@ -767,7 +766,7 @@ def _spec(moduli, forbidden, m, max_nodes=None):
     g = FiniteAbelianGroup(moduli)
     return SearchSpec(
         group=g,
-        forbidden=Subgroup(g, forbidden),
+        forbidden=Subgroup.from_elements(g, forbidden),
         m=m,
         budget=search.SearchBudget(max_nodes=max_nodes),
     )

@@ -1,5 +1,8 @@
 import dataclasses
+import json
+import pathlib
 
+import numpy as np
 import pytest
 
 from designforge import constructions, designs
@@ -16,8 +19,10 @@ from designforge.constructions import (
     trace_zero_default,
     unit_quotient_family,
 )
-from designforge.field import FieldCtx
+from designforge.designs import Block, DifferenceFamily
+from designforge.field import FieldCtx, factorize
 from designforge.galois import RingCtx
+from designforge.groups import Subgroup
 
 REFERENCE_D1 = {
     "103", "232", "322", "112", "211", "111",
@@ -40,6 +45,63 @@ REFERENCE_MAPPED_D2 = {
 # ---------------------------------------------------------------------------
 # cyclotomic difference sets
 # ---------------------------------------------------------------------------
+
+# Every q below the bound at which the index-e residues (with or without 0)
+# form a difference set, as found by an independent brute-force count.
+CENSUS = json.loads(pathlib.Path(__file__).with_name("cyclotomic_census.json").read_text())
+
+
+def _census_fields():
+    """GF(q) for every prime power q = 1 (mod 4) below the census bound."""
+    for q in range(5, CENSUS["bound"], 4):
+        factors = factorize(q)
+        if len(factors) == 1:
+            ((p, r),) = factors.items()
+            yield FieldCtx(p, r)
+
+
+def _shift_counts(ctx, e, with_zero):
+    """The codes of D and the set of |D ∩ (D + r)| over r = g^0, ..., g^(e-1).
+
+    Multiplying by the index-e subgroup H fixes D and permutes the
+    differences, so r and hr have the same count, and one r per cyclotomic
+    class gives every count: D is a difference set exactly when the set of
+    counts has one member."""
+    group = ctx.additive_group()
+    D = set(ctx.mult_subgroup(e)) | ({ctx.zero} if with_zero else set())
+    codes = group.encode(sorted(D))
+    in_d = np.zeros(ctx.q, dtype=bool)
+    in_d[codes] = True
+    counts = {
+        int(in_d[group.code_sub(codes, group.index(ctx.g_pow(i)))].sum()) for i in range(e)
+    }
+    return codes, counts
+
+
+def test_cyclotomic_preconditions_match_the_census():
+    names = {(4, False): "quartic", (4, True): "quartic_with_zero",
+             (8, False): "octic", (8, True): "octic_with_zero"}
+    found = {name: [] for name in names.values()}
+    for ctx in _census_fields():
+        for (e, with_zero), name in names.items():
+            if (ctx.q - 1) % e or (not with_zero and (ctx.q - 1) // e <= 1):
+                continue  # e does not divide q - 1, or D is a single point
+            codes, counts = _shift_counts(ctx, e, with_zero)
+            is_ds = len(counts) == 1
+            if ctx.q < 300:  # the count agrees with the pair-enumerating oracle
+                group = ctx.additive_group()
+                family = DifferenceFamily(group, Subgroup.trivial(group), [Block(group, codes)])
+                assert designs.verify(family).ok == is_ds, (ctx.q, name)
+            try:
+                cyclotomic_difference_set(ctx, e, with_zero)
+                accepted = True
+            except PreconditionError:
+                accepted = False
+            assert accepted == is_ds, (ctx.q, name, sorted(counts))
+            if is_ds:
+                found[name].append(ctx.q)
+    assert found == {name: CENSUS[name] for name in names.values()}
+
 
 
 def test_quadratic_residues_q7():
@@ -352,7 +414,7 @@ def test_union_source_is_difference_set():
     from designforge.groups import Subgroup
 
     fam = DifferenceFamily(
-        group, Subgroup.trivial(group), [Block(group, source)]
+        group, Subgroup.trivial(group), [Block.from_elements(group, source)]
     )
     rep = designs.verify(fam)
     assert rep.ok and rep.mu == 20 and rep.sizes == (36,)
@@ -418,7 +480,7 @@ def test_block_symmetry_negative_control():
     d1.add((0, moved[1], moved[2]))
     from designforge.designs import Block
 
-    fam.blocks[0] = Block(fam.ambient, frozenset(d1))
+    fam.blocks[0] = Block.from_elements(fam.ambient, frozenset(d1))
     rep = block_symmetry_report(res)
     assert not rep.ok
     assert rep.witness is not None

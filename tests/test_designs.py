@@ -23,9 +23,9 @@ from designforge.groups import FiniteAbelianGroup, Subgroup, subgroup_generated
 
 def _family(moduli, blocks, forbidden=None, declared=None):
     g = FiniteAbelianGroup(moduli)
-    forb = Subgroup(g, forbidden) if forbidden else Subgroup.trivial(g)
+    forb = Subgroup.from_elements(g, forbidden) if forbidden else Subgroup.trivial(g)
     return DifferenceFamily(
-        g, forb, [Block(g, frozenset(tuple(e) for e in b)) for b in blocks], declared
+        g, forb, [Block.from_elements(g, frozenset(tuple(e) for e in b)) for b in blocks], declared
     )
 
 
@@ -85,7 +85,7 @@ def test_difference_table_matches_naive_on_random_families(data):
         size = data.draw(st.integers(min_value=0, max_value=min(5, g.order)))
         blocks.append(frozenset(data.draw(st.permutations(elems))[:size]))
     fam = DifferenceFamily(
-        g, Subgroup.trivial(g), [Block(g, b) for b in blocks]
+        g, Subgroup.trivial(g), [Block.from_elements(g, b) for b in blocks]
     )
     naive = {}
     for b in blocks:
@@ -134,7 +134,7 @@ def test_verify_corrupted_family_reports_witness():
 def tuple_walk(family):
     """(lam, mu, witness) by walking every element as a tuple, with ``in``
     tests against the forbidden subgroup: the reference for ``verify``."""
-    group, forbidden = family.ambient, family.forbidden
+    group, forbidden = family.ambient, family.forbidden.elements
     table = difference_table(family)
     lam = mu = witness = None
     for d in group.elements():
@@ -151,7 +151,7 @@ def tuple_walk(family):
                 mu = got
             elif got != mu and witness is None:
                 witness = (d, got, f"mu={mu}")
-    return (lam if forbidden.order > 1 else None), mu, witness
+    return (lam if len(forbidden) > 1 else None), mu, witness
 
 
 def test_verify_matches_the_tuple_walk_on_named_families():
@@ -170,7 +170,7 @@ def test_verify_matches_the_tuple_walk_on_named_families():
         # N = G: every difference is in N, none outside
         _family((6,), [[(0,), (1,), (3,)]], forbidden=everything),
         _family((6,), [[(0,), (1,), (2,), (3,), (4,), (5,)]], forbidden=everything),
-        DifferenceFamily(g, Subgroup.whole(g), [Block(g, frozenset())]),
+        DifferenceFamily(g, Subgroup.whole(g), [Block.from_elements(g, frozenset())]),
         # a trivial group
         _family((1,), [[(0,)]]),
     ]
@@ -196,7 +196,7 @@ def test_verify_matches_the_tuple_walk_on_random_families(data):
     blocks = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         size = data.draw(st.integers(min_value=0, max_value=min(6, g.order)))
-        blocks.append(Block(g, frozenset(data.draw(st.permutations(elems))[:size])))
+        blocks.append(Block.from_elements(g, frozenset(data.draw(st.permutations(elems))[:size])))
     fam = DifferenceFamily(g, forbidden, blocks)
     rep = verify(fam)
     assert (rep.lam, rep.mu, rep.witness) == tuple_walk(fam)
@@ -330,7 +330,7 @@ def test_family_json_roundtrip_keeps_the_verdict(data):
     blocks = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         size = data.draw(st.integers(min_value=0, max_value=min(5, g.order)))
-        blocks.append(Block(g, frozenset(data.draw(st.permutations(elems))[:size])))
+        blocks.append(Block.from_elements(g, frozenset(data.draw(st.permutations(elems))[:size])))
     fam = DifferenceFamily(g, forbidden, blocks)
     if data.draw(st.booleans()):
         rep = verify(fam)
@@ -351,7 +351,7 @@ def test_family_json_roundtrip_keeps_the_verdict(data):
 def test_blocks_must_live_in_ambient():
     g = FiniteAbelianGroup((6,))
     with pytest.raises(ValueError):
-        Block(g, frozenset({(7,)}))
+        Block.from_elements(g, frozenset({(7,)}))
 
 
 def test_block_range_check_names_the_first_failing_element():
@@ -374,8 +374,25 @@ def test_block_range_check_names_the_first_failing_element():
             elements = frozenset(valid[: 5 * count] + bad[:count])
             witness = next(e for e in elements if fails(e))
             with pytest.raises(ValueError) as info:
-                Block(g, elements)
+                Block.from_elements(g, elements)
             assert str(info.value) == f"block element {witness} outside {g}", name
     # in range, including both ends of every coordinate
-    assert Block(g, frozenset(valid)).size == 24
-    assert Block(g, frozenset()).size == 0
+    assert Block.from_elements(g, frozenset(valid)).size == 24
+    assert Block.from_elements(g, frozenset()).size == 0
+
+
+def test_blocks_and_subgroups_store_sorted_checked_codes():
+    g = FiniteAbelianGroup((6,))
+    block = Block(g, [3, 1, 3])
+    assert block.codes.tolist() == [1, 3] and block.codes.dtype == g.code_dtype
+    assert not block.codes.flags.writeable
+    assert block.elements == {(1,), (3,)} and block.sorted_elements() == [(1,), (3,)]
+    same = Block.from_elements(g, [(3,), (1,)])
+    assert block == same and hash(block) == hash(same)
+    assert block != Block(FiniteAbelianGroup((7,)), [1, 3])
+    for codes, bad in (([0, 6], 6), ([-1, 2], -1)):
+        with pytest.raises(ValueError, match=rf"^block code {bad} outside"):
+            Block(g, codes)
+        with pytest.raises(ValueError, match=rf"^subgroup code {bad} outside"):
+            Subgroup(g, codes)
+    assert Subgroup(g, [3, 0]).elements == {(0,), (3,)}

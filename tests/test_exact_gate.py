@@ -104,8 +104,8 @@ def hadamard_bases():
 @functools.lru_cache(maxsize=None)
 def symmetric_families():
     g = FiniteAbelianGroup((6,))
-    blocks = [Block(g, frozenset({(1,), (5,)})), Block(g, frozenset({(1,), (2,)}))]
-    z6 = DifferenceFamily(g, Subgroup(g, [(0,), (3,)]), blocks)
+    blocks = [Block.from_elements(g, frozenset({(1,), (5,)})), Block.from_elements(g, frozenset({(1,), (2,)}))]
+    z6 = DifferenceFamily(g, Subgroup.from_elements(g, [(0,), (3,)]), blocks)
     return [z6, galois_ring_ddf(RingCtx(3)).family]
 
 

@@ -195,6 +195,11 @@ def test_unit_group_iso_basics():
         w = ring.add(ring.one, ring.two)  # 1 + 2*1, and 1 is the first basis vector
         assert iso(w) == (0, 1) + (0,) * (n - 1)
         assert len(iso.forward) == (2**n - 1) * 2**n
+        units = list(ring.units())
+        codes = iso.map_codes(ring.additive_group().encode(units))
+        assert iso.codomain.decode_elements(codes) == [iso(u) for u in units]
+        with pytest.raises(KeyError, match="not in the domain"):
+            iso.map_codes(ring.additive_group().encode([ring.two]))
 
 
 def test_unit_group_iso_codomains_of_subgroups():

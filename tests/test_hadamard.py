@@ -36,11 +36,11 @@ from designforge.hadamard import (
 
 def z6_family():
     g = FiniteAbelianGroup((6,))
-    n = Subgroup(g, [(0,), (3,)])
+    n = Subgroup.from_elements(g, [(0,), (3,)])
     return DifferenceFamily(
         g,
         n,
-        [Block(g, frozenset({(1,), (5,)})), Block(g, frozenset({(1,), (2,)}))],
+        [Block.from_elements(g, frozenset({(1,), (5,)})), Block.from_elements(g, frozenset({(1,), (2,)}))],
     )
 
 
@@ -95,11 +95,11 @@ def test_orders_above_the_cap_are_refused_before_allocation():
     # each builder checks the order its input implies before any order^2 array
     g = FiniteAbelianGroup((8191,))  # skew order 2 * 8191 + 2 = 16384
     skew_family = DifferenceFamily(
-        g, Subgroup.trivial(g), [Block(g, frozenset({(1,)})), Block(g, frozenset({(2,)}))]
+        g, Subgroup.trivial(g), [Block.from_elements(g, frozenset({(1,)})), Block.from_elements(g, frozenset({(2,)}))]
     )
     g = FiniteAbelianGroup((128,))  # |N| = 64, so m = 128 and order m^2 = 16384
     sym_family = DifferenceFamily(
-        g, Subgroup(g, [(2 * i,) for i in range(64)]), [Block(g, frozenset({(1,)}))] * 2
+        g, Subgroup.from_elements(g, [(2 * i,) for i in range(64)]), [Block.from_elements(g, frozenset({(1,)}))] * 2
     )
     calls = [
         lambda: sylvester(14),
@@ -147,7 +147,7 @@ def sample_matrices():
     ring3 = RingCtx(3)
     group = ring3.additive_group()
     ds = DifferenceFamily(
-        group, Subgroup.trivial(group), [Block(group, frozenset(galois_ring_data(ring3).D))]
+        group, Subgroup.trivial(group), [Block.from_elements(group, frozenset(galois_ring_data(ring3).D))]
     )
     labelled = hadamard_from_difference_set(ds)
     out = [sylvester(k) for k in range(11)]
@@ -207,7 +207,7 @@ def test_skew_rejects_wrong_parameters():
     fam = DifferenceFamily(
         g,
         Subgroup.trivial(g),
-        [Block(g, frozenset({(1,), (2,)})), Block(g, frozenset({(1,), (3,)}))],
+        [Block.from_elements(g, frozenset({(1,), (2,)})), Block.from_elements(g, frozenset({(1,), (3,)}))],
     )
     with pytest.raises(PreconditionError):
         skew_from_df(fam)  # |G| = 7 needs blocks of size 3
@@ -220,7 +220,7 @@ def test_skew_requires_a_skew_block():
     fam = DifferenceFamily(
         g,
         Subgroup.trivial(g),
-        [Block(g, frozenset({(1,), (4,)})), Block(g, frozenset({(2,), (3,)}))],
+        [Block.from_elements(g, frozenset({(1,), (4,)})), Block.from_elements(g, frozenset({(2,), (3,)}))],
     )
     assert designs.verify(fam).ok
     with pytest.raises(PreconditionError, match="skewness"):
@@ -347,7 +347,7 @@ def test_hadamard_from_difference_set():
     data = galois_ring_data(ring)
     group = ring.additive_group()
     fam = DifferenceFamily(
-        group, Subgroup.trivial(group), [Block(group, frozenset(data.D))]
+        group, Subgroup.trivial(group), [Block.from_elements(group, frozenset(data.D))]
     )
     M = hadamard_from_difference_set(fam)
     assert M.order == 64 and is_hadamard(M) and is_symmetric(M)
@@ -380,7 +380,7 @@ def test_fingerprints_recorded_for_both_order64_routes():
     fam = DifferenceFamily(
         group,
         Subgroup.trivial(group),
-        [Block(group, frozenset(galois_ring_data(ring).D))],
+        [Block.from_elements(group, frozenset(galois_ring_data(ring).D))],
     )
     direct = hadamard_from_difference_set(fam)
     fp_array = equivalence_invariants(res.matrix)

@@ -86,7 +86,17 @@ def ref_unit_group_iso(ring, subgroup):
     codomain = FiniteAbelianGroup(moduli or [1])
     iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain="reference")
     iso.verify()
-    return iso
+    # the verified table again, held by code so that ``map_codes`` can read it
+    group, members = ring.additive_group(), sorted(forward)
+    return GroupIso.from_codes(
+        codomain,
+        group,
+        members,
+        codomain.encode([forward[x] for x in members]),
+        mul=ring.mul_codes,
+        one=group.index(ring.one),
+        domain="reference",
+    )
 
 
 def ref_galois_ring_data(ring, u=None, subgroup=None):
@@ -125,7 +135,7 @@ def ref_unit_quotient_family(ring, blocks, subgroup, reps):
         raise PreconditionError("covers")
     group = ring.additive_group()
     report = designs.verify(
-        DifferenceFamily(group, Subgroup.trivial(group), [Block(group, D) for D in blocks])
+        DifferenceFamily(group, Subgroup.trivial(group), [Block.from_elements(group, D) for D in blocks])
     )
     out_blocks = []
     for i, D in enumerate(blocks):

@@ -27,7 +27,7 @@ from designforge.search import (
 def z6_spec(**kw):
     g = FiniteAbelianGroup((6,))
     return SearchSpec(
-        group=g, forbidden=Subgroup(g, [(0,), (3,)]), m=4, **kw
+        group=g, forbidden=Subgroup.from_elements(g, [(0,), (3,)]), m=4, **kw
     )
 
 
@@ -38,14 +38,14 @@ def naive_all_pairs_count():
     sets before counting.
     """
     g = FiniteAbelianGroup((6,))
-    n = Subgroup(g, [(0,), (3,)])
+    n = Subgroup.from_elements(g, [(0,), (3,)])
     found = set()
     for d1 in itertools.combinations(list(g.elements()), 2):
         for d2 in itertools.combinations(list(g.elements()), 2):
             fam = DifferenceFamily(
                 g,
                 n,
-                [Block(g, frozenset(d1)), Block(g, frozenset(d2))],
+                [Block.from_elements(g, frozenset(d1)), Block.from_elements(g, frozenset(d2))],
                 DesignParams(0, 1, (2, 2)),
             )
             if designs.verify(fam).ok and hadamard.check_symmetric_conditions(fam, 4).ok:
@@ -146,7 +146,7 @@ def test_spec_and_certificate_json_roundtrip(spec, data):
     g = spec.group
     elems = list(g.elements())
     blocks = [
-        Block(g, frozenset(data.draw(st.lists(st.sampled_from(elems), max_size=6))))
+        Block.from_elements(g, frozenset(data.draw(st.lists(st.sampled_from(elems), max_size=6))))
         for _ in range(data.draw(st.integers(min_value=1, max_value=2)))
     ]
     cert = Certificate(
@@ -181,7 +181,7 @@ def test_lazy_product_matches_itertools_product():
 
 def test_first_blocks_keep_the_product_order_under_a_budget():
     g = FiniteAbelianGroup((7, 2, 2))
-    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
     spec = SearchSpec(group=g, forbidden=n, m=8)
     tables = search._CodeTables(spec)
     lists = [list(options()) for options in search._first_block_choices(tables)]
@@ -277,7 +277,7 @@ def test_randomized_trajectories_match_the_list_draw(monkeypatch):
     # seeds 0..9 at m=8 over Z_7 x Z_2^2: the same certificates after the same
     # node counts as when every option list was built and drawn from
     g = FiniteAbelianGroup((7, 2, 2))
-    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
 
     def trajectories():
         out = []
@@ -332,7 +332,7 @@ def test_rediscovers_n3_family_at_m8():
 
 def test_rejects_m_six():
     g = FiniteAbelianGroup((15,))
-    sub = Subgroup(g, [(0,), (5,), (10,)])
+    sub = Subgroup.from_elements(g, [(0,), (5,), (10,)])
     with pytest.raises(PreconditionError, match="m=6 infeasible"):
         SearchSpec(group=g, forbidden=sub, m=6).validate()
 
@@ -349,7 +349,7 @@ def test_rejects_wrong_sizes():
     g8 = FiniteAbelianGroup((8,))
     with pytest.raises(PreconditionError, match="\\|G\\|"):
         SearchSpec(
-            group=g8, forbidden=Subgroup(g8, [(0,), (4,)]), m=4
+            group=g8, forbidden=Subgroup.from_elements(g8, [(0,), (4,)]), m=4
         ).validate()
 
 
@@ -498,7 +498,7 @@ def test_packed_walk_matches_the_per_pair_kernel_at_m8(monkeypatch):
     # accept/reject decision on every choice) and the same counts
     walks = _record_packed_walks(monkeypatch)
     g = FiniteAbelianGroup((7, 2, 2))
-    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
     spec = SearchSpec(group=g, forbidden=n, m=8, budget=SearchBudget(max_solutions=256))
     certs = search_ddf(spec)
     assert len(certs) == 256 and certs[-1].nodes == 30077
@@ -513,7 +513,7 @@ def test_packed_walk_matches_the_per_pair_kernel_on_cyclic_specs(monkeypatch, m)
     # cosets, from the first first block whose counts fit the targets
     v = m * (m - 1) // 2
     g = FiniteAbelianGroup((v,))
-    n = Subgroup(g, [(2 * v // m * i,) for i in range(m // 2)])
+    n = Subgroup.from_elements(g, [(2 * v // m * i,) for i in range(m // 2)])
     spec = SearchSpec(group=g, forbidden=n, m=m)
     tables = search._CodeTables(spec)
     assert tables.width == (m * (m - 2) // 4 * (m * (m - 2) // 4 - 1)).bit_length() + 1
@@ -533,7 +533,7 @@ def test_packed_fields_accept_the_target_and_reject_one_more():
     # the first and the last field, with every other count at its target
     g = FiniteAbelianGroup((7, 2, 2))
     spec = SearchSpec(
-        group=g, forbidden=Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)]), m=8
+        group=g, forbidden=Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)]), m=8
     )
     tables = search._CodeTables(spec)
     w, v = tables.width, tables.v
@@ -561,7 +561,7 @@ def test_an_overshooting_base_completes_no_block():
     # points forms: every choice is pruned as before, so the same nodes are
     # spent, but no block completes the base
     g = FiniteAbelianGroup((7, 2, 2))
-    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
     spec = SearchSpec(group=g, forbidden=n, m=8, budget=SearchBudget(max_solutions=1))
     d1 = frozenset(search_ddf(spec)[0].family.blocks[0].codes.tolist())
     tables = search._CodeTables(spec)
@@ -606,7 +606,7 @@ def _check_every_swap(spec):
 
 def test_swap_deltas_match_full_rescoring_at_m8():
     g = FiniteAbelianGroup((7, 2, 2))
-    n = Subgroup(g, [(0, a, b) for a in range(2) for b in range(2)])
+    n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
     for seed in range(10):
         spec = SearchSpec(
             group=g, forbidden=n, m=8, mode="randomized", seed=seed,
@@ -618,7 +618,7 @@ def test_swap_deltas_match_full_rescoring_at_m8():
 def test_swap_deltas_match_full_rescoring_on_cyclic_m12():
     g = FiniteAbelianGroup((66,))
     spec = SearchSpec(
-        group=g, forbidden=Subgroup(g, [(11 * i,) for i in range(6)]), m=12,
+        group=g, forbidden=Subgroup.from_elements(g, [(11 * i,) for i in range(6)]), m=12,
         mode="randomized", seed=0, budget=SearchBudget(max_nodes=2000),
     )
     assert _check_every_swap(spec) == []

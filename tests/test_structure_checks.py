@@ -126,7 +126,7 @@ def test_subgroup_check_matches_all_pairs_scan(moduli, seed):
     else:
         gens = rng.sample(elems, rng.randint(0, 2))
         candidate = perturb(rng, subgroup_generated(g, gens).elements, elems)
-    assert rejects(Subgroup, g, candidate) == (not ref_is_subgroup(g, candidate))
+    assert rejects(Subgroup.from_elements, g, candidate) == (not ref_is_subgroup(g, candidate))
 
 
 @settings(max_examples=150, deadline=None)
