@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from . import constructions, designs, hadamard, search
 from .constructions import PreconditionError
-from .field import FieldCtx, factorize, load_poly_table
+from .field import MAX_FIELD_SIZE, FieldCtx, factorize, load_poly_table
 from .galois import RingCtx
 
 POLY_TABLE_ENV = "DESIGNFORGE_POLY_TABLE"
@@ -57,11 +57,22 @@ def _emit(chunks: Iterable[str], config: RunConfig) -> None:
 
 
 def _field_for(q: int, config: RunConfig) -> FieldCtx:
+    if q > MAX_FIELD_SIZE:  # before factorize, whose trial division would hang
+        raise PreconditionError(f"field size {q} exceeds the {MAX_FIELD_SIZE} cap")
     factors = factorize(q)
     if len(factors) != 1:
         raise PreconditionError(f"q={q} is not a prime power")
     (p, r), = factors.items()
     return FieldCtx(p, r, poly_table=config.poly_table())
+
+
+def _trace_zero_u(ring: RingCtx, u: Optional[int]):
+    """The residue-field element g^u for --u, range-checked like --y."""
+    if u is None:
+        return None
+    if not 0 <= u < ring.residue.q - 1:
+        raise PreconditionError(f"--u {u} out of range for the exponents 0..{ring.residue.q - 2}")
+    return ring.residue.g_pow(u)
 
 
 def _family_text(family: designs.DifferenceFamily, report: designs.VerificationReport) -> str:
@@ -99,7 +110,7 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
         if args.n is None:
             raise PreconditionError(f"{kind} needs --n")
         ring = RingCtx(args.n)
-        u = ring.residue.g_pow(args.u) if args.u is not None else None
+        u = _trace_zero_u(ring, args.u)
         if kind == "prop34":
             result = constructions.teichmuller_difference_set(ring, u)
         else:
@@ -143,7 +154,7 @@ def _cmd_hadamard(args: argparse.Namespace, config: RunConfig) -> int:
         if args.n is not None:
             hadamard.check_matrix_order(4, args.n)
             ring = RingCtx(args.n)
-            u = ring.residue.g_pow(args.u) if args.u is not None else None
+            u = _trace_zero_u(ring, args.u)
             family = constructions.galois_ring_ddf(ring, u=u).family
         elif args.family is not None:
             with open(args.family, "r", encoding="utf-8") as fh:

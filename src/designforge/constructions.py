@@ -38,7 +38,7 @@ class CyclotomicDS:
     ctx: FieldCtx
     e: int
     with_zero: bool
-    elements: FrozenSet[Element]
+    codes: np.ndarray  # sorted additive codes of the set
     q: int
     k: int
     lam: int
@@ -100,9 +100,7 @@ def cyclotomic_difference_set(
     if with_zero:
         codes = np.append(codes, 0)
     k = codes.size
-    lam, rem = divmod(k * (k - 1), q - 1)
-    if rem:
-        raise PreconditionError(f"k(k-1) = {k*(k-1)} is not divisible by q-1 = {q - 1}")
+    lam = k * (k - 1) // (q - 1)  # exact: every closed form above implies it
     family = DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
@@ -112,52 +110,51 @@ def cyclotomic_difference_set(
     report = designs.verify(family)
     if not report.ok:
         raise RuntimeError(f"cyclotomic set failed verification: {report.summary()}")
-    return CyclotomicDS(ctx, e, with_zero, frozenset(group.decode_elements(codes)), q, k, lam)
+    return CyclotomicDS(ctx, e, with_zero, family.blocks[0].codes, q, k, lam)
 
 
 # -- the generic quotient machine ----------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class QuotientFamilyResult:
-    """Blocks y^(-1)(D_i - 1) ∩ N over a transversal, with the count table.
+    """Blocks y^(-1)(D_i - 1) ∩ N over a transversal, with the lost counts.
 
-    ``lambda_table`` maps each t in N minus identity to the number of pairs
-    lost to the nonunit translates; the derived family's difference count at
-    t is ``base_lambda - lambda_table[t]``.
+    Everything is held as the ring's additive codes.  ``lambda_t[j]`` is the
+    number of pairs lost to the nonunit translates at t = ``subgroup[j]``;
+    the derived family's difference count at t != 1 is
+    ``base_lambda - lambda_t[j]``.
     """
 
-    blocks: List[Tuple[int, Element, FrozenSet[Element]]]  # (block index, rep, subset)
+    blocks: List[Tuple[int, int, np.ndarray]]  # (block index, rep, sorted subset)
     base_lambda: int
-    lambda_table: Dict[Element, int]
+    subgroup: np.ndarray  # N, sorted
+    lambda_t: np.ndarray  # aligned with ``subgroup``
 
 
 def unit_quotient_family(
     ring,
-    blocks: Sequence[Iterable[Element]],
-    subgroup: Iterable[Element],
-    reps: Sequence[Element],
+    blocks: Sequence[np.ndarray],
+    subgroup: np.ndarray,
+    reps: np.ndarray,
 ) -> QuotientFamilyResult:
     """Derive blocks inside a unit subgroup N from a difference family in R^+.
 
     ``ring`` may be a FieldCtx or RingCtx; both expose ``unit_tables``, and
-    everything between encoding the inputs and decoding the result runs on
-    additive and log codes.  Each input block must be fixed setwise by N,
-    the input family must verify as a difference family in the additive
-    group, and ``reps`` must be a complete transversal of R^*/N.  Closure of
-    N and invariance of the blocks are checked completely on a generating
-    set of N.
+    the blocks, N and the transversal ``reps`` are given as additive codes,
+    so everything runs on additive and log codes.  Each input block must be
+    fixed setwise by N, the input family must verify as a difference family
+    in the additive group, and ``reps`` must be a complete transversal of
+    R^*/N.  Closure of N and invariance of the blocks are checked
+    completely on a generating set of N.
     """
     tables: UnitTables = ring.unit_tables
     group = tables.additive
-    block_codes = [group.code_set(D) for D in blocks]
-    members = list(frozenset(subgroup))
-    by_code = dict(zip(group.encode(members).tolist(), members))
-    n_codes = np.array(sorted(by_code), dtype=np.int64)
-    n_elements = [by_code[c] for c in n_codes.tolist()]  # the caller's tuples, by code
+    block_codes = [group.sorted_codes(D, "element") for D in blocks]
+    n_codes = group.sorted_codes(subgroup, "element")
     n_logs = tables.log[n_codes]
     if (n_logs < 0).any():
-        x = n_elements[int(np.argmax(n_logs < 0))]
+        x = group.element(int(n_codes[np.argmax(n_logs < 0)]))
         raise PreconditionError(f"subgroup element {x} is not a unit")
     gens = _subgroup_generators(tables, n_codes)
     for D in block_codes:
@@ -180,14 +177,13 @@ def unit_quotient_family(
         )
     n_position = np.full(tables.exp.size, -1, dtype=np.int64)
     n_position[n_logs] = np.arange(n_codes.size)
-    out_blocks: List[Tuple[int, Element, FrozenSet[Element]]] = []
+    out_blocks: List[Tuple[int, int, np.ndarray]] = []
     for i, D in enumerate(block_codes):
         shifted = tables.log[group.code_sub(D, tables.one)]
         shifted = shifted[shifted >= 0]
-        for y, y_inv in zip(reps, tables.inv(rep_logs).tolist()):
+        for y, y_inv in zip(np.asarray(reps).tolist(), tables.inv(rep_logs).tolist()):
             inside = n_position[tables.mul(y_inv, shifted)]
-            sub = frozenset(n_elements[p] for p in inside[inside >= 0].tolist())
-            out_blocks.append((i, y, sub))
+            out_blocks.append((i, y, n_codes[np.sort(inside[inside >= 0])]))
     # lambda_t = sum_i #{(z, w) : z in D_i ∩ (I + 1), w in D_i, w - z = t - 1}
     ideal_plus_one = _mask(
         group.order, group.code_add(np.flatnonzero(tables.log < 0), tables.one)
@@ -198,9 +194,8 @@ def unit_quotient_family(
         pair_counts += np.bincount(
             group.code_sub(D[None, :], Z[:, None]).ravel(), minlength=group.order
         )
-    lambda_t = pair_counts[group.code_sub(n_codes, tables.one)].tolist()
-    lambda_table = {t: lam for t, lam in zip(n_elements, lambda_t) if t != ring.one}
-    return QuotientFamilyResult(out_blocks, report.mu, lambda_table)
+    lambda_t = pair_counts[group.code_sub(n_codes, tables.one)]
+    return QuotientFamilyResult(out_blocks, report.mu, n_codes, lambda_t)
 
 
 def _mask(size: int, codes: np.ndarray) -> np.ndarray:
@@ -209,9 +204,9 @@ def _mask(size: int, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_overlap(group: FiniteAbelianGroup, codes: np.ndarray, y: Element) -> int:
-    """|(S + y) ∩ S| for the set S with the given codes."""
-    return int(_mask(group.order, codes)[group.code_sub(codes, group.index(y))].sum())
+def _shift_overlap(group: FiniteAbelianGroup, codes: np.ndarray, y: int) -> int:
+    """|(S + y) ∩ S| for the set S and the element y, given by codes."""
+    return int(_mask(group.order, codes)[group.code_sub(codes, y)].sum())
 
 
 def _subgroup_generators(tables: UnitTables, codes: np.ndarray) -> np.ndarray:
@@ -237,26 +232,28 @@ def _subgroup_generators(tables: UnitTables, codes: np.ndarray) -> np.ndarray:
     return logs[gens]
 
 
-def _transversal_logs(
-    tables: UnitTables, n_logs: np.ndarray, reps: Sequence[Element]
-) -> np.ndarray:
-    """Log codes of ``reps``, or PreconditionError unless their cosets y*N
-    tile the unit group, checked in order: a nonunit or a coset that repeats
-    an earlier one is named."""
+def _transversal_logs(tables: UnitTables, n_logs: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Log codes of the units with additive codes ``reps``, or
+    PreconditionError unless their cosets y*N tile the unit group, checked in
+    order: a nonunit or a coset that repeats an earlier one is named."""
     group = tables.additive
-    rep_logs = tables.log[group.encode(list(reps))]
+    rep_logs = tables.log[reps]
     nonunit = np.flatnonzero(rep_logs < 0)
-    valid = nonunit[0] if nonunit.size else len(reps)
+    valid = nonunit[0] if nonunit.size else rep_logs.size
     # cosets of a subgroup are equal or disjoint: name each by its least log code
     cosets = tables.mul(rep_logs[:valid, None], n_logs[None, :])
     labels = cosets.min(axis=1, initial=tables.exp.size)
     seen: set = set()
     for k, label in enumerate(labels.tolist()):
         if label in seen:
-            raise PreconditionError(f"transversal element {reps[k]} repeats a coset")
+            raise PreconditionError(
+                f"transversal element {group.element(int(reps[k]))} repeats a coset"
+            )
         seen.add(label)
     if nonunit.size:
-        raise PreconditionError(f"transversal element {reps[valid]} is not a unit")
+        raise PreconditionError(
+            f"transversal element {group.element(int(reps[valid]))} is not a unit"
+        )
     covered = len(seen) * n_logs.size
     if covered != tables.exp.size:
         raise PreconditionError(f"transversal covers {covered} of {tables.exp.size} units")
@@ -265,18 +262,21 @@ def _transversal_logs(
 
 def _check_quotient_consistency(
     result: QuotientFamilyResult,
-    iso_map,
+    group: FiniteAbelianGroup,
+    images: np.ndarray,
     report: designs.VerificationReport,
 ) -> None:
-    """Pointwise check that the oracle's counts equal base_lambda - lambda_t."""
-    for t, lam_t in result.lambda_table.items():
-        expected = result.base_lambda - lam_t
-        got = report.counts.get(iso_map(t), 0)
-        if got != expected:
-            raise RuntimeError(
-                f"quotient family inconsistent at t={t}: count {got}, "
-                f"expected {result.base_lambda} - {lam_t}"
-            )
+    """Check that the oracle's count at the family code ``images[j]`` of every
+    t = ``result.subgroup[j]`` other than 1 (image 0) is base_lambda - lambda_t;
+    the first t in code order that fails is named with its element of ``group``."""
+    counts = report.totals[images]
+    bad = np.flatnonzero((counts != result.base_lambda - result.lambda_t) & (images != 0))
+    if bad.size:
+        j = bad[0]
+        raise RuntimeError(
+            f"quotient family inconsistent at t={group.element(int(result.subgroup[j]))}: "
+            f"count {counts[j]}, expected {result.base_lambda} - {result.lambda_t[j]}"
+        )
 
 
 # -- Szekeres-style two-block families in GF(q) ---------------------------------
@@ -363,26 +363,23 @@ def cyclotomic_family(
             f"q={ctx.q} gives a trivial quotient Z_{(ctx.q - 1) // e}; too small"
         )
     ds = cyclotomic_difference_set(ctx, e, with_zero)
-    N = ctx.mult_subgroup(e)
-    reps = [ctx.g_pow(i) for i in range(e)]
-    quotient = unit_quotient_family(ctx, [ds.elements], N, reps)
     tables = ctx.unit_tables
     group = tables.additive
+    n_codes = tables.exp[::e]
+    quotient = unit_quotient_family(ctx, [ds.codes], n_codes, tables.exp[:e])
     # g^(e*i) maps to i in Z_((q-1)/e)
     zv = FiniteAbelianGroup(((ctx.q - 1) // e,))
-    field_blocks = [sub for _, _, sub in quotient.blocks]
-    blocks = [Block(zv, tables.log[group.encode(list(sub))] // e) for sub in field_blocks]
+    blocks = [Block(zv, tables.log[sub] // e) for _, _, sub in quotient.blocks]
     # block-size law |D_{1,y}| = |(N+y) ∩ N| for the zero-free construction
     if not with_zero:
-        n_codes = tables.exp[::e]
         for (_, y, sub) in quotient.blocks:
             shifted = _shift_overlap(group, n_codes, y)
-            if len(sub) != shifted:
+            if sub.size != shifted:
                 raise RuntimeError(
-                    f"block-size law violated at y={y}: {len(sub)} != {shifted}"
+                    f"block-size law violated at y={group.element(y)}: {sub.size} != {shifted}"
                 )
     lam_family = ds.lam - 1
-    sizes = tuple(sorted(len(b) for b in field_blocks))
+    sizes = tuple(sorted(b.size for b in blocks))
     expected_sizes = (
         (ds.lam,) * e if not with_zero else tuple(sorted([ds.lam - 1] + [ds.lam] * (e - 1)))
     )
@@ -402,9 +399,11 @@ def cyclotomic_family(
         },
     )
     report = designs.verify(family)
-    _check_quotient_consistency(quotient, lambda t: (ctx.discrete_log(t) // e,), report)
+    _check_quotient_consistency(quotient, group, tables.log[quotient.subgroup] // e, report)
     if not report.ok:
         raise RuntimeError(f"cyclotomic family failed verification: {report.summary()}")
+    field_blocks = [frozenset(group.decode_elements(sub)) for _, _, sub in quotient.blocks]
+    reps = group.decode_elements(tables.exp[:e])
     return CyclotomicFamily(ds, reps, field_blocks, family, quotient, report)
 
 
@@ -420,22 +419,23 @@ def trace_zero_default(field: FieldCtx) -> Element:
     raise PreconditionError(f"no nonzero trace-zero element in GF({field.q})")
 
 
-@dataclass
+@dataclass(eq=False)
 class GR4Data:
-    """The trace-zero hyperplane E and the index-2 unit subgroup D it defines."""
+    """The trace-zero hyperplane E and the index-2 unit subgroup D it defines,
+    as sorted codes: E in the residue field's Z_2^n, the rest additive codes."""
 
     ring: RingCtx
     u: Element  # residue-field element with zero trace
-    E: FrozenSet[Element]  # residue-field subgroup of order 2^(n-1)
-    D: FrozenSet[Element]  # {a(1+2b) : a in T_n^*, residue(b) in E}
-    subgroup: FrozenSet[Element]  # the N the family lives in (a subgroup of D)
-    L: FrozenSet[Element]  # N ∩ (principal units)
+    E: np.ndarray  # residue-field subgroup of order 2^(n-1)
+    D: np.ndarray  # {a(1+2b) : a in T_n^*, residue(b) in E}
+    subgroup: np.ndarray  # the N the family lives in (a subgroup of D)
+    L: np.ndarray  # N ∩ (principal units)
 
 
 def galois_ring_data(
     ring: RingCtx,
     u: Optional[Element] = None,
-    subgroup: Optional[Iterable[Element]] = None,
+    subgroup: Optional[np.ndarray] = None,
 ) -> GR4Data:
     if ring.n < 2:
         raise PreconditionError("the construction needs degree n >= 2")
@@ -449,25 +449,19 @@ def galois_ring_data(
     # x -> Tr(ux) is GF(2)-linear, so it is read off the basis 1, xbar, ...
     basis_traces = [field.trace(field.mul(u, field.element((0,) * j + (1,)))) for j in range(n)]
     residues = ring.residue_group().decode(np.arange(2**n))
-    in_e = residues @ np.array(basis_traces) % 2 == 0
-    E = frozenset(map(tuple, residues[in_e].tolist()))
-    if len(E) != 2 ** (n - 1):
-        raise RuntimeError(f"|E| = {len(E)} is not 2^(n-1)")
+    E = np.flatnonzero(residues @ np.array(basis_traces) % 2 == 0)
+    if E.size != 2 ** (n - 1):
+        raise RuntimeError(f"|E| = {E.size} is not 2^(n-1)")
     # D = T^* x (1 + 2 lift(E)): the log codes whose 2-part lies in E
-    d_logs = np.arange(tables.m)[:, None] << n | np.flatnonzero(in_e)
-    d_codes = np.flatnonzero(_mask(group.order, tables.exp[d_logs]))
-    if subgroup is None:
-        n_codes = d_codes
-    else:
-        n_codes = group.code_set(subgroup)
-        if not _mask(group.order, d_codes)[n_codes].all():
+    D = group.sorted_codes(tables.exp[np.arange(tables.m)[:, None] << n | E], "element")
+    N = D
+    if subgroup is not None:
+        N = group.sorted_codes(subgroup, "element")
+        if not _mask(group.order, D)[N].all():
             raise PreconditionError("subgroup must be contained in D")
-        _subgroup_generators(tables, n_codes)
-    D = frozenset(group.decode_elements(d_codes))
-    N = D if subgroup is None else frozenset(subgroup)
+        _subgroup_generators(tables, N)
     # the principal units 1 + 2R are the log codes with odd part 0
-    L = frozenset(group.decode_elements(n_codes[tables.log[n_codes] < 2**n]))
-    return GR4Data(ring, u, E, D, N, L)
+    return GR4Data(ring, u, E, D, N, N[tables.log[N] < 2**n])
 
 
 @dataclass
@@ -485,8 +479,9 @@ class GaloisRingDDF:
     report: designs.VerificationReport
 
 
-def _coset_reps(ring: RingCtx, N: FrozenSet[Element]) -> List[Element]:
-    """Transversal of R^*/N: identity coset first, then by least coset member.
+def _coset_reps(ring: RingCtx, N: np.ndarray) -> np.ndarray:
+    """Additive codes of a transversal of R^*/N, for N given by its codes:
+    identity coset first, then by least coset member.
 
     Within each coset the first principal unit in ``ring.principal_units()``
     (Teichmuller) order is preferred, falling back to the least element.  N
@@ -497,7 +492,7 @@ def _coset_reps(ring: RingCtx, N: FrozenSet[Element]) -> List[Element]:
     """
     tables = ring.unit_tables
     n = ring.n
-    logs = tables.log[tables.additive.code_set(N)].astype(np.int64)
+    logs = tables.log[N].astype(np.int64)
     g0, _, coords = unit_subgroup_split(ring, logs)
     span = np.flatnonzero(coords >= 0)
     least_in_coset = (np.arange(2**n)[:, None] ^ span[None, :]).min(axis=1)
@@ -517,7 +512,7 @@ def _coset_reps(ring: RingCtx, N: FrozenSet[Element]) -> List[Element]:
         low = int(units[least[k]])
         rep = int(tables.exp[principal[first[k]]]) if first[k] < principal.size else low
         found.append((rep != tables.one, low, rep))
-    return tables.additive.decode_elements([rep for _, _, rep in sorted(found)])
+    return np.array([rep for _, _, rep in sorted(found)], dtype=np.int64)
 
 
 def _principal_index(ring: RingCtx, y: Element) -> int:
@@ -544,36 +539,38 @@ def galois_ring_ddf(
     (default: the first of ``ring.principal_units()`` outside D); other
     subgroups take their deterministic transversal.
     """
-    data = galois_ring_data(ring, u, subgroup)
-    N = data.subgroup
+    additive = ring.additive_group()
+    data = galois_ring_data(ring, u, None if subgroup is None else additive.code_set(subgroup))
     n = ring.n
-    if N == data.D:
+    in_d = _mask(additive.order, data.D)
+    N_is_D = np.array_equal(data.subgroup, data.D)
+    if N_is_D:
         if y is None:
-            y = next(w for w in ring.principal_units() if w not in data.D)
+            y = next(w for w in ring.principal_units() if not in_d[additive.index(w)])
         elif not ring.is_unit(y):
             raise PreconditionError(f"y={y} is not a unit")
-        elif y in data.D:
+        reps = additive.checked_encode([ring.one, y], "y")
+        if in_d[reps[1]]:
             raise PreconditionError(f"y={y} lies in D, it does not cross cosets")
-        reps = [ring.one, y]
     else:
         if y is not None:
             raise PreconditionError("y can only be chosen for the N = D family")
-        reps = _coset_reps(ring, N)
-    source = data.D | frozenset(ring.nonunits()) if include_ideal else data.D
-    quotient = unit_quotient_family(ring, [source], N, reps)
-    iso = unit_group_iso(ring, N)
-    group, additive = iso.codomain, ring.additive_group()
-    ring_blocks = [sub for _, _, sub in quotient.blocks]
-    blocks = [Block(group, iso.map_codes(additive.encode(list(sub)))) for sub in ring_blocks]
-    forbidden = Subgroup(group, iso.map_codes(additive.encode(list(data.L))))
+        reps = _coset_reps(ring, data.subgroup)
+    nonunits = np.flatnonzero(ring.unit_tables.log < 0)
+    source = np.append(data.D, nonunits) if include_ideal else data.D
+    quotient = unit_quotient_family(ring, [source], data.subgroup, reps)
+    iso = unit_group_iso(ring, data.subgroup)
+    group = iso.codomain
+    blocks = [Block(group, iso.map_codes(sub)) for _, _, sub in quotient.blocks]
+    forbidden = Subgroup(group, iso.map_codes(data.L))
     lam = 2 ** (2 * (n - 1)) if include_ideal else 2**n * (2 ** (n - 2) - 1)
     mu = (
         2 ** (n - 2) * (2**n + 1)
         if include_ideal
         else 2 ** (n - 1) * (2 ** (n - 1) - 1) - 2 ** (n - 2)
     )
-    sizes = tuple(sorted(len(b) for b in ring_blocks))
-    if N == data.D:
+    sizes = tuple(sorted(b.size for b in blocks))
+    if N_is_D:
         expected_k = 2 ** (2 * (n - 1)) if include_ideal else 2 ** (n - 1) * (
             2 ** (n - 1) - 1
         )
@@ -581,11 +578,9 @@ def galois_ring_ddf(
             raise RuntimeError(f"block sizes {sizes} disagree with {expected_k}")
         # size law k_y = |(D + y) ∩ D| for the plain construction
         if not include_ideal:
-            d_codes = additive.code_set(data.D)
             for (_, rep, sub) in quotient.blocks:
-                law = _shift_overlap(additive, d_codes, rep)
-                if len(sub) != law:
-                    raise RuntimeError(f"size law violated at y={rep}")
+                if sub.size != _shift_overlap(additive, data.D, rep):
+                    raise RuntimeError(f"size law violated at y={additive.element(rep)}")
     family = DifferenceFamily(
         ambient=group,
         forbidden=forbidden,
@@ -600,15 +595,15 @@ def galois_ring_ddf(
         },
     )
     report = designs.verify(family)
-    _check_quotient_consistency(quotient, lambda t: iso(t), report)
+    _check_quotient_consistency(quotient, additive, iso.map_codes(quotient.subgroup), report)
     if not report.ok:
         raise RuntimeError(f"unit-subgroup family failed verification: {report.summary()}")
     return GaloisRingDDF(
         data=data,
         include_ideal=include_ideal,
-        reps=reps,
+        reps=additive.decode_elements(reps),
         y=y,
-        ring_blocks=ring_blocks,
+        ring_blocks=[frozenset(additive.decode_elements(sub)) for _, _, sub in quotient.blocks],
         iso=iso,
         family=family,
         quotient=quotient,
@@ -636,7 +631,7 @@ def teichmuller_difference_set(
     n, tables = ring.n, ring.unit_tables
     additive = tables.additive
     teich = tables.exp[np.arange(tables.m) << n]  # xi^i at position i
-    in_d = _mask(additive.order, additive.code_set(data.D))
+    in_d = _mask(additive.order, data.D)
     exponents = np.flatnonzero(in_d[additive.code_sub(teich, additive.index(ring.two))])
     members = frozenset(additive.decode_elements(teich[exponents]))
     group = FiniteAbelianGroup((2**n - 1,))
@@ -683,7 +678,7 @@ def block_symmetry_report(result: GaloisRingDDF) -> BlockSymmetryReport:
     least-member order, are the first coordinates j; ``coset_counts[j]`` is
     read off one bincount of its coset index per block.
     """
-    if result.data.subgroup != result.data.D:
+    if not np.array_equal(result.data.subgroup, result.data.D):
         raise ValueError("symmetry report is defined for the N = D family")
     family = result.family
     group = family.ambient

@@ -263,15 +263,11 @@ def _fold(hist: np.ndarray, moduli: Tuple[int, ...]) -> np.ndarray:
     return hist
 
 
-def _nonzero_table(group: FiniteAbelianGroup, totals: np.ndarray) -> Dict[Element, int]:
-    """The nonzero entries of code-indexed totals, keyed by tuple element."""
-    nonzero = np.flatnonzero(totals[1:]) + 1
-    return dict(zip(group.decode_elements(nonzero), totals[nonzero].tolist()))
-
-
 def difference_table(family: DifferenceFamily) -> Dict[Element, int]:
     """The nonzero counts of ``difference_totals``, keyed by tuple element."""
-    return _nonzero_table(family.ambient, difference_totals(family))
+    totals = difference_totals(family)
+    nonzero = np.flatnonzero(totals[1:]) + 1
+    return dict(zip(family.ambient.decode_elements(nonzero), totals[nonzero].tolist()))
 
 
 def difference_count(family: DifferenceFamily, d: Element) -> int:
@@ -291,7 +287,7 @@ class VerificationReport:
     message: str = ""
     witness: Optional[Tuple[Element, int, str]] = None  # (element, count, expected)
     degenerate_blocks: int = 0
-    counts: Dict[Element, int] = field(default_factory=dict, repr=False)  # difference_table(family)
+    totals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)  # read-only
 
     def summary(self) -> str:
         status = "VERIFIED" if self.ok else "FAILED"
@@ -312,13 +308,14 @@ def verify(family: DifferenceFamily) -> VerificationReport:
     identity and constant outside it.  When the family declares parameters,
     the realized values must match them.  Failure is reported with the first
     witness in element order, never raised.  The report keeps the oracle's
-    difference table as ``counts``, so callers never need to count again.
-    Everything is read off the code-indexed totals with a membership mask of
-    the forbidden subgroup; no group element is walked in Python.
+    code-indexed totals, read-only, as ``totals``, so callers never need to
+    count again.  Everything is read off them with a membership mask of the
+    forbidden subgroup; no group element is walked in Python.
     """
     group = family.ambient
     forbidden = family.forbidden
     totals = difference_totals(family)
+    totals.flags.writeable = False
     # codes 1..v-1 in order are the nonzero elements in element order
     counts = totals[1:]
     in_n = np.zeros(group.order, dtype=bool)
@@ -367,7 +364,7 @@ def verify(family: DifferenceFamily) -> VerificationReport:
         message=message,
         witness=witness,
         degenerate_blocks=degenerate,
-        counts=_nonzero_table(group, totals),
+        totals=totals,
     )
 
 

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup
+from .groups import FiniteAbelianGroup, json_ints, json_object
 
 Element = Tuple[int, ...]
 Poly = Tuple[int, ...]  # coefficients, lowest degree first
@@ -61,14 +60,7 @@ BUILTIN_POLYS: Dict[Tuple[int, int], Poly] = {
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> Dict[int, int]:
@@ -138,22 +130,8 @@ def poly_powmod(a: Sequence[int], k: int, mod: Sequence[int], p: int) -> Poly:
 def poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> Poly:
     a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
     while b:
-        a, b = b, _poly_mod(a, b, p)
+        a, b = b, poly_rem(a, b, p)
     return a
-
-
-def _poly_mod(a: Poly, b: Poly, p: int) -> Poly:
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        c = a[-1]
-        if c:
-            f = (c * inv_lead) % p
-            off = len(a) - len(b)
-            for j, bj in enumerate(b):
-                a[off + j] = (a[off + j] - f * bj) % p
-        a.pop()
-    return _trim(a)
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -199,13 +177,18 @@ def find_irreducible(p: int, r: int) -> Poly:
 
 
 def load_poly_table(path: str) -> Dict[Tuple[int, int], Poly]:
-    """Read a user table: JSON mapping "p,r" to coefficient lists (low first)."""
+    """Read a user table: JSON mapping "p,r" to coefficient lists (low first).
+
+    A malformed table raises ValueError naming the key at fault."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = json_object(json.load(fh), "poly table")
     table: Dict[Tuple[int, int], Poly] = {}
     for key, coeffs in raw.items():
-        p_str, r_str = key.split(",")
-        table[(int(p_str), int(r_str))] = tuple(int(c) for c in coeffs)
+        try:
+            p, r = map(int, key.split(","))
+        except ValueError:
+            raise ValueError(f"poly table key {key!r} is not of the form \"p,r\"") from None
+        table[(p, r)] = json_ints(coeffs, f"poly table entry {key!r}")
     return table
 
 
@@ -287,8 +270,9 @@ class FieldCtx:
 
     Elements are length-r tuples over GF(p), lowest degree first.  The
     primitive element is found by a brute-force order scan over elements in
-    encoded order, so construction is deterministic.  The full log table is
-    built once; the context is immutable afterwards.
+    encoded order, so construction is deterministic.  The exp/log tables,
+    ``unit_tables``, are built once by doubling; the context is immutable
+    afterwards.
     """
 
     def __init__(
@@ -298,13 +282,15 @@ class FieldCtx:
         modulus: Optional[Sequence[int]] = None,
         poly_table: Optional[Dict[Tuple[int, int], Poly]] = None,
     ) -> None:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if r < 1:
             raise ValueError(f"extension degree must be >= 1, got {r}")
+        # r is clamped first, so a huge requested degree costs nothing
+        if p ** min(r, MAX_FIELD_SIZE.bit_length()) > MAX_FIELD_SIZE:
+            size = p**r if r <= MAX_FIELD_SIZE.bit_length() else f"{p}^{r}"
+            raise ValueError(f"field size {size} exceeds the {MAX_FIELD_SIZE} cap")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         q = p**r
-        if q > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {q} exceeds the {MAX_FIELD_SIZE} cap")
         self.p = p
         self.r = r
         self.q = q
@@ -326,15 +312,7 @@ class FieldCtx:
         self.zero: Element = (0,) * r
         self.one: Element = (1,) + (0,) * (r - 1)
         self.g = self._find_primitive()
-        self._exp: List[Element] = []
-        self._log: Dict[Element, int] = {}
-        cur = self.one
-        for i in range(q - 1):
-            self._exp.append(cur)
-            self._log[cur] = i
-            cur = self.mul(cur, self.g)
-        if cur != self.one or len(self._log) != q - 1:
-            raise RuntimeError(f"primitive element {self.g} failed the order check")
+        self.unit_tables = self._exp_by_doubling()
 
     # -- construction helpers
 
@@ -351,6 +329,26 @@ class FieldCtx:
             if all(self.poly_pow(a, target // ell) != self.one for ell in prime_divs):
                 return a
         raise RuntimeError(f"no primitive element found in GF({self.p}^{self.r})")
+
+    def _exp_by_doubling(self) -> UnitTables:
+        """The unit tables of g: exp[s:2s] is exp[:s] times g^s, the GF(p)-linear
+        map whose matrix has row j = x^j g^s, applied to digit rows in chunks.
+        ``UnitTables.from_exp`` proves exp a bijection onto the units, which is
+        the order check of g."""
+        group = self.additive_group()
+        exp = np.empty(self.q - 1, dtype=group.code_dtype)
+        exp[0] = group.index(self.one)
+        basis = [self.element((0,) * j + (1,)) for j in range(self.r)]
+        chunk = 1 << 16  # rows of int64 digits: about 10 MB of them at r = 20
+        s, g_s = 1, self.g
+        while s < exp.size:
+            matrix = np.array([self.mul(x, g_s) for x in basis], dtype=np.int64)
+            stop = min(s, exp.size - s)
+            for start in range(0, stop, chunk):
+                rows = exp[start : min(start + chunk, stop)]
+                exp[s + start : s + start + rows.size] = group.encode(group.decode(rows) @ matrix)
+            s, g_s = 2 * s, self.mul(g_s, g_s)
+        return UnitTables.from_exp(group, exp.size, 0, exp, np.arange(self.q) != 0)
 
     def poly_pow(self, a: Element, k: int) -> Element:
         """Square-and-multiply power using raw polynomial arithmetic."""
@@ -394,9 +392,6 @@ class FieldCtx:
             return self._pad(poly_rem(list(coeffs), self.modulus, self.p))
         return tuple(c % self.p for c in coeffs) + (0,) * (self.r - len(coeffs))
 
-    def scalar(self, c: int) -> Element:
-        return (c % self.p,) + (0,) * (self.r - 1)
-
     # -- arithmetic
 
     def add(self, a: Element, b: Element) -> Element:
@@ -414,14 +409,14 @@ class FieldCtx:
     def inv(self, a: Element) -> Element:
         if a == self.zero:
             raise ZeroDivisionError("inversion of zero in the field")
-        return self.g_pow((-self._log[a]) % (self.q - 1))
+        return self.g_pow(-self.discrete_log(a))
 
     def pow(self, a: Element, k: int) -> Element:
         if a == self.zero:
             if k <= 0:
                 raise ZeroDivisionError("0 cannot be raised to a nonpositive power")
             return self.zero
-        return self.g_pow((self._log[a] * k) % (self.q - 1))
+        return self.g_pow(self.discrete_log(a) * k)
 
     def frobenius(self, a: Element) -> Element:
         return self.poly_pow(a, self.p)
@@ -440,36 +435,27 @@ class FieldCtx:
     # -- multiplicative structure
 
     def g_pow(self, i: int) -> Element:
-        return self._exp[i % (self.q - 1)]
+        return self.unit_tables.additive.element(int(self.unit_tables.exp[i % (self.q - 1)]))
 
     def discrete_log(self, a: Element) -> int:
         if a == self.zero:
             raise ZeroDivisionError("discrete log of zero")
-        return self._log[a]
+        tables = self.unit_tables
+        return int(tables.log[tables.additive.checked_encode([a], "field element")[0]])
 
     def mult_subgroup(self, e: int) -> FrozenSet[Element]:
         """The index-e subgroup {g^(e*i)} of the multiplicative group."""
         if e <= 0 or (self.q - 1) % e != 0:
             raise ValueError(f"index {e} does not divide the group order {self.q - 1}")
-        return frozenset(self._exp[i] for i in range(0, self.q - 1, e))
+        tables = self.unit_tables
+        return frozenset(tables.additive.decode_elements(tables.exp[::e]))
 
     def element_order(self, a: Element) -> int:
         if a == self.zero:
             raise ZeroDivisionError("zero has no multiplicative order")
-        return (self.q - 1) // math.gcd(self._log[a], self.q - 1) if self._log[a] else 1
+        return (self.q - 1) // math.gcd(self.discrete_log(a), self.q - 1)
 
-    # -- ring-style adapter used by the generic family machinery
-
-    @cached_property
-    def unit_tables(self) -> UnitTables:
-        """The exp/log tables as additive codes, built on first use."""
-        group = self.additive_group()
-        units = np.ones(self.q, dtype=bool)
-        units[0] = False
-        return UnitTables.from_exp(group, self.q - 1, 0, group.encode(self._exp), units)
-
-    def is_unit(self, a: Element) -> bool:
-        return a != self.zero
+    # -- ring-style adapter, shared with RingCtx
 
     def units(self) -> Iterator[Element]:
         return self.nonzero_elements()

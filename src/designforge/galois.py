@@ -364,14 +364,15 @@ def unit_subgroup_split(ring: RingCtx, logs: np.ndarray) -> Tuple[int, List[int]
     return g0, basis, coords
 
 
-def unit_group_iso(ring: RingCtx, subgroup: Iterable[Element]) -> GroupIso:
-    """Map a unit subgroup N of GR(4,n) onto its invariant-factor model Z_d x Z_2^s.
+def unit_group_iso(ring: RingCtx, subgroup: np.ndarray) -> GroupIso:
+    """Map a unit subgroup N of GR(4,n), given by its additive codes, onto its
+    invariant-factor model Z_d x Z_2^s.
 
     A unit xi^i(1+2b) has log code (i, bbar) in ``ring.unit_tables``, so it
     splits into an odd part and a 2-part.  The odd part reads i off the
     exponent lattice of N; the 2-part takes the coordinates of bbar in the
     ``gf2_coordinates`` basis of the residues of N's principal units.  The
-    full unit group is ``unit_group_iso(ring, ring.units())``, onto
+    full unit group, the codes where ``unit_tables.log >= 0``, maps onto
     Z_{2^n-1} x Z_2^n (n >= 2) in the polynomial basis 1, xbar, ...,
     xbar^(n-1), where each image code is the unit's log code.  Trivial
     factors are dropped.  The table passes ``GroupIso.verify`` before it is
@@ -380,17 +381,16 @@ def unit_group_iso(ring: RingCtx, subgroup: Iterable[Element]) -> GroupIso:
     """
     tables = ring.unit_tables
     group, n, m = tables.additive, ring.n, tables.m
-    members = sorted(frozenset(subgroup))  # element order is code order
-    codes = group.encode(members)
+    codes = group.sorted_codes(subgroup, "subgroup")  # element order is code order
     logs = tables.log[codes].astype(np.int64)
     if (logs < 0).any():
-        raise ZeroDivisionError(f"{members[int(np.argmax(logs < 0))]} is not a unit")
+        raise ZeroDivisionError(f"{group.element(int(codes[np.argmax(logs < 0)]))} is not a unit")
     g0, basis, coords = unit_subgroup_split(ring, logs)
     odd, two = logs >> n, logs & (2**n - 1)
     d_order = m // g0
     two_coords = coords[two]
     if (two_coords < 0).any():
-        x = members[int(np.argmax(two_coords < 0))]
+        x = group.element(int(codes[np.argmax(two_coords < 0)]))
         raise ValueError(f"not a subgroup: the 2-part of {x} is not a principal unit of it")
     moduli = ([d_order] if d_order > 1 else []) + [2] * len(basis)
     codomain = FiniteAbelianGroup(moduli or [1])
@@ -398,7 +398,7 @@ def unit_group_iso(ring: RingCtx, subgroup: Iterable[Element]) -> GroupIso:
     iso = GroupIso.from_codes(
         codomain,
         group,
-        members,
+        codes,
         images,
         mul=ring.mul_codes,
         one=group.index(ring.one),

@@ -503,8 +503,8 @@ class GroupIso:
     lifted to position arrays.  The plain constructor takes the table as a
     dict keyed by any hashable, sortable representation with a pairwise
     ``mul``; ``from_codes`` takes a domain held as mixed-radix codes with a
-    batched multiplication, maps codes (``map_codes``) and decodes ``forward``
-    only when it is read.
+    batched multiplication, maps codes (``map_codes``) and decodes the domain
+    and ``forward`` only when they are read.
     ``verify`` is one complete check for both, at every size, linear in the
     domain times its rank.
     """
@@ -535,18 +535,18 @@ class GroupIso:
         cls,
         codomain: FiniteAbelianGroup,
         elements: FiniteAbelianGroup,
-        members: Sequence[Element],
+        codes: np.ndarray,
         images: np.ndarray,
         *,
         mul: Callable[[np.ndarray, np.ndarray], np.ndarray],
         one: int,
         domain: str = "",
     ) -> "GroupIso":
-        """The table ``members[p] -> images[p]`` for distinct elements of
-        ``elements`` in element (so code) order onto codes in ``codomain``,
-        where ``mul`` multiplies two code arrays elementwise and ``one`` is
-        the identity's code."""
-        keys = elements.encode(members)
+        """The table ``codes[p] -> images[p]`` for the increasing codes of
+        elements of ``elements`` onto codes in ``codomain``, where ``mul``
+        multiplies two code arrays elementwise and ``one`` is the identity's
+        code."""
+        keys = np.asarray(codes, dtype=np.int64)
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError(f"domain of {domain} is not in element order")
         iso = cls.__new__(cls)
@@ -554,11 +554,12 @@ class GroupIso:
         iso.domain = domain
         iso.one = elements.element(one)
         iso._forward = None
-        iso._keys = members
+        iso._keys = keys
+        iso._elements = elements
         iso._images = np.asarray(images, dtype=np.int64)
         iso._position = lookup = np.full(elements.order, -1, dtype=np.int64)
         lookup[keys] = np.arange(keys.size)
-        iso._name = members.__getitem__
+        iso._name = lambda p: elements.element(int(keys[p]))
         iso._op = lambda a, b: lookup[mul(keys[a], keys[b])]
         iso._one = int(lookup[one])
         return iso
@@ -567,7 +568,8 @@ class GroupIso:
     def forward(self) -> Dict[Hashable, Element]:
         """The table as a dict from domain elements to codomain tuples."""
         if self._forward is None:
-            self._forward = dict(zip(self._keys, self.codomain.decode_elements(self._images)))
+            keys = self._elements.decode_elements(self._keys)
+            self._forward = dict(zip(keys, self.codomain.decode_elements(self._images)))
         return self._forward
 
     def __call__(self, x: Hashable) -> Element:

@@ -5,7 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+
+import numpy as np
 
 from designforge import cli, constructions, hadamard
 from designforge.cli import main
@@ -126,6 +129,8 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
     family = {"group": {"moduli": [5]}, "forbidden": [[0]], "blocks": [[[1], [4]], [[2], [3]]]}
     spec = {"group": {"moduli": [6]}, "forbidden": [[0], [3]], "m": 4}
 
+    poly_table = ["construct", "szekeres", "--q", "7", "--poly-table"]
+
     def without(data, key):
         return {k: v for k, v in data.items() if k != key}
 
@@ -148,6 +153,12 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
         ("block element out of range", ["verify"],
          {"group": {"moduli": [7]}, "forbidden": [[0]], "blocks": [[[1], [2], [11]]]},
          "block element (11,) outside FiniteAbelianGroup([7])"),
+        # a polynomial table names its key at fault; bools are not coefficients
+        ("poly table top-level list", poly_table, [["7,1", [0, 1]]], "poly table is not"),
+        ("poly table entry not a list", poly_table, {"7,1": 5}, "poly table entry '7,1'"),
+        ("poly table bool coefficient", poly_table, {"2,3": [1, True, 0, 1]},
+         "poly table entry '2,3'"),
+        ("poly table key not p,r", poly_table, {"7": [0, 1]}, "poly table key '7'"),
         ("spec forbidden element out of range", ["search"], dict(spec, forbidden=[[0], [9]]),
          "forbidden element (9,) outside FiniteAbelianGroup([6])"),
     ]
@@ -161,6 +172,32 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
         assert field in err, (name, err)
 
 
+def test_oversized_field_requests_exit_two_quickly(capsys):
+    # 2^61 - 1 is prime: factorize would trial-divide for minutes
+    for kind in (["szekeres"], ["prop22", "--e", "2"]):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["construct", *kind, "--q", str(2**61 - 1)], capsys)
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: field size {2**61 - 1} exceeds the 1048576 cap\n"
+
+
+def test_trace_zero_exponent_out_of_range_exits_two(capsys):
+    # --u is an exponent of the residue field's generator, 0..2^n - 2; it
+    # used to wrap silently mod 2^n - 1
+    for argv in (
+        ["construct", "gr4-ddf", "--n", "5", "--u", "32"],
+        ["construct", "gr4-ddf", "--n", "5", "--u", "-30"],
+        ["construct", "prop34", "--n", "5", "--u", "31"],
+        ["hadamard", "symmetric", "--n", "3", "--u", "7"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and "out of range" in err, (argv, err)
+    code, out, _ = run_cli(["construct", "gr4-ddf", "--n", "3", "--u", "3"], capsys)
+    assert code == 0 and json.loads(out)["provenance"]["u"] == 3
+
+
 def test_failed_self_check_exits_one(monkeypatch, capsys):
     # a lambda_t off by one fails the quotient-consistency self-check, a
     # RuntimeError inside the library: exit 1 with one line, not a traceback
@@ -168,9 +205,9 @@ def test_failed_self_check_exits_one(monkeypatch, capsys):
 
     def corrupted(*args, **kwargs):
         res = original(*args, **kwargs)
-        table = dict(res.lambda_table)
-        table[min(table)] += 1
-        return dataclasses.replace(res, lambda_table=table)
+        lambda_t = res.lambda_t.copy()
+        lambda_t[np.flatnonzero(res.subgroup != args[0].unit_tables.one)[0]] += 1  # least t != 1
+        return dataclasses.replace(res, lambda_t=lambda_t)
 
     monkeypatch.setattr(constructions, "unit_quotient_family", corrupted)
     code, out, err = run_cli(["construct", "gr4-ddf", "--n", "3"], capsys)

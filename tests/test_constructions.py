@@ -103,10 +103,43 @@ def test_cyclotomic_preconditions_match_the_census():
     assert found == {name: CENSUS[name] for name in names.values()}
 
 
+def _prime_powers(limit):
+    """Every prime power below ``limit``, by a sieve."""
+    composite = bytearray(limit)
+    out = []
+    for p in range(2, limit):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, limit, p))
+            q = p
+            while q < limit:
+                out.append(q)
+                q *= p
+    return sorted(out)
+
+
+def test_cyclotomic_conditions_imply_an_integral_lambda():
+    # each closed form the precondition accepts makes (q - 1) | k(k - 1), so
+    # cyclotomic_difference_set needs no divisibility check of its own
+    accepted = {}
+    for q in _prime_powers(1 << 16):
+        for e in (2, 4, 8):
+            for with_zero in (False, True):
+                if (q - 1) % e:
+                    continue
+                try:
+                    constructions._check_cyclotomic_conditions(q, e, with_zero)
+                except PreconditionError:
+                    continue
+                k = (q - 1) // e + with_zero
+                assert k * (k - 1) % (q - 1) == 0, (q, e, with_zero)
+                accepted.setdefault((e, with_zero), []).append(q)
+    assert len(accepted) == 6  # every kind occurs below 2^16
+    assert accepted[(8, True)] == [26041] and accepted[(8, False)][0] == 73
+
 
 def test_quadratic_residues_q7():
     ds = cyclotomic_difference_set(FieldCtx(7), 2)
-    assert {x[0] for x in ds.elements} == {1, 2, 4}
+    assert ds.codes.tolist() == [1, 2, 4]
     assert (ds.q, ds.k, ds.lam) == (7, 3, 1)
 
 
@@ -140,14 +173,19 @@ def test_precondition_diagnostics():
 # ---------------------------------------------------------------------------
 
 
+def _codes(ctx, elements):
+    """The additive codes of field or ring elements, in the given order."""
+    return ctx.additive_group().encode(list(elements))
+
+
 def test_quotient_machine_on_f7_squares():
     ctx = FieldCtx(7)
-    squares = ctx.mult_subgroup(2)
-    reps = [ctx.one, ctx.g]
+    squares = _codes(ctx, ctx.mult_subgroup(2))
+    reps = _codes(ctx, [ctx.one, ctx.g])
     result = unit_quotient_family(ctx, [squares], squares, reps)
     assert result.base_lambda == 1
     # every nonunit translate count is 1 here
-    assert set(result.lambda_table.values()) == {1}
+    assert set(result.lambda_t[result.subgroup != 1].tolist()) == {1}
     assert len(result.blocks) == 2
 
 
@@ -155,35 +193,38 @@ def test_quotient_machine_on_gr43():
     ring = RingCtx(3)
     data = galois_ring_data(ring)
     y = ring.add(ring.one, ring.mul(ring.two, ring.xi))
-    result = unit_quotient_family(ring, [data.D], data.D, [ring.one, y])
+    result = unit_quotient_family(ring, [data.D], data.D, _codes(ring, [ring.one, y]))
     assert result.base_lambda == 12
-    for t, lam_t in result.lambda_table.items():
-        assert lam_t == (4 if t in data.L else 2)
+    one = ring.additive_group().index(ring.one)
+    for t, lam_t in zip(result.subgroup.tolist(), result.lambda_t.tolist()):
+        if t != one:
+            assert lam_t == (4 if t in data.L else 2)
 
 
 def test_quotient_machine_degenerate_trivial_subgroup():
     ctx = FieldCtx(7)
-    reps = sorted(ctx.nonzero_elements())
-    result = unit_quotient_family(ctx, [ctx.mult_subgroup(2)], {ctx.one}, reps)
-    assert result.lambda_table == {}
+    reps = _codes(ctx, sorted(ctx.nonzero_elements()))
+    result = unit_quotient_family(ctx, [_codes(ctx, ctx.mult_subgroup(2))], [1], reps)
+    assert result.subgroup.tolist() == [1]  # only t = 1, which has no count
     for _, _, blk in result.blocks:
-        assert blk <= {ctx.one}
+        assert set(blk.tolist()) <= {1}
 
 
 def test_quotient_machine_asserts_invariance():
     ctx = FieldCtx(7)
-    not_invariant = frozenset({(1,), (2,)})  # 2*{1,2} = {2,4} != {1,2}
+    not_invariant = [1, 2]  # 2*{1,2} = {2,4} != {1,2}
+    squares, reps = _codes(ctx, ctx.mult_subgroup(2)), _codes(ctx, [ctx.one, ctx.g])
     with pytest.raises(PreconditionError, match="not fixed"):
-        unit_quotient_family(ctx, [not_invariant], ctx.mult_subgroup(2), [ctx.one, ctx.g])
+        unit_quotient_family(ctx, [not_invariant], squares, reps)
 
 
 def test_quotient_machine_rejects_bad_transversal():
     ctx = FieldCtx(7)
-    squares = ctx.mult_subgroup(2)
+    squares = _codes(ctx, ctx.mult_subgroup(2))
     with pytest.raises(PreconditionError, match="repeats"):
-        unit_quotient_family(ctx, [squares], squares, [ctx.one, (2,)])
+        unit_quotient_family(ctx, [squares], squares, [1, 2])
     with pytest.raises(PreconditionError, match="covers"):
-        unit_quotient_family(ctx, [squares], squares, [ctx.one])
+        unit_quotient_family(ctx, [squares], squares, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +302,65 @@ def test_quotient_consistency_rejects_a_wrong_lambda(monkeypatch):
 
     def corrupted(*args, **kwargs):
         res = original(*args, **kwargs)
-        table = dict(res.lambda_table)
-        table[min(table)] += 1
-        return dataclasses.replace(res, lambda_table=table)
+        lambda_t = res.lambda_t.copy()
+        lambda_t[np.flatnonzero(res.subgroup != args[0].unit_tables.one)[0]] += 1  # least t != 1
+        return dataclasses.replace(res, lambda_t=lambda_t)
 
     monkeypatch.setattr(constructions, "unit_quotient_family", corrupted)
     with pytest.raises(RuntimeError, match="quotient family inconsistent"):
         galois_ring_ddf(RingCtx(3))
     with pytest.raises(RuntimeError, match="quotient family inconsistent"):
         cyclotomic_family(FieldCtx(37), 4)
+
+
+def ref_check_quotient_consistency(quotient, group, one, iso_map, family):
+    """The per-t loop the array check replaced: a tuple lambda table without
+    t = 1, the family map applied to each t, and the oracle's counts as a dict."""
+    elements = group.decode_elements(quotient.subgroup)
+    lambda_table = {t: lam for t, lam in zip(elements, quotient.lambda_t.tolist()) if t != one}
+    counts = designs.difference_table(family)
+    for t, lam_t in lambda_table.items():
+        got = counts.get(iso_map(t), 0)
+        if got != quotient.base_lambda - lam_t:
+            raise RuntimeError(
+                f"quotient family inconsistent at t={t}: count {got}, "
+                f"expected {quotient.base_lambda} - {lam_t}"
+            )
+
+
+def _failure(check, *args):
+    with pytest.raises(RuntimeError) as info:
+        check(*args)
+    return str(info.value)
+
+
+def test_array_consistency_check_matches_the_per_t_loop():
+    ring, ctx = RingCtx(4), FieldCtx(37)
+    ring_res, cyc_res = galois_ring_ddf(ring), cyclotomic_family(ctx, 4)
+    cases = [
+        (ring_res, ring, ring_res.iso, ring_res.iso.map_codes(ring_res.quotient.subgroup)),
+        (cyc_res, ctx, lambda t: (ctx.discrete_log(t) // 4,),
+         ctx.unit_tables.log[cyc_res.quotient.subgroup] // 4),
+    ]
+    for res, ring_or_field, iso_map, images in cases:
+        group, one = ring_or_field.additive_group(), ring_or_field.one
+        quotient = res.quotient
+        assert np.array_equal(res.report.totals, designs.difference_totals(res.family))
+        # both pass on the true lambda_t
+        constructions._check_quotient_consistency(quotient, group, images, res.report)
+        ref_check_quotient_consistency(quotient, group, one, iso_map, res.family)
+        others = np.flatnonzero(images != 0)  # every t but 1, in code order
+        for j in (others[0], others[others.size // 2], others[-1]):
+            lambda_t = quotient.lambda_t.copy()
+            lambda_t[j] -= 1
+            mutant = dataclasses.replace(quotient, lambda_t=lambda_t)
+            got = _failure(
+                constructions._check_quotient_consistency, mutant, group, images, res.report
+            )
+            want = _failure(
+                ref_check_quotient_consistency, mutant, group, one, iso_map, res.family
+            )
+            assert got == want and f"t={group.element(int(quotient.subgroup[j]))}:" in got
 
 
 def test_family_rejects_trivial_quotient():
@@ -359,7 +450,8 @@ def test_example_mapped_blocks_reproduced_exactly():
 
 def test_one_admissible_y_reproduces_printed_second_block():
     ring = RingCtx(3)
-    candidates = [w for w in ring.principal_units() if w not in galois_ring_data(ring).D]
+    D = galois_ring_data(ring).D
+    candidates = [w for w in ring.principal_units() if ring.additive_group().index(w) not in D]
     assert len(candidates) == 4
     matches = 0
     for y in candidates:
@@ -408,8 +500,8 @@ def test_union_source_is_difference_set():
     # D ∪ 2R is a (64, 36, 20) difference set in the additive group for n=3
     ring = RingCtx(3)
     data = galois_ring_data(ring)
-    source = frozenset(data.D) | frozenset(ring.nonunits())
     group = ring.additive_group()
+    source = frozenset(group.decode_elements(data.D)) | frozenset(ring.nonunits())
     from designforge.designs import Block, DifferenceFamily
     from designforge.groups import Subgroup
 
@@ -439,6 +531,9 @@ def test_gr4_rejects_bad_y():
         galois_ring_ddf(ring, y=ring.one)  # inside D
     with pytest.raises(PreconditionError):
         galois_ring_ddf(ring, y=ring.two)  # not a unit
+    for y in [(5, 0, 0), (1, 2)]:  # not reduced, wrong length: named, never reduced
+        with pytest.raises(ValueError, match=rf"y \({y[0]}, {y[1]}.*\) outside"):
+            galois_ring_ddf(ring, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +585,7 @@ def test_gr4_subgroup_equal_to_forbidden_part():
     # with N = L the whole group is forbidden: mu is vacuous, lambda must hold
     ring = RingCtx(3)
     data = galois_ring_data(ring)
-    res = galois_ring_ddf(ring, subgroup=data.L)
+    res = galois_ring_ddf(ring, subgroup=ring.additive_group().decode_elements(data.L))
     rep = designs.verify(res.family)
     assert rep.ok and rep.lam == 8 and rep.mu is None
     assert len(res.ring_blocks) == 14  # unit-group index of L

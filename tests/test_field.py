@@ -1,4 +1,8 @@
 import json
+import random
+import time
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +70,92 @@ def test_rejects_nonprime_and_oversize():
         FieldCtx(6)
     with pytest.raises(ValueError):
         FieldCtx(2, 21)  # 2^21 over the cap
+
+
+def test_oversize_is_refused_before_any_primality_or_power_work():
+    # the cap comes first, with the degree clamped: no trial division of a
+    # 61-bit prime, and no power with a billion-bit result
+    t0 = time.perf_counter()
+    for p, r in [(2**61 - 1, 1), (2, 10**12), (1048583, 1), (3, 13)]:
+        with pytest.raises(ValueError, match="exceeds the 1048576 cap"):
+            FieldCtx(p, r)
+    assert time.perf_counter() - t0 < 1
+
+
+# ---------------------------------------------------------------------------
+# the exp/log tables against the tuple walk they replaced
+# ---------------------------------------------------------------------------
+
+
+def tuple_walk(ctx):
+    """g^0, g^1, ..., g^(q-2) by one tuple ``FieldCtx.mul`` per step, with the
+    order check the walk made: g^(q-1) = 1."""
+    powers, cur = [], ctx.one
+    for _ in range(ctx.q - 1):
+        powers.append(cur)
+        cur = ctx.mul(cur, ctx.g)
+    assert cur == ctx.one
+    return powers
+
+
+def _primes(limit):
+    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, int(n**0.5) + 1))]
+
+
+WALK_FIELDS = sorted(BUILTIN_POLYS) + [(p, 1) for p in _primes(211)] + [(65003, 1)]
+
+
+@pytest.mark.parametrize("p, r", WALK_FIELDS)
+def test_doubled_exp_matches_the_tuple_walk(p, r):
+    ctx = FieldCtx(p, r)
+    tables, group = ctx.unit_tables, ctx.additive_group()
+    powers = tuple_walk(ctx)
+    assert group.decode_elements(tables.exp) == powers
+    assert tables.log[group.encode(powers)].tolist() == list(range(ctx.q - 1))
+    assert tables.log[0] == -1 and not tables.exp.flags.writeable
+
+
+def test_doubled_exp_across_chunks():
+    # above 2 * 65536 units the doubling applies g^s in several chunks: every
+    # step of GF(1048559) is checked as one integer product, and GF(2^18) on
+    # a sample of steps with the tuple product
+    ctx = FieldCtx(1048559)
+    exp = ctx.unit_tables.exp.astype(np.int64)
+    g = ctx.g[0]
+    assert exp[0] == 1 and (exp[1:] == exp[:-1] * g % ctx.q).all() and exp[-1] * g % ctx.q == 1
+    ctx = FieldCtx(2, 18)
+    tables, group = ctx.unit_tables, ctx.additive_group()
+    rng = random.Random(3)
+    for i in [0, 65535, 65536, 131071, 131072, 196607, 196608, ctx.q - 2] + rng.sample(
+        range(ctx.q - 1), 500
+    ):
+        nxt = group.element(int(tables.exp[(i + 1) % (ctx.q - 1)]))
+        assert ctx.mul(group.element(int(tables.exp[i])), ctx.g) == nxt, i
+
+
+def test_doubled_exp_with_other_moduli():
+    # a table override, explicit moduli and a scanned modulus: none of them
+    # need x to be primitive, so g is whatever the order scan finds
+    cases = [
+        FieldCtx(2, 3, poly_table={(2, 3): (1, 1, 0, 1)}),
+        FieldCtx(3, 2, poly_table={(3, 2): (1, 0, 1)}),  # x^2 + 1: x has order 4
+        FieldCtx(2, 4, modulus=(1, 1, 1, 1, 1)),  # x has order 5
+        FieldCtx(5, 3, modulus=(1, 1, 0, 1)),  # x^3 + x + 1
+        FieldCtx(2, 13),
+        FieldCtx(17, 2),
+    ]
+    for ctx in cases:
+        group = ctx.additive_group()
+        assert group.decode_elements(ctx.unit_tables.exp) == tuple_walk(ctx), ctx
+
+
+def test_non_primitive_generator_is_refused(monkeypatch):
+    # g = 2 has order 3 in GF(7), and x^3 order 5 in GF(16): the doubled
+    # table repeats itself, and the bijection proof refuses it
+    for ctx_args, g in [((7,), (2,)), ((2, 4), (0, 0, 0, 1))]:
+        monkeypatch.setattr(FieldCtx, "_find_primitive", lambda self, g=g: g)
+        with pytest.raises(RuntimeError, match="not a bijection onto the units"):
+            FieldCtx(*ctx_args)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +246,8 @@ def test_discrete_log_examples():
     assert f.discrete_log(f.g) == 1
     with pytest.raises(ZeroDivisionError):
         f.discrete_log(f.zero)
+    with pytest.raises(ValueError, match=r"field element \(8,\) outside"):
+        f.discrete_log((8,))  # the tables hold reduced elements only
 
 
 @settings(max_examples=30, deadline=None)

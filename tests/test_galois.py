@@ -190,7 +190,7 @@ def test_residue_is_ring_homomorphism():
 def test_unit_group_iso_basics():
     for n in (3, 6):
         ring = RingCtx(n)
-        iso = unit_group_iso(ring, ring.units())  # verify() runs inside
+        iso = unit_group_iso(ring, ring.additive_group().encode(list(ring.units())))  # verifies
         assert iso(ring.xi) == (1,) + (0,) * n
         w = ring.add(ring.one, ring.two)  # 1 + 2*1, and 1 is the first basis vector
         assert iso(w) == (0, 1) + (0,) * (n - 1)
@@ -208,7 +208,7 @@ def test_unit_group_iso_codomains_of_subgroups():
         ring = RingCtx(n)
         D = galois_ring_data(ring).D
         assert unit_group_iso(ring, D).codomain.moduli == (2**n - 1,) + (2,) * (n - 1)
-        teich = unit_group_iso(ring, ring.teichmuller[1:])
+        teich = unit_group_iso(ring, ring.additive_group().encode(ring.teichmuller[1:]))
         assert teich.codomain.moduli == (2**n - 1,)
 
 

@@ -147,7 +147,7 @@ def sample_matrices():
     ring3 = RingCtx(3)
     group = ring3.additive_group()
     ds = DifferenceFamily(
-        group, Subgroup.trivial(group), [Block.from_elements(group, frozenset(galois_ring_data(ring3).D))]
+        group, Subgroup.trivial(group), [Block(group, galois_ring_data(ring3).D)]
     )
     labelled = hadamard_from_difference_set(ds)
     out = [sylvester(k) for k in range(11)]
@@ -347,7 +347,7 @@ def test_hadamard_from_difference_set():
     data = galois_ring_data(ring)
     group = ring.additive_group()
     fam = DifferenceFamily(
-        group, Subgroup.trivial(group), [Block.from_elements(group, frozenset(data.D))]
+        group, Subgroup.trivial(group), [Block(group, data.D)]
     )
     M = hadamard_from_difference_set(fam)
     assert M.order == 64 and is_hadamard(M) and is_symmetric(M)
@@ -380,7 +380,7 @@ def test_fingerprints_recorded_for_both_order64_routes():
     fam = DifferenceFamily(
         group,
         Subgroup.trivial(group),
-        [Block.from_elements(group, frozenset(galois_ring_data(ring).D))],
+        [Block(group, galois_ring_data(ring).D)],
     )
     direct = hadamard_from_difference_set(fam)
     fp_array = equivalence_invariants(res.matrix)

@@ -4,10 +4,12 @@ The reference functions below are the tuple versions of ``galois_ring_data``,
 ``unit_quotient_family``, ``_coset_reps``, ``unit_group_iso`` and the
 Teichmuller difference set that the library ran before its ring pipeline
 moved onto one log/exp table pair per ring.  They multiply with the tuple
-``RingCtx.mul`` and decompose units one by one.  The tests require the code
-paths to give the same tables, blocks, transversals, lambda tables,
-isomorphisms and provenance; the negative controls require a corrupted log
-table to be refused by the isomorphism check, which never reads it.
+``RingCtx.mul`` and decompose units one by one; like the functions they
+stand in for, they take and return additive codes, decoded on the way in
+and encoded on the way out.  The tests require the code paths to give the
+same tables, blocks, transversals, lambda_t arrays, isomorphisms and
+provenance; the negative controls require a corrupted log table to be
+refused by the isomorphism check, which never reads it.
 """
 
 import math
@@ -68,10 +70,20 @@ def ref_gf2_span_coords(basis, dim):
     return span
 
 
+def _codes(ring, elements):
+    """The additive codes of ring or field elements, in the given order."""
+    return ring.additive_group().encode(list(elements))
+
+
+def _elements(ring, codes):
+    """The tuples of additive codes, as a set."""
+    return frozenset(ring.additive_group().decode_elements(codes))
+
+
 def ref_unit_group_iso(ring, subgroup):
     """Per-unit ``unit_decompose``, the span dict and a tuple-multiplied check."""
     m = 2**ring.n - 1
-    decomps = {x: ring.unit_decompose(x) for x in subgroup}
+    decomps = {x: ring.unit_decompose(x) for x in _elements(ring, subgroup)}
     g0 = math.gcd(m, *(d.a0_exponent for d in decomps.values()))
     d_order = m // g0
     basis = ref_gf2_basis(
@@ -91,7 +103,7 @@ def ref_unit_group_iso(ring, subgroup):
     return GroupIso.from_codes(
         codomain,
         group,
-        members,
+        group.encode(members),
         codomain.encode([forward[x] for x in members]),
         mul=ring.mul_codes,
         one=group.index(ring.one),
@@ -110,15 +122,21 @@ def ref_galois_ring_data(ring, u=None, subgroup=None):
         for a in ring.teichmuller[1:]
         for b in lifts
     )
-    N = D if subgroup is None else frozenset(subgroup)
+    N = D if subgroup is None else _elements(ring, subgroup)
     closure_generators(N, ring.one, ring.mul)
     L = frozenset(N & set(ring.principal_units()))
-    return constructions.GR4Data(ring, u, E, D, N, L)
+    group = ring.additive_group()
+    return constructions.GR4Data(
+        ring, u, ring.residue_group().code_set(E), group.code_set(D), group.code_set(N),
+        group.code_set(L),
+    )
 
 
 def ref_unit_quotient_family(ring, blocks, subgroup, reps):
-    N = frozenset(subgroup)
-    blocks = [frozenset(b) for b in blocks]
+    group = ring.additive_group()
+    N = _elements(ring, subgroup)
+    blocks = [_elements(ring, b) for b in blocks]
+    reps = group.decode_elements(reps)
     one = ring.one
     gens = closure_generators(N, one, ring.mul)
     for D in blocks:
@@ -133,7 +151,6 @@ def ref_unit_quotient_family(ring, blocks, subgroup, reps):
         covered |= coset
     if len(covered) != sum(1 for _ in ring.units()):
         raise PreconditionError("covers")
-    group = ring.additive_group()
     report = designs.verify(
         DifferenceFamily(group, Subgroup.trivial(group), [Block.from_elements(group, D) for D in blocks])
     )
@@ -142,21 +159,34 @@ def ref_unit_quotient_family(ring, blocks, subgroup, reps):
         for y in reps:
             y_inv = ring.inv(y)
             shifted = frozenset(ring.mul(y_inv, ring.sub(d, one)) for d in D)
-            out_blocks.append((i, y, shifted & N))
+            out_blocks.append((i, group.index(y), group.code_set(shifted & N)))
     ideal_plus_one = [ring.add(z, one) for z in ring.nonunits()]
-    lambda_table = {}
-    for t in N:
-        if t != one:
-            lambda_table[t] = sum(
-                1
-                for D in blocks
-                for z in ideal_plus_one
-                if z in D and ring.add(z, ring.sub(t, one)) in D
-            )
-    return constructions.QuotientFamilyResult(out_blocks, report.mu, lambda_table)
+    lambda_t = [
+        sum(
+            1
+            for D in blocks
+            for z in ideal_plus_one
+            if z in D and ring.add(z, ring.sub(t, one)) in D
+        )
+        for t in sorted(N)
+    ]
+    return constructions.QuotientFamilyResult(
+        out_blocks, report.mu, group.code_set(N), np.array(lambda_t)
+    )
+
+
+def quotient_outputs(result):
+    """The fields of a ``QuotientFamilyResult`` as comparable lists."""
+    return (
+        [(i, y, sub.tolist()) for i, y, sub in result.blocks],
+        result.base_lambda,
+        result.subgroup.tolist(),
+        result.lambda_t.tolist(),
+    )
 
 
 def ref_coset_reps(ring, N):
+    N = _elements(ring, N)
     principal = ring.principal_units()
     found = []
     covered = set()
@@ -168,11 +198,11 @@ def ref_coset_reps(ring, N):
         found.append((least, next((y for y in principal if y in coset), least)))
         covered |= coset
     found.sort(key=lambda pair: (pair[1] != ring.one, pair[0]))
-    return [rep for _, rep in found]
+    return _codes(ring, [rep for _, rep in found])
 
 
 def ref_teichmuller_members(ring, u=None):
-    D = ref_galois_ring_data(ring, u).D
+    D = _elements(ring, ref_galois_ring_data(ring, u).D)
     return frozenset(x for x in ring.teichmuller[1:] if ring.sub(x, ring.two) in D)
 
 
@@ -298,12 +328,10 @@ def _ddf_outputs(res):
         [b.elements for b in res.family.blocks],
         res.family.forbidden.elements,
         res.family.provenance,
-        res.quotient.blocks,
-        res.quotient.base_lambda,
-        res.quotient.lambda_table,
+        quotient_outputs(res.quotient),
         res.iso.codomain,
         res.iso.forward,
-        (res.data.E, res.data.D, res.data.subgroup, res.data.L),
+        [codes.tolist() for codes in (res.data.E, res.data.D, res.data.subgroup, res.data.L)],
     )
 
 
@@ -334,7 +362,7 @@ def test_galois_ring_ddf_matches_the_tuple_pipeline(n, u, include_ideal, with_re
 def _subgroups(ring):
     """Unit subgroups of D with nontrivial transversals: T^*, the principal
     part of D, and the squares of D."""
-    D = ref_galois_ring_data(ring).D
+    D = _elements(ring, ref_galois_ring_data(ring).D)
     teich = frozenset(ring.teichmuller[1:])
     principal = D & frozenset(ring.principal_units())
     squares = frozenset(ring.mul(x, x) for x in D)
@@ -354,7 +382,8 @@ def test_subgroup_families_match_the_tuple_pipeline(n, with_references):
 def test_coset_reps_match_the_tuple_scan(n):
     ring = RingCtx(n)
     for N in _subgroups(ring) + [frozenset({ring.one}), frozenset(ring.units())]:
-        assert constructions._coset_reps(ring, N) == ref_coset_reps(ring, N)
+        N = ring.additive_group().code_set(N)
+        assert constructions._coset_reps(ring, N).tolist() == ref_coset_reps(ring, N).tolist()
 
 
 @pytest.mark.parametrize(
@@ -366,7 +395,7 @@ def test_cyclotomic_family_matches_the_tuple_pipeline(p, r, e, with_zero, with_r
     got = cyclotomic_family(ctx, e, with_zero)
     with_references()
     want = cyclotomic_family(ctx, e, with_zero)
-    assert got.quotient == want.quotient
+    assert quotient_outputs(got.quotient) == quotient_outputs(want.quotient)
     assert got.family.blocks == want.family.blocks
     assert got.report.summary() == want.report.summary()
 
@@ -374,13 +403,20 @@ def test_cyclotomic_family_matches_the_tuple_pipeline(p, r, e, with_zero, with_r
 def test_quotient_machine_matches_on_degenerate_inputs():
     # the trivial subgroup with every unit as a representative, and D with 2R
     ctx = FieldCtx(7)
-    args = (ctx, [ctx.mult_subgroup(2)], {ctx.one}, sorted(ctx.nonzero_elements()))
-    assert unit_quotient_family(*args) == ref_unit_quotient_family(*args)
+    args = (ctx, [_codes(ctx, ctx.mult_subgroup(2))], [1], np.arange(1, 7))
+    assert quotient_outputs(unit_quotient_family(*args)) == quotient_outputs(
+        ref_unit_quotient_family(*args)
+    )
     ring = RingCtx(3)
-    N = galois_ring_data(ring).D
+    N = _elements(ring, galois_ring_data(ring).D)
     y = next(w for w in ring.principal_units() if w not in N)
-    args = (ring, [N | frozenset(ring.nonunits())], N, [ring.one, y])
-    assert unit_quotient_family(*args) == ref_unit_quotient_family(*args)
+    args = (
+        ring, [_codes(ring, N | frozenset(ring.nonunits()))], _codes(ring, N),
+        _codes(ring, [ring.one, y]),
+    )
+    assert quotient_outputs(unit_quotient_family(*args)) == quotient_outputs(
+        ref_unit_quotient_family(*args)
+    )
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -393,6 +429,7 @@ def test_unit_group_iso_matches_the_tuple_decomposition():
     for n in (2, 3, 4):
         ring = RingCtx(n)
         for N in _subgroups(ring) + [frozenset(ring.units())]:
+            N = _codes(ring, N)
             got, want = unit_group_iso(ring, N), ref_unit_group_iso(ring, N)
             assert got.codomain == want.codomain
             assert got.forward == want.forward
@@ -424,7 +461,7 @@ def test_swapped_log_entries_are_refused_with_a_witness(n):
     xi2 = ring.mul(ring.xi, ring.xi)
     _swap_logs(ring, ring.xi, xi2)
     with pytest.raises(ValueError, match=r"not a homomorphism at \(\(.*\), \(.*\)\): "):
-        unit_group_iso(ring, ring.units())
+        unit_group_iso(ring, _codes(ring, ring.units()))
     # both units lie in D, so D keeps its log codes and only the isomorphism
     # check can notice; the construction refuses rather than emit a family
     with pytest.raises(ValueError, match="not a homomorphism"):
@@ -434,7 +471,7 @@ def test_swapped_log_entries_are_refused_with_a_witness(n):
 def test_swapped_log_entries_across_d_are_refused():
     ring = RingCtx(4)
     data = galois_ring_data(ring)
-    outside = next(w for w in ring.principal_units() if w not in data.D)
+    outside = next(w for w in ring.principal_units() if w not in _elements(ring, data.D))
     _swap_logs(ring, ring.xi, outside)
     with pytest.raises(ValueError):
         galois_ring_ddf(ring)

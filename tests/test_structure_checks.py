@@ -89,6 +89,16 @@ def rejects(fn, *args, error=ValueError, match=""):
     return False
 
 
+def _codes(ring, elements):
+    """The additive codes of ring or field elements, in the given order."""
+    return ring.additive_group().encode(list(elements))
+
+
+def _elements(ring, codes):
+    """The tuples of additive codes, as a set."""
+    return frozenset(ring.additive_group().decode_elements(codes))
+
+
 def perturb(rng, subgroup, universe):
     """The subgroup itself, or it with one element added or removed."""
     members = set(subgroup)
@@ -148,10 +158,10 @@ def test_unit_closure_check_matches_all_pairs_scan(which, seed):
 def test_user_subgroup_check_matches_all_pairs_scan(n, seed):
     rng = random.Random(seed)
     ring = _RINGS[n]
-    D = sorted(galois_ring_data(ring).D)
+    D = sorted(_elements(ring, galois_ring_data(ring).D))
     gens = rng.sample(D, rng.randint(0, 2))
     candidate = perturb(rng, mult_closure(gens, ring.one, ring.mul), D)
-    new = rejects(galois_ring_data, ring, None, candidate, error=PreconditionError)
+    new = rejects(galois_ring_data, ring, None, _codes(ring, candidate), error=PreconditionError)
     assert new == (not ref_is_closed(candidate, ring.one, ring.mul))
 
 
@@ -168,7 +178,7 @@ def _iso_tables():
     log7 = {pow(3, i, 7): (i,) for i in range(6)}
     out.append(("Z7*", FiniteAbelianGroup((6,)), log7, _Z7[2], 1))
     for ring in _RINGS.values():
-        iso = unit_group_iso(ring, ring.units())
+        iso = unit_group_iso(ring, _codes(ring, ring.units()))
         out.append((iso.domain, iso.codomain, iso.forward, ring.mul, ring.one))
     return out
 
@@ -212,7 +222,8 @@ def test_invariance_check_matches_all_pairs_scan(which, seed):
         D |= {ring.mul(x, y) for y in H}
     D = perturb(rng, D, elements)
     new = rejects(
-        unit_quotient_family, ring, [D], N, [ring.one], error=PreconditionError, match="not fixed"
+        unit_quotient_family, ring, [_codes(ring, D)], _codes(ring, N), _codes(ring, [ring.one]),
+        error=PreconditionError, match="not fixed",
     )
     assert new == (not ref_is_invariant(ring.mul, N, D))
 
@@ -243,7 +254,7 @@ def test_swapped_log_table_is_rejected_on_70000_elements():
 
 def _not_closed_subsets(ring, data):
     """D minus one element, and T* plus one principal unit: neither is closed."""
-    D = data.D
+    D = _elements(ring, data.D)
     extra = next(u for u in sorted(D) if u != ring.one)
     teich = frozenset(ring.teichmuller[1:])
     principal = next(u for u in sorted(D & set(ring.principal_units())) if u != ring.one)
@@ -255,17 +266,18 @@ def test_non_closed_subgroup_is_rejected(n):
     ring = RingCtx(n)
     data = galois_ring_data(ring)
     for N in _not_closed_subsets(ring, data):
-        assert ring.one in N and N <= data.D
+        assert ring.one in N and N <= _elements(ring, data.D)
         with pytest.raises(PreconditionError, match="not a subgroup"):
-            galois_ring_data(ring, subgroup=N)
+            galois_ring_data(ring, subgroup=_codes(ring, N))
         with pytest.raises(PreconditionError, match="not a subgroup"):
-            unit_quotient_family(ring, [data.D], N, [ring.one])
+            unit_quotient_family(ring, [data.D], _codes(ring, N), _codes(ring, [ring.one]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_non_invariant_block_is_rejected(n):
     ring = RingCtx(n)
     data = galois_ring_data(ring)
-    for victim in (ring.one, max(data.D)):
+    D = _elements(ring, data.D)
+    for victim in (ring.one, max(D)):
         with pytest.raises(PreconditionError, match="not fixed"):
-            unit_quotient_family(ring, [data.D - {victim}], data.D, [ring.one])
+            unit_quotient_family(ring, [_codes(ring, D - {victim})], data.D, _codes(ring, [ring.one]))
