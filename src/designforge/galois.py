@@ -272,19 +272,17 @@ class RingCtx:
         ``exp[i << n | b]`` is xi^i(1 + 2*lift(bbar)), where b is the Z_2^n
         code of bbar.  Since 2y depends only on the residue of y, it is built
         additively as teich[i] + 2*(xibar^i * bbar), with the residue product
-        read off the residue-field logs of the Teichmuller residues.
+        read off the residue field's own exp/log pair, whose generator is
+        xbar, the residue of xi.
         """
         n, m = self.n, 2**self.n - 1
         group, residues = self.additive_group(), self.residue_group()
         teich = group.encode(self.teichmuller)  # [0, 1, xi, ..., xi^(m-1)]
         # twice[c] = 2*lift(cbar) for the residue with Z_2^n code c
         twice = group.encode(2 * residues.decode(np.arange(2**n)))
-        res_of_xi = residues.encode(group.decode(teich[1:]) % 2)  # code of xibar^k
-        # the residue-field log of each nonzero residue code; 0 has none
-        res_log = np.zeros(2**n, dtype=np.int64)
-        res_log[res_of_xi] = np.arange(m)
-        xi_times_b = res_of_xi[(np.arange(m)[:, None] + res_log) % m]
-        xi_times_b[:, 0] = 0
+        res = self.residue.unit_tables  # exp[k] is the Z_2^n code of xibar^k
+        xi_times_b = res.exp[(np.arange(m)[:, None] + res.log) % m]
+        xi_times_b[:, 0] = 0  # the zero residue, whose log is -1
         exp = group.code_add(teich[1:, None], twice[xi_times_b]).ravel()
         units = np.ones(group.order, dtype=bool)
         units[twice] = False  # the nonunits 2R

@@ -9,6 +9,11 @@ summation order and with FMA.  The kernel raises ValueError when that bound
 is exceeded; no check has a tolerance.  Group-indexed matrices use the
 ambient group's lexicographic element enumeration, which serialization
 records.
+
+Every whole-matrix step works on tiles of ``_TILE_ROWS`` rows: the Gram
+gate, the entry, symmetry and skewness checks, and the three assemblies,
+which write int8 rows straight from the group's codes.  Besides the int8
+matrix itself, none holds more than a few tiles.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,12 +29,19 @@ import numpy as np
 from . import designs
 from .constructions import PreconditionError
 from .designs import DifferenceFamily
-from .groups import INT32_CODE_ORDER, FiniteAbelianGroup, Subgroup
+from .groups import FiniteAbelianGroup, Subgroup
 
 MAX_FINGERPRINT_ORDER = 128
-# The Hadamard gate's working set is about 9 * order^2 bytes (int8 entries,
-# their float32 copy and the float32 Gram): 0.6 GiB at this cap.
-MAX_MATRIX_ORDER = 8192
+# The int8 entries take order^2 bytes, 256 MiB at this cap; every check and
+# assembly adds only a few tiles of rows (see _TILE_ROWS), and an order-16384
+# symmetric array runs in well under 1 GiB of peak RSS.
+MAX_MATRIX_ORDER = 16384
+# Rows per tile of the gate, the entry checks and the assemblies.  A pair of
+# gate tiles casts to 2 * 512 * order float32 entries, 64 MiB at the cap; an
+# assembly block holds a few 512 x v int32 code arrays, 16 MiB each at
+# v = 8191.  Smaller tiles cost the gate time in BLAS calls too small to run
+# at full speed (256 rows: 45% slower at order 8192 on a 2-core host).
+_TILE_ROWS = 512
 # float32 holds every integer of magnitude up to 2^24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
 # Entries the streaming writers turn into text per block of rows: each block
@@ -88,8 +101,10 @@ class SignMatrix:
         arr = np.asarray(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"need a square matrix, got shape {arr.shape}")
-        if not (np.abs(arr) == 1).all():
-            raise ValueError("entries must all be +1 or -1")
+        for start in range(0, arr.shape[0], _TILE_ROWS):
+            tile = arr[start : start + _TILE_ROWS]
+            if not (np.abs(tile) == 1).all():
+                raise ValueError("entries must all be +1 or -1")
         self.entries = arr.astype(np.int8, copy=False)
         if self.labels is not None and len(self.labels) != arr.shape[0]:
             raise ValueError("label count does not match the order")
@@ -176,16 +191,38 @@ class SignMatrix:
         )
 
 
-def _gram_residual(M: SignMatrix) -> np.ndarray:
-    """M M^T - order * I, exact, from the float32 Gram of ``_exact_product``."""
-    G = _exact_product(M.entries)
-    G[np.diag_indices_from(G)] -= M.order
-    return G
+def _gram_residual(M: SignMatrix) -> Optional[Tuple[int, int, int]]:
+    """The least (i, j) in row-major order where M M^T - order * I is
+    nonzero, with that entry, or None if M is Hadamard.
+
+    The residual is exact: each pair of row tiles in the upper triangle is
+    one ``_exact_product``, a diagonal pair in the X X^T form.  It is
+    symmetric with a zero diagonal (every +-1 row has squared norm order),
+    so when row tile I is reached no earlier row has a nonzero entry, hence
+    neither has any row of I left of I's diagonal tile, and the least pair
+    of I is the least over its tiles right of it.
+    """
+    A, n = M.entries, M.order
+    for r in range(0, n, _TILE_ROWS):
+        X = A[r : r + _TILE_ROWS]
+        found = []
+        for c in range(r, n, _TILE_ROWS):
+            if c == r:
+                G = _exact_product(X)
+                G[np.diag_indices_from(G)] -= n
+            else:
+                G = _exact_product(X, A[c : c + _TILE_ROWS].T)
+            if G.any():
+                i, j = np.argwhere(G)[0].tolist()
+                found.append((r + i, c + j, int(G[i, j])))
+        if found:
+            return min(found)
+    return None
 
 
 def is_hadamard(M: SignMatrix) -> bool:
     """Exact check of M M^T = order * I."""
-    return not _gram_residual(M).any()
+    return _gram_residual(M) is None
 
 
 def hadamard_failure(M: SignMatrix) -> Optional[str]:
@@ -193,23 +230,36 @@ def hadamard_failure(M: SignMatrix) -> Optional[str]:
 
     The same exact gate as ``is_hadamard``, read for a witness.
     """
-    G = _gram_residual(M)
-    if not G.any():
+    bad = _gram_residual(M)
+    if bad is None:
         return None
-    # every +-1 row has squared norm order, so a violation is off the diagonal
-    i, j = (int(x) for x in np.argwhere(G)[0])
-    return f"rows {i} and {j} have inner product {int(G[i, j])}, expected 0"
+    i, j, inner = bad
+    return f"rows {i} and {j} have inner product {inner}, expected 0"
+
+
+def _transposed_tiles(A: np.ndarray) -> Iterator[Tuple[bool, np.ndarray, np.ndarray]]:
+    """Square tiles A[I, J] and A[J, I]^T over the upper triangle of row-tile
+    pairs, each with whether it lies on the diagonal."""
+    n = A.shape[0]
+    for r in range(0, n, _TILE_ROWS):
+        for c in range(r, n, _TILE_ROWS):
+            rows, cols = slice(r, r + _TILE_ROWS), slice(c, c + _TILE_ROWS)
+            yield r == c, A[rows, cols], A[cols, rows].T
 
 
 def is_symmetric(M: SignMatrix) -> bool:
-    return np.array_equal(M.entries, M.entries.T)
+    return all(np.array_equal(X, Yt) for _, X, Yt in _transposed_tiles(M.entries))
 
 
 def is_skew(M: SignMatrix) -> bool:
     """Exact check of M + M^T = 2I (unit diagonal, antisymmetric elsewhere)."""
-    S = M.entries + M.entries.T
-    S[np.diag_indices_from(S)] -= 2
-    return not S.any()
+    for diagonal, X, Yt in _transposed_tiles(M.entries):
+        S = X + Yt
+        if diagonal:
+            S[np.diag_indices_from(S)] -= 2
+        if S.any():
+            return False
+    return True
 
 
 def sylvester(k: int) -> SignMatrix:
@@ -217,9 +267,12 @@ def sylvester(k: int) -> SignMatrix:
     if k < 0:
         raise ValueError("k must be >= 0")
     check_matrix_order(2, k)
-    H = np.array([[1]], dtype=np.int8)
-    for _ in range(k):
-        H = np.block([[H, H], [H, -H]])
+    # doubled in place: [[H, H], [H, -H]] fills the next 2s x 2s corner
+    H = np.empty((1 << k, 1 << k), dtype=np.int8)
+    H[0, 0] = 1
+    for s in (1 << i for i in range(k)):
+        H[:s, s : 2 * s] = H[s : 2 * s, :s] = H[:s, :s]
+        np.negative(H[:s, :s], out=H[s : 2 * s, s : 2 * s])
     result = SignMatrix(H, provenance={"construction": "sylvester", "k": k})
     if not is_hadamard(result):
         raise AssemblyError("Sylvester matrix is not Hadamard")
@@ -241,24 +294,18 @@ def normalize(M: SignMatrix) -> Tuple[SignMatrix, np.ndarray, np.ndarray]:
 # -- group-indexed incidence machinery ------------------------------------------
 
 
-def _index_tables(group: FiniteAbelianGroup) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """int32 code tables of i-j, i+j and -i for the group.
+def _row_blocks(group: FiniteAbelianGroup) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+    """The group's positions in blocks of ``_TILE_ROWS`` rows: each block's
+    row slice, its row codes as a column, and every column code.
 
-    Row and column positions are the elements' mixed-radix codes.  Each
-    table is built one coordinate at a time in int32; a group above
-    INT32_CODE_ORDER, whose code arithmetic could wrap int32, is refused
-    before anything is allocated.
+    Positions are mixed-radix codes, so ``code_sub`` and ``code_add`` of a
+    block's two code arrays are the i - j and i + j rows of the block; no
+    whole table is built.  Callers check the order against
+    MAX_MATRIX_ORDER first, so the codes are int32.
     """
-    if group.code_dtype is not np.int32:
-        raise ValueError(
-            f"group order {group.order} is above INT32_CODE_ORDER = {INT32_CODE_ORDER}, "
-            "too large for int32 index tables"
-        )
-    codes = np.arange(group.order, dtype=np.int32)
-    diff = group.code_sub(codes[:, None], codes[None, :])
-    sums = group.code_add(codes[:, None], codes[None, :])
-    neg = group.code_sub(0, codes)
-    return diff, sums, neg
+    codes = np.arange(group.order, dtype=group.code_dtype)
+    for start in range(0, group.order, _TILE_ROWS):
+        yield slice(start, start + _TILE_ROWS), codes[start : start + _TILE_ROWS, None], codes
 
 
 def _membership(group: FiniteAbelianGroup, codes: np.ndarray) -> np.ndarray:
@@ -307,21 +354,20 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
     skew_idx = next((i for i, c in enumerate(codes) if not group.negatives_in(c).any()), None)
     if skew_idx is None:
         raise PreconditionError("neither block satisfies the skewness condition")
-    diff, sums, _ = _index_tables(group)
     in_S = _membership(group, codes[skew_idx])
     in_S[0] = 1  # the skew block plus the identity
-    A = 2 * in_S[diff] - 1
-    B = 2 * _membership(group, codes[1 - skew_idx])[sums] - 1
-    e = np.ones((v, 1), dtype=np.int8)
-    one = np.ones((1, 1), dtype=np.int8)
-    M = np.block(
-        [
-            [one, one, e.T, -e.T],
-            [-one, one, e.T, e.T],
-            [-e, -e, A, B],
-            [e, -e, -B, A],
-        ]
-    )
+    in_T = _membership(group, codes[1 - skew_idx])
+    # [[1, 1, e^T, -e^T], [-1, 1, e^T, e^T], [-e, -e, A, B], [e, -e, -B, A]]
+    M = np.empty((2 * v + 2, 2 * v + 2), dtype=np.int8)
+    M[:2, :2] = [[1, 1], [-1, 1]]
+    M[:2, 2:] = np.repeat(np.array([[1, -1], [1, 1]], dtype=np.int8), v, axis=1)
+    M[2:, :2] = np.repeat(np.array([[-1, -1], [1, -1]], dtype=np.int8), v, axis=0)
+    upper, lower = M[2 : v + 2, 2:], M[v + 2 :, 2:]
+    for rows, i, j in _row_blocks(group):
+        A = 2 * in_S[group.code_sub(i, j)] - 1
+        B = 2 * in_T[group.code_add(i, j)] - 1
+        upper[rows, :v], upper[rows, v:] = A, B
+        lower[rows, :v], lower[rows, v:] = -B, A
     result = SignMatrix(
         M,
         provenance={
@@ -428,10 +474,11 @@ def check_symmetric_conditions(
 
 @dataclass
 class SymmetricParts:
-    """The pieces of the order-m^2 array, kept for the identity checks.
+    """The pieces of the order-m^2 array, for the identity checks.
 
     Every array is int8; multiply them through ``_exact_product``, since an
-    int8 product wraps.
+    int8 product wraps.  The v x v ones are built only on request:
+    ``symmetric_from_ddf`` writes the array from blocks of rows.
     """
 
     group: FiniteAbelianGroup
@@ -464,20 +511,61 @@ def _resolve_assignment(n_cosets: int, assignment: Assignment) -> List[int]:
     return perm
 
 
-def build_symmetric_parts(
-    family: DifferenceFamily,
-    H: Optional[SignMatrix] = None,
-    coset_assignment: Assignment = None,
-) -> SymmetricParts:
-    """Assemble H1, H2, A', B', C for a family passing the seed conditions.
+@dataclass
+class _SymmetricLayout:
+    """The order-m^2 array short of its v x v blocks, which ``rows`` gives a
+    block of rows at a time from the group's codes."""
 
-    The seed H defaults to the Sylvester matrix when m is a power of two,
-    which ``sylvester`` gates itself; a supplied seed is gated here.
-    ``coset_assignment`` maps the (sorted) cosets of N onto rows of the seed
-    matrix with its first row removed; pass a permutation, a seed, or a
-    Random for a randomized choice.  The Hadamard property must not depend
-    on it.  The order m^2 is checked against MAX_MATRIX_ORDER first.
-    """
+    group: FiniteAbelianGroup
+    N: Subgroup
+    m: int
+    H1: np.ndarray
+    H2: np.ndarray
+    first: np.ndarray  # 0/1 membership of the type-1 block, by code
+    second: np.ndarray  # 0/1 membership of the type-2 block, by code
+    in_N: np.ndarray  # 0/1 membership of N, by code
+    assignment: List[int]
+
+    def rows(self, i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The rows of A', B', C and n_in for row codes i (a column) against
+        column codes j."""
+        diff, sums = self.group.code_sub(i, j), self.group.code_add(i, j)
+        return (
+            2 * self.first[diff] - 1,
+            2 * self.second[sums] - 1,
+            self.in_N[sums],
+            self.in_N[diff],
+        )
+
+    def parts(self) -> SymmetricParts:
+        v = self.group.order
+        Ap, Bp, C, n_in = (np.empty((v, v), dtype=np.int8) for _ in range(4))
+        for rows, i, j in _row_blocks(self.group):
+            Ap[rows], Bp[rows], C[rows], n_in[rows] = self.rows(i, j)
+        return SymmetricParts(
+            self.group, self.N, self.m, self.H1, self.H2, C, Ap, Bp, n_in, self.assignment
+        )
+
+    def matrix(self) -> np.ndarray:
+        """[[-J, H1^T, H2^T], [H1, B', A'], [H2, A', -B' - 2C]] as int8."""
+        m, v = self.m, self.group.order
+        M = np.empty((m + 2 * v, m + 2 * v), dtype=np.int8)
+        M[:m, :m] = -1
+        M[:m, m : m + v], M[:m, m + v :] = self.H1.T, self.H2.T
+        M[m : m + v, :m], M[m + v :, :m] = self.H1, self.H2
+        upper, lower = M[m : m + v, m:], M[m + v :, m:]
+        for rows, i, j in _row_blocks(self.group):
+            Ap, Bp, C, _ = self.rows(i, j)
+            upper[rows, :v], upper[rows, v:] = Bp, Ap
+            lower[rows, :v], lower[rows, v:] = Ap, -Bp - 2 * C
+        return M
+
+
+def _symmetric_layout(
+    family: DifferenceFamily, H: Optional[SignMatrix], coset_assignment: Assignment
+) -> _SymmetricLayout:
+    """Check the order, the seed conditions and the seed, then place the
+    seed rows H1, H2 and the block memberships."""
     check_matrix_order(2 * family.forbidden.order, 2)
     cond = check_symmetric_conditions(family)
     if not cond.ok:
@@ -497,27 +585,43 @@ def build_symmetric_parts(
     first, second = (family.blocks[i] for i in cond.block_order)
     group = family.ambient
     N = family.forbidden
-    diff, sums, neg = _index_tables(group)
-    # element positions coincide with their mixed-radix codes, so the code
-    # tables and the coset index address rows directly
+    # element positions coincide with their mixed-radix codes, so the coset
+    # index and the negation codes address rows directly
     coset_of = N.coset_index()
     assignment = _resolve_assignment(group.order // N.order, coset_assignment)
     Hp = H_norm.entries[1:, :]  # rows indexed by cosets
     H1 = Hp[np.asarray(assignment, dtype=np.int64)[coset_of]]
-    H2 = -H1[neg]
-    in_N = (coset_of == 0).astype(np.int8)
-    return SymmetricParts(
+    H2 = -H1[group.code_sub(0, np.arange(group.order, dtype=group.code_dtype))]
+    return _SymmetricLayout(
         group=group,
         N=N,
         m=m,
         H1=H1,
         H2=H2,
-        C=in_N[sums],
-        Ap=2 * _membership(group, first.codes)[diff] - 1,
-        Bp=2 * _membership(group, second.codes)[sums] - 1,
-        n_in=in_N[diff],
+        first=_membership(group, first.codes),
+        second=_membership(group, second.codes),
+        in_N=(coset_of == 0).astype(np.int8),
         assignment=assignment,
     )
+
+
+def build_symmetric_parts(
+    family: DifferenceFamily,
+    H: Optional[SignMatrix] = None,
+    coset_assignment: Assignment = None,
+) -> SymmetricParts:
+    """Assemble H1, H2, A', B', C for a family passing the seed conditions.
+
+    The seed H defaults to the Sylvester matrix when m is a power of two,
+    which ``sylvester`` gates itself; a supplied seed is gated here.
+    ``coset_assignment`` maps the (sorted) cosets of N onto rows of the seed
+    matrix with its first row removed; pass a permutation, a seed, or a
+    Random for a randomized choice.  The Hadamard property must not depend
+    on it.  The order m^2 is checked against MAX_MATRIX_ORDER first.  The
+    v x v parts come from the same blocks of rows ``symmetric_from_ddf``
+    writes.
+    """
+    return _symmetric_layout(family, H, coset_assignment).parts()
 
 
 @dataclass
@@ -586,8 +690,13 @@ def identity_checks(parts: SymmetricParts) -> List[IdentityCheck]:
 @dataclass
 class SymmetricHadamardResult:
     matrix: SignMatrix
-    parts: SymmetricParts
     family: DifferenceFamily
+    layout: _SymmetricLayout = field(repr=False)
+
+    @cached_property
+    def parts(self) -> SymmetricParts:
+        """The v x v parts for ``identity_checks``, built on first read."""
+        return self.layout.parts()
 
 
 def symmetric_from_ddf(
@@ -597,36 +706,30 @@ def symmetric_from_ddf(
 ) -> SymmetricHadamardResult:
     """The symmetric Hadamard matrix of order m^2 from a qualifying family.
 
-    The family passes the single ``check_symmetric_conditions`` call inside
-    ``build_symmetric_parts``, which also supplies the default Sylvester seed.
-    The result passes one Hadamard gate and one symmetry check; on failure
-    the failing internal identity is named.
+    The family passes a single ``check_symmetric_conditions`` call, in the
+    set-up shared with ``build_symmetric_parts``, which also supplies the
+    default Sylvester seed.  The array is written a block of rows at a time,
+    with no v x v part; it passes one Hadamard gate and one symmetry check,
+    and only on failure are the parts built to name the failing identity.
     """
-    parts = build_symmetric_parts(family, H, coset_assignment)
-    m = parts.m
-    Jm = np.ones((m, m), dtype=np.int8)
-    M = np.block(
-        [
-            [-Jm, parts.H1.T, parts.H2.T],
-            [parts.H1, parts.Bp, parts.Ap],
-            [parts.H2, parts.Ap, -parts.Bp - 2 * parts.C],
-        ]
-    )
-    result = SignMatrix(
-        M,
+    layout = _symmetric_layout(family, H, coset_assignment)
+    m = layout.m
+    matrix = SignMatrix(
+        layout.matrix(),
         provenance={
             "construction": "symmetric",
             "order": m * m,
             "m": m,
             "family": family.provenance,
-            "assignment": parts.assignment,
+            "assignment": layout.assignment,
         },
     )
-    if not (is_hadamard(result) and is_symmetric(result)):
-        failing = [c for c in identity_checks(parts) if not c.ok]
+    result = SymmetricHadamardResult(matrix, family, layout)
+    if not (is_hadamard(matrix) and is_symmetric(matrix)):
+        failing = [c for c in identity_checks(result.parts) if not c.ok]
         names = ", ".join(f"{c.number}:{c.name}" for c in failing) or "none isolated"
         raise AssemblyError(f"assembled matrix failed; failing identities: {names}")
-    return SymmetricHadamardResult(result, parts, family)
+    return result
 
 
 def hadamard_from_difference_set(family: DifferenceFamily) -> SignMatrix:
@@ -639,8 +742,11 @@ def hadamard_from_difference_set(family: DifferenceFamily) -> SignMatrix:
     if len(family.blocks) != 1:
         raise PreconditionError("need a single-block family")
     group = family.ambient
-    diff, _, _ = _index_tables(group)
-    A = 2 * _membership(group, family.blocks[0].codes)[diff] - 1
+    check_matrix_order(group.order)
+    member = _membership(group, family.blocks[0].codes)
+    A = np.empty((group.order, group.order), dtype=np.int8)
+    for rows, i, j in _row_blocks(group):
+        A[rows] = 2 * member[group.code_sub(i, j)] - 1
     M = SignMatrix(A, labels=list(group.elements()), provenance={"construction": "difference-set"})
     if not is_hadamard(M):
         raise AssemblyError("difference set does not give a Hadamard matrix")

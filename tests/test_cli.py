@@ -247,12 +247,12 @@ def test_hadamard_symmetric_from_file(tmp_path, capsys):
 
 
 def test_oversized_hadamard_requests_exit_two_before_allocating(capsys):
-    # orders 2^15, 10^6 + 4 and 4^7 exceed MAX_MATRIX_ORDER; the CLI refuses
+    # orders 2^15, 10^6 + 4 and 4^8 exceed MAX_MATRIX_ORDER; the CLI refuses
     # them before building the matrix, the field or the ring
     for argv in (
         ["hadamard", "sylvester", "--k", "15"],
         ["hadamard", "skew", "--q", "1000003"],
-        ["hadamard", "symmetric", "--n", "7"],
+        ["hadamard", "symmetric", "--n", "8"],
     ):
         tracemalloc.start()
         try:

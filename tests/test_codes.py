@@ -3,7 +3,8 @@
 The reference functions below are the tuple-based oracle, index tables,
 coset walk, seed-condition and block-symmetry scans, second-block walk, pair
 counts and canonical form the library used before its hot paths moved to
-mixed-radix codes.  The hypothesis tests require the code paths to give the
+mixed-radix codes, and the whole-table matrix assemblies the row-block ones
+replace.  The hypothesis tests require the code paths to give the
 same counts, verdicts, witnesses, tables, cosets, blocks, node counts and
 canonical forms on random groups and blocks; the negative controls require
 both to reject the same perturbed families with the same witness.
@@ -19,8 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designforge import designs, groups, hadamard, search
-from designforge.constructions import block_symmetry_report, galois_ring_ddf
+from designforge.constructions import (
+    block_symmetry_report,
+    galois_ring_data,
+    galois_ring_ddf,
+    szekeres_family,
+)
 from designforge.designs import Block, DifferenceFamily, difference_table, verify
+from designforge.field import FieldCtx
 from designforge.galois import RingCtx
 from designforge.groups import FiniteAbelianGroup, Subgroup, cosets, subgroup_generated
 from designforge.hadamard import check_symmetric_conditions
@@ -512,34 +519,161 @@ def test_fold_relabels_each_slot_to_its_residue():
 
 
 # ---------------------------------------------------------------------------
-# index tables
+# row-block assembly against the index-table assembly
 # ---------------------------------------------------------------------------
 
 
+def ref_signs(group, elements, table):
+    """+-1 incidence, entry by entry, of a table of ranks in a set of elements."""
+    member = np.zeros(group.order, dtype=np.int64)
+    member[[group.index(e) for e in elements]] = 1
+    return 2 * member[table] - 1
+
+
+def ref_skew_matrix(family):
+    """The bordered skew array through whole index tables and ``np.block``."""
+    g = family.ambient
+    v = g.order
+    _, diff, sums, _ = ref_index_tables(g)
+    blocks = [b.elements for b in family.blocks]
+    s = next(i for i, b in enumerate(blocks) if not any(g.neg(x) in b for x in b))
+    A = ref_signs(g, blocks[s] | {g.zero()}, diff)
+    B = ref_signs(g, blocks[1 - s], sums)
+    e = np.ones((v, 1), dtype=np.int64)
+    one = np.ones((1, 1), dtype=np.int64)
+    return np.block([[one, one, e.T, -e.T], [-one, one, e.T, e.T], [-e, -e, A, B], [e, -e, -B, A]])
+
+
+def ref_symmetric_parts(family, assignment):
+    """H1, H2, A', B', C, n_in through whole index tables and the coset walk."""
+    g, N = family.ambient, family.forbidden
+    _, diff, sums, neg = ref_index_tables(g)
+    m = 2 * N.order
+    coset_of = np.zeros(g.order, dtype=np.int64)
+    for number, (_, coset) in enumerate(ref_cosets(g, N)):
+        coset_of[[g.index(x) for x in coset]] = number
+    Hp = hadamard.normalize(hadamard.sylvester(m.bit_length() - 1))[0].entries[1:].astype(np.int64)
+    H1 = Hp[np.asarray(assignment)[coset_of]]
+    blocks = [b.elements for b in family.blocks]
+    first = next(i for i, b in enumerate(blocks) if all(g.neg(x) in b for x in b))
+    in_N = (coset_of == 0).astype(np.int64)
+    return {
+        "H1": H1,
+        "H2": -H1[neg],
+        "Ap": ref_signs(g, blocks[first], diff),
+        "Bp": ref_signs(g, blocks[1 - first], sums),
+        "C": in_N[sums],
+        "n_in": in_N[diff],
+    }
+
+
+def ref_symmetric_matrix(family, assignment):
+    p = ref_symmetric_parts(family, assignment)
+    m = 2 * family.forbidden.order
+    J = np.ones((m, m), dtype=np.int64)
+    return np.block(
+        [
+            [-J, p["H1"].T, p["H2"].T],
+            [p["H1"], p["Bp"], p["Ap"]],
+            [p["H2"], p["Ap"], -p["Bp"] - 2 * p["C"]],
+        ]
+    )
+
+
+def ref_difference_set_matrix(family):
+    g = family.ambient
+    _, diff, _, _ = ref_index_tables(g)
+    return ref_signs(g, family.blocks[0].elements, diff)
+
+
+def transported(family, moduli):
+    """A family carried onto an isomorphic group by splitting its first
+    cyclic factor into factors of the given coprime moduli (x mod m, ...)."""
+    target = FiniteAbelianGroup(tuple(moduli) + family.ambient.moduli[1:])
+
+    def image(x):
+        return tuple(x[0] % m for m in moduli) + x[1:]
+
+    blocks = [Block.from_elements(target, frozenset(map(image, b.elements))) for b in family.blocks]
+    N = Subgroup.from_elements(target, [image(x) for x in family.forbidden.elements])
+    return DifferenceFamily(target, N, blocks)
+
+
+def z6_family():
+    g = FiniteAbelianGroup((6,))
+    blocks = [Block.from_elements(g, frozenset({(1,), (5,)})), Block.from_elements(g, frozenset({(1,), (2,)}))]
+    return DifferenceFamily(g, Subgroup.from_elements(g, [(0,), (3,)]), blocks)
+
+
+def product_difference_set(g1, d1, g2, d2):
+    """The Menon set of the Kronecker product: x in it iff x1 in d1 and x2
+    in d2 or neither is, in G1 x G2."""
+    g = FiniteAbelianGroup(g1.moduli + g2.moduli)
+    dims = len(g1.moduli)
+    points = frozenset(x for x in g.elements() if (x[:dims] in d1) == (x[dims:] in d2))
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, points)])
+
+
+TILES = [1, 3, 7, hadamard._TILE_ROWS]
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_skew_assembly_matches_index_tables(tile, monkeypatch):
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", tile)
+    for q, moduli in ((19, (9,)), (31, (3, 5)), (31, (5, 3)), (43, (7, 3))):
+        family = transported(szekeres_family(FieldCtx(q)).family, moduli)
+        got = hadamard.skew_from_df(family).matrix.entries
+        assert np.array_equal(got, ref_skew_matrix(family)), (q, moduli)
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_symmetric_assembly_matches_index_tables(tile, monkeypatch):
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", tile)
+    families = [
+        transported(z6_family(), (2, 3)),
+        transported(z6_family(), (3, 2)),
+        galois_ring_ddf(RingCtx(3)).family,  # Z_7 x Z_2^3
+        transported(galois_ring_ddf(RingCtx(4)).family, (5, 3)),  # Z_5 x Z_3 x Z_2^4
+    ]
+    for family, seed in itertools.product(families, (None, 5)):
+        result = hadamard.symmetric_from_ddf(family, coset_assignment=seed)
+        assignment = result.matrix.provenance["assignment"]
+        assert np.array_equal(result.matrix.entries, ref_symmetric_matrix(family, assignment))
+        parts = hadamard.build_symmetric_parts(family, coset_assignment=seed)
+        for name, want in ref_symmetric_parts(family, assignment).items():
+            got = getattr(parts, name)
+            assert got.dtype == np.int8 and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("tile", TILES)
+def test_difference_set_assembly_matches_index_tables(tile, monkeypatch):
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", tile)
+    z4, z2z2 = FiniteAbelianGroup((4,)), FiniteAbelianGroup((2, 2))
+    gr42 = galois_ring_data(RingCtx(2))
+    z4z4 = RingCtx(2).additive_group()
+    families = [
+        product_difference_set(z4, {(0,)}, z2z2, {(0, 0)}),  # Z_4 x Z_2^2
+        product_difference_set(z2z2, {(0, 0)}, z4, {(0,)}),  # Z_2^2 x Z_4
+        product_difference_set(z2z2, {(0, 0)}, z4z4, set(z4z4.decode_elements(gr42.D))),
+    ]
+    for family in families:
+        got = hadamard.hadamard_from_difference_set(family)
+        assert got.labels == list(family.ambient.elements())
+        assert np.array_equal(got.entries, ref_difference_set_matrix(family))
+
+
 @settings(max_examples=60, deadline=None)
-@given(moduli_lists)
-def test_index_tables_match_reference(moduli):
+@given(moduli_lists, st.sampled_from(TILES), st.data())
+def test_difference_set_rows_match_index_tables_on_any_block(moduli, tile, data):
+    # any block, with the gate passed, so the assembly alone is compared
     g = FiniteAbelianGroup(moduli)
-    diff, sums, neg = hadamard._index_tables(g)
-    elems, r_diff, r_sums, r_neg = ref_index_tables(g)
-    for new, ref in ((diff, r_diff), (sums, r_sums), (neg, r_neg)):
-        assert new.dtype == np.int32
-        assert np.array_equal(new, ref)
-    subset = elems[:: max(1, len(elems) // 3)]
-    member = hadamard._membership(g, g.encode(subset))
-    assert [i for i in range(g.order) if member[i]] == [g.index(e) for e in subset]
-
-
-def test_index_tables_refuse_groups_beyond_int32_before_allocating():
-    big = FiniteAbelianGroup((1 << 15, (1 << 15) + 1))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="INT32_CODE_ORDER"):
-            hadamard._index_tables(big)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    points = data.draw(st.frozensets(st.sampled_from(list(g.elements())), min_size=1))
+    family = DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, points)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hadamard, "_TILE_ROWS", tile)
+        mp.setattr(hadamard, "is_hadamard", lambda M: True)
+        got = hadamard.hadamard_from_difference_set(family).entries
+    assert np.array_equal(got, ref_difference_set_matrix(family))
 
 
 # ---------------------------------------------------------------------------

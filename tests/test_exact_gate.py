@@ -6,18 +6,24 @@ through ``hadamard._exact_product``.  The hypothesis tests require the same
 verdicts and the same witness strings on random +-1 matrices, on Hadamard
 matrices with one entry flipped, and on perturbed symmetric-array parts.
 The single-flip tests at orders 1024 and 4096 run where the int64 reference
-is too slow to keep, so their witness is computed by hand.
+is too slow to keep, so their witness is computed by hand.  The gate and the
+entry, symmetry and skewness checks work on tiles of rows; the tiled tests
+shrink the tile to 1, 3 and 7 rows so that small matrices have many tiles,
+ragged ones included, and the tracemalloc tests bound what a tile costs.
 """
 
 import dataclasses
 import functools
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from designforge import hadamard
 from designforge.constructions import galois_ring_ddf, szekeres_family
 from designforge.designs import Block, DifferenceFamily
 from designforge.field import FieldCtx
@@ -30,6 +36,8 @@ from designforge.hadamard import (
     hadamard_failure,
     identity_checks,
     is_hadamard,
+    is_skew,
+    is_symmetric,
     skew_from_df,
     sylvester,
     symmetric_from_ddf,
@@ -168,6 +176,80 @@ def test_identity_checks_match_int64_on_perturbed_parts(seed, which):
     assert got == ref_identity_checks(parts)
     if which == "none":
         assert all(ok for _, _, ok, _ in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from([1, 3, 7]),
+    st.sampled_from(["none", "flip", "duplicate", "swap", "random"]),
+)
+def test_tiled_checks_match_whole_matrix_references(seed, tile, mutation):
+    rng = random.Random(seed)
+    base = rng.choice(hadamard_bases())
+    A, n = base.entries.copy(), base.order
+    if mutation == "flip":
+        i, j = rng.randrange(n), rng.randrange(n)
+        A[i, j] = -A[i, j]
+    elif mutation == "duplicate" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        A[j] = A[i]
+    elif mutation == "swap" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        A[[i, j]] = A[[j, i]]
+    elif mutation == "random":
+        A = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), size=(n, n))
+    M = SignMatrix(A)
+    wide = A.astype(np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hadamard, "_TILE_ROWS", tile)
+        want = ref_failure(A)
+        assert hadamard_failure(M) == want
+        assert is_hadamard(M) == (want is None)
+        assert is_symmetric(M) == np.array_equal(wide, wide.T)
+        assert is_skew(M) == np.array_equal(wide + wide.T, 2 * np.eye(n, dtype=np.int64))
+    if n > 1 and mutation in ("flip", "duplicate"):
+        assert want is not None
+    if mutation in ("none", "swap"):
+        assert want is None
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_tiled_entry_check_finds_any_bad_entry(tile, monkeypatch):
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", tile)
+    A = sylvester(4).entries
+    assert SignMatrix(A.astype(np.int64)).entries.dtype == np.int8
+    for i, j in itertools.product(range(16), repeat=2):
+        for bad in (0, 2, -128):
+            B = A.copy()
+            B[i, j] = bad
+            with pytest.raises(ValueError, match="entries must all be"):
+                SignMatrix(B)
+
+
+def test_gate_holds_tiles_not_the_whole_gram():
+    # a float32 copy and a float32 Gram of an order-2048 matrix take 32 MiB
+    M = sylvester(11)
+    tracemalloc.start()
+    try:
+        assert is_hadamard(M) and is_symmetric(M) and hadamard_failure(M) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20, peak
+
+
+def test_symmetric_array_at_order_4096_holds_little_besides_its_entries():
+    # v = 2016: each v x v int32 table took 16 MiB, the float32 gate 128 MiB
+    family = galois_ring_ddf(RingCtx(6)).family
+    tracemalloc.start()
+    try:
+        M = symmetric_from_ddf(family).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.order == 4096
+    assert peak < M.entries.nbytes + (24 << 20), peak
 
 
 # ---------------------------------------------------------------------------

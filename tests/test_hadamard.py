@@ -93,19 +93,23 @@ def test_entries_are_stored_as_int8():
 
 def test_orders_above_the_cap_are_refused_before_allocation():
     # each builder checks the order its input implies before any order^2 array
-    g = FiniteAbelianGroup((8191,))  # skew order 2 * 8191 + 2 = 16384
+    g = FiniteAbelianGroup((16383,))  # skew order 2 * 16383 + 2 = 32768
     skew_family = DifferenceFamily(
         g, Subgroup.trivial(g), [Block.from_elements(g, frozenset({(1,)})), Block.from_elements(g, frozenset({(2,)}))]
     )
-    g = FiniteAbelianGroup((128,))  # |N| = 64, so m = 128 and order m^2 = 16384
+    g = FiniteAbelianGroup((256,))  # |N| = 128, so m = 256 and order m^2 = 65536
     sym_family = DifferenceFamily(
-        g, Subgroup.from_elements(g, [(2 * i,) for i in range(64)]), [Block.from_elements(g, frozenset({(1,)}))] * 2
+        g, Subgroup.from_elements(g, [(2 * i,) for i in range(128)]), [Block.from_elements(g, frozenset({(1,)}))] * 2
     )
+    # a single block in Z_2^15: the translate-incidence matrix has order 32768
+    big = FiniteAbelianGroup((2,) * 15)
+    ds_family = DifferenceFamily(big, Subgroup.trivial(big), [Block.from_elements(big, frozenset({(0,) * 15}))])
     calls = [
-        lambda: sylvester(14),
+        lambda: sylvester(15),
         lambda: sylvester(10**12),
         lambda: skew_from_df(skew_family),
         lambda: build_symmetric_parts(sym_family),
+        lambda: hadamard_from_difference_set(ds_family),
     ]
     for call in calls:
         tracemalloc.start()
@@ -335,6 +339,24 @@ def test_identity_checks_fail_with_witness_on_perturbation():
     bad = [c for c in checks if not c.ok]
     assert bad
     assert all("mismatch at" in c.detail for c in bad)
+
+
+def test_failed_symmetric_gate_builds_the_parts_to_name_identities(monkeypatch):
+    # one code outside N moved into the type-2 block: the array stays +-1
+    # but fails the gate, and the parts built after it name identity 5
+    layout_of = hadamard._symmetric_layout
+
+    def corrupted(*args):
+        layout = layout_of(*args)
+        second = layout.second.copy()
+        code = int(np.argmin(layout.in_N))
+        second[code] = 1 - second[code]
+        layout.second = second
+        return layout
+
+    monkeypatch.setattr(hadamard, "_symmetric_layout", corrupted)
+    with pytest.raises(hadamard.AssemblyError, match="failing identities: .*5:A'A'"):
+        symmetric_from_ddf(galois_ring_ddf(RingCtx(3)).family)
 
 
 # ---------------------------------------------------------------------------

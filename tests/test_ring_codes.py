@@ -270,6 +270,16 @@ def test_exp_inverts_log_and_log_marks_the_nonunits(n):
     assert (tables.log >= 0).sum() == unit_codes.size
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_teichmuller_residues_are_the_residue_field_exp_table(n):
+    # RingCtx.unit_tables reads the residue product off the residue field's
+    # own exp/log pair, which holds only if its generator is xbar
+    ring = RingCtx(n)
+    group, residues = ring.additive_group(), ring.residue_group()
+    teich = group.encode(ring.teichmuller[1:])  # xi^0, ..., xi^(2^n - 2)
+    assert np.array_equal(residues.encode(group.decode(teich) % 2), ring.residue.unit_tables.exp)
+
+
 def test_unit_tables_are_read_only():
     tables = RingCtx(3).unit_tables
     for table in (tables.exp, tables.log):
