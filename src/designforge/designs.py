@@ -27,8 +27,9 @@ from .groups import (
 )
 
 INFINITY = "inf"
-# Rows of a block the oracle pairs with all k columns at once: a chunk holds
-# _ORACLE_ROWS * k int64 pair keys, about 2 MB at k = 4095.
+# Rows of a stack of size-k blocks the oracle pairs with their own block's k
+# columns at once: a chunk holds _ORACLE_ROWS * k int64 pair keys, about 2 MB
+# at k = 4095, however many blocks and families are stacked.
 _ORACLE_ROWS = 64
 
 
@@ -167,50 +168,74 @@ class DifferenceFamily:
 def difference_totals(family: DifferenceFamily) -> np.ndarray:
     """Counts of x - y over all ordered pairs of distinct elements per block,
     as an int64 array indexed by the difference's mixed-radix code; code
-    order is element order.  This is the one oracle run behind
-    ``difference_table`` and ``verify``.
-
-    Exhaustive pair enumeration on codes, one add per ordered pair: see
-    ``_add_block_differences``.
+    order is element order.  The batch of one of
+    ``stacked_difference_totals``.
     """
-    group = family.ambient
-    totals = np.zeros(group.order, dtype=np.int64)
-    for block in family.blocks:
-        if block.size >= 2:
-            _add_block_differences(group, block.codes, totals)
-            totals[0] -= block.size  # remove the x == y diagonal
+    return stacked_difference_totals([family])[0]
+
+
+def stacked_difference_totals(families: Sequence[DifferenceFamily]) -> np.ndarray:
+    """``difference_totals`` of each of a nonempty stack of families that
+    share one ambient group, as one int64 row per family.  This is the one
+    oracle run behind ``difference_table`` and ``verify_batch``.
+
+    Exhaustive pair enumeration on codes, one add per ordered pair: the
+    blocks of each size are stacked and every ordered pair of each is
+    counted in one pass, keyed apart per family (see
+    ``_add_stack_differences``).
+    """
+    group = families[0].ambient
+    if any(family.ambient != group for family in families):
+        raise ValueError("stacked families must share one ambient group")
+    totals = np.zeros((len(families), group.order), dtype=np.int64)
+    diagonal = [0] * len(families)  # the x == y pairs each family's blocks leave out
+    stacks: Dict[int, Tuple[List[np.ndarray], List[int]]] = {}  # size -> blocks, owners
+    for f, family in enumerate(families):
+        for block in family.blocks:
+            if block.size >= 2:
+                blocks, owners = stacks.setdefault(block.size, ([], []))
+                blocks.append(block.codes)
+                owners.append(f)
+                diagonal[f] += block.size
+    for blocks, owners in stacks.values():
+        _add_stack_differences(group, np.stack(blocks), np.array(owners), totals)
+    totals[:, 0] -= diagonal
     return totals
 
 
-def _add_block_differences(group: FiniteAbelianGroup, codes: np.ndarray, totals: np.ndarray) -> None:
-    """Add the counts of x - y over the ordered pairs of distinct codes.
+def _add_stack_differences(
+    group: FiniteAbelianGroup, codes: np.ndarray, owners: np.ndarray, totals: np.ndarray
+) -> None:
+    """Add the counts of x - y over the ordered pairs of distinct codes of
+    each row of ``codes`` (B blocks of k sorted codes, owned by families in
+    nondecreasing order) to its owner's row of ``totals``.
 
     Trailing coordinate i gets a padded slot of 2*m_i - 1 values: a row x
     with digit a_i contributes a_i and a column y with digit b_i contributes
     m_i - 1 - b_i, so their sum a_i - b_i + m_i - 1 lies in [0, 2*m_i - 2]
     and never carries into the next slot.  Each pair's key is then one add
-    of a row offset and a column offset, tallied by one bincount per chunk
-    of ``_ORACLE_ROWS`` rows into an int32 histogram (a bin never counts
-    more than k pairs), which ``_fold`` relabels to residues.  Trailing
-    coordinates are padded while the histogram keeps within max(chunk
-    pairs, |G|) bins.  The leading ones are differenced by ``code_sub`` on
-    their prefix codes, once per run of rows sharing a prefix (the codes
-    are sorted), and join that run's column offsets.
+    of a row offset and a column offset.  The B * k rows of the stack are
+    paired with their own block's k columns ``_ORACLE_ROWS`` rows at a
+    time, and each chunk is tallied by one bincount into an int32 histogram
+    of ``bins`` keys per family (a bin never counts more than B * k pairs),
+    which ``_fold`` relabels to residues; a column offset also holds its
+    family's distance, in bins, from the chunk's first family.  Trailing
+    coordinates are padded while a family's histogram keeps within
+    max(chunk pairs, |G|) bins.  The leading ones are differenced by
+    ``code_sub`` on their prefix codes, once per run of rows of one block
+    sharing a prefix (the codes are sorted; a run may span chunks), and
+    join that run's column offsets.  With nothing padded, every row is its
+    own run, its columns are its keys, and the keys are group codes,
+    counted straight into the totals.
     """
-    k = codes.size
-    rows = min(_ORACLE_ROWS, k)
+    size = codes.size
+    k = codes.shape[1]
+    rows = min(_ORACLE_ROWS, size)
     lead = _unpadded_prefix(group.moduli, max(rows * k, group.order))
     trail = group.moduli[lead:]
-    if max(trail, default=1) == 1:
-        # nothing padded: every code is its own prefix, so each chunk is
-        # differenced whole and its group codes count straight into the totals
-        for start in range(0, k, rows):
-            counts = np.bincount(group.code_sub(codes[start : start + rows, None], codes[None, :]).ravel())
-            totals[: counts.size] += counts
-        return
-    prefixes = codes.astype(np.int64)  # loses its trailing digits below
-    row_offsets = np.zeros(k, dtype=np.int64)
-    col_offsets = np.zeros(k, dtype=np.int64)
+    prefixes = codes.astype(np.int64).ravel()  # loses its trailing digits below
+    row_offsets = np.zeros(size, dtype=np.int64)
+    col_offsets = np.zeros(size, dtype=np.int64)
     slot = 1  # the padded radix weight of the current coordinate
     for m in reversed(trail):
         digit = prefixes % m
@@ -219,24 +244,59 @@ def _add_block_differences(group: FiniteAbelianGroup, codes: np.ndarray, totals:
         col_offsets += (m - 1 - digit) * slot
         slot *= 2 * m - 1
     prefix_group = FiniteAbelianGroup(group.moduli[:lead] or (1,))
-    hist = np.zeros(prefix_group.order * slot, dtype=np.int32)
-    keys = np.empty(rows * k, dtype=np.int64)  # the one chunk, reused
-    cols_prefix = None  # the prefix whose column offsets ``cols`` holds
-    for start in range(0, k, rows):
-        stop = min(start + rows, k)
-        chunk = keys[: (stop - start) * k].reshape(stop - start, k)
-        cuts = np.flatnonzero(prefixes[start + 1 : stop] != prefixes[start : stop - 1])
-        bounds = [start, *(cuts + start + 1).tolist(), stop]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if prefixes[a] != cols_prefix:  # a run may span chunks
-                cols_prefix = prefixes[a]
-                cols = prefix_group.code_sub(cols_prefix, prefixes) * slot + col_offsets
-            np.add(row_offsets[a:b, None], cols, out=chunk[a - start : b - start])
+    bins = prefix_group.order * slot
+    new_run = np.ones(size, dtype=bool)  # row r is of block r // k
+    new_run[1:] = prefixes[1:] != prefixes[:-1]
+    new_run[::k] = True
+    run_start = np.flatnonzero(new_run)
+    col_prefixes = prefixes.reshape(-1, k)
+    col_offsets = col_offsets.reshape(-1, k)
+
+    def columns(lo: int, hi: int) -> np.ndarray:
+        """The column offsets of runs lo..hi-1, one row per run."""
+        first = run_start[lo:hi]
+        blk = first // k
+        if blk[0] == blk[-1]:  # one block: its columns broadcast over the runs
+            blk = blk[:1]
+        if not lead:  # one run per block
+            return col_offsets[blk]
+        diff = prefix_group.code_sub(prefixes[first, None], col_prefixes[blk])
+        return diff if slot == 1 else diff * slot + col_offsets[blk]
+
+    if slot == 1:  # nothing padded
+        hist = totals.reshape(-1)
+        keys = None
+    else:
+        hist = np.zeros(totals.shape[0] * bins, dtype=np.int32)
+        keys = np.empty(rows * k, dtype=np.int64)  # the one chunk, reused
+    done, last = -1, None  # the last run differenced, and its columns: a run may span chunks
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        low = owners[start // k]  # the chunk's first family, at bin 0 of its keys
+        r0, r1 = np.searchsorted(run_start, [start, stop - 1], side="right").tolist()
+        r0 -= 1
+        reused = r0 == done  # then run r0 is of family ``low``
+        fresh = columns(r0 + reused, r1) if r0 + reused < r1 else None
+        cols = fresh
+        if owners[(stop - 1) // k] != low:  # the chunk spans families
+            cols = cols + (owners[run_start[r0 + reused : r1] // k] - low)[:, None] * bins
+        if keys is None:  # nothing padded: every row is its own run, whose columns are its keys
+            chunk = cols
+        else:
+            chunk = keys[: (stop - start) * k].reshape(stop - start, k)
+            edges = [start, *run_start[r0 + 1 : r1].tolist(), stop]  # the chunk's rows of each run
+            for u, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+                np.add(row_offsets[a:b, None], last if reused and u == 0 else cols[u - reused],
+                       out=chunk[a - start : b - start])
+        if fresh is not None:
+            done, last = r1 - 1, fresh[-1]
         counts = np.bincount(chunk.ravel())
-        hist[: counts.size] += counts
+        hist[low * bins : low * bins + counts.size] += counts
         del counts  # one chunk's bincount alive at a time
-    folded = _fold(hist.reshape((prefix_group.order, *(2 * m - 1 for m in trail))), trail)
-    totals.reshape(folded.shape)[...] += folded
+    if slot > 1:
+        pads = (2 * m - 1 for m in trail)
+        folded = _fold(hist.reshape((totals.shape[0] * prefix_group.order, *pads)), trail)
+        totals.reshape(folded.shape)[...] += folded
 
 
 def _unpadded_prefix(moduli: Tuple[int, ...], bound: int) -> int:
@@ -302,75 +362,116 @@ class VerificationReport:
 
 
 def verify(family: DifferenceFamily) -> VerificationReport:
-    """Check the two-frequency law by exhaustive difference counting.
+    """Check the two-frequency law by exhaustive difference counting: the
+    batch of one of ``verify_batch``."""
+    return verify_batch([family])[0]
+
+
+def verify_batch(families: Sequence[DifferenceFamily]) -> List[VerificationReport]:
+    """Check each family's two-frequency law by exhaustive difference counting.
 
     The difference counts must be constant on the forbidden subgroup minus
     identity and constant outside it.  When the family declares parameters,
     the realized values must match them.  Failure is reported with the first
-    witness in element order, never raised.  The report keeps the oracle's
-    code-indexed totals, read-only, as ``totals``, so callers never need to
-    count again.  Everything is read off them with a membership mask of the
-    forbidden subgroup; no group element is walked in Python.
+    witness in element order, never raised.  The families must share one
+    ambient group and one forbidden subgroup (else ValueError), and share
+    one ``stacked_difference_totals`` run.  Each report keeps its row of
+    the oracle's code-indexed totals, read-only, as ``totals``, so callers
+    never need to count again.  Everything is read off the rows with a
+    membership mask of the forbidden subgroup; no group element is walked
+    in Python.
     """
-    group = family.ambient
-    forbidden = family.forbidden
-    totals = difference_totals(family)
+    if not families:
+        return []
+    forbidden = batch_subgroup(families)
+    group = forbidden.parent
+    totals = stacked_difference_totals(families)
     totals.flags.writeable = False
     # codes 1..v-1 in order are the nonzero elements in element order
-    counts = totals[1:]
+    counts = totals[:, 1:]
     in_n = np.zeros(group.order, dtype=bool)
     in_n[forbidden.codes] = True
     in_n = in_n[1:]
-    out_n = ~in_n
-    lam_at, mu_at = _first(in_n), _first(out_n)
-    lam = None if lam_at is None else int(counts[lam_at])
-    mu = None if mu_at is None else int(counts[mu_at])
-    first_off = []  # (position, expected) of each region's first count off its value
-    for region, name, value in ((in_n, "lambda", lam), (out_n, "mu", mu)):
-        if value is not None:
-            at = _first(region & (counts != value))
-            if at is not None:
-                first_off.append((at, f"{name}={value}"))
-    witness = None
-    if first_off:
-        at, expected = min(first_off)
-        witness = (group.element(at + 1), int(counts[at]), expected)
-    sizes = family.sizes()
-    degenerate = sum(1 for k in sizes if k <= 1)
-    ok = witness is None
-    message = ""
-    if not ok:
-        message = "difference counts are not two-valued"
-    elif family.declared is not None:
-        # declared frequencies are vacuous on empty regions (trivial N, or N = G)
-        decl = family.declared
-        if decl.lam is not None and lam is not None and forbidden.order > 1 and decl.lam != lam:
-            ok, message = False, f"declared lambda={decl.lam}, realized {lam}"
-        if decl.mu is not None and mu is not None and decl.mu != mu:
-            ok, message = False, f"declared mu={decl.mu}, realized {mu}"
-        if tuple(sorted(decl.sizes)) != sizes:
-            ok, message = False, f"declared K={sorted(decl.sizes)}, realized {list(sizes)}"
-    if ok:
-        realized = DesignParams(lam if forbidden.order > 1 else None, mu, sizes)
-        if not realized.counting_identity_holds(group.order, forbidden.order):
-            ok, message = False, "counting identity violated"
-    if ok and degenerate:
-        message = f"{degenerate} block(s) of size <= 1 contribute no differences"
-    return VerificationReport(
-        ok=ok,
-        lam=lam if forbidden.order > 1 else None,
-        mu=mu,
-        sizes=sizes,
-        message=message,
-        witness=witness,
-        degenerate_blocks=degenerate,
-        totals=totals,
-    )
+    realized = {}  # per region: each family's value at the region's first position
+    first_off = {}  # per region: each family's first position off that value, or -1
+    for name, region in (("lambda", in_n), ("mu", ~in_n)):
+        at = _first(region)
+        if at is None:  # an empty region realizes no value
+            realized[name] = [None] * len(families)
+            first_off[name] = [-1] * len(families)
+        else:
+            value = counts[:, at]
+            realized[name] = value.tolist()
+            first_off[name] = _first_rows(region & (counts != value[:, None])).tolist()
+    reports = []
+    for f, family in enumerate(families):
+        lam, mu = realized["lambda"][f], realized["mu"][f]
+        off = [
+            (first_off[name][f], f"{name}={realized[name][f]}")
+            for name in realized
+            if first_off[name][f] >= 0
+        ]
+        witness = None
+        if off:
+            at, expected = min(off)
+            witness = (group.element(at + 1), int(counts[f, at]), expected)
+        sizes = family.sizes()
+        degenerate = sum(1 for k in sizes if k <= 1)
+        ok = witness is None
+        message = ""
+        if not ok:
+            message = "difference counts are not two-valued"
+        elif family.declared is not None:
+            # declared frequencies are vacuous on empty regions (trivial N, or N = G)
+            decl = family.declared
+            if decl.lam is not None and lam is not None and forbidden.order > 1 and decl.lam != lam:
+                ok, message = False, f"declared lambda={decl.lam}, realized {lam}"
+            if decl.mu is not None and mu is not None and decl.mu != mu:
+                ok, message = False, f"declared mu={decl.mu}, realized {mu}"
+            if tuple(sorted(decl.sizes)) != sizes:
+                ok, message = False, f"declared K={sorted(decl.sizes)}, realized {list(sizes)}"
+        if ok:
+            params = DesignParams(lam if forbidden.order > 1 else None, mu, sizes)
+            if not params.counting_identity_holds(group.order, forbidden.order):
+                ok, message = False, "counting identity violated"
+        if ok and degenerate:
+            message = f"{degenerate} block(s) of size <= 1 contribute no differences"
+        reports.append(
+            VerificationReport(
+                ok=ok,
+                lam=lam if forbidden.order > 1 else None,
+                mu=mu,
+                sizes=sizes,
+                message=message,
+                witness=witness,
+                degenerate_blocks=degenerate,
+                totals=totals[f],
+            )
+        )
+    return reports
+
+
+def batch_subgroup(families: Sequence[DifferenceFamily]) -> Subgroup:
+    """The forbidden subgroup that a nonempty batch of families shares, with
+    its ambient group; ValueError when they do not share both."""
+    forbidden = families[0].forbidden
+    for family in families:
+        if family.ambient != forbidden.parent:
+            raise ValueError("batched families must share one ambient group")
+        if family.forbidden is not forbidden and family.forbidden != forbidden:
+            raise ValueError("batched families must share one forbidden subgroup")
+    return forbidden
 
 
 def _first(mask: np.ndarray) -> Optional[int]:
     """The index of the first True in a boolean array, or None."""
     return int(mask.argmax()) if mask.any() else None
+
+
+def _first_rows(mask: np.ndarray) -> np.ndarray:
+    """The index of the first True in each row of a 2-D boolean array, or -1."""
+    at = mask.argmax(axis=1)
+    return np.where(mask[np.arange(mask.shape[0]), at], at, -1)
 
 
 # -- development ----------------------------------------------------------------

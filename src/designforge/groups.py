@@ -320,11 +320,16 @@ class FiniteAbelianGroup:
         """Codes of x + y for code arrays x and y, broadcast together."""
         return self._code_combine(x, y, np.add)
 
-    def negatives_in(self, codes: np.ndarray) -> np.ndarray:
+    def negatives_in(self, codes: np.ndarray, block_of: Optional[np.ndarray] = None) -> np.ndarray:
         """For each of the sorted distinct ``codes``, whether its negative is
         among them too: all True for a negation-closed set, all False for a
-        skew one."""
+        skew one.  With ``block_of``, ``codes`` holds several such sets end
+        to end, ``block_of`` numbers each code's set in nondecreasing order,
+        and each negative is looked for in its own set."""
         neg = self.code_sub(0, codes)
+        if block_of is not None:  # each set's codes and negatives, moved past the sets before it
+            offsets = block_of.astype(np.int64) * self.order
+            codes, neg = codes + offsets, neg + offsets
         return codes[np.searchsorted(codes, neg) % max(codes.size, 1)] == neg
 
     def _code_combine(self, x: object, y: object, op: Callable) -> np.ndarray:

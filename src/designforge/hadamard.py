@@ -71,22 +71,28 @@ def _max_abs(X: np.ndarray) -> int:
     return max(int(X.max()), -int(X.min())) if X.size else 0
 
 
-def _exact_product(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
+def _exact_product(
+    X: np.ndarray, Y: Optional[np.ndarray] = None, maxes: Optional[Tuple[int, int]] = None
+) -> np.ndarray:
     """The exact integer product X @ Y (Y defaults to X.T) as a float32 array.
 
     Every term, partial sum and entry is an integer of magnitude at most
     inner_dim * max|X| * max|Y|; while that bound is at most 2^24 the
     float32 BLAS product equals the integer one in any summation order.
-    Above it this raises ValueError.  The default Y casts X once, and BLAS
-    can then use its symmetric rank-k kernel.
+    Above it this raises ValueError.  ``maxes`` gives (max|X|, max|Y|) when
+    the caller has taken them already.  An operand that is float32 already
+    is used without a copy.  The default Y casts X once, and BLAS can then
+    use its symmetric rank-k kernel.
     """
-    bound = X.shape[1] * _max_abs(X) * _max_abs(X if Y is None else Y)
+    if maxes is None:
+        maxes = (_max_abs(X), _max_abs(X if Y is None else Y))
+    bound = X.shape[1] * maxes[0] * maxes[1]
     if bound > FLOAT32_EXACT_LIMIT:
         raise ValueError(
             f"exact float32 product needs inner_dim * max|X| * max|Y| <= 2^24, got {bound}"
         )
-    Xf = X.astype(np.float32)
-    return Xf @ (Xf.T if Y is None else Y.astype(np.float32))
+    Xf = X.astype(np.float32, copy=False)
+    return Xf @ (Xf.T if Y is None else Y.astype(np.float32, copy=False))
 
 
 @dataclass
@@ -196,7 +202,8 @@ def _gram_residual(M: SignMatrix) -> Optional[Tuple[int, int, int]]:
     nonzero, with that entry, or None if M is Hadamard.
 
     The residual is exact: each pair of row tiles in the upper triangle is
-    one ``_exact_product``, a diagonal pair in the X X^T form.  It is
+    one ``_exact_product``, a diagonal pair in the X X^T form; each row tile
+    is cast to float32 and bounded once for all of its pairs.  It is
     symmetric with a zero diagonal (every +-1 row has squared norm order),
     so when row tile I is reached no earlier row has a nonzero entry, hence
     neither has any row of I left of I's diagonal tile, and the least pair
@@ -205,13 +212,16 @@ def _gram_residual(M: SignMatrix) -> Optional[Tuple[int, int, int]]:
     A, n = M.entries, M.order
     for r in range(0, n, _TILE_ROWS):
         X = A[r : r + _TILE_ROWS]
+        x_max = _max_abs(X)
+        X = X.astype(np.float32)  # cast once for all of the row tile's pairs
         found = []
         for c in range(r, n, _TILE_ROWS):
             if c == r:
-                G = _exact_product(X)
+                G = _exact_product(X, maxes=(x_max, x_max))
                 G[np.diag_indices_from(G)] -= n
             else:
-                G = _exact_product(X, A[c : c + _TILE_ROWS].T)
+                Y = A[c : c + _TILE_ROWS]
+                G = _exact_product(X, Y.T, maxes=(x_max, _max_abs(Y)))
             if G.any():
                 i, j = np.argwhere(G)[0].tolist()
                 found.append((r + i, c + j, int(G[i, j])))
@@ -408,7 +418,18 @@ class SeedConditionReport:
 def check_symmetric_conditions(
     family: DifferenceFamily, m: Optional[int] = None
 ) -> SeedConditionReport:
-    """Parameter and structure checks for the order-m^2 symmetric array.
+    """Parameter and structure checks for the order-m^2 symmetric array: the
+    batch of one of ``check_symmetric_conditions_batch``."""
+    return check_symmetric_conditions_batch([family], m)[0]
+
+
+def check_symmetric_conditions_batch(
+    families: Sequence[DifferenceFamily], m: Optional[int] = None
+) -> List[SeedConditionReport]:
+    """Parameter and structure checks of each family for the order-m^2
+    symmetric array; m defaults to 2|N|.  The families must share one
+    ambient group and one forbidden subgroup N; otherwise this raises
+    ValueError.
 
     Needs |G| = m(m-1)/2, |N| = m/2, two blocks of size m(m-2)/4 with
     frequencies (m(m-4)/4, m(m-3)/4), one negation-closed block, and both
@@ -418,14 +439,33 @@ def check_symmetric_conditions(
     When neither block is negation-closed, the witness is the least element
     of the first block whose negative it misses; a balance failure names
     the first coset off m/4, by least member, and the first block there.
-    Coset counts are one bincount of ``N.coset_index()`` per block.  A
-    failure of m, |N|, |G| or the block count is reported alone, before the
-    oracle and the coset index cost anything.
+    A failure of m, |N|, |G| or the block count is reported alone, before
+    the oracle and the coset index cost anything.  The other families share
+    one ``designs.verify_batch`` run, one ``negatives_in`` and one bincount
+    of ``N.coset_index()`` over all of their blocks.
     """
-    group = family.ambient
-    N = family.forbidden
+    if not families:
+        return []
+    N = designs.batch_subgroup(families)
     if m is None:
         m = 2 * N.order
+    reports: List[Optional[SeedConditionReport]] = []
+    shaped = []  # the positions of the well-shaped families
+    for i, family in enumerate(families):
+        failures = _shape_failures(family, m)
+        reports.append(SeedConditionReport(False, m, failures) if failures else None)
+        if not failures:
+            shaped.append(i)
+    if shaped:
+        batch = [families[i] for i in shaped]
+        for i, report in zip(shaped, _structure_reports(batch, N, designs.verify_batch(batch))):
+            reports[i] = report
+    return reports  # type: ignore[return-value]  # every slot is filled
+
+
+def _shape_failures(family: DifferenceFamily, m: int) -> List[str]:
+    """The failures of m, |N|, |G| and the block count."""
+    group, N = family.ambient, family.forbidden
     failures: List[str] = []
     if m % 4 != 0:
         failures.append(f"m={m} is not divisible by 4")
@@ -435,41 +475,63 @@ def check_symmetric_conditions(
         failures.append(f"|G|={group.order}, need m(m-1)/2={m * (m - 1) // 2}")
     if len(family.blocks) != 2:
         failures.append(f"need 2 blocks, got {len(family.blocks)}")
-    if failures:  # a wrong shape is refused before the oracle and the coset index run
-        return SeedConditionReport(False, m, failures)
-    report = designs.verify(family)
-    if not report.ok:
-        failures.append(f"family does not verify: {report.summary()}")
-    k, lam, mu = m * (m - 2) // 4, m * (m - 4) // 4, m * (m - 3) // 4
-    if report.sizes != (k, k):
-        failures.append(f"sizes {list(report.sizes)}, need [{k},{k}]")
-    if report.ok and (report.lam != lam or report.mu != mu):
-        failures.append(
-            f"frequencies ({report.lam},{report.mu}), need ({lam},{mu})"
-        )
+    return failures
 
-    codes = [block.codes for block in family.blocks]
-    closed = group.negatives_in(codes[0])
-    block_order = (0, 1)
-    if not closed.all():
-        if group.negatives_in(codes[1]).all():
-            block_order = (1, 0)
-        else:
-            witness = group.element(int(codes[0][np.argmin(closed)]))
-            failures.append(f"neither block is negation-closed (first fails at {witness})")
+
+def _structure_reports(
+    batch: List[DifferenceFamily], N: Subgroup, verdicts: List[designs.VerificationReport]
+) -> List[SeedConditionReport]:
+    """The rest of ``check_symmetric_conditions_batch`` for well-shaped
+    families with forbidden subgroup N, given their oracle verdicts."""
+    group = N.parent
+    m = 2 * N.order
+    k, lam, mu = m * (m - 2) // 4, m * (m - 4) // 4, m * (m - 3) // 4
+    codes = [block.codes for family in batch for block in family.blocks]
+    flat = np.concatenate(codes)
+    block_of = np.repeat(np.arange(len(codes)), [c.size for c in codes])
+    closed = group.negatives_in(flat, block_of)
+    is_closed = (np.bincount(block_of[~closed], minlength=len(codes)) == 0).tolist()
     # points of each block per coset of N, by coset number; N itself is coset 0
     index = N.coset_index()
-    counts = np.stack([np.bincount(index[c], minlength=group.order // N.order) for c in codes])
-    for i in np.flatnonzero(counts[:, 0]).tolist():
-        failures.append(f"block {i} meets N in {counts[i, 0]} points, need 0")
-    off = np.argwhere(counts[:, 1:].T != m // 4) + (1, 0)  # row-major: first coset, then block
-    if off.size:
-        c, i = off[0].tolist()
-        rep = group.element(int(np.argmax(index == c)))  # the coset's least member
-        failures.append(f"block {i} meets coset of {rep} in {counts[i, c]} points, need {m // 4}")
-    return SeedConditionReport(
-        not failures, m, failures, report.lam, report.mu, report.sizes, block_order
-    )
+    n_cosets = group.order // N.order
+    per_coset = np.bincount(block_of * n_cosets + index[flat], minlength=len(codes) * n_cosets)
+    per_coset = per_coset.reshape(len(batch), 2, n_cosets)
+    balanced = ~(per_coset[:, :, 0].any(axis=1) | (per_coset[:, :, 1:] != m // 4).any(axis=(1, 2)))
+    reports = []
+    for f, (report, is_balanced) in enumerate(zip(verdicts, balanced.tolist())):
+        failures: List[str] = []
+        if not report.ok:
+            failures.append(f"family does not verify: {report.summary()}")
+        if report.sizes != (k, k):
+            failures.append(f"sizes {list(report.sizes)}, need [{k},{k}]")
+        if report.ok and (report.lam != lam or report.mu != mu):
+            failures.append(f"frequencies ({report.lam},{report.mu}), need ({lam},{mu})")
+        block_order = (0, 1)
+        if not is_closed[2 * f]:
+            if is_closed[2 * f + 1]:
+                block_order = (1, 0)
+            else:
+                first = codes[2 * f]
+                start = int(np.searchsorted(block_of, 2 * f))
+                witness = group.element(int(first[np.argmin(closed[start : start + first.size])]))
+                failures.append(f"neither block is negation-closed (first fails at {witness})")
+        if not is_balanced:
+            counts = per_coset[f]
+            for i in np.flatnonzero(counts[:, 0]).tolist():
+                failures.append(f"block {i} meets N in {counts[i, 0]} points, need 0")
+            off = np.argwhere(counts[:, 1:].T != m // 4) + (1, 0)  # row-major: first coset, then block
+            if off.size:
+                c, i = off[0].tolist()
+                rep = group.element(int(np.argmax(index == c)))  # the coset's least member
+                failures.append(
+                    f"block {i} meets coset of {rep} in {counts[i, c]} points, need {m // 4}"
+                )
+        reports.append(
+            SeedConditionReport(
+                not failures, m, failures, report.lam, report.mu, report.sizes, block_order
+            )
+        )
+    return reports
 
 
 @dataclass

@@ -69,17 +69,14 @@ class SearchSpec:
             )
         if self.mode not in ("exhaustive", "randomized"):
             raise PreconditionError(f"unknown mode {self.mode!r}")
-        if self.mode == "randomized" and all(
-            limit is None
-            for limit in (
-                self.budget.max_nodes,
-                self.budget.max_solutions,
-                self.budget.max_seconds,
-            )
+        if self.mode == "randomized" and (
+            self.budget.max_nodes is None and self.budget.max_seconds is None
         ):
+            # max_solutions alone bounds nothing: the group may hold fewer
+            # distinct families than it asks for
             raise PreconditionError(
-                "randomized mode restarts forever without a budget; set "
-                "max_nodes, max_solutions or max_seconds"
+                "randomized mode restarts forever without a node or time budget; "
+                "set max_nodes or max_seconds"
             )
 
     def targets(self) -> Tuple[int, int, int]:
@@ -167,8 +164,23 @@ class Certificate:
         )
 
     def replay(self) -> bool:
-        """One ``check_symmetric_conditions`` run; it includes the oracle's verdict."""
-        return hadamard.check_symmetric_conditions(self.family, self.spec.m).ok
+        """The batch of one of ``replay_certificates``."""
+        return replay_certificates([self])[0]
+
+
+def replay_certificates(certs: Sequence[Certificate]) -> List[bool]:
+    """Whether each certificate's family passes ``check_symmetric_conditions``
+    at the spec's m, the oracle's verdict included: one
+    ``check_symmetric_conditions_batch`` run.  The certificates must share
+    one m, and their families one group and forbidden subgroup; otherwise
+    this raises ValueError."""
+    if not certs:
+        return []
+    m = certs[0].spec.m
+    if any(cert.spec.m != m for cert in certs):
+        raise ValueError("replayed certificates must share one m")
+    reports = hadamard.check_symmetric_conditions_batch([cert.family for cert in certs], m)
+    return [report.ok for report in reports]
 
 
 class _Budget:
@@ -269,27 +281,47 @@ class _CodeTables:
         return packed
 
 
+# Options carry one summed row up to m = 16 (per_coset = m/4 = 4), each
+# point's own row above it.  Summing costs C(m/2, m/4) rows per coset
+# instead of m/2 and saves per_coset - 1 list passes per accepted option.
+# Measured on cyclic specs (exhaustive, max_nodes; child-process peak RSS;
+# a shared 2-core host, Python 3.11):
+# m = 12 and 16 at 200,000 nodes ran 1.75-3.09 s and 9.6-12.5 s summed
+# against 3.36-4.30 s and 15.6-18.6 s per point, at 32.3 against 31.8 MB
+# and 40.9 against 33.1 MB; m = 20 at 500 nodes took 121.6 against 36.1 MB,
+# and m = 24 at 50 nodes 654 against 42 MB, with 5 of its 22 cosets built.
+_SUMMED_MAX_PER_COSET = 4
+
+
 class _PackedCoset:
     """One outside coset's share of the packed walk.
 
     ``options`` holds, in ``itertools.combinations`` order, each per_coset
     subset of the coset as (its codes, their positions in the coset, the
-    packed counts of the pairs inside it); ``rows[i]`` holds the packed
-    pair vector of the coset's i-th point against each point of the later
-    cosets, in coset order.
+    packed counts of the pairs inside it, and the rows that carry its cross
+    pairs on).  A row holds packed pair vectors, one per point of the later
+    cosets in coset order.  An option's rows are the one sum of its points'
+    rows while per_coset is at most ``_SUMMED_MAX_PER_COSET``, else each
+    point's own row.  ``size`` is the number of points in the coset.
     """
 
-    __slots__ = ("options", "rows")
+    __slots__ = ("options", "size")
 
     def __init__(self, tables: _CodeTables, idx: int) -> None:
         cs = tables.outside[idx]
         pair = tables.pair_vector
+        later = list(itertools.chain.from_iterable(tables.outside[idx + 1 :]))
+        rows = [[pair(x, y) for y in later] for x in cs]
+        self.size = len(cs)
+        summed = tables.per_coset <= _SUMMED_MAX_PER_COSET
         self.options = []
         for locs in itertools.combinations(range(len(cs)), tables.per_coset):
             inside = sum(pair(cs[i], cs[j]) for i, j in itertools.combinations(locs, 2))
-            self.options.append((tuple(cs[i] for i in locs), locs, inside))
-        later = list(itertools.chain.from_iterable(tables.outside[idx + 1 :]))
-        self.rows = [[pair(x, y) for y in later] for x in cs]
+            if summed:
+                carried = [[sum(column) for column in zip(*(rows[i] for i in locs))]]
+            else:
+                carried = [rows[i] for i in locs]
+            self.options.append((tuple(cs[i] for i in locs), locs, inside, carried))
 
 
 _Options = Callable[[], Iterator[FrozenSet[int]]]
@@ -420,47 +452,48 @@ def _balanced_from(
             yield frozenset(chosen)
         return
     coset = tables.packed_coset(idx)
-    rows, high = coset.rows, tables.high
-    size = len(rows)
-    for extra, locs, inside in coset.options:
+    high, size = tables.high, coset.size
+    for extra, locs, inside, carried in coset.options:
         merged = packed + inside
         for i in locs:
             merged += cross[i]
         if merged & high:
             continue
-        later = cross[size:]
-        for i in locs:
-            later = list(map(operator.add, later, rows[i]))
+        later = itertools.islice(cross, size, None)
+        for row in carried:
+            later = list(map(operator.add, later, row))
         yield from _balanced_from(tables, budget, idx + 1, chosen + extra, merged, later)
 
 
-def _make_certificate(
-    spec: SearchSpec,
-    d1: FrozenSet[int],
-    d2: FrozenSet[int],
-    budget: _Budget,
-    t0: float,
-) -> Certificate:
-    """The family of the two code blocks, replayed."""
+# A found family before it is built: its two code blocks, the nodes spent
+# and the seconds elapsed when it was found.
+_Hit = Tuple[FrozenSet[int], FrozenSet[int], int, float]
+
+
+def _certificates(spec: SearchSpec, hits: List[_Hit]) -> List[Certificate]:
+    """The certificates of the hits' families, replayed together."""
     k, lam, mu = spec.targets()
     group = spec.group
-    family = DifferenceFamily(
-        ambient=group,
-        forbidden=spec.forbidden,
-        blocks=[Block(group, list(d)) for d in (d1, d2)],
-        declared=DesignParams(lam, mu, (k, k)),
-        provenance={"construction": "search", "m": spec.m, "mode": spec.mode},
-    )
-    cert = Certificate(
-        family=family,
-        spec=spec,
-        nodes=budget.nodes,
-        seed=spec.seed,
-        elapsed=time.perf_counter() - t0,
-    )
-    if not cert.replay():
+    declared = DesignParams(lam, mu, (k, k))
+    certs = [
+        Certificate(
+            family=DifferenceFamily(
+                ambient=group,
+                forbidden=spec.forbidden,
+                blocks=[Block(group, list(d)) for d in (d1, d2)],
+                declared=declared,
+                provenance={"construction": "search", "m": spec.m, "mode": spec.mode},
+            ),
+            spec=spec,
+            nodes=nodes,
+            seed=spec.seed,
+            elapsed=elapsed,
+        )
+        for d1, d2, nodes, elapsed in hits
+    ]
+    if not all(replay_certificates(certs)):
         raise RuntimeError("search emitted a family that failed replay")
-    return cert
+    return certs
 
 
 def search_ddf(spec: SearchSpec) -> List[Certificate]:
@@ -468,28 +501,41 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
 
     Exhaustive mode is complete when the budget is unlimited; certificates
     come out in canonical order.  Randomized mode is deterministic for a
-    given seed.  Zero false positives: every certificate has already been
-    replayed through the independent verifier.  Both modes work on
-    mixed-radix codes, and certificates hold their blocks as codes.
+    given seed.  Zero false positives: before any certificate is returned,
+    all of them have been replayed together through the independent
+    verifier.  Both modes work on mixed-radix codes, and certificates hold
+    their blocks as codes.
+
+    The walk only records its hits; the families are built and replayed
+    after it ends.  So a family that fails replay raises RuntimeError once
+    the whole budget is spent, not when it is found, and the build and
+    replay come on top of ``max_seconds`` (about 20 ms per 256 families
+    at m = 8).
     """
     spec.validate()
     t0 = time.perf_counter()
     budget = _Budget(spec.budget)
     tables = _CodeTables(spec)
-    certs: List[Certificate] = []
     if spec.mode == "exhaustive":
-        for d1 in _symmetric_first_blocks(tables, budget):
-            base = tables.pair_counts(d1)
-            if any(c > t for c, t in zip(base, tables.targets)):
-                continue
-            for d2 in _balanced_blocks(tables, base, budget):
-                if not budget.room_for_solutions():
-                    return _sorted_certs(certs)
-                certs.append(_make_certificate(spec, d1, d2, budget, t0))
-                budget.solutions += 1
+        hits = _exhaustive_search(tables, budget, t0)
     else:
-        certs = _randomized_search(spec, tables, budget, t0)
-    return _sorted_certs(certs)
+        hits = _randomized_search(spec, tables, budget, t0)
+    return _sorted_certs(_certificates(spec, hits))
+
+
+def _exhaustive_search(tables: _CodeTables, budget: _Budget, t0: float) -> List[_Hit]:
+    """Every first block, then every second block that completes its counts."""
+    hits: List[_Hit] = []
+    for d1 in _symmetric_first_blocks(tables, budget):
+        base = tables.pair_counts(d1)
+        if any(c > t for c, t in zip(base, tables.targets)):
+            continue
+        for d2 in _balanced_blocks(tables, base, budget):
+            if not budget.room_for_solutions():
+                return hits
+            hits.append((d1, d2, budget.nodes, time.perf_counter() - t0))
+            budget.solutions += 1
+    return hits
 
 
 def _sorted_certs(certs: List[Certificate]) -> List[Certificate]:
@@ -499,12 +545,12 @@ def _sorted_certs(certs: List[Certificate]) -> List[Certificate]:
 
 def _randomized_search(
     spec: SearchSpec, tables: _CodeTables, budget: _Budget, t0: float
-) -> List[Certificate]:
+) -> List[_Hit]:
     """Seeded restart hill-climbing on the squared frequency deviation.
 
     Moves swap one element of the second block for an unused one inside the
     same coset, so coset balance is invariant; the (negation-closed) first
-    block is redrawn on every restart.
+    block is redrawn on every restart.  A family found again is dropped.
     """
     rng = random.Random(spec.seed)
     per_coset = tables.per_coset
@@ -522,8 +568,8 @@ def _randomized_search(
             chosen.update(rng.sample(cs, per_coset))
         return frozenset(chosen)
 
-    certs: List[Certificate] = []
-    seen_families: Set[tuple] = set()
+    hits: List[_Hit] = []
+    seen_families: Set[tuple] = set()  # the sorted code blocks of each family found
     while budget.spend_node() and budget.room_for_solutions():
         d1, d2 = random_d1(), random_d2()
         counts = tables.pair_counts(d1, d2)
@@ -547,13 +593,12 @@ def _randomized_search(
             else:
                 stall += 1
         if score == 0:
-            cert = _make_certificate(spec, d1, d2, budget, t0)
-            key = tuple(sorted(tuple(b.codes.tolist()) for b in cert.family.blocks))
+            key = tuple(sorted((tuple(sorted(d1)), tuple(sorted(d2)))))
             if key not in seen_families:
                 seen_families.add(key)
-                certs.append(cert)
+                hits.append((d1, d2, budget.nodes, time.perf_counter() - t0))
                 budget.solutions += 1
-    return certs
+    return hits
 
 
 def _scored_swap(

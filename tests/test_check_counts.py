@@ -1,8 +1,9 @@
 """Each artifact passes each check exactly once, at the place that owns it.
 
-Counting wrappers around the oracle (``designs.difference_totals``), the Gram
-gate (``hadamard.is_hadamard``) and the symmetric-array precondition check
-record every call made while one artifact is built.
+Counting wrappers around the oracle (``designs.stacked_difference_totals``,
+behind every single-family call too), the Gram gate (``hadamard.is_hadamard``)
+and the symmetric-array precondition check record every call made while one
+artifact is built.
 """
 
 import json
@@ -13,34 +14,37 @@ from designforge import cli, constructions, designs, groups, hadamard
 from designforge.field import FieldCtx
 from designforge.galois import RingCtx
 from designforge.groups import FiniteAbelianGroup, Subgroup
-from designforge.search import SearchSpec, search_ddf
+from designforge.search import SearchBudget, SearchSpec, search_ddf
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Argument log per wrapped check: tables get families, Grams get orders."""
-    log = {"tables": [], "grams": [], "conditions": 0}
+    """Argument log per wrapped check: tables get each stacked family, stacks
+    get each oracle run's family count, Grams get orders; conditions count
+    the families checked."""
+    log = {"tables": [], "stacks": [], "grams": [], "conditions": 0}
     table, gram, cond = (
-        designs.difference_totals,
+        designs.stacked_difference_totals,
         hadamard.is_hadamard,
-        hadamard.check_symmetric_conditions,
+        hadamard.check_symmetric_conditions_batch,
     )
 
-    def counted_table(family):
-        log["tables"].append(family)
-        return table(family)
+    def counted_table(families):
+        log["tables"].extend(families)
+        log["stacks"].append(len(families))
+        return table(families)
 
     def counted_gram(M):
         log["grams"].append(M.order)
         return gram(M)
 
-    def counted_cond(*args, **kwargs):
-        log["conditions"] += 1
-        return cond(*args, **kwargs)
+    def counted_cond(families, m=None):
+        log["conditions"] += len(families)
+        return cond(families, m)
 
-    monkeypatch.setattr(designs, "difference_totals", counted_table)
+    monkeypatch.setattr(designs, "stacked_difference_totals", counted_table)
     monkeypatch.setattr(hadamard, "is_hadamard", counted_gram)
-    monkeypatch.setattr(hadamard, "check_symmetric_conditions", counted_cond)
+    monkeypatch.setattr(hadamard, "check_symmetric_conditions_batch", counted_cond)
     return log
 
 
@@ -94,6 +98,25 @@ def test_replay_runs_the_oracle_once(calls):
     calls["tables"].clear()
     assert cert.replay()
     assert len(calls["tables"]) == 1
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "randomized"])
+def test_search_checks_each_certificate_once(mode, calls):
+    # the full m=8 walk (1152 certificates) and a seeded climb: one batch of
+    # conditions and one stacked oracle run, holding each certificate once
+    g = FiniteAbelianGroup((7, 2, 2))
+    spec = SearchSpec(
+        group=g,
+        forbidden=Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)]),
+        m=8,
+        mode=mode,
+        budget=SearchBudget(max_nodes=20000 if mode == "randomized" else None),
+    )
+    certs = search_ddf(spec)
+    assert len(certs) == (1152 if mode == "exhaustive" else 10)
+    assert calls["conditions"] == len(certs)
+    assert calls["stacks"] == [len(certs)]
+    assert sorted(map(id, calls["tables"])) == sorted(id(c.family) for c in certs)
 
 
 @pytest.mark.parametrize(

@@ -161,6 +161,9 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
         ("poly table key not p,r", poly_table, {"7": [0, 1]}, "poly table key '7'"),
         ("spec forbidden element out of range", ["search"], dict(spec, forbidden=[[0], [9]]),
          "forbidden element (9,) outside FiniteAbelianGroup([6])"),
+        # Z_6 holds 4 qualifying families, so 50 solutions bound nothing
+        ("randomized spec with max_solutions alone", ["search"],
+         dict(spec, mode="randomized", budget={"max_solutions": 50}), "max_nodes or max_seconds"),
     ]
     for i, (name, command, data, field) in enumerate(cases):
         path = tmp_path / f"case{i}.json"

@@ -10,9 +10,11 @@ canonical forms on random groups and blocks; the negative controls require
 both to reject the same perturbed families with the same witness.
 """
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from designforge.constructions import (
     galois_ring_ddf,
     szekeres_family,
 )
-from designforge.designs import Block, DifferenceFamily, difference_table, verify
+from designforge.designs import Block, DesignParams, DifferenceFamily, difference_table, verify
 from designforge.field import FieldCtx
 from designforge.galois import RingCtx
 from designforge.groups import FiniteAbelianGroup, Subgroup, cosets, subgroup_generated
@@ -133,6 +135,89 @@ def ref_symmetric_structure_failures(family, m):
             failures.append(f"block {bad[0]} meets coset of {rep} in {got} points, need {m // 4}")
             break
     return failures
+
+
+def _ref_first(mask):
+    return int(mask.argmax()) if mask.any() else None
+
+
+def ref_verify(family):
+    """The per-family verifier: one family's reference counts read with one
+    membership mask, every verdict, message and witness as ``verify`` gives."""
+    group, forbidden = family.ambient, family.forbidden
+    totals = ref_difference_totals(family)
+    counts = totals[1:]
+    in_n = np.zeros(group.order, dtype=bool)
+    in_n[forbidden.codes] = True
+    in_n = in_n[1:]
+    out_n = ~in_n
+    lam_at, mu_at = _ref_first(in_n), _ref_first(out_n)
+    lam = None if lam_at is None else int(counts[lam_at])
+    mu = None if mu_at is None else int(counts[mu_at])
+    first_off = []
+    for region, name, value in ((in_n, "lambda", lam), (out_n, "mu", mu)):
+        if value is not None:
+            at = _ref_first(region & (counts != value))
+            if at is not None:
+                first_off.append((at, f"{name}={value}"))
+    witness = None
+    if first_off:
+        at, expected = min(first_off)
+        witness = (group.element(at + 1), int(counts[at]), expected)
+    sizes = family.sizes()
+    degenerate = sum(1 for k in sizes if k <= 1)
+    ok = witness is None
+    message = ""
+    if not ok:
+        message = "difference counts are not two-valued"
+    elif family.declared is not None:
+        decl = family.declared
+        if decl.lam is not None and lam is not None and forbidden.order > 1 and decl.lam != lam:
+            ok, message = False, f"declared lambda={decl.lam}, realized {lam}"
+        if decl.mu is not None and mu is not None and decl.mu != mu:
+            ok, message = False, f"declared mu={decl.mu}, realized {mu}"
+        if tuple(sorted(decl.sizes)) != sizes:
+            ok, message = False, f"declared K={sorted(decl.sizes)}, realized {list(sizes)}"
+    if ok:
+        realized = DesignParams(lam if forbidden.order > 1 else None, mu, sizes)
+        if not realized.counting_identity_holds(group.order, forbidden.order):
+            ok, message = False, "counting identity violated"
+    if ok and degenerate:
+        message = f"{degenerate} block(s) of size <= 1 contribute no differences"
+    return designs.VerificationReport(
+        ok, lam if forbidden.order > 1 else None, mu, sizes, message, witness, degenerate, totals
+    )
+
+
+def ref_check_symmetric_conditions(family, m=None):
+    """The per-family seed-condition check: the shape, ``ref_verify``'s
+    verdict, then the tuple walk of the blocks, as
+    (ok, m, failures, lam, mu, sizes, block_order)."""
+    group, N = family.ambient, family.forbidden
+    m = 2 * N.order if m is None else m
+    failures = []
+    if m % 4 != 0:
+        failures.append(f"m={m} is not divisible by 4")
+    if 2 * N.order != m:
+        failures.append(f"|N|={N.order}, need m/2={m // 2}")
+    if group.order != m * (m - 1) // 2:
+        failures.append(f"|G|={group.order}, need m(m-1)/2={m * (m - 1) // 2}")
+    if len(family.blocks) != 2:
+        failures.append(f"need 2 blocks, got {len(family.blocks)}")
+    if failures:
+        return (False, m, failures, None, None, (), (0, 1))
+    report = ref_verify(family)
+    if not report.ok:
+        failures.append(f"family does not verify: {report.summary()}")
+    k, lam, mu = m * (m - 2) // 4, m * (m - 4) // 4, m * (m - 3) // 4
+    if report.sizes != (k, k):
+        failures.append(f"sizes {list(report.sizes)}, need [{k},{k}]")
+    if report.ok and (report.lam != lam or report.mu != mu):
+        failures.append(f"frequencies ({report.lam},{report.mu}), need ({lam},{mu})")
+    failures += ref_symmetric_structure_failures(family, m)
+    closed = [all(group.neg(a) in b.elements for a in b.elements) for b in family.blocks]
+    block_order = (1, 0) if not closed[0] and closed[1] else (0, 1)
+    return (not failures, m, failures, report.lam, report.mu, report.sizes, block_order)
 
 
 def ref_block_symmetry(result):
@@ -276,26 +361,54 @@ def random_family(data, group, max_blocks=3, max_size=8):
     return DifferenceFamily(group, subgroup_generated(group, gens), blocks)
 
 
+def same_sized_family(data, family):
+    """A random family in the family's group with blocks of its block sizes,
+    so the stacked oracle stacks their blocks together."""
+    group = family.ambient
+    elems = list(group.elements())
+    gens = data.draw(st.lists(st.sampled_from(elems), max_size=2))
+    blocks = [
+        Block.from_elements(group, frozenset(data.draw(st.permutations(elems))[: block.size]))
+        for block in family.blocks
+    ]
+    return DifferenceFamily(group, subgroup_generated(group, gens), blocks)
+
+
 def report_fields(report):
     return (report.ok, report.lam, report.mu, report.sizes, report.message, report.witness)
 
 
 def with_reference_oracle(family):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(designs, "difference_totals", ref_difference_totals)
+        mp.setattr(
+            designs,
+            "stacked_difference_totals",
+            lambda families: np.stack([ref_difference_totals(f) for f in families]),
+        )
         return verify(family)
 
 
-def oracle_runs(family, chunks):
-    """(counts, report) for each oracle chunk size, with int32 and int64 codes."""
+def at_each_oracle_setting(chunks, run):
+    """``run()`` at each oracle chunk size, with int32 and int64 codes."""
     out = []
     for rows in chunks:
         for code_order in (groups.INT32_CODE_ORDER, 0):  # 0 forces int64 codes
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(designs, "_ORACLE_ROWS", rows)
                 mp.setattr(groups, "INT32_CODE_ORDER", code_order)
-                out.append((difference_table(family), verify(family)))
+                out.append(run())
     return out
+
+
+def oracle_runs(family, chunks):
+    """(counts, report) for each oracle chunk size, with int32 and int64 codes."""
+    return at_each_oracle_setting(chunks, lambda: (difference_table(family), verify(family)))
+
+
+def stacked_runs(stack, chunks):
+    """The stacked oracle's rows, as lists, for each oracle chunk size, with
+    int32 and int64 codes."""
+    return at_each_oracle_setting(chunks, lambda: designs.stacked_difference_totals(stack).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +463,24 @@ def test_code_arithmetic_matches_tuple_arithmetic(moduli, data):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4), st.data())
 def test_oracle_matches_reference_at_every_chunk_size(moduli, data):
-    # chunk sizes between 1 row and the whole block move the padded split
+    # chunk sizes between 1 row and the whole block move the padded split;
+    # stacked with 1-2 families of the same block sizes, a chunk holds rows
+    # of several families and a run of rows may go on into such a chunk
     g = FiniteAbelianGroup(moduli)
     fam = random_family(data, g, max_blocks=4, max_size=16)
+    stack = [fam] + [same_sized_family(data, fam) for _ in range(data.draw(st.integers(1, 2)))]
     k = max(1, max(b.size for b in fam.blocks))
+    chunks = sorted({1, max(1, k // 3), max(1, k // 2), k, k + 1, 2 * k + 1})
     want = ref_difference_table(fam)
     want_report = report_fields(with_reference_oracle(fam))
     want_totals = ref_difference_totals(fam).tolist()
-    for table, report in oracle_runs(fam, sorted({1, max(1, k // 3), max(1, k // 2), k, k + 1})):
+    for table, report in oracle_runs(fam, chunks):
         assert table == want
         assert report_fields(report) == want_report
         assert report.totals.tolist() == want_totals
+    want_stack = [ref_difference_totals(f).tolist() for f in stack]
+    for rows in stacked_runs(stack, chunks):
+        assert rows == want_stack
 
 
 def _paley_family(p):
@@ -393,13 +513,14 @@ def test_oracle_negative_controls_match_reference():
         assert all(report.ok for _, report in oracle_runs(fam, (1, 64)))
 
 
-def _padded_splits(family, rows):
-    """The number of unpadded leading coordinates per block of size >= 2."""
-    g = family.ambient
+def _padded_splits(stack, rows):
+    """The number of unpadded leading coordinates for each block size >= 2 of
+    a stack of families: its blocks are stacked, n blocks of k codes."""
+    g = stack[0].ambient
+    sizes = Counter(b.size for family in stack for b in family.blocks if b.size >= 2)
     return {
-        designs._unpadded_prefix(g.moduli, max(min(rows, b.size) * b.size, g.order))
-        for b in family.blocks
-        if b.size >= 2
+        designs._unpadded_prefix(g.moduli, max(min(rows, n * k) * k, g.order))
+        for k, n in sizes.items()
     }
 
 
@@ -417,22 +538,54 @@ def _padded_splits(family, rows):
 def test_oracle_matches_reference_at_every_split(moduli, k):
     # every chunk size from 1 row to the whole block walks the split from
     # nothing padded through some padded to all padded; empty and 1-point
-    # blocks ride along
+    # blocks ride along.  Three such families stacked put the rows of two
+    # families into one chunk, also where a run of rows goes on from the
+    # chunk before
     g = FiniteAbelianGroup(moduli)
     rng = random.Random(f"splits/{moduli}")
     elems = list(g.elements())
-    blocks = [Block.from_elements(g, frozenset(rng.sample(elems, size))) for size in (k, 0, 1, k - 1)]
-    fam = DifferenceFamily(g, subgroup_generated(g, [rng.choice(elems)]), blocks)
+
+    def family():
+        blocks = [Block.from_elements(g, frozenset(rng.sample(elems, size))) for size in (k, 0, 1, k - 1)]
+        return DifferenceFamily(g, subgroup_generated(g, [rng.choice(elems)]), blocks)
+
+    stack = [family() for _ in range(3)]
+    fam = stack[0]
     want = ref_difference_table(fam)
     want_report = report_fields(with_reference_oracle(fam))
     chunks = range(1, k + 2)
-    seen = set().union(*(_padded_splits(fam, rows) for rows in chunks))
-    assert {0, len(moduli)} <= seen
-    if len(moduli) > 1:
-        assert seen - {0, len(moduli)}
+    for splits in ([fam], stack):
+        seen = set().union(*(_padded_splits(splits, rows) for rows in chunks))
+        assert {0, len(moduli)} <= seen
+        if len(moduli) > 1:
+            assert seen - {0, len(moduli)}
     for table, report in oracle_runs(fam, chunks):
         assert table == want
         assert report_fields(report) == want_report
+    want_stack = [ref_difference_totals(f).tolist() for f in stack]
+    for rows in stacked_runs(stack, [*chunks, 2 * k + 1]):
+        assert rows == want_stack
+
+
+def test_stacked_oracle_on_a_large_cyclic_group():
+    # Z_10007 stays unpadded at these sizes: every row is its own run, and
+    # each family's keys count straight into its row of the totals
+    g = FiniteAbelianGroup((10007,))
+    rng = random.Random("z10007")
+
+    def family():
+        blocks = [
+            Block.from_elements(g, frozenset((x,) for x in rng.sample(range(g.order), size)))
+            for size in (5, 0, 5, 1, 4)
+        ]
+        return DifferenceFamily(g, Subgroup.trivial(g), blocks)
+
+    stack = [family() for _ in range(3)]
+    chunks = range(1, 12)
+    assert all(_padded_splits(stack, rows) == {1} for rows in chunks)
+    want = [ref_difference_totals(f).tolist() for f in stack]
+    for rows in stacked_runs(stack, chunks):
+        assert rows == want
 
 
 def chunked_code_totals(family, rows=128):
@@ -791,6 +944,154 @@ def test_negation_witness_is_the_least_offending_element():
     bad = DifferenceFamily(g, fam.forbidden, [fam.blocks[1], fam.blocks[1]])
     least = min(a for a in fam.blocks[1].elements if g.neg(a) not in fam.blocks[1].elements)
     assert f"(first fails at {least})" in check_symmetric_conditions(bad).summary()
+
+
+@pytest.fixture(scope="module")
+def m8_certificates():
+    """The full exhaustive m=8 certificate set: 1152 families in Z_7 x Z_2^2."""
+    g = FiniteAbelianGroup((7, 2, 2))
+    n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
+    return search.search_ddf(SearchSpec(group=g, forbidden=n, m=8))
+
+
+def _batch_matches_the_per_family_reference(families, m=None):
+    """``check_symmetric_conditions_batch`` and ``verify_batch`` against the
+    per-family references, family by family; the reference reports."""
+    want = [ref_check_symmetric_conditions(f, m) for f in families]
+    got = hadamard.check_symmetric_conditions_batch(families, m)
+    assert [
+        (r.ok, r.m, r.failures, r.lam, r.mu, r.sizes, r.block_order) for r in got
+    ] == want
+    for family, report in zip(families, designs.verify_batch(families)):
+        ref = ref_verify(family)
+        assert (*report_fields(report), report.degenerate_blocks) == (
+            *report_fields(ref), ref.degenerate_blocks
+        )
+        assert np.array_equal(report.totals, ref.totals)
+    return want
+
+
+def test_batched_replay_matches_the_per_family_reference_on_every_m8_certificate(
+    m8_certificates,
+):
+    families = [cert.family for cert in m8_certificates]
+    assert len(families) == 1152
+    want = _batch_matches_the_per_family_reference(families, 8)
+    assert all(ok for ok, *_ in want)
+    assert search.replay_certificates(m8_certificates) == [True] * 1152
+
+
+def _m8_mutants(family, rng):
+    """One mutant of a qualifying m=8 family per failure kind, each with the
+    failure text the reference must report for it."""
+    g, n = family.ambient, family.forbidden
+    rep_of = {x: rep for rep, coset in ref_cosets(g, n) for x in coset}
+
+    def moved(fam, i, same_coset):
+        """``fam`` with a point of block i moved within its coset, or out of it."""
+        block = sorted(fam.blocks[i].elements)
+        x = rng.choice(block)
+        free = [
+            y for y in g.elements()
+            if y not in block and rep_of[y] != g.zero() and (rep_of[y] == rep_of[x]) == same_coset
+        ]
+        return _replace_point(fam, i, x, rng.choice(free))
+
+    opened = moved(family, 0, True)  # block 0 loses a negative
+    if all(g.neg(a) in opened.blocks[1].elements for a in opened.blocks[1].elements):
+        opened = moved(opened, 1, True)
+    closed, other = (sorted(b.elements) for b in family.blocks)
+    extra = min(set(g.elements()) - set(other) - n.elements)
+    k, lam, mu = 12, 8, 10  # m(m-2)/4, m(m-4)/4, m(m-3)/4 at m = 8
+    sizes = family.declared.sizes
+    return [
+        ("swapped element", moved(family, 1, True), "family does not verify"),
+        ("not negation-closed", opened, "neither block is negation-closed"),
+        ("meets N", _replace_point(family, 0, closed[-1], max(n.elements)), "meets N"),
+        ("unbalanced coset", moved(family, 1, False), "meets coset of"),
+        ("wrong size",
+         DifferenceFamily(g, n, [family.blocks[0], Block.from_elements(g, set(other) | {extra})]),
+         f"need [{k},{k}]"),
+        ("wrong declared lambda",
+         DifferenceFamily(g, n, family.blocks, DesignParams(lam + 1, mu, sizes)),
+         f"declared lambda={lam + 1}, realized {lam}"),
+        ("wrong declared mu",
+         DifferenceFamily(g, n, family.blocks, DesignParams(lam, mu - 1, sizes)),
+         f"declared mu={mu - 1}, realized {mu}"),
+        ("three blocks", DifferenceFamily(g, n, [*family.blocks, family.blocks[0]]),
+         "need 2 blocks, got 3"),
+    ]
+
+
+def test_batched_replay_matches_the_per_family_reference_on_mixed_batches(m8_certificates):
+    # qualifying families with one mutant of each failure kind, shuffled:
+    # every report must come out as if checked alone
+    rng = random.Random(15)
+    for trial in range(4):
+        good = rng.sample([cert.family for cert in m8_certificates], 12)
+        # half of them with the negation-closed block second
+        good[::2] = [DifferenceFamily(f.ambient, f.forbidden, f.blocks[::-1], f.declared) for f in good[::2]]
+        batch = list(good)
+        for family in rng.sample(good, 2):
+            for name, mutant, failure in _m8_mutants(family, rng):
+                (ok, _, failures, *_) = ref_check_symmetric_conditions(mutant)
+                assert not ok and any(failure in f for f in failures), (name, failures)
+                batch.append(mutant)
+        rng.shuffle(batch)
+        want = _batch_matches_the_per_family_reference(batch)
+        assert sum(ok for ok, *_ in want) == 12
+        assert {order for ok, *_, order in want if ok} == {(0, 1), (1, 0)}
+        # the same families at a declared m
+        _batch_matches_the_per_family_reference(batch, 8)
+        assert not any(ok for ok, *_ in _batch_matches_the_per_family_reference(batch, 12))
+        # each alone, as the batch of one
+        for family in batch[:6]:
+            report = check_symmetric_conditions(family)
+            assert (
+                report.ok, report.m, report.failures, report.lam, report.mu,
+                report.sizes, report.block_order,
+            ) == ref_check_symmetric_conditions(family)
+    # the Z_6 family, qualifying at m = 4, is a batch of its own
+    z6 = _z6_family()
+    (ok, *_), = _batch_matches_the_per_family_reference([z6])
+    assert ok
+    _batch_matches_the_per_family_reference([z6], 8)
+
+
+def test_batches_across_groups_subgroups_or_m_are_refused(m8_certificates):
+    family = m8_certificates[0].family
+    other_n = DifferenceFamily(family.ambient, Subgroup.trivial(family.ambient), family.blocks)
+    for batch, what in (
+        ([family, _z6_family()], "one ambient group"),
+        ([_z6_family(), family], "one ambient group"),
+        ([family, other_n], "one forbidden subgroup"),
+    ):
+        for check in (hadamard.check_symmetric_conditions_batch, designs.verify_batch):
+            with pytest.raises(ValueError, match=what):
+                check(batch)
+    with pytest.raises(ValueError, match="one ambient group"):
+        designs.stacked_difference_totals([family, _z6_family()])
+    cert = m8_certificates[0]
+    at_m12 = search.Certificate(
+        cert.family, dataclasses.replace(cert.spec, m=12), cert.nodes, cert.seed, cert.elapsed
+    )
+    with pytest.raises(ValueError, match="one m"):
+        search.replay_certificates([cert, at_m12])
+    assert search.replay_certificates([]) == []
+    assert hadamard.check_symmetric_conditions_batch([]) == designs.verify_batch([]) == []
+
+
+def test_batched_replay_of_the_m8_set_stays_small(m8_certificates):
+    # 1152 families of two 12-point blocks in a group of 28: the stacked
+    # totals take 0.25 MiB, and the whole replay under 4 MiB
+    search.replay_certificates(m8_certificates)
+    tracemalloc.start()
+    try:
+        assert all(search.replay_certificates(m8_certificates))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def _symmetry_fields(report):

@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,34 @@ def test_randomized_first_blocks_are_drawn_without_building_the_options(tmp_path
     assert peaks[1] - peaks[0] < 10 * 1024, peaks
 
 
+def test_second_block_rows_are_summed_only_up_to_m16(monkeypatch):
+    # 50 nodes reach the second-block walk and build its first 6 outside
+    # cosets.  At m = 20 a coset's summed option rows would take 25 times
+    # its points' own rows (252 options of 10 points): a traced peak of
+    # 79 MiB against 4.2 MiB was measured there
+    built = []
+    init = search._PackedCoset.__init__
+
+    def counted(self, tables, idx):
+        built.append(idx)
+        init(self, tables, idx)
+
+    monkeypatch.setattr(search._PackedCoset, "__init__", counted)
+    m = 20
+    v = m * (m - 1) // 2
+    g = FiniteAbelianGroup((v,))
+    n = Subgroup.from_elements(g, [(2 * v // m * i,) for i in range(m // 2)])
+    spec = SearchSpec(group=g, forbidden=n, m=m, budget=SearchBudget(max_nodes=50))
+    tracemalloc.start()
+    try:
+        assert search_ddf(spec) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) >= 5
+    assert peak < 16 * 2**20, peak
+
+
 def test_unranked_combinations_follow_itertools_order():
     for n in range(7):
         items = [10 * i + 3 for i in range(n)]
@@ -370,11 +399,20 @@ def test_randomized_deterministic_and_replayable():
 
 
 def test_randomized_search_raises_on_failed_replay(monkeypatch):
-    # a family that fails replay must stop the search, never vanish from it
-    monkeypatch.setattr(Certificate, "replay", lambda self: False)
+    # a family that fails replay must stop the search, never vanish from it:
+    # the batch replay reports one failure among passing families
+    batches = []
+    real = search.replay_certificates
+
+    def last_fails(certs):
+        batches.append(len(certs))
+        return real(certs)[:-1] + [False]
+
+    monkeypatch.setattr(search, "replay_certificates", last_fails)
     spec = z6_spec(mode="randomized", seed=42, budget=SearchBudget(max_nodes=2000))
     with pytest.raises(RuntimeError, match="failed replay"):
         search_ddf(spec)
+    assert len(batches) == 1 and batches[0] >= 2
 
 
 def test_randomized_seed_changes_trajectory():
@@ -511,6 +549,18 @@ def test_packed_walk_matches_the_per_pair_kernel_at_m8(monkeypatch):
 def test_packed_walk_matches_the_per_pair_kernel_on_cyclic_specs(monkeypatch, m):
     # the first 5000 nodes over Z_v, v = m(m-1)/2, with wider fields and more
     # cosets, from the first first block whose counts fit the targets
+    _check_cyclic_walk(monkeypatch, m)
+
+
+def test_packed_walk_with_per_point_rows_matches_the_per_pair_kernel(monkeypatch):
+    # above m = 16 an option carries its points' own rows, not their sum;
+    # the same walk at m = 12 with the bound moved below it
+    assert 20 // 4 > search._SUMMED_MAX_PER_COSET >= 16 // 4
+    monkeypatch.setattr(search, "_SUMMED_MAX_PER_COSET", 12 // 4 - 1)
+    _check_cyclic_walk(monkeypatch, 12)
+
+
+def _check_cyclic_walk(monkeypatch, m):
     v = m * (m - 1) // 2
     g = FiniteAbelianGroup((v,))
     n = Subgroup.from_elements(g, [(2 * v // m * i,) for i in range(m // 2)])
