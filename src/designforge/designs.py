@@ -2,7 +2,13 @@
 
 Everything here counts differences by exhaustive pair enumeration.  This
 module is the sole acceptance oracle for the construction layer, so it must
-stay independent of it: no character sums, no shortcuts.
+stay independent of it: no character sums, no shortcuts.  The oracle has
+two kernels on one padded key layout: scatter tallies every pair's key by
+bincount, and dense adds each row's 0/1 indicator of its block's column
+keys, shifted to the row's offset, into uint8 counts.  Either way each
+ordered pair adds exactly 1 to its own bin.  A cost model picks the kernel
+and the padding for each stack of equal-size blocks; it moves time only,
+never a count (see ``_add_stack_differences`` and ``_oracle_plan``).
 """
 
 from __future__ import annotations
@@ -14,23 +20,17 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import (
-    Element,
-    FiniteAbelianGroup,
-    Subgroup,
-    json_elements,
-    json_field,
-    json_int,
-    json_ints,
-    json_list,
-    json_object,
-)
+from .groups import Element, FiniteAbelianGroup, Subgroup
+from .groups import json_elements, json_field, json_int, json_ints, json_list, json_object
 
 INFINITY = "inf"
-# Rows of a stack of size-k blocks the oracle pairs with their own block's k
-# columns at once: a chunk holds _ORACLE_ROWS * k int64 pair keys, about 2 MB
-# at k = 4095, however many blocks and families are stacked.
-_ORACLE_ROWS = 64
+# Pair keys the scatter kernel forms at once, 64 KiB of int64, however many
+# blocks and families are stacked.
+_ORACLE_KEYS = 1 << 13
+# Rows the dense kernel adds into its uint8 counts between flushes.
+_FLUSH_ROWS = 255
+# The oracle's cost model in nanoseconds, see ``_oracle_plan``.
+_NS_KEY, _NS_DIGIT, _NS_ROW, _NS_BYTE, _NS_BIN, _NS_RUN = 2.6, 12.0, 560.0, 0.038, 1.4, 16000.0
 
 
 class Block:
@@ -48,6 +48,17 @@ class Block:
         """The block with the given boundary elements, each range-checked as
         a ``block element`` by ``checked_encode``."""
         return cls(ambient, ambient.checked_encode(list(elements), "block element"))
+
+    @classmethod
+    def from_rows(cls, ambient: FiniteAbelianGroup, rows: object) -> List["Block"]:
+        """One block per row of a 2-D array of codes, all checked and sorted
+        at once by ``sorted_code_rows``."""
+        blocks = []
+        for row in ambient.sorted_code_rows(rows, "block"):
+            block = cls.__new__(cls)
+            block.ambient, block.codes = ambient, row
+            blocks.append(block)
+        return blocks
 
     @property
     def size(self) -> int:
@@ -90,8 +101,7 @@ class DesignParams:
 
     def counting_identity_holds(self, group_order: int, forbidden_order: int) -> bool:
         lhs = sum(k * (k - 1) for k in self.sizes)
-        lam = self.lam if self.lam is not None else 0
-        mu = self.mu if self.mu is not None else 0
+        lam, mu = self.lam or 0, self.mu or 0
         return lhs == lam * (forbidden_order - 1) + mu * (group_order - forbidden_order)
 
 
@@ -126,11 +136,8 @@ class DifferenceFamily:
             "blocks": [[list(e) for e in blk] for blk in self.canonical_blocks()],
         }
         if self.declared is not None:
-            data["declared"] = {
-                "lambda": self.declared.lam,
-                "mu": self.declared.mu,
-                "K": list(self.declared.sizes),
-            }
+            decl = self.declared
+            data["declared"] = {"lambda": decl.lam, "mu": decl.mu, "K": list(decl.sizes)}
         if self.provenance is not None:
             data["provenance"] = self.provenance
         return data
@@ -168,8 +175,7 @@ class DifferenceFamily:
 def difference_totals(family: DifferenceFamily) -> np.ndarray:
     """Counts of x - y over all ordered pairs of distinct elements per block,
     as an int64 array indexed by the difference's mixed-radix code; code
-    order is element order.  The batch of one of
-    ``stacked_difference_totals``.
+    order is element order.  The batch of one of ``stacked_difference_totals``.
     """
     return stacked_difference_totals([family])[0]
 
@@ -180,9 +186,9 @@ def stacked_difference_totals(families: Sequence[DifferenceFamily]) -> np.ndarra
     oracle run behind ``difference_table`` and ``verify_batch``.
 
     Exhaustive pair enumeration on codes, one add per ordered pair: the
-    blocks of each size are stacked and every ordered pair of each is
-    counted in one pass, keyed apart per family (see
-    ``_add_stack_differences``).
+    blocks of each size are stacked, and every ordered pair of each is
+    counted in one pass of the scatter or the dense kernel, keyed apart per
+    family (see ``_add_stack_differences``).
     """
     group = families[0].ambient
     if any(family.ambient != group for family in families):
@@ -210,32 +216,27 @@ def _add_stack_differences(
     each row of ``codes`` (B blocks of k sorted codes, owned by families in
     nondecreasing order) to its owner's row of ``totals``.
 
-    Trailing coordinate i gets a padded slot of 2*m_i - 1 values: a row x
-    with digit a_i contributes a_i and a column y with digit b_i contributes
-    m_i - 1 - b_i, so their sum a_i - b_i + m_i - 1 lies in [0, 2*m_i - 2]
-    and never carries into the next slot.  Each pair's key is then one add
-    of a row offset and a column offset.  The B * k rows of the stack are
-    paired with their own block's k columns ``_ORACLE_ROWS`` rows at a
-    time, and each chunk is tallied by one bincount into an int32 histogram
-    of ``bins`` keys per family (a bin never counts more than B * k pairs),
-    which ``_fold`` relabels to residues; a column offset also holds its
-    family's distance, in bins, from the chunk's first family.  Trailing
-    coordinates are padded while a family's histogram keeps within
-    max(chunk pairs, |G|) bins.  The leading ones are differenced by
-    ``code_sub`` on their prefix codes, once per run of rows of one block
-    sharing a prefix (the codes are sorted; a run may span chunks), and
-    join that run's column offsets.  With nothing padded, every row is its
-    own run, its columns are its keys, and the keys are group codes,
-    counted straight into the totals.
+    Leading coordinates are differenced by ``code_sub`` on prefix codes.
+    Each trailing one gets a padded slot of 2*m_i - 1 values: a row digit
+    a_i adds a_i and a column digit b_i adds m_i - 1 - b_i, and a_i - b_i +
+    m_i - 1 in [0, 2*m_i - 2] never carries.  A pair's key is its row's
+    offset plus its column's key against the row's prefix, in ``bins`` keys
+    per family that ``_fold`` relabels to residues.  ``_oracle_plan`` picks
+    the split and the kernel.  Scatter forms the keys of about
+    ``_ORACLE_KEYS`` pairs at a time and bincounts them.  Dense sets the k
+    column keys of each run of rows of one block and prefix once in a 0/1
+    uint8 indicator, and each row of the run adds it, as one slice add, at
+    its row offset into uint8 counts that move into the histogram every
+    ``_FLUSH_ROWS`` rows, before any can wrap.  Either way each ordered pair
+    adds exactly 1 to its own bin, since a row's column keys are distinct
+    as its block's codes are.  Unpadded keys are group codes, counted
+    straight into the totals.
     """
-    size = codes.size
     k = codes.shape[1]
-    rows = min(_ORACLE_ROWS, size)
-    lead = _unpadded_prefix(group.moduli, max(rows * k, group.order))
+    lead, dense = _oracle_plan(group.moduli, codes, totals.shape[0])
     trail = group.moduli[lead:]
     prefixes = codes.astype(np.int64).ravel()  # loses its trailing digits below
-    row_offsets = np.zeros(size, dtype=np.int64)
-    col_offsets = np.zeros(size, dtype=np.int64)
+    row_offsets, col_offsets = np.zeros((2, prefixes.size), dtype=np.int64)
     slot = 1  # the padded radix weight of the current coordinate
     for m in reversed(trail):
         digit = prefixes % m
@@ -245,69 +246,86 @@ def _add_stack_differences(
         slot *= 2 * m - 1
     prefix_group = FiniteAbelianGroup(group.moduli[:lead] or (1,))
     bins = prefix_group.order * slot
-    new_run = np.ones(size, dtype=bool)  # row r is of block r // k
-    new_run[1:] = prefixes[1:] != prefixes[:-1]
-    new_run[::k] = True
-    run_start = np.flatnonzero(new_run)
-    col_prefixes = prefixes.reshape(-1, k)
-    col_offsets = col_offsets.reshape(-1, k)
+    bases = owners * bins  # each block's family, as its first bin
+    col_prefixes, col_offsets = prefixes.reshape(-1, k), col_offsets.reshape(-1, k)
+    # a bin counts at most one pair per row of its family: int32 holds it
+    hist = totals.reshape(-1) if slot == 1 else np.zeros(totals.shape[0] * bins, dtype=np.int32)
 
-    def columns(lo: int, hi: int) -> np.ndarray:
-        """The column offsets of runs lo..hi-1, one row per run."""
-        first = run_start[lo:hi]
-        blk = first // k
-        if blk[0] == blk[-1]:  # one block: its columns broadcast over the runs
-            blk = blk[:1]
-        if not lead:  # one run per block
+    def columns(at: object, blk: object) -> np.ndarray:
+        """The column keys of row(s) ``at`` of block(s) ``blk``: k per row."""
+        if not lead:
             return col_offsets[blk]
-        diff = prefix_group.code_sub(prefixes[first, None], col_prefixes[blk])
-        return diff if slot == 1 else diff * slot + col_offsets[blk]
+        diff = prefix_group.code_sub(prefixes[at, None], col_prefixes[blk])
+        return diff * slot + col_offsets[blk]
 
-    if slot == 1:  # nothing padded
-        hist = totals.reshape(-1)
-        keys = None
+    if dense:
+        new_run = np.ones(prefixes.size + 1, dtype=bool)  # row r is of block r // k
+        new_run[1:-1] = prefixes[1:] != prefixes[:-1]
+        new_run[::k] = True
+        cuts = new_run.copy()
+        cuts[::_FLUSH_ROWS] = True  # a flush cuts a run
+        edges = np.flatnonzero(cuts).tolist()
+        counts = np.zeros(hist.size, dtype=np.uint8)  # of the rows since the last flush
+        indicator = np.zeros(bins, dtype=np.uint8)
+        cols = np.zeros(0, dtype=np.int64)
+        for a, b in zip(edges[:-1], edges[1:]):
+            if new_run[a]:
+                indicator[cols] = 0
+                cols = columns(a, a // k)
+                lo, hi, base = int(cols.min()), int(cols.max()) + 1, int(bases[a // k])
+                indicator[cols] = 1
+                run = indicator[lo:hi]
+            for at in (row_offsets[a:b] + (base + lo)).tolist():
+                window = counts[at : at + hi - lo]
+                np.add(window, run, out=window)
+            if b % _FLUSH_ROWS == 0 or b == prefixes.size:  # the families since the last flush
+                since = slice(int(bases[(b - 1) // _FLUSH_ROWS * _FLUSH_ROWS // k]), base + bins)
+                hist[since] += counts[since]
+                counts[since] = 0
     else:
-        hist = np.zeros(totals.shape[0] * bins, dtype=np.int32)
-        keys = np.empty(rows * k, dtype=np.int64)  # the one chunk, reused
-    done, last = -1, None  # the last run differenced, and its columns: a run may span chunks
-    for start in range(0, size, rows):
-        stop = min(start + rows, size)
-        low = owners[start // k]  # the chunk's first family, at bin 0 of its keys
-        r0, r1 = np.searchsorted(run_start, [start, stop - 1], side="right").tolist()
-        r0 -= 1
-        reused = r0 == done  # then run r0 is of family ``low``
-        fresh = columns(r0 + reused, r1) if r0 + reused < r1 else None
-        cols = fresh
-        if owners[(stop - 1) // k] != low:  # the chunk spans families
-            cols = cols + (owners[run_start[r0 + reused : r1] // k] - low)[:, None] * bins
-        if keys is None:  # nothing padded: every row is its own run, whose columns are its keys
-            chunk = cols
-        else:
-            chunk = keys[: (stop - start) * k].reshape(stop - start, k)
-            edges = [start, *run_start[r0 + 1 : r1].tolist(), stop]  # the chunk's rows of each run
-            for u, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-                np.add(row_offsets[a:b, None], last if reused and u == 0 else cols[u - reused],
-                       out=chunk[a - start : b - start])
-        if fresh is not None:
-            done, last = r1 - 1, fresh[-1]
-        counts = np.bincount(chunk.ravel())
-        hist[low * bins : low * bins + counts.size] += counts
-        del counts  # one chunk's bincount alive at a time
+        step = max(1, _ORACLE_KEYS // k)
+        keys = np.empty((min(step, prefixes.size), k), dtype=np.int64)  # the one chunk, reused
+        for start in range(0, prefixes.size, step):
+            at = np.arange(start, min(start + step, prefixes.size))
+            blk, low = at // k, int(bases[start // k])  # low: the chunk's first family's bin
+            rows = row_offsets[at] + bases[blk] - low
+            if blk[0] == blk[-1]:  # one block: its columns broadcast over the rows
+                blk = blk[:1]
+            chunk = keys[: at.size]
+            np.add(columns(at, blk), rows[:, None], out=chunk)
+            tally = np.bincount(chunk.ravel())
+            hist[low : low + tally.size] += tally
+            del tally  # one chunk's tally alive at a time
     if slot > 1:
-        pads = (2 * m - 1 for m in trail)
-        folded = _fold(hist.reshape((totals.shape[0] * prefix_group.order, *pads)), trail)
+        folded = _fold(hist.reshape(-1, *(2 * m - 1 for m in trail)), trail)
         totals.reshape(folded.shape)[...] += folded
 
 
-def _unpadded_prefix(moduli: Tuple[int, ...], bound: int) -> int:
-    """How many leading coordinates stay unpadded when trailing ones are
-    padded, from the last one, while the histogram keeps within ``bound``."""
-    lead = len(moduli)
-    bins = math.prod(moduli)
-    while lead and bins // moduli[lead - 1] * (2 * moduli[lead - 1] - 1) <= bound:
-        lead -= 1
-        bins = bins // moduli[lead] * (2 * moduli[lead] - 1)
-    return lead
+def _oracle_plan(moduli: Tuple[int, ...], codes: np.ndarray, families: int) -> Tuple[int, bool]:
+    """(unpadded leading coordinates, dense?): the kernel and split of least
+    cost for a stack of B blocks of k codes owned by ``families`` families.
+
+    The model is in nanoseconds: a key costs ``_NS_KEY`` plus ``_NS_DIGIT``
+    per leading coordinate (scatter forms B*k*k keys, a dense run k keys
+    and ``_NS_RUN``); a dense row costs ``_NS_ROW`` plus ``_NS_BYTE`` per
+    byte of its span (bins less the largest row offset); and each family,
+    scatter chunk and dense flush costs ``_NS_BIN`` per bin."""
+    blocks, k = codes.shape
+    chunks = -(-codes.size // max(1, _ORACLE_KEYS // k))
+    best = (math.inf, 0, False)
+    for lead in range(len(moduli) + 1):
+        trail = math.prod(moduli[lead:])
+        slot = math.prod(2 * m - 1 for m in moduli[lead:])
+        bins = math.prod(moduli[:lead]) * slot
+        key = _NS_KEY + _NS_DIGIT * lead
+        scatter = codes.size * k * key + (families + chunks) * bins * _NS_BIN
+        dense = codes.size * (_NS_ROW + _NS_BYTE * (bins - slot // 2))
+        dense += (families + codes.size / _FLUSH_ROWS) * bins * _NS_BIN
+        if dense < min(scatter, best[0]):  # only then are the runs worth counting
+            runs = blocks + np.count_nonzero(np.diff(codes // trail, axis=1))
+            best = min(best, (dense + runs * (_NS_RUN + k * key), lead, True))
+        best = min(best, (scatter, lead, False))
+    return best[1:]
 
 
 def _fold(hist: np.ndarray, moduli: Tuple[int, ...]) -> np.ndarray:
@@ -405,7 +423,7 @@ def verify_batch(families: Sequence[DifferenceFamily]) -> List[VerificationRepor
             first_off[name] = _first_rows(region & (counts != value[:, None])).tolist()
     reports = []
     for f, family in enumerate(families):
-        lam, mu = realized["lambda"][f], realized["mu"][f]
+        lam, mu = realized["lambda"][f], realized["mu"][f]  # lam is None when N is trivial
         off = [
             (first_off[name][f], f"{name}={realized[name][f]}")
             for name in realized
@@ -424,29 +442,20 @@ def verify_batch(families: Sequence[DifferenceFamily]) -> List[VerificationRepor
         elif family.declared is not None:
             # declared frequencies are vacuous on empty regions (trivial N, or N = G)
             decl = family.declared
-            if decl.lam is not None and lam is not None and forbidden.order > 1 and decl.lam != lam:
+            if decl.lam is not None and lam is not None and decl.lam != lam:
                 ok, message = False, f"declared lambda={decl.lam}, realized {lam}"
             if decl.mu is not None and mu is not None and decl.mu != mu:
                 ok, message = False, f"declared mu={decl.mu}, realized {mu}"
             if tuple(sorted(decl.sizes)) != sizes:
                 ok, message = False, f"declared K={sorted(decl.sizes)}, realized {list(sizes)}"
         if ok:
-            params = DesignParams(lam if forbidden.order > 1 else None, mu, sizes)
+            params = DesignParams(lam, mu, sizes)
             if not params.counting_identity_holds(group.order, forbidden.order):
                 ok, message = False, "counting identity violated"
         if ok and degenerate:
             message = f"{degenerate} block(s) of size <= 1 contribute no differences"
         reports.append(
-            VerificationReport(
-                ok=ok,
-                lam=lam if forbidden.order > 1 else None,
-                mu=mu,
-                sizes=sizes,
-                message=message,
-                witness=witness,
-                degenerate_blocks=degenerate,
-                totals=totals[f],
-            )
+            VerificationReport(ok, lam, mu, sizes, message, witness, degenerate, totals=totals[f])
         )
     return reports
 
@@ -481,7 +490,8 @@ def develop(family: DifferenceFamily) -> List[Block]:
     """All translates of all blocks, each by every code in turn: |G| * b blocks."""
     group = family.ambient
     shifts = np.arange(group.order, dtype=group.code_dtype)[:, None]
-    return [Block(group, row) for b in family.blocks for row in group.code_add(shifts, b.codes)]
+    rows = (group.code_add(shifts, b.codes) for b in family.blocks)
+    return [block for translates in rows for block in Block.from_rows(group, translates)]
 
 
 @dataclass
@@ -531,32 +541,21 @@ def verify_gdd(
                 return GddReport(False, None, None, f"block point {x!r} not in any group")
             for y in elems[i + 1 :]:
                 counts[(x, y) if repr(x) <= repr(y) else (y, x)] += 1
-    realized_lam: Optional[int] = lam
-    realized_mu: Optional[int] = mu
+    realized: Dict[bool, Optional[int]] = {True: lam, False: mu}  # keyed by "same part"
     pts = sorted(points, key=repr)
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
             key = (x, y) if repr(x) <= repr(y) else (y, x)
-            got = counts.get(key, 0)
-            if part_of[x] == part_of[y]:
-                if realized_lam is None:
-                    realized_lam = got
-                elif got != realized_lam:
-                    return GddReport(
-                        False, realized_lam, realized_mu,
-                        "same-group pair count not constant",
-                        witness=(key, got, f"lambda={realized_lam}"),
-                    )
-            else:
-                if realized_mu is None:
-                    realized_mu = got
-                elif got != realized_mu:
-                    return GddReport(
-                        False, realized_lam, realized_mu,
-                        "cross-group pair count not constant",
-                        witness=(key, got, f"mu={realized_mu}"),
-                    )
-    return GddReport(True, realized_lam, realized_mu)
+            got, same = counts.get(key, 0), part_of[x] == part_of[y]
+            if realized[same] is None:
+                realized[same] = got
+            elif got != realized[same]:
+                kind, name = ("same", "lambda") if same else ("cross", "mu")
+                return GddReport(
+                    False, realized[True], realized[False], f"{kind}-group pair count not constant",
+                    witness=(key, got, f"{name}={realized[same]}"),
+                )
+    return GddReport(True, realized[True], realized[False])
 
 
 @dataclass

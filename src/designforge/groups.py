@@ -303,6 +303,22 @@ class FiniteAbelianGroup:
         arr.flags.writeable = False
         return arr
 
+    def sorted_code_rows(self, rows: object, what: str) -> np.ndarray:
+        """Each row of a 2-D array of codes sorted, as one read-only
+        ``code_dtype`` array: one sort, then one pass over all rows raises
+        ValueError if a code lies outside 0..order-1 or repeats in its row."""
+        arr = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+        low, high = (arr[:, 0].min(), arr[:, -1].max()) if arr.size else (0, 0)
+        if low < 0 or high >= self.order:
+            raise ValueError(f"{what} code {low if low < 0 else high} outside {self}")
+        repeats = np.argwhere(arr[:, 1:] == arr[:, :-1])
+        if repeats.size:
+            row, at = repeats[0].tolist()
+            raise ValueError(f"{what} code {arr[row, at]} repeats in row {row}")
+        arr = arr.astype(self.code_dtype)
+        arr.flags.writeable = False
+        return arr
+
     def decode(self, codes: object) -> np.ndarray:
         """Elements of an array of codes, one row of residues per code."""
         arr = np.asarray(codes).reshape(-1, 1)

@@ -29,7 +29,7 @@ import numpy as np
 from . import designs
 from .constructions import PreconditionError
 from .designs import DifferenceFamily
-from .groups import FiniteAbelianGroup, Subgroup
+from .groups import FiniteAbelianGroup, Subgroup, json_field, json_int, json_ints, json_list
 
 MAX_FINGERPRINT_ORDER = 128
 # The int8 entries take order^2 bytes, 256 MiB at this cap; every check and
@@ -143,10 +143,16 @@ class SignMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "SignMatrix":
-        rows = [
-            [1 if ch == "+" else -1 for ch in line.strip()]
-            for line in text.strip().splitlines()
-        ]
+        """Parse ``to_text`` output, one row of ``+`` and ``-`` per line; any
+        other character, ragged rows or a matrix that is not square raise
+        ValueError."""
+        lines = [line.strip() for line in text.strip().splitlines()]
+        for i, line in enumerate(lines):
+            other = set(line) - {"+", "-"}
+            if other:
+                raise ValueError(f"matrix row {i} holds {min(other)!r}; entries must be '+' or '-'")
+        _check_square(lines, "matrix")
+        rows = [[1 if ch == "+" else -1 for ch in line] for line in lines]
         return cls(np.array(rows, dtype=np.int64))
 
     def _json_extras(self) -> dict:
@@ -187,14 +193,34 @@ class SignMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "SignMatrix":
+        """Parse ``to_json`` output; ``rows`` must be a square array of rows
+        of integers +1 or -1 and ``order``, if given, its order, else
+        ValueError naming the field."""
+        rows = [
+            json_ints(row, f"matrix.rows[{i}]")
+            for i, row in enumerate(json_field(data, "rows", "matrix", json_list))
+        ]
+        _check_square(rows, "matrix.rows")
+        order = json_field(data, "order", "matrix", json_int, len(rows))
+        if order != len(rows):
+            raise ValueError(f"matrix.order is {order}, but matrix.rows holds {len(rows)} rows")
         labels = data.get("row_labels")
         if labels is not None:
             labels = [tuple(l) if isinstance(l, list) else l for l in labels]
         return cls(
-            np.array(data["rows"], dtype=np.int64),
+            np.array(rows, dtype=np.int64),
             labels=labels,
             provenance=data.get("provenance"),
         )
+
+
+def _check_square(rows: Sequence[Sequence], where: str) -> None:
+    """ValueError unless ``rows`` holds n rows of n entries each."""
+    widths = sorted({len(row) for row in rows})
+    if len(widths) > 1:
+        raise ValueError(f"{where} has ragged rows of {widths[0]} to {widths[-1]} entries")
+    if widths and widths[0] != len(rows):
+        raise ValueError(f"{where} has {len(rows)} rows of {widths[0]} entries, not a square")
 
 
 def _gram_residual(M: SignMatrix) -> Optional[Tuple[int, int, int]]:

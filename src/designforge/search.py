@@ -475,12 +475,14 @@ def _certificates(spec: SearchSpec, hits: List[_Hit]) -> List[Certificate]:
     k, lam, mu = spec.targets()
     group = spec.group
     declared = DesignParams(lam, mu, (k, k))
+    codes = itertools.chain.from_iterable(d for d1, d2, _, _ in hits for d in (d1, d2))
+    blocks = Block.from_rows(group, np.fromiter(codes, dtype=np.int64).reshape(-1, k))
     certs = [
         Certificate(
             family=DifferenceFamily(
                 ambient=group,
                 forbidden=spec.forbidden,
-                blocks=[Block(group, list(d)) for d in (d1, d2)],
+                blocks=blocks[2 * i : 2 * i + 2],
                 declared=declared,
                 provenance={"construction": "search", "m": spec.m, "mode": spec.mode},
             ),
@@ -489,7 +491,7 @@ def _certificates(spec: SearchSpec, hits: List[_Hit]) -> List[Certificate]:
             seed=spec.seed,
             elapsed=elapsed,
         )
-        for d1, d2, nodes, elapsed in hits
+        for i, (_, _, nodes, elapsed) in enumerate(hits)
     ]
     if not all(replay_certificates(certs)):
         raise RuntimeError("search emitted a family that failed replay")

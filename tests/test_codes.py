@@ -14,7 +14,6 @@ import dataclasses
 import itertools
 import random
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,9 +51,10 @@ def ref_difference_table(family):
         if block.size < 2:
             continue
         coords = np.array(block.sorted_elements(), dtype=np.int64)
-        diffs = (coords[:, None, :] - coords[None, :, :]) % moduli
-        enc = (diffs * weights).sum(axis=2)
-        totals += np.bincount(enc.ravel(), minlength=group.order)
+        for start in range(0, block.size, 256):  # 256 rows at a time bound the k x k x dims table
+            diffs = (coords[start : start + 256, None, :] - coords[None, :, :]) % moduli
+            enc = (diffs * weights).sum(axis=2)
+            totals += np.bincount(enc.ravel(), minlength=group.order)
         totals[0] -= block.size
     return {
         group.element(int(idx)): int(c) for idx, c in enumerate(totals) if c and idx
@@ -388,27 +388,49 @@ def with_reference_oracle(family):
         return verify(family)
 
 
-def at_each_oracle_setting(chunks, run):
-    """``run()`` at each oracle chunk size, with int32 and int64 codes."""
+def oracle_settings(moduli, k, chunks):
+    """(plan, scatter chunk keys) pairs: the scatter kernel at every split
+    and at chunks of each of ``chunks`` rows of k pairs, the dense kernel at
+    every split, and the plan the cost model picks (None)."""
+    leads = range(len(moduli) + 1)
+    scatter = [((lead, False), rows * k) for lead in leads for rows in chunks]
+    return [*scatter, *(((lead, True), k) for lead in leads), (None, designs._ORACLE_KEYS)]
+
+
+def at_each_oracle_setting(settings, run):
+    """``run()`` at each of ``oracle_settings``, with int32 and int64 codes."""
     out = []
-    for rows in chunks:
+    for plan, keys in settings:
         for code_order in (groups.INT32_CODE_ORDER, 0):  # 0 forces int64 codes
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(designs, "_ORACLE_ROWS", rows)
+                if plan is not None:
+                    mp.setattr(designs, "_oracle_plan", lambda *args, plan=plan: plan)
+                mp.setattr(designs, "_ORACLE_KEYS", keys)
                 mp.setattr(groups, "INT32_CODE_ORDER", code_order)
                 out.append(run())
     return out
 
 
-def oracle_runs(family, chunks):
-    """(counts, report) for each oracle chunk size, with int32 and int64 codes."""
-    return at_each_oracle_setting(chunks, lambda: (difference_table(family), verify(family)))
+def oracle_runs(family, settings):
+    """(counts, report) at each oracle setting, with int32 and int64 codes."""
+    return at_each_oracle_setting(settings, lambda: (difference_table(family), verify(family)))
 
 
-def stacked_runs(stack, chunks):
-    """The stacked oracle's rows, as lists, for each oracle chunk size, with
+def stacked_runs(stack, settings):
+    """The stacked oracle's rows, as lists, at each oracle setting, with
     int32 and int64 codes."""
-    return at_each_oracle_setting(chunks, lambda: designs.stacked_difference_totals(stack).tolist())
+    return at_each_oracle_setting(
+        settings, lambda: designs.stacked_difference_totals(stack).tolist()
+    )
+
+
+def planned(run):
+    """``run()`` and the (lead, dense) plan of each stack it sent to the oracle."""
+    plans = []
+    choose = designs._oracle_plan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_oracle_plan", lambda *args: plans.append(choose(*args)) or plans[-1])
+        return run(), plans
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +485,25 @@ def test_code_arithmetic_matches_tuple_arithmetic(moduli, data):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4), st.data())
 def test_oracle_matches_reference_at_every_chunk_size(moduli, data):
-    # chunk sizes between 1 row and the whole block move the padded split;
-    # stacked with 1-2 families of the same block sizes, a chunk holds rows
-    # of several families and a run of rows may go on into such a chunk
+    # both kernels at every split, and the scatter kernel at chunk sizes
+    # between 1 row and the whole block; stacked with 1-2 families of the
+    # same block sizes, a chunk holds rows of several families and so does
+    # the span between two dense flushes
     g = FiniteAbelianGroup(moduli)
     fam = random_family(data, g, max_blocks=4, max_size=16)
     stack = [fam] + [same_sized_family(data, fam) for _ in range(data.draw(st.integers(1, 2)))]
     k = max(1, max(b.size for b in fam.blocks))
     chunks = sorted({1, max(1, k // 3), max(1, k // 2), k, k + 1, 2 * k + 1})
+    settings = oracle_settings(moduli, k, chunks)
     want = ref_difference_table(fam)
     want_report = report_fields(with_reference_oracle(fam))
     want_totals = ref_difference_totals(fam).tolist()
-    for table, report in oracle_runs(fam, chunks):
+    for table, report in oracle_runs(fam, settings):
         assert table == want
         assert report_fields(report) == want_report
         assert report.totals.tolist() == want_totals
     want_stack = [ref_difference_totals(f).tolist() for f in stack]
-    for rows in stacked_runs(stack, chunks):
+    for rows in stacked_runs(stack, settings):
         assert rows == want_stack
 
 
@@ -507,27 +531,19 @@ def test_oracle_negative_controls_match_reference():
             want = report_fields(with_reference_oracle(bad))
             assert not want[0] and want[5] is not None
             k = block.size
-            for table, report in oracle_runs(bad, (1, k, k + 1)):
+            settings = oracle_settings(fam.ambient.moduli, k, (1, k, k + 1))
+            for table, report in oracle_runs(bad, settings):
                 assert table == ref_difference_table(bad)
                 assert report_fields(report) == want
-        assert all(report.ok for _, report in oracle_runs(fam, (1, 64)))
-
-
-def _padded_splits(stack, rows):
-    """The number of unpadded leading coordinates for each block size >= 2 of
-    a stack of families: its blocks are stacked, n blocks of k codes."""
-    g = stack[0].ambient
-    sizes = Counter(b.size for family in stack for b in family.blocks if b.size >= 2)
-    return {
-        designs._unpadded_prefix(g.moduli, max(min(rows, n * k) * k, g.order))
-        for k, n in sizes.items()
-    }
+        k = max(b.size for b in fam.blocks)
+        settings = oracle_settings(fam.ambient.moduli, k, (1, 64))
+        assert all(report.ok for _, report in oracle_runs(fam, settings))
 
 
 @pytest.mark.parametrize(
     "moduli, k",
     [
-        ((7,), 4),  # one coordinate: padded from 13 pairs on
+        ((7,), 4),
         ((2, 3), 5),
         ((1, 5, 2), 6),
         ((6, 7), 12),
@@ -536,11 +552,10 @@ def _padded_splits(stack, rows):
     ],
 )
 def test_oracle_matches_reference_at_every_split(moduli, k):
-    # every chunk size from 1 row to the whole block walks the split from
-    # nothing padded through some padded to all padded; empty and 1-point
-    # blocks ride along.  Three such families stacked put the rows of two
-    # families into one chunk, also where a run of rows goes on from the
-    # chunk before
+    # both kernels at every split, the scatter kernel at every chunk size
+    # from 1 row to the whole block; empty and 1-point blocks ride along.
+    # Three such families stacked put the rows of two families into one
+    # scatter chunk and between two dense flushes
     g = FiniteAbelianGroup(moduli)
     rng = random.Random(f"splits/{moduli}")
     elems = list(g.elements())
@@ -554,22 +569,17 @@ def test_oracle_matches_reference_at_every_split(moduli, k):
     want = ref_difference_table(fam)
     want_report = report_fields(with_reference_oracle(fam))
     chunks = range(1, k + 2)
-    for splits in ([fam], stack):
-        seen = set().union(*(_padded_splits(splits, rows) for rows in chunks))
-        assert {0, len(moduli)} <= seen
-        if len(moduli) > 1:
-            assert seen - {0, len(moduli)}
-    for table, report in oracle_runs(fam, chunks):
+    for table, report in oracle_runs(fam, oracle_settings(moduli, k, chunks)):
         assert table == want
         assert report_fields(report) == want_report
     want_stack = [ref_difference_totals(f).tolist() for f in stack]
-    for rows in stacked_runs(stack, [*chunks, 2 * k + 1]):
+    for rows in stacked_runs(stack, oracle_settings(moduli, k, [*chunks, 2 * k + 1])):
         assert rows == want_stack
 
 
 def test_stacked_oracle_on_a_large_cyclic_group():
-    # Z_10007 stays unpadded at these sizes: every row is its own run, and
-    # each family's keys count straight into its row of the totals
+    # Z_10007 stays unpadded at these sizes: the cost model scatters every
+    # family's keys straight into its row of the totals
     g = FiniteAbelianGroup((10007,))
     rng = random.Random("z10007")
 
@@ -581,11 +591,79 @@ def test_stacked_oracle_on_a_large_cyclic_group():
         return DifferenceFamily(g, Subgroup.trivial(g), blocks)
 
     stack = [family() for _ in range(3)]
-    chunks = range(1, 12)
-    assert all(_padded_splits(stack, rows) == {1} for rows in chunks)
+    _, plans = planned(lambda: designs.stacked_difference_totals(stack))
+    assert plans == [(1, False), (1, False)]
     want = [ref_difference_totals(f).tolist() for f in stack]
-    for rows in stacked_runs(stack, chunks):
+    for rows in stacked_runs(stack, oracle_settings(g.moduli, 5, range(1, 12))):
         assert rows == want
+
+
+def _twin_prime_family():
+    p, q = 59, 61
+    g = FiniteAbelianGroup((p, q))
+
+    def chi(x, n):
+        return 0 if x % n == 0 else (1 if pow(x, (n - 1) // 2, n) == 1 else -1)
+
+    points = [(x, 0) for x in range(p)]
+    points += [(x, y) for x in range(1, p) for y in range(1, q) if chi(x, p) == chi(y, q)]
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, points)])
+
+
+def _z4_5_family():
+    g = FiniteAbelianGroup((4,) * 5)
+    rng = random.Random("z4^5")
+    return DifferenceFamily(g, Subgroup.trivial(g), [Block(g, rng.sample(range(g.order), 496))])
+
+
+def _m8_stack():
+    """32 families of two 12-point blocks in Z_7 x Z_2^2, as a search replays them."""
+    g = FiniteAbelianGroup((7, 2, 2))
+    rng = random.Random("m8 stack")
+    blocks = [Block(g, rng.sample(range(g.order), 12)) for _ in range(64)]
+    return [DifferenceFamily(g, Subgroup.trivial(g), blocks[i : i + 2]) for i in range(0, 64, 2)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: [_paley_family(8191)],
+        lambda: [_twin_prime_family()],
+        lambda: [_bent_family()],
+        lambda: [_z4_5_family()],
+        _m8_stack,
+    ],
+    ids=["Z_8191", "Z_59xZ_61", "Z_2^12", "Z_4^5", "Z_7xZ_2^2"],
+)
+def test_dense_kernel_matches_reference_at_every_trailing_split(build):
+    stack = build()
+    g = stack[0].ambient
+    want = [ref_difference_totals(f).tolist() for f in stack]
+    settings = [((lead, True), 1) for lead in range(len(g.moduli) + 1)]
+    for rows in stacked_runs(stack, settings):
+        assert rows == want
+
+
+@pytest.mark.parametrize("moduli", [(600,), (4, 4, 4, 4, 4), (5, 1, 60)])
+def test_dense_counts_cross_the_flush_exactly(moduli):
+    # the whole group as one block: every nonzero difference counts |G|
+    # pairs, more than the 255 a uint8 count holds between flushes
+    g = FiniteAbelianGroup(moduli)
+    fam = DifferenceFamily(g, Subgroup.trivial(g), [Block(g, range(g.order))])
+    want = [[0] + [g.order] * (g.order - 1)]
+    assert [ref_difference_totals(fam).tolist()] == want
+    settings = [((lead, True), 1) for lead in range(len(moduli) + 1)]
+    for rows in stacked_runs([fam, fam], settings):
+        assert rows == want * 2
+
+
+def test_tier1_families_reach_both_kernels(m8_certificates):
+    # Paley's 4095-point block goes to the dense kernel, every point padded;
+    # the m=8 search's 12-point blocks go to the scatter kernel
+    report, plans = planned(lambda: verify(_paley_family(8191)))
+    assert report.ok and plans == [(0, True)]
+    replayed, plans = planned(lambda: search.replay_certificates(m8_certificates))
+    assert all(replayed) and len(plans) == 1 and not plans[0][1]
 
 
 def chunked_code_totals(family, rows=128):
@@ -634,24 +712,23 @@ def _z2_20_family():
 
 
 @pytest.mark.parametrize(
-    "build, unpadded",
+    "build, plan",
     [
-        (lambda: _paley_family(8191), 0),  # all padded: 16381 bins
-        (_bent_family, 4),  # 3^8 * 2^4 bins, within one 64 x 2016 chunk
-        (_z2_20_family, 20),  # nothing padded: |G| bins already
+        (lambda: _paley_family(8191), (0, True)),  # dense, all padded: 16381 bins
+        (_bent_family, (5, True)),  # dense, the last 7 coordinates padded: 2^5 * 3^7 bins
+        (_z2_20_family, (20, False)),  # scatter, nothing padded: |G| bins already
     ],
+    ids=["paley-dense-0", "bent-dense-5", "z2_20-scatter-20"],
 )
-def test_oracle_peak_stays_within_the_former_oracle(build, unpadded):
+def test_oracle_peak_stays_within_the_former_oracle(build, plan):
     fam = build()
     (block,) = fam.blocks
-    rows = min(designs._ORACLE_ROWS, block.size)
-    bound = max(rows * block.size, fam.ambient.order)
-    assert designs._unpadded_prefix(fam.ambient.moduli, bound) == unpadded
+    assert planned(lambda: designs.difference_totals(fam))[1] == [plan]
     want, former = traced_peak(chunked_code_totals, fam)
     got, peak = traced_peak(designs.difference_totals, fam)
     assert np.array_equal(got, want)
     assert peak <= former
-    if unpadded == 0:
+    if plan[0] == 0:
         assert former < 6.5 * 2**20  # 6.2 MiB for Paley's 4095 x 128 chunk
 
 

@@ -400,3 +400,24 @@ def test_blocks_and_subgroups_store_sorted_checked_codes():
         with pytest.raises(ValueError, match=rf"^subgroup code {bad} outside"):
             Subgroup(g, codes)
     assert Subgroup(g, [3, 0]).elements == {(0,), (3,)}
+
+
+def test_blocks_from_rows_match_one_block_at_a_time():
+    # one sort and one array pass of checks for all rows, as a search builds
+    # its certificates' blocks and ``develop`` its translates
+    g = FiniteAbelianGroup((7, 2, 2))
+    rng = np.random.default_rng(8)
+    rows = [rng.choice(g.order, size=12, replace=False).tolist() for _ in range(20)]
+    blocks = Block.from_rows(g, rows)
+    assert blocks == [Block(g, row) for row in rows]
+    assert all(b.codes.dtype == g.code_dtype and not b.codes.flags.writeable for b in blocks)
+    assert [hash(b) for b in blocks] == [hash(Block(g, row)) for row in rows]
+    assert Block.from_rows(g, np.zeros((0, 12), dtype=np.int64)) == []
+    for bad, match in (
+        ([[0, 28]], "^block code 28 outside"),
+        ([[3, 1], [-1, 2]], "^block code -1 outside"),
+        ([[1, 2], [4, 4]], "^block code 4 repeats in row 1$"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Block.from_rows(g, bad)
+

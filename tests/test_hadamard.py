@@ -141,6 +141,45 @@ def test_text_roundtrip():
     assert SignMatrix.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("+x\nx+", "holds 'x'"),
+        ("+-\n-1", "holds '1'"),
+        ("++\n+", "ragged rows"),
+        ("+-+\n-+-", "not a square"),
+        ("+\n-\n+", "not a square"),
+        ("", "square matrix"),
+    ],
+)
+def test_text_reader_refuses_malformed_matrices(text, match):
+    with pytest.raises(ValueError, match=match):
+        SignMatrix.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"rows": [[1, 2], [1, -1]]}, "entries must all be"),
+        ({"rows": [[1, 0], [1, -1]]}, "entries must all be"),
+        ({"rows": [[1, True], [1, -1]]}, r"matrix.rows\[0\] is not an array of integers"),
+        ({"rows": [[1, 1.0], [1, -1]]}, r"matrix.rows\[0\] is not an array of integers"),
+        ({"rows": [[1, "-"], [1, -1]]}, r"matrix.rows\[0\] is not an array of integers"),
+        ({"rows": [[1, 1], [1]]}, "ragged rows"),
+        ({"rows": [[1, 1, 1], [1, -1, 1]]}, "not a square"),
+        ({"rows": [1, -1]}, r"matrix.rows\[0\] is not an array"),
+        ({"rows": "+-"}, "matrix.rows is not an array"),
+        ({"order": 2}, "matrix.rows is missing"),
+        ({"order": 3, "rows": [[1, 1], [1, -1]]}, "matrix.order is 3, but matrix.rows holds 2"),
+        ({"order": "2", "rows": [[1, 1], [1, -1]]}, "matrix.order is not an integer"),
+        ([[1]], "matrix is not a JSON object"),
+    ],
+)
+def test_json_reader_refuses_malformed_matrices(data, match):
+    with pytest.raises(ValueError, match=match):
+        SignMatrix.from_json(data)
+
+
 def naive_text(M):
     """The text form built one entry at a time."""
     return "".join("".join("+" if x == 1 else "-" for x in row) + "\n" for row in M.entries)
