@@ -79,8 +79,9 @@ def _family_text(family: designs.DifferenceFamily, report: designs.VerificationR
     lines = [report.summary()]
     if family.provenance:
         lines.insert(0, _dump(family.provenance))
-    for blk in family.canonical_blocks():
-        lines.append(" ".join(",".join(map(str, e)) for e in blk))
+    for blk in family.sorted_blocks():
+        rows = family.ambient.decode(blk.codes).tolist()
+        lines.append(" ".join(",".join(map(str, e)) for e in rows))
     return "\n".join(lines)
 
 

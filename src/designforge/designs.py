@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Element, FiniteAbelianGroup, Subgroup
-from .groups import json_elements, json_field, json_int, json_ints, json_list, json_object
+from .groups import json_field, json_int, json_ints, json_list, json_object
 
 INFINITY = "inf"
 # Pair keys the scatter kernel forms at once, 64 KiB of int64, however many
@@ -125,15 +125,20 @@ class DifferenceFamily:
     def sizes(self) -> Tuple[int, ...]:
         return tuple(sorted(b.size for b in self.blocks))
 
+    def sorted_blocks(self) -> List[Block]:
+        """The blocks in the one canonical order: by their sorted codes, which
+        is element order."""
+        return sorted(self.blocks, key=lambda b: b.codes.tolist())
+
     def canonical_blocks(self) -> List[List[Element]]:
-        """Blocks with sorted elements, sorted among themselves."""
-        return sorted([b.sorted_elements() for b in self.blocks])
+        """The tuples of ``sorted_blocks``."""
+        return [b.sorted_elements() for b in self.sorted_blocks()]
 
     def to_json(self) -> dict:
         data = {
             "group": self.ambient.to_json(),
             "forbidden": self.forbidden.to_json(),
-            "blocks": [[list(e) for e in blk] for blk in self.canonical_blocks()],
+            "blocks": [self.ambient.decode(b.codes).tolist() for b in self.sorted_blocks()],
         }
         if self.declared is not None:
             decl = self.declared
@@ -144,15 +149,16 @@ class DifferenceFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "DifferenceFamily":
-        """Parse ``to_json`` output; a malformed field raises ValueError naming it."""
+        """Parse ``to_json`` output, element arrays straight to codes; a
+        malformed field or a repeated element raises ValueError naming it."""
         group = FiniteAbelianGroup.from_json(
             json_field(data, "group", "family", json_object), "family.group"
         )
-        forbidden = Subgroup.from_elements(
-            group, json_field(data, "forbidden", "family", json_elements)
-        )
+        forbidden = Subgroup(group, json_field(
+            data, "forbidden", "family", lambda v, at: group.json_codes(v, at, "forbidden element")
+        ))
         blocks = [
-            Block.from_elements(group, frozenset(json_elements(blk, f"family.blocks[{i}]")))
+            Block(group, group.json_codes(blk, f"family.blocks[{i}]", "block element"))
             for i, blk in enumerate(json_field(data, "blocks", "family", json_list))
         ]
         declared = None

@@ -393,7 +393,7 @@ def unit_group_iso(ring: RingCtx, subgroup: np.ndarray) -> GroupIso:
     moduli = ([d_order] if d_order > 1 else []) + [2] * len(basis)
     codomain = FiniteAbelianGroup(moduli or [1])
     images = (odd // g0 % d_order << len(basis)) + two_coords
-    iso = GroupIso.from_codes(
+    iso = GroupIso(
         codomain,
         group,
         codes,

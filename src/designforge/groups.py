@@ -2,17 +2,18 @@
 
 Elements have two forms.  The stored and working form is the mixed-radix
 code: the element's rank in lexicographic order, an integer in 0..order-1,
-so code order is tuple order.  ``Block`` and ``Subgroup`` hold codes only.
-A tuple of reduced residues is the boundary form, read from and written to
-JSON, text output, provenance and failure witnesses, and decoded from codes
-when it is asked for.  ``FiniteAbelianGroup`` owns the radix weights and
-converts between the two forms.
+so code order is tuple order.  ``Block``, ``Subgroup`` and ``GroupIso`` hold
+codes only.  A tuple of reduced residues is the boundary form of provenance,
+failure witnesses and Python callers, decoded from codes when it is asked
+for; JSON arrays of elements convert straight to codes (``json_codes``) and
+back (``decode``).  ``FiniteAbelianGroup`` owns the radix weights and
+converts between the forms.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,41 +94,6 @@ def closure_table(
     return gens, table
 
 
-def _position_op(
-    members: Sequence[Hashable], op: Callable[[Hashable, Hashable], Hashable]
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``op`` on the elements of ``members``, lifted to arrays of their positions."""
-    position = {x: p for p, x in enumerate(members)}
-
-    def lifted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.array(
-            [position.get(op(members[i], members[j]), -1) for i, j in zip(a.tolist(), b.tolist())],
-            dtype=np.int64,
-        )
-
-    return lifted
-
-
-def closure_generators(
-    elements: Iterable[Hashable],
-    identity: Hashable,
-    op: Callable[[Hashable, Hashable], Hashable],
-) -> List[Hashable]:
-    """Generators of the finite set S, picked greedily from ``sorted(S)``.
-
-    ``closure_table`` on the sorted elements: O(|S| log |S|) calls of the
-    group operation ``op``.  A product outside S raises ValueError naming the
-    witness pair (a, g), so a returned list proves that S is a subgroup.
-    """
-    members = sorted(frozenset(elements))
-    if identity not in members:
-        raise ValueError(f"not a subgroup: the identity {identity!r} is missing")
-    gens, _ = closure_table(
-        len(members), members.index(identity), _position_op(members, op), members.__getitem__
-    )
-    return [members[g] for g in gens]
-
-
 # -- parsed JSON, checked field by field ---------------------------------------
 
 _REQUIRED = object()
@@ -175,11 +141,6 @@ def json_ints(value: object, where: str) -> Tuple[int, ...]:
     if any(type(c) is not int for c in json_list(value, where)):
         raise ValueError(f"{where} is not an array of integers")
     return tuple(value)
-
-
-def json_elements(value: object, where: str) -> List[Element]:
-    """An array of group elements, each an array of integers."""
-    return [json_ints(e, f"{where}[{i}]") for i, e in enumerate(json_list(value, where))]
 
 
 class FiniteAbelianGroup:
@@ -289,8 +250,31 @@ class FiniteAbelianGroup:
         if coords is None or (coords < 0).any() or (coords >= self.moduli).any():
             for e in elements:
                 if not self.contains(e):
-                    raise ValueError(f"{what} {e} outside {self}")
+                    raise ValueError(f"{what} {tuple(e)} outside {self}")
         return self.encode(coords)
+
+    def json_codes(self, value: object, where: str, what: str) -> np.ndarray:
+        """Sorted codes of the JSON array of elements found at ``where``, read
+        in one pass: each element an array of integers, a reduced residue per
+        modulus (``checked_encode``), none repeated.  Types are checked on
+        the whole array at once; only a failure scans it element by element
+        to name the first bad one by its path, such as ``family.blocks[0][2]``.
+        A repeat raises ValueError ``{where} repeats {what} {e}`` for the
+        first in file order."""
+        items = json_list(value, where)
+        if not set(map(type, items)) <= {list} or not set(
+            map(type, itertools.chain.from_iterable(items))
+        ) <= {int}:  # bools, floats and nested arrays fail here too
+            for i, e in enumerate(items):
+                json_ints(e, f"{where}[{i}]")
+        codes = np.sort(self.checked_encode(items, what))
+        if (codes[1:] == codes[:-1]).any():
+            seen: set = set()
+            for e in map(tuple, items):
+                if e in seen:
+                    raise ValueError(f"{where} repeats {what} {e}")
+                seen.add(e)
+        return codes
 
     def sorted_codes(self, codes: object, what: str) -> np.ndarray:
         """Sorted distinct codes as a read-only ``code_dtype`` array; a code
@@ -413,7 +397,7 @@ class Subgroup:
     @classmethod
     def from_elements(cls, parent: FiniteAbelianGroup, elements: Iterable[Element]) -> "Subgroup":
         """The subgroup with the given boundary elements, each range-checked
-        as a ``forbidden element``: files name no other subgroups."""
+        as a ``forbidden element``."""
         return cls(parent, parent.checked_encode(list(elements), "forbidden element"))
 
     @classmethod
@@ -519,41 +503,17 @@ def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> List[Tuple[Element, froz
 class GroupIso:
     """Tabulated isomorphism from a multiplicative domain onto an abelian group.
 
-    The table is held by position: the domain's elements in a fixed order,
-    the codomain code of each one's image, and the domain's multiplication
-    lifted to position arrays.  The plain constructor takes the table as a
-    dict keyed by any hashable, sortable representation with a pairwise
-    ``mul``; ``from_codes`` takes a domain held as mixed-radix codes with a
-    batched multiplication, maps codes (``map_codes``) and decodes the domain
-    and ``forward`` only when they are read.
-    ``verify`` is one complete check for both, at every size, linear in the
-    domain times its rank.
+    The domain is held as the increasing codes ``codes`` of some elements of
+    the group ``elements``, multiplied by ``mul`` (two code arrays,
+    elementwise), with ``one`` the identity's code; ``images[p]`` is the
+    codomain code of the image of ``codes[p]``.  ``map_codes`` maps codes;
+    ``forward`` and ``__call__`` are decoded views, built on first use.
+    ``verify`` is one complete check at every size, linear in the domain
+    times its rank.
     """
 
     def __init__(
         self,
-        codomain: FiniteAbelianGroup,
-        forward: Dict[Hashable, Element],
-        *,
-        mul: Callable[[Hashable, Hashable], Hashable],
-        one: Hashable,
-        domain: str = "",
-    ) -> None:
-        self.codomain = codomain
-        self.domain = domain
-        self.one = one
-        self._forward: Optional[Dict[Hashable, Element]] = dict(forward)
-        keys = sorted(self._forward)
-        self._name: Callable[[int], object] = keys.__getitem__
-        self._op = _position_op(keys, mul)
-        self._one = keys.index(one) if one in self._forward else -1
-        self._images: Optional[np.ndarray] = None  # encoded by verify, after its range check
-        self._keys: Sequence[Hashable] = keys
-        self._position: Optional[np.ndarray] = None  # domain code -> position, from_codes only
-
-    @classmethod
-    def from_codes(
-        cls,
         codomain: FiniteAbelianGroup,
         elements: FiniteAbelianGroup,
         codes: np.ndarray,
@@ -562,65 +522,55 @@ class GroupIso:
         mul: Callable[[np.ndarray, np.ndarray], np.ndarray],
         one: int,
         domain: str = "",
-    ) -> "GroupIso":
-        """The table ``codes[p] -> images[p]`` for the increasing codes of
-        elements of ``elements`` onto codes in ``codomain``, where ``mul``
-        multiplies two code arrays elementwise and ``one`` is the identity's
-        code."""
+    ) -> None:
         keys = np.asarray(codes, dtype=np.int64)
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError(f"domain of {domain} is not in element order")
-        iso = cls.__new__(cls)
-        iso.codomain = codomain
-        iso.domain = domain
-        iso.one = elements.element(one)
-        iso._forward = None
-        iso._keys = keys
-        iso._elements = elements
-        iso._images = np.asarray(images, dtype=np.int64)
-        iso._position = lookup = np.full(elements.order, -1, dtype=np.int64)
+        self.codomain = codomain
+        self.domain = domain
+        self.one = elements.element(one)
+        self._elements = elements
+        self._keys = keys
+        self._images = np.asarray(images, dtype=np.int64)
+        self._position = lookup = np.full(elements.order, -1, dtype=np.int64)
         lookup[keys] = np.arange(keys.size)
-        iso._name = lambda p: elements.element(int(keys[p]))
-        iso._op = lambda a, b: lookup[mul(keys[a], keys[b])]
-        iso._one = int(lookup[one])
-        return iso
+        self._one = int(lookup[one])
+        self._op = lambda a, b: lookup[mul(keys[a], keys[b])]
+        self._forward: Optional[Dict[Element, Element]] = None
+
+    def _name(self, p: int) -> Element:
+        return self._elements.element(int(self._keys[p]))
 
     @property
-    def forward(self) -> Dict[Hashable, Element]:
-        """The table as a dict from domain elements to codomain tuples."""
+    def forward(self) -> Dict[Element, Element]:
+        """The table as a dict from domain tuples to codomain tuples."""
         if self._forward is None:
             keys = self._elements.decode_elements(self._keys)
             self._forward = dict(zip(keys, self.codomain.decode_elements(self._images)))
         return self._forward
 
-    def __call__(self, x: Hashable) -> Element:
+    def __call__(self, x: Element) -> Element:
         try:
             return self.forward[x]
         except KeyError:
             raise KeyError(f"{x!r} is not in the domain of this isomorphism") from None
 
     def map_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Image codes of the domain elements with the given codes (``from_codes`` tables)."""
+        """Image codes of the domain elements with the given codes."""
         positions = self._position[codes]
         if (positions < 0).any():
             raise KeyError(f"code {codes[positions < 0][0]} is not in the domain of this isomorphism")
         return self._images[positions]
-
-    def _image_codes(self) -> np.ndarray:
-        if self._images is None:  # a dict table: check its tuples before encoding them
-            images = [self._forward[k] for k in self._keys]
-            self._images = self.codomain.checked_encode(images, "image").astype(np.int64)
-        outside = self._images[(self._images < 0) | (self._images >= self.codomain.order)]
-        if outside.size:
-            raise ValueError(f"image code {int(outside[0])} outside {self.codomain}")
-        return self._images
 
     def verify(self) -> None:
         """Check the images, injectivity, and f(xg) = f(x) + f(g) for all x
         and each generator g of the domain; by induction over words this is
         the full law.  Products come from the domain's own multiplication,
         never from the table under test."""
-        images = self._image_codes()
+        images = self._images
+        outside = images[(images < 0) | (images >= self.codomain.order)]
+        if outside.size:
+            raise ValueError(f"image code {int(outside[0])} outside {self.codomain}")
         if images.size and np.bincount(images).max() > 1:
             raise ValueError(f"isomorphism table for {self.domain} is not injective")
         if self._one < 0 or images[self._one] != 0:

@@ -29,7 +29,7 @@ import numpy as np
 from . import designs
 from .constructions import PreconditionError
 from .designs import DifferenceFamily
-from .groups import FiniteAbelianGroup, Subgroup, json_field, json_int, json_ints, json_list
+from .groups import FiniteAbelianGroup, Subgroup, json_field, json_int, json_ints, json_list, json_object
 
 MAX_FINGERPRINT_ORDER = 128
 # The int8 entries take order^2 bytes, 256 MiB at this cap; every check and
@@ -194,8 +194,9 @@ class SignMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "SignMatrix":
         """Parse ``to_json`` output; ``rows`` must be a square array of rows
-        of integers +1 or -1 and ``order``, if given, its order, else
-        ValueError naming the field."""
+        of integers +1 or -1, and ``order``, ``row_labels`` and ``provenance``,
+        if given, its order, an array and a JSON object, else ValueError
+        naming the field."""
         rows = [
             json_ints(row, f"matrix.rows[{i}]")
             for i, row in enumerate(json_field(data, "rows", "matrix", json_list))
@@ -204,13 +205,13 @@ class SignMatrix:
         order = json_field(data, "order", "matrix", json_int, len(rows))
         if order != len(rows):
             raise ValueError(f"matrix.order is {order}, but matrix.rows holds {len(rows)} rows")
-        labels = data.get("row_labels")
+        labels = json_field(data, "row_labels", "matrix", json_list, None)
         if labels is not None:
             labels = [tuple(l) if isinstance(l, list) else l for l in labels]
         return cls(
             np.array(rows, dtype=np.int64),
             labels=labels,
-            provenance=data.get("provenance"),
+            provenance=json_field(data, "provenance", "matrix", json_object, None),
         )
 
 

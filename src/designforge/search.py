@@ -25,7 +25,6 @@ from .groups import (
     Element,
     FiniteAbelianGroup,
     Subgroup,
-    json_elements,
     json_field,
     json_int,
     json_number,
@@ -115,9 +114,9 @@ class SearchSpec:
         in_budget = f"{where}.budget"
         return cls(
             group=group,
-            forbidden=Subgroup.from_elements(
-                group, json_field(data, "forbidden", where, json_elements)
-            ),
+            forbidden=Subgroup(group, json_field(
+                data, "forbidden", where, lambda v, at: group.json_codes(v, at, "forbidden element")
+            )),
             m=json_field(data, "m", where, json_int),
             mode=json_field(data, "mode", where, json_typed("a string", str), "exhaustive"),
             budget=SearchBudget(
@@ -412,22 +411,15 @@ def _balanced_blocks(
 
     Depth-first over the outside cosets, keeping the running difference
     counts packed (see ``_CodeTables``) and pruning a choice as soon as any
-    frequency it touches overshoots its target.  The recursion lives in
-    module-level functions, so a call leaves no closures in reference
-    cycles behind.
+    frequency it touches overshoots its target.  No block completes a base
+    that already overshoots: it returns at once, spending no node.  The
+    recursion lives in module-level functions, so a call leaves no closures
+    in reference cycles behind.
     """
-    targets = tables.targets
-    packed = tables.pack(map(min, base_counts, targets))
+    if any(c > t for c, t in zip(base_counts, tables.targets)):
+        return
     points = sum(map(len, tables.outside))
-    walk = _balanced_from(tables, budget, 0, (), packed, [0] * points)
-    if all(c <= t for c, t in zip(base_counts, targets)):
-        yield from walk
-    else:
-        # No block completes a base that already overshoots.  Its fields are
-        # packed at their targets, so a choice touching one is pruned, and the
-        # walk spends the nodes it would spend on the unclamped counts.
-        for _ in walk:
-            pass
+    yield from _balanced_from(tables, budget, 0, (), tables.pack(base_counts), [0] * points)
 
 
 def _balanced_from(
@@ -502,7 +494,7 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
     """All (or budget-limited) qualifying families for the spec.
 
     Exhaustive mode is complete when the budget is unlimited; certificates
-    come out in canonical order.  Randomized mode is deterministic for a
+    come out ordered by their families' ``sorted_blocks``.  Randomized mode is deterministic for a
     given seed.  Zero false positives: before any certificate is returned,
     all of them have been replayed together through the independent
     verifier.  Both modes work on mixed-radix codes, and certificates hold
@@ -522,27 +514,20 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
         hits = _exhaustive_search(tables, budget, t0)
     else:
         hits = _randomized_search(spec, tables, budget, t0)
-    return _sorted_certs(_certificates(spec, hits))
+    certs = _certificates(spec, hits)
+    return sorted(certs, key=lambda c: [b.codes.tolist() for b in c.family.sorted_blocks()])
 
 
 def _exhaustive_search(tables: _CodeTables, budget: _Budget, t0: float) -> List[_Hit]:
     """Every first block, then every second block that completes its counts."""
     hits: List[_Hit] = []
     for d1 in _symmetric_first_blocks(tables, budget):
-        base = tables.pair_counts(d1)
-        if any(c > t for c, t in zip(base, tables.targets)):
-            continue
-        for d2 in _balanced_blocks(tables, base, budget):
+        for d2 in _balanced_blocks(tables, tables.pair_counts(d1), budget):
             if not budget.room_for_solutions():
                 return hits
             hits.append((d1, d2, budget.nodes, time.perf_counter() - t0))
             budget.solutions += 1
     return hits
-
-
-def _sorted_certs(certs: List[Certificate]) -> List[Certificate]:
-    # canonical_blocks order, on codes: code order is element order
-    return sorted(certs, key=lambda c: sorted(b.codes.tolist() for b in c.family.blocks))
 
 
 def _randomized_search(

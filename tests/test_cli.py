@@ -9,6 +9,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from designforge import cli, constructions, hadamard
 from designforge.cli import main
@@ -98,6 +99,38 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert "VERIFIED" in out
 
 
+ROUND_TRIPS = {
+    "szekeres": ["--q", "11"],
+    "prop22": ["--q", "19", "--e", "2"],
+    "prop23": ["--q", "109", "--e", "4"],
+    "gr4-ddf": ["--n", "3"],
+    "gr4-union": ["--n", "3"],
+    "prop34": ["--n", "4"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+def test_every_construct_kind_verifies_from_its_own_output(kind, tmp_path, capsys):
+    # the file construct writes reads back to the summary that its text form printed
+    argv = ["construct", kind, *ROUND_TRIPS[kind]]
+    code, text, _ = run_cli(argv + ["--format", "text"], capsys)
+    assert code == 0
+    summary = next(line for line in text.splitlines() if line.startswith("VERIFIED: "))
+    path = tmp_path / "family.json"
+    assert run_cli(argv + ["--out", str(path)], capsys)[0] == 0
+    assert run_cli(["verify", str(path)], capsys) == (0, summary + "\n", "")
+
+
+def test_a_search_certificate_line_verifies(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"group": {"moduli": [6]}, "forbidden": [[0], [3]], "m": 4}))
+    code, out, _ = run_cli(["search", str(spec)], capsys)
+    assert code == 0
+    path = tmp_path / "cert.json"
+    path.write_text(out.splitlines()[0])
+    assert run_cli(["verify", str(path)], capsys) == (0, "VERIFIED: lambda=0 mu=1 K=[2, 2]\n", "")
+
+
 def test_verify_corrupted_family_exits_one(tmp_path, capsys):
     path = tmp_path / "fam.json"
     run_cli(["construct", "szekeres", "--q", "11", "--out", str(path)], capsys)
@@ -161,6 +194,17 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
         ("poly table key not p,r", poly_table, {"7": [0, 1]}, "poly table key '7'"),
         ("spec forbidden element out of range", ["search"], dict(spec, forbidden=[[0], [9]]),
          "forbidden element (9,) outside FiniteAbelianGroup([6])"),
+        # a repeated element is refused, not collapsed into a smaller set
+        ("block element repeated", ["verify"],
+         {"group": {"moduli": [7]}, "forbidden": [[0]], "blocks": [[[1], [1], [2], [4]]]},
+         "family.blocks[0] repeats block element (1,)"),
+        ("forbidden element repeated", ["verify"],
+         {"group": {"moduli": [7]}, "forbidden": [[0], [0]], "blocks": [[[1], [2], [4]]]},
+         "family.forbidden repeats forbidden element (0,)"),
+        ("symmetric --family block element repeated", ["hadamard", "symmetric", "--family"],
+         dict(family, blocks=[[[1], [4]], [[2], [3], [2]]]), "family.blocks[1] repeats block element (2,)"),
+        ("spec forbidden element repeated", ["search"], dict(spec, forbidden=[[0], [3], [0]]),
+         "spec.forbidden repeats forbidden element (0,)"),
         # Z_6 holds 4 qualifying families, so 50 solutions bound nothing
         ("randomized spec with max_solutions alone", ["search"],
          dict(spec, mode="randomized", budget={"max_solutions": 50}), "max_nodes or max_seconds"),

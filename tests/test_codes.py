@@ -318,6 +318,8 @@ def ref_balanced_blocks(spec, base_counts, budget):
                 merged[d] = merged.get(d, 0) + c
             yield from rec(idx + 1, chosen + new_elems, merged)
 
+    if any(c > targets.get(d, 0) for d, c in base_counts.items()):
+        return  # no block completes a base that already overshoots: no node spent
     yield from rec(0, [], dict(base_counts))
 
 

@@ -20,7 +20,16 @@ from designforge.designs import (
     verify_gdd,
 )
 from designforge.field import FieldCtx
-from designforge.groups import FiniteAbelianGroup, Subgroup, subgroup_generated
+from designforge.groups import (
+    FiniteAbelianGroup,
+    Subgroup,
+    json_field,
+    json_ints,
+    json_list,
+    json_object,
+    subgroup_generated,
+)
+from designforge.search import Certificate, SearchSpec, search_ddf
 
 
 def _family(moduli, blocks, forbidden=None, declared=None):
@@ -421,3 +430,184 @@ def test_blocks_from_rows_match_one_block_at_a_time():
         with pytest.raises(ValueError, match=match):
             Block.from_rows(g, bad)
 
+
+
+# ---------------------------------------------------------------------------
+# element arrays read straight to codes, against the former tuple chain
+# ---------------------------------------------------------------------------
+
+
+def ref_json_elements(value, where):
+    """The former reader of an element array: each element a tuple of integers."""
+    return [json_ints(e, f"{where}[{i}]") for i, e in enumerate(json_list(value, where))]
+
+
+def ref_read(data, spec):
+    """The forbidden codes and the block codes (None for a spec) of a file,
+    read through tuples: the former chain, which took a block through a
+    frozenset and let a repeated element collapse; or the ValueError text."""
+    where = "spec" if spec else "family"
+    try:
+        group = FiniteAbelianGroup.from_json(
+            json_field(data, "group", where, json_object), f"{where}.group"
+        )
+        elements = json_field(data, "forbidden", where, ref_json_elements)
+        forbidden = Subgroup.from_elements(group, elements).codes.tolist()
+        if spec:
+            return forbidden, None
+        return forbidden, [
+            Block.from_elements(group, frozenset(ref_json_elements(blk, f"family.blocks[{i}]")))
+            .codes.tolist()
+            for i, blk in enumerate(json_field(data, "blocks", "family", json_list))
+        ]
+    except ValueError as exc:
+        return str(exc)
+
+
+def new_read(data, spec):
+    """``ref_read`` through ``SearchSpec.from_json`` or ``DifferenceFamily.from_json``."""
+    try:
+        if spec:
+            return SearchSpec.from_json(data).forbidden.codes.tolist(), None
+        family = DifferenceFamily.from_json(data)
+        return family.forbidden.codes.tolist(), [b.codes.tolist() for b in family.blocks]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _element_lists(data, spec):
+    """(path, what, elements) of each element array a file holds, in reading order."""
+    where = "spec" if spec else "family"
+    out = [(f"{where}.forbidden", "forbidden element", data["forbidden"])]
+    if not spec:
+        out += [(f"family.blocks[{i}]", "block element", b) for i, b in enumerate(data["blocks"])]
+    return out
+
+
+_MUTATIONS = (
+    "bool", "float", "string", "nested", "negative", "huge", "too large", "short", "long",
+    "empty", "not an element", "not an array", "repeat", "add",
+)
+
+
+def _mutate(data, group, file, spec):
+    """Break one element array of ``file`` in place, in one drawn way."""
+    lists = _element_lists(file, spec)
+    at = data.draw(st.integers(0, len(lists) - 1))
+    elements = lists[at][2]
+    kind = data.draw(st.sampled_from(_MUTATIONS))
+    if kind == "not an array":
+        value = data.draw(st.sampled_from([5, "[[0]]", {"0": [0]}, True]))
+        if at == 0:
+            file["forbidden"] = value
+        else:
+            file["blocks"][at - 1] = value
+        return
+    if not isinstance(elements, list):
+        return
+    where = data.draw(st.integers(0, len(elements)))
+    if kind == "add" or not elements:
+        residues = st.lists(st.integers(-3, 9), min_size=len(group.moduli), max_size=len(group.moduli))
+        elements.insert(where, data.draw(residues))
+        return
+    j = data.draw(st.integers(0, len(elements) - 1))
+    if kind == "repeat":
+        elements.insert(where, list(elements[j]) if isinstance(elements[j], list) else elements[j])
+        return
+    if kind == "empty":
+        elements[j] = []
+        return
+    if kind == "not an element":
+        elements[j] = data.draw(st.sampled_from([3, "1", None, {"0": 1}, False]))
+        return
+    element = elements[j]
+    if not isinstance(element, list) or not element:
+        return
+    c = data.draw(st.integers(0, len(element) - 1))
+    if kind == "short":
+        element.pop(c)
+    elif kind == "long":
+        element.insert(c, 0)
+    else:
+        value = element[c]
+        element[c] = {
+            "bool": lambda: data.draw(st.booleans()),
+            "float": lambda: float(value) if type(value) is int else 0.5,
+            "string": lambda: str(value),
+            "nested": lambda: [value],
+            "negative": lambda: -data.draw(st.integers(1, 20)),
+            "huge": lambda: data.draw(st.sampled_from([2**70, -(2**70), 2**63])),
+            "too large": lambda: group.moduli[c] + data.draw(st.integers(0, 5)),
+        }[kind]()
+
+
+def _first_repeat(elements):
+    seen = set()
+    for e in map(tuple, elements):
+        if e in seen:
+            return e
+        seen.add(e)
+    return None
+
+
+def _assert_reads_agree(group, file, spec):
+    """``new_read`` equals ``ref_read`` but for the two intended changes: a
+    repeated element is refused, naming the first repeat in file order, and a
+    block's range witness is its first bad element in file order, not in
+    frozenset order."""
+    old = ref_read(file, spec)
+    new = new_read(file, spec)
+    while isinstance(new, str) and " repeats " in new:
+        path, what, elements = next(x for x in _element_lists(file, spec) if new.startswith(f"{x[0]} "))
+        assert new == f"{path} repeats {what} {_first_repeat(elements)}"
+        elements[:] = [list(e) for e in dict.fromkeys(map(tuple, elements))]
+        assert ref_read(file, spec) == old  # the former chain let the repeat collapse
+        new = new_read(file, spec)
+    if new != old:
+        assert isinstance(new, str) and isinstance(old, str) and new.endswith(f" outside {group}")
+        what, first = next(
+            (what, e) for _, what, elements in _element_lists(file, spec)
+            for e in elements if not group.contains(e)
+        )
+        assert what == "block element" and old.startswith(what) and old.endswith(f" outside {group}")
+        assert new == f"{what} {tuple(first)} outside {group}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.booleans(), st.data())
+def test_element_arrays_read_as_the_former_tuple_chain(spec, data):
+    moduli = data.draw(st.sampled_from([(7,), (12,), (7, 2, 2), (4, 4), (3, 2, 2)]))
+    group = FiniteAbelianGroup(moduli)
+    elements = [list(e) for e in group.elements()]
+    subgroup = subgroup_generated(group, [tuple(data.draw(st.sampled_from(elements)))])
+    file = {"group": {"moduli": list(moduli)}, "forbidden": data.draw(st.permutations(subgroup.to_json()))}
+    if spec:
+        file["m"] = 8
+    else:
+        file["blocks"] = [
+            data.draw(st.permutations(elements))[: data.draw(st.integers(0, 6))]
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+    file = json.loads(json.dumps(file))
+    assert new_read(file, spec) == ref_read(file, spec) and isinstance(new_read(file, spec), tuple)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, group, file, spec)
+    _assert_reads_agree(group, file, spec)
+
+
+def test_repeated_elements_are_refused_in_every_file_kind():
+    family = {"group": {"moduli": [7]}, "forbidden": [[0]], "blocks": [[[1], [1], [2], [4]]]}
+    with pytest.raises(ValueError, match=r"^family.blocks\[0\] repeats block element \(1,\)$"):
+        DifferenceFamily.from_json(family)
+    twice = dict(family, forbidden=[[0], [0]], blocks=[[[1], [2], [4]]])
+    with pytest.raises(ValueError, match=r"^family.forbidden repeats forbidden element \(0,\)$"):
+        DifferenceFamily.from_json(twice)
+    spec = {"group": {"moduli": [6]}, "forbidden": [[0], [3], [3]], "m": 4}
+    with pytest.raises(ValueError, match=r"^spec.forbidden repeats forbidden element \(3,\)$"):
+        SearchSpec.from_json(spec)
+    cert = search_ddf(SearchSpec.from_json(dict(spec, forbidden=[[0], [3]])))[0].to_json()
+    with pytest.raises(ValueError, match=r"^certificate.spec.forbidden repeats forbidden element"):
+        Certificate.from_json(dict(cert, spec=spec))
+    cert["blocks"][1].append(cert["blocks"][1][0])
+    with pytest.raises(ValueError, match=r"^family.blocks\[1\] repeats block element"):
+        Certificate.from_json(cert)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +7,6 @@ from designforge.groups import (
     FiniteAbelianGroup,
     GroupIso,
     Subgroup,
-    closure_generators,
     cosets,
     subgroup_generated,
 )
@@ -140,46 +140,62 @@ def test_cosets_partition_property():
 # ---------------------------------------------------------------------------
 
 
+Z5 = FiniteAbelianGroup((5,))
+
+
+def z5_units_iso(codomain, units, images, domain="Z5*"):
+    """The table units[p] -> images[p] on Z_5^*, held by code in Z_5."""
+    return GroupIso(
+        codomain, Z5, np.array(units), np.array(images), mul=lambda a, b: a * b % 5, one=1,
+        domain=domain,
+    )
+
+
 def test_group_iso_verification():
     z4 = FiniteAbelianGroup((4,))
     # multiplicative group mod 5 -> Z_4 via discrete log base 2
-    forward = {1: (0,), 2: (1,), 4: (2,), 3: (3,)}
-    iso = GroupIso(z4, forward, mul=lambda a, b: a * b % 5, one=1, domain="Z5*")
+    iso = z5_units_iso(z4, [1, 2, 3, 4], [0, 1, 3, 2])
     iso.verify()
-    assert iso(2) == (1,)
-    assert {iso(x) for x in [1, 4]} == {(0,), (2,)}
+    assert iso((2,)) == (1,)
+    assert {iso((x,)) for x in [1, 4]} == {(0,), (2,)}
+    assert iso.map_codes(np.array([4, 3])).tolist() == [2, 3]
 
 
 def test_group_iso_rejects_nonhomomorphism():
     z4 = FiniteAbelianGroup((4,))
-    forward = {1: (0,), 2: (2,), 4: (1,), 3: (3,)}
-    iso = GroupIso(z4, forward, mul=lambda a, b: a * b % 5, one=1, domain="Z5*")
+    iso = z5_units_iso(z4, [1, 2, 3, 4], [0, 2, 3, 1])
     with pytest.raises(ValueError):
         iso.verify()
 
 
 def test_group_iso_rejects_noninjective():
     z4 = FiniteAbelianGroup((4,))
-    iso = GroupIso(z4, {1: (0,), 2: (0,)}, mul=lambda a, b: a * b % 5, one=1, domain="bad")
+    iso = z5_units_iso(z4, [1, 2], [0, 0], domain="bad")
     with pytest.raises(ValueError):
         iso.verify()
 
 
 def test_group_iso_rejects_identity_off_zero():
     z2 = FiniteAbelianGroup((2,))
-    iso = GroupIso(z2, {1: (1,)}, mul=lambda a, b: a * b % 5, one=1, domain="trivial")
+    iso = z5_units_iso(z2, [1], [1], domain="trivial")
     with pytest.raises(ValueError, match="identity"):
         iso.verify()
 
 
-def test_closure_generators_reports_witness():
+def test_group_iso_refuses_a_domain_out_of_element_order():
+    with pytest.raises(ValueError, match="not in element order"):
+        z5_units_iso(FiniteAbelianGroup((4,)), [1, 3, 2, 4], [0, 3, 1, 2])
+
+
+def test_closure_table_reports_witness():
+    # Subgroup runs closure_table on its codes with code_add
     z6 = FiniteAbelianGroup((6,))
-    assert closure_generators(set(z6.elements()), z6.zero(), z6.add) == [(1,)]
-    assert closure_generators({(0,), (2,), (4,)}, z6.zero(), z6.add) == [(2,)]
+    assert Subgroup(z6, range(6))._generators == [1]
+    assert Subgroup(z6, [0, 2, 4])._generators == [2]
     with pytest.raises(ValueError, match=r"\(2,\) times \(2,\) leaves"):
-        closure_generators({(0,), (2,)}, z6.zero(), z6.add)
+        Subgroup(z6, [0, 2])
     with pytest.raises(ValueError, match="identity"):
-        closure_generators({(1,)}, z6.zero(), z6.add)
+        Subgroup(z6, [1])
 
 
 def test_group_json_roundtrip():

@@ -139,6 +139,9 @@ def test_text_roundtrip():
     s = sylvester(2)
     assert SignMatrix.from_text(s.to_text()) == s
     assert SignMatrix.from_json(s.to_json()) == s
+    labelled = SignMatrix(s.entries, labels=[(0, 0), (0, 1), (1, 0), "x"], provenance={"k": 2})
+    again = SignMatrix.from_json(json.loads(json.dumps(labelled.to_json())))
+    assert (again.labels, again.provenance) == (labelled.labels, labelled.provenance)
 
 
 @pytest.mark.parametrize(
@@ -173,6 +176,9 @@ def test_text_reader_refuses_malformed_matrices(text, match):
         ({"order": 3, "rows": [[1, 1], [1, -1]]}, "matrix.order is 3, but matrix.rows holds 2"),
         ({"order": "2", "rows": [[1, 1], [1, -1]]}, "matrix.order is not an integer"),
         ([[1]], "matrix is not a JSON object"),
+        ({"rows": [[1, 1], [1, -1]], "row_labels": 5}, "matrix.row_labels is not an array"),
+        ({"rows": [[1, 1], [1, -1]], "row_labels": [[0]]}, "label count does not match"),
+        ({"rows": [[1, 1], [1, -1]], "provenance": 7}, "matrix.provenance is not a JSON object"),
     ],
 )
 def test_json_reader_refuses_malformed_matrices(data, match):

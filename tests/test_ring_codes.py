@@ -35,7 +35,6 @@ from designforge.groups import (
     FiniteAbelianGroup,
     GroupIso,
     Subgroup,
-    closure_generators,
     closure_table,
 )
 
@@ -80,6 +79,33 @@ def _elements(ring, codes):
     return frozenset(ring.additive_group().decode_elements(codes))
 
 
+def ref_closure_generators(elements, identity, mul):
+    """Generators of a set of tuples, or ValueError unless it is closed under
+    the tuple product ``mul``: ``closure_table`` on the sorted tuples."""
+    members = sorted(frozenset(elements))
+    if identity not in members:
+        raise ValueError(f"not a subgroup: the identity {identity!r} is missing")
+    position = {x: p for p, x in enumerate(members)}
+
+    def op(a, b):
+        pairs = zip(a.tolist(), b.tolist())
+        return np.array([position.get(mul(members[i], members[j]), -1) for i, j in pairs], dtype=np.int64)
+
+    gens, _ = closure_table(len(members), position[identity], op, members.__getitem__)
+    return [members[g] for g in gens]
+
+
+def tuple_mul_on_codes(ring):
+    """The tuple ``ring.mul``, lifted to arrays of additive codes."""
+    group = ring.additive_group()
+
+    def mul(a, b):
+        pairs = zip(group.decode_elements(a), group.decode_elements(b))
+        return group.encode([ring.mul(x, y) for x, y in pairs]).astype(np.int64)
+
+    return mul
+
+
 def ref_unit_group_iso(ring, subgroup):
     """Per-unit ``unit_decompose``, the span dict and a tuple-multiplied check."""
     m = 2**ring.n - 1
@@ -96,19 +122,18 @@ def ref_unit_group_iso(ring, subgroup):
         coords = (dec.a0_exponent // g0 % d_order,) if d_order > 1 else ()
         forward[x] = (coords + span[ring.residue_of(dec.a1)]) or (0,)
     codomain = FiniteAbelianGroup(moduli or [1])
-    iso = GroupIso(codomain, forward, mul=ring.mul, one=ring.one, domain="reference")
-    iso.verify()
-    # the verified table again, held by code so that ``map_codes`` can read it
     group, members = ring.additive_group(), sorted(forward)
-    return GroupIso.from_codes(
+    iso = GroupIso(
         codomain,
         group,
         group.encode(members),
         codomain.encode([forward[x] for x in members]),
-        mul=ring.mul_codes,
+        mul=tuple_mul_on_codes(ring),
         one=group.index(ring.one),
         domain="reference",
     )
+    iso.verify()
+    return iso
 
 
 def ref_galois_ring_data(ring, u=None, subgroup=None):
@@ -123,7 +148,7 @@ def ref_galois_ring_data(ring, u=None, subgroup=None):
         for b in lifts
     )
     N = D if subgroup is None else _elements(ring, subgroup)
-    closure_generators(N, ring.one, ring.mul)
+    ref_closure_generators(N, ring.one, ring.mul)
     L = frozenset(N & set(ring.principal_units()))
     group = ring.additive_group()
     return constructions.GR4Data(
@@ -138,7 +163,7 @@ def ref_unit_quotient_family(ring, blocks, subgroup, reps):
     blocks = [_elements(ring, b) for b in blocks]
     reps = group.decode_elements(reps)
     one = ring.one
-    gens = closure_generators(N, one, ring.mul)
+    gens = ref_closure_generators(N, one, ring.mul)
     for D in blocks:
         for g in gens:
             if frozenset(ring.mul(g, d) for d in D) != D:

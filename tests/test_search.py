@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import json
+import operator
 import subprocess
 import sys
 import tracemalloc
@@ -478,7 +479,10 @@ def ref_extended_counts(diff, neg, v, targets, counts, chosen, extra):
 
 
 def ref_walk_nodes(tables, idx, chosen, counts):
-    """The former walk's nodes in depth-first order, as (idx, chosen, counts)."""
+    """The former walk's nodes in depth-first order, as (idx, chosen, counts);
+    none from a base that already overshoots."""
+    if any(map(operator.gt, counts, tables.targets)):
+        return
     yield idx, chosen, counts
     if idx == len(tables.outside):
         return
@@ -540,8 +544,11 @@ def test_packed_walk_matches_the_per_pair_kernel_at_m8(monkeypatch):
     spec = SearchSpec(group=g, forbidden=n, m=8, budget=SearchBudget(max_solutions=256))
     certs = search_ddf(spec)
     assert len(certs) == 256 and certs[-1].nodes == 30077
-    # 43 second-block walks, the last closed at the 257th block
-    assert len(walks) == 43
+    # 49 first blocks reach the walk: the 6 whose counts overshoot enter no
+    # node, and of the 43 second-block walks the last closed at the 257th block
+    assert len(walks) == 49
+    fits = [all(map(operator.le, base, tables.targets)) for tables, base, _ in walks]
+    assert [bool(nodes) for _, _, nodes in walks] == fits and sum(fits) == 43
     assert _assert_walks_match_reference(walks) == 30236
 
 
@@ -608,8 +615,7 @@ def test_packed_fields_accept_the_target_and_reject_one_more():
 
 def test_an_overshooting_base_completes_no_block():
     # one count above its target at difference 0, which no pair of distinct
-    # points forms: every choice is pruned as before, so the same nodes are
-    # spent, but no block completes the base
+    # points forms: the walk returns at once, spending no node
     g = FiniteAbelianGroup((7, 2, 2))
     n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
     spec = SearchSpec(group=g, forbidden=n, m=8, budget=SearchBudget(max_solutions=1))
@@ -620,7 +626,7 @@ def test_an_overshooting_base_completes_no_block():
     assert list(search._balanced_blocks(tables, base, fits))
     over = search._Budget(SearchBudget())
     assert list(search._balanced_blocks(tables, [1] + base[1:], over)) == []
-    assert over.nodes == fits.nodes
+    assert fits.nodes > 0 and over.nodes == 0
 
 
 def _check_every_swap(spec):

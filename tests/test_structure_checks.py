@@ -10,12 +10,14 @@ domain.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designforge.constructions import (
     PreconditionError,
+    _subgroup_generators,
     galois_ring_data,
     unit_quotient_family,
 )
@@ -25,7 +27,6 @@ from designforge.groups import (
     FiniteAbelianGroup,
     GroupIso,
     Subgroup,
-    closure_generators,
     subgroup_generated,
 )
 
@@ -110,11 +111,12 @@ def perturb(rng, subgroup, universe):
     return frozenset(members)
 
 
-# small multiplicative groups: (name, identity, mul, elements)
-_Z7 = ("Z7*", 1, lambda a, b: a * b % 7, list(range(1, 7)))
+# small multiplicative groups: (name, identity, tuple mul, elements, unit tables)
+_GF7 = FieldCtx(7)
+_Z7 = ("Z7*", (1,), lambda a, b: (a[0] * b[0] % 7,), [(x,) for x in range(1, 7)], _GF7.unit_tables)
 _RINGS = {n: RingCtx(n) for n in (2, 3)}
 MULT_GROUPS = [_Z7] + [
-    (f"GR(4,{n})*", r.one, r.mul, sorted(r.units())) for n, r in _RINGS.items()
+    (f"GR(4,{n})*", r.one, r.mul, sorted(r.units()), r.unit_tables) for n, r in _RINGS.items()
 ]
 
 # ---------------------------------------------------------------------------
@@ -143,13 +145,14 @@ def test_subgroup_check_matches_all_pairs_scan(moduli, seed):
 @given(st.sampled_from(range(len(MULT_GROUPS))), st.integers(min_value=0, max_value=10**9))
 def test_unit_closure_check_matches_all_pairs_scan(which, seed):
     rng = random.Random(seed)
-    _, one, mul, elems = MULT_GROUPS[which]
+    _, one, mul, elems, tables = MULT_GROUPS[which]
     if rng.random() < 0.2:
         candidate = frozenset(rng.sample(elems, rng.randint(0, len(elems))))
     else:
         gens = rng.sample(elems, rng.randint(0, 2))
         candidate = perturb(rng, mult_closure(gens, one, mul), elems)
-    new = rejects(closure_generators, candidate, one, mul)
+    codes = tables.additive.code_set(candidate)  # the closure check on the unit tables
+    new = rejects(_subgroup_generators, tables, codes, error=PreconditionError)
     assert new == (not ref_is_closed(candidate, one, mul))
 
 
@@ -166,31 +169,45 @@ def test_user_subgroup_check_matches_all_pairs_scan(n, seed):
 
 
 def _iso_tables():
-    """(name, codomain, forward, mul, one) for a few true isomorphisms."""
+    """(name, codomain, forward, tuple mul, domain group, code mul, identity)
+    for a few true isomorphisms: ``forward`` maps domain tuples to codomain
+    tuples, the tuple mul multiplies two domain tuples, and the code mul two
+    arrays of the domain group's codes."""
     out = []
     for m, k in ((12, 5), (9, 2)):
         zm = FiniteAbelianGroup((m,))
         forward = {a: zm.scalar_mul(k, a) for a in zm.elements()}
-        out.append((f"Z{m}", zm, forward, zm.add, zm.zero()))
+        out.append((f"Z{m}", zm, forward, zm.add, zm, zm.code_add, zm.zero()))
     z2 = FiniteAbelianGroup((2, 2, 2))
     forward = {a: (a[0], (a[0] + a[1]) % 2, (a[1] + a[2]) % 2) for a in z2.elements()}
-    out.append(("Z2^3", z2, forward, z2.add, z2.zero()))
-    log7 = {pow(3, i, 7): (i,) for i in range(6)}
-    out.append(("Z7*", FiniteAbelianGroup((6,)), log7, _Z7[2], 1))
+    out.append(("Z2^3", z2, forward, z2.add, z2, z2.code_add, z2.zero()))
+    log7 = {(pow(3, i, 7),): (i,) for i in range(6)}
+    z7 = FiniteAbelianGroup((7,))
+    out.append(("Z7*", FiniteAbelianGroup((6,)), log7, _Z7[2], z7, lambda a, b: a * b % 7, (1,)))
     for ring in _RINGS.values():
         iso = unit_group_iso(ring, _codes(ring, ring.units()))
-        out.append((iso.domain, iso.codomain, iso.forward, ring.mul, ring.one))
+        group = ring.additive_group()
+        out.append((iso.domain, iso.codomain, iso.forward, ring.mul, group, ring.mul_codes, ring.one))
     return out
 
 
 ISO_TABLES = _iso_tables()
 
 
+def iso_on_codes(table, codomain, elements, mul, one, name):
+    """The tuple table ``table`` as a ``GroupIso`` on the codes of ``elements``."""
+    keys = sorted(table)
+    return GroupIso(
+        codomain, elements, elements.encode(keys), codomain.encode([table[x] for x in keys]),
+        mul=mul, one=elements.index(one), domain=name,
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(ISO_TABLES))), st.integers(min_value=0, max_value=10**9))
 def test_isomorphism_check_matches_all_pairs_scan(which, seed):
     rng = random.Random(seed)
-    name, codomain, forward, mul, one = ISO_TABLES[which]
+    name, codomain, forward, mul, elements, code_mul, one = ISO_TABLES[which]
     table = dict(forward)
     keys = sorted(table)
     kind = rng.choice(["keep", "swap", "replace", "shift"])
@@ -202,7 +219,7 @@ def test_isomorphism_check_matches_all_pairs_scan(which, seed):
     elif kind == "shift":
         c = codomain.element(rng.randrange(codomain.order))
         table = {x: codomain.add(fx, c) for x, fx in table.items()}
-    iso = GroupIso(codomain, table, mul=mul, one=one, domain=name)
+    iso = iso_on_codes(table, codomain, elements, code_mul, one, name)
     assert rejects(iso.verify) == (not ref_is_isomorphism(codomain, table, mul))
 
 
@@ -239,17 +256,23 @@ def test_swapped_log_table_is_rejected_on_70000_elements():
     g = next(
         c for c in range(2, p) if all(pow(c, order // f, p) != 1 for f in (2, 5, 7))
     )
-    forward = {}
+    logs = np.zeros(p, dtype=np.int64)  # logs[x] = i for x = g^i
     x = 1
     for i in range(order):
-        forward[x] = (i,)
+        logs[x] = i
         x = x * g % p
-    codomain = FiniteAbelianGroup((order,))
-    mul = lambda a, b: a * b % p  # noqa: E731
-    GroupIso(codomain, forward, mul=mul, one=1, domain="Z70001*").verify()
-    forward[2], forward[3] = forward[3], forward[2]
+    codomain, units = FiniteAbelianGroup((order,)), np.arange(1, p)
+
+    def iso(images):
+        return GroupIso(
+            codomain, FiniteAbelianGroup((p,)), units, images, mul=lambda a, b: a * b % p, one=1,
+            domain="Z70001*",
+        )
+
+    iso(logs[1:]).verify()
+    logs[2], logs[3] = logs[3], logs[2]
     with pytest.raises(ValueError, match="not a homomorphism"):
-        GroupIso(codomain, forward, mul=mul, one=1, domain="Z70001*").verify()
+        iso(logs[1:]).verify()
 
 
 def _not_closed_subsets(ring, data):
