@@ -1,11 +1,13 @@
 """Difference-family constructions in finite fields and Galois rings GR(4,n).
 
 Every construction returns its family together with the raw field- or
-ring-level blocks, and nothing leaves this module unverified: the exhaustive
-oracle in designs.py is run once on each output and its report is returned
-with it, and the derived-family identity theta(t) = lambda - lambda_t is
-checked pointwise for every construction routed through the generic quotient
-machine.
+ring-level blocks, held as sorted additive codes and nothing decoded from them
+(``decode_elements`` of the field's or ring's additive group gives the
+tuples).  Nothing leaves this module unverified: the exhaustive oracle in
+designs.py is run once on each output and its report is returned with it,
+once on each source difference set, and the derived-family identity
+theta(t) = lambda - lambda_t is checked pointwise for every construction
+routed through the generic quotient machine.
 """
 
 from __future__ import annotations
@@ -45,7 +47,12 @@ class CyclotomicDS:
 
 
 def _check_cyclotomic_conditions(q: int, e: int, with_zero: bool) -> None:
-    """The exact arithmetic conditions under which the subgroup is a difference set."""
+    """The exact arithmetic conditions under which the subgroup is a difference
+    set; the index is checked first, before anything divides by it."""
+    if e not in (2, 4, 8):
+        raise PreconditionError(f"index e={e} is not one of 2, 4, 8")
+    if (q - 1) % e != 0:
+        raise PreconditionError(f"e={e} does not divide q-1={q - 1}")
     if e == 2:
         if q % 4 != 3:
             raise PreconditionError(f"q={q} fails q = 3 (mod 4)")
@@ -62,7 +69,7 @@ def _check_cyclotomic_conditions(q: int, e: int, with_zero: bool) -> None:
         if rem or t is None or t % 2 == 0:
             raise PreconditionError(f"q={q} fails q = 9 + 4t^2 with t odd")
         return
-    if e == 8 and not with_zero:
+    if not with_zero:
         a = isqrt_exact((q - 9) // 64) if (q - 9) % 64 == 0 else None
         b = isqrt_exact((q - 1) // 8) if (q - 1) % 8 == 0 else None
         if a is None or b is None or a % 2 == 0 or b % 2 == 0:
@@ -70,15 +77,20 @@ def _check_cyclotomic_conditions(q: int, e: int, with_zero: bool) -> None:
                 f"q={q} fails q = 9 + 64a^2 = 1 + 8b^2 with a, b odd"
             )
         return
-    if e == 8 and with_zero:
-        a = isqrt_exact((q - 441) // 64) if (q - 441) % 64 == 0 else None
-        b = isqrt_exact((q - 49) // 8) if (q - 49) % 8 == 0 else None
-        if a is None or b is None or a % 2 == 1 or b % 2 == 0:
-            raise PreconditionError(
-                f"q={q} fails q = 441 + 64a^2 = 49 + 8b^2 with a even, b odd"
-            )
-        return
-    raise PreconditionError(f"index e={e} is not one of 2, 4, 8")
+    a = isqrt_exact((q - 441) // 64) if (q - 441) % 64 == 0 else None
+    b = isqrt_exact((q - 49) // 8) if (q - 49) % 8 == 0 else None
+    if a is None or b is None or a % 2 == 1 or b % 2 == 0:
+        raise PreconditionError(
+            f"q={q} fails q = 441 + 64a^2 = 49 + 8b^2 with a even, b odd"
+        )
+
+
+def _cyclotomic_codes(ctx: FieldCtx, e: int, with_zero: bool) -> np.ndarray:
+    """Additive codes of the index-e multiplicative subgroup (with 0 if asked)
+    once `_check_cyclotomic_conditions` passes; the caller's oracle run verifies the set."""
+    _check_cyclotomic_conditions(ctx.q, e, with_zero)
+    codes = ctx.unit_tables.exp[::e]  # the index-e subgroup: the log codes divisible by e
+    return np.append(codes, 0) if with_zero else codes
 
 
 def cyclotomic_difference_set(
@@ -91,14 +103,8 @@ def cyclotomic_difference_set(
     group before being returned.
     """
     q = ctx.q
-    if (q - 1) % e != 0:
-        raise PreconditionError(f"e={e} does not divide q-1={q - 1}")
-    _check_cyclotomic_conditions(q, e, with_zero)
-    tables = ctx.unit_tables
-    group = tables.additive
-    codes = tables.exp[::e]  # the index-e subgroup: the log codes divisible by e
-    if with_zero:
-        codes = np.append(codes, 0)
+    codes = _cyclotomic_codes(ctx, e, with_zero)
+    group = ctx.unit_tables.additive
     k = codes.size
     lam = k * (k - 1) // (q - 1)  # exact: every closed form above implies it
     family = DifferenceFamily(
@@ -143,10 +149,11 @@ def unit_quotient_family(
     ``ring`` may be a FieldCtx or RingCtx; both expose ``unit_tables``, and
     the blocks, N and the transversal ``reps`` are given as additive codes,
     so everything runs on additive and log codes.  Each input block must be
-    fixed setwise by N, the input family must verify as a difference family
-    in the additive group, and ``reps`` must be a complete transversal of
-    R^*/N.  Closure of N and invariance of the blocks are checked
-    completely on a generating set of N.
+    fixed setwise by N, and ``reps`` must be a complete transversal of R^*/N
+    (PreconditionError otherwise).  Closure of N and invariance of the blocks
+    are checked completely on a generating set of N.  The input family must
+    verify as a difference family in the additive group; this is the only
+    oracle run its blocks get, and a failure raises RuntimeError.
     """
     tables: UnitTables = ring.unit_tables
     group = tables.additive
@@ -172,7 +179,7 @@ def unit_quotient_family(
     )
     report = designs.verify(base)
     if not report.ok or report.mu is None:
-        raise PreconditionError(
+        raise RuntimeError(
             f"input blocks are not a difference family in R^+: {report.summary()}"
         )
     n_position = np.full(tables.exp.size, -1, dtype=np.int64)
@@ -285,8 +292,7 @@ def _check_quotient_consistency(
 @dataclass
 class SzekeresFamily:
     ctx: FieldCtx
-    squares: FrozenSet[Element]
-    field_blocks: Tuple[FrozenSet[Element], FrozenSet[Element]]
+    field_blocks: Tuple[np.ndarray, np.ndarray]  # sorted additive codes of d1, d2
     family: DifferenceFamily
     report: designs.VerificationReport  # the oracle's verdict on ``family``
 
@@ -305,7 +311,7 @@ def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
         raise PreconditionError(f"q={q} is too small (need q >= 7)")
     tables = ctx.unit_tables
     group = tables.additive
-    squares = tables.exp[::2]
+    squares = np.sort(tables.exp[::2])
     in_n = _mask(q, squares)
     d1 = squares[in_n[group.code_add(squares, tables.one)]]  # (N-1) ∩ N
     d2 = squares[in_n[group.code_sub(squares, tables.one)]]  # (N+1) ∩ N
@@ -323,8 +329,7 @@ def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
     report = designs.verify(family)
     if not report.ok:
         raise RuntimeError(f"Szekeres family failed verification: {report.summary()}")
-    d1_elems, d2_elems = (frozenset(group.decode_elements(d)) for d in (d1, d2))
-    return SzekeresFamily(ctx, ctx.mult_subgroup(2), (d1_elems, d2_elems), family, report)
+    return SzekeresFamily(ctx, (d1, d2), family, report)
 
 
 def szekeres_inverse_identity(ctx: FieldCtx) -> Tuple[FrozenSet[Element], FrozenSet[Element]]:
@@ -340,9 +345,6 @@ def szekeres_inverse_identity(ctx: FieldCtx) -> Tuple[FrozenSet[Element], Frozen
 
 @dataclass
 class CyclotomicFamily:
-    ds: CyclotomicDS
-    reps: List[Element]
-    field_blocks: List[FrozenSet[Element]]
     family: DifferenceFamily
     quotient: QuotientFamilyResult
     report: designs.VerificationReport
@@ -358,15 +360,16 @@ def cyclotomic_family(
     inside N is one element smaller.  The realized sizes are recomputed and
     checked against that accounting rather than trusted.
     """
-    if (ctx.q - 1) // e < 2:
+    if ctx.q - 1 < 2 * e:  # no division: e may be anything here
         raise PreconditionError(
             f"q={ctx.q} gives a trivial quotient Z_{(ctx.q - 1) // e}; too small"
         )
-    ds = cyclotomic_difference_set(ctx, e, with_zero)
+    codes = _cyclotomic_codes(ctx, e, with_zero)
     tables = ctx.unit_tables
     group = tables.additive
     n_codes = tables.exp[::e]
-    quotient = unit_quotient_family(ctx, [ds.codes], n_codes, tables.exp[:e])
+    # the base check inside is the only oracle run of the difference set
+    quotient = unit_quotient_family(ctx, [codes], n_codes, tables.exp[:e])
     # g^(e*i) maps to i in Z_((q-1)/e)
     zv = FiniteAbelianGroup(((ctx.q - 1) // e,))
     blocks = [Block(zv, tables.log[sub] // e) for _, _, sub in quotient.blocks]
@@ -378,11 +381,9 @@ def cyclotomic_family(
                 raise RuntimeError(
                     f"block-size law violated at y={group.element(y)}: {sub.size} != {shifted}"
                 )
-    lam_family = ds.lam - 1
+    lam = quotient.base_lambda  # the set's lambda, as the oracle counted it
     sizes = tuple(sorted(b.size for b in blocks))
-    expected_sizes = (
-        (ds.lam,) * e if not with_zero else tuple(sorted([ds.lam - 1] + [ds.lam] * (e - 1)))
-    )
+    expected_sizes = (lam,) * e if not with_zero else tuple(sorted([lam - 1] + [lam] * (e - 1)))
     if sizes != expected_sizes:
         raise RuntimeError(
             f"realized block sizes {sizes} disagree with the accounting {expected_sizes}"
@@ -391,7 +392,7 @@ def cyclotomic_family(
         ambient=zv,
         forbidden=Subgroup.trivial(zv),
         blocks=blocks,
-        declared=DesignParams(None, lam_family, sizes),
+        declared=DesignParams(None, lam - 1, sizes),
         provenance={
             "construction": "cyclotomic-with-zero" if with_zero else "cyclotomic",
             "q": ctx.q,
@@ -402,9 +403,7 @@ def cyclotomic_family(
     _check_quotient_consistency(quotient, group, tables.log[quotient.subgroup] // e, report)
     if not report.ok:
         raise RuntimeError(f"cyclotomic family failed verification: {report.summary()}")
-    field_blocks = [frozenset(group.decode_elements(sub)) for _, _, sub in quotient.blocks]
-    reps = group.decode_elements(tables.exp[:e])
-    return CyclotomicFamily(ds, reps, field_blocks, family, quotient, report)
+    return CyclotomicFamily(family, quotient, report)
 
 
 # -- GR(4,n) divisible difference families ---------------------------------------
@@ -470,9 +469,7 @@ class GaloisRingDDF:
 
     data: GR4Data
     include_ideal: bool
-    reps: List[Element]
     y: Optional[Element]
-    ring_blocks: List[FrozenSet[Element]]
     iso: GroupIso
     family: DifferenceFamily
     quotient: QuotientFamilyResult
@@ -601,9 +598,7 @@ def galois_ring_ddf(
     return GaloisRingDDF(
         data=data,
         include_ideal=include_ideal,
-        reps=additive.decode_elements(reps),
         y=y,
-        ring_blocks=[frozenset(additive.decode_elements(sub)) for _, _, sub in quotient.blocks],
         iso=iso,
         family=family,
         quotient=quotient,
@@ -615,7 +610,7 @@ def galois_ring_ddf(
 class TeichmullerDS:
     ring: RingCtx
     u: Element
-    ring_elements: FrozenSet[Element]
+    codes: np.ndarray  # sorted additive codes of the members in GR(4,n)
     family: DifferenceFamily
     report: designs.VerificationReport
 
@@ -633,7 +628,7 @@ def teichmuller_difference_set(
     teich = tables.exp[np.arange(tables.m) << n]  # xi^i at position i
     in_d = _mask(additive.order, data.D)
     exponents = np.flatnonzero(in_d[additive.code_sub(teich, additive.index(ring.two))])
-    members = frozenset(additive.decode_elements(teich[exponents]))
+    members = np.sort(teich[exponents])
     group = FiniteAbelianGroup((2**n - 1,))
     family = DifferenceFamily(
         ambient=group,

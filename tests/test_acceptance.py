@@ -77,8 +77,9 @@ def test_criterion_01_example_reproduction():
         ring = RingCtx(3)
         assert ring.modulus == (3, 2, 3, 1)
         res = gr_ddf(3)
-        assert {ring.format(x) for x in res.ring_blocks[0]} == REFERENCE_D1
-        assert {ring.format(x) for x in res.ring_blocks[1]} == REFERENCE_D2
+        d1, d2 = (ring.additive_group().decode_elements(sub) for _, _, sub in res.quotient.blocks)
+        assert {ring.format(x) for x in d1} == REFERENCE_D1
+        assert {ring.format(x) for x in d2} == REFERENCE_D2
         rep = designs.verify(res.family)
         assert rep.ok and rep.sizes == (12, 12) and (rep.lam, rep.mu) == (8, 10)
         assert res.family.forbidden.order == 4

@@ -63,6 +63,9 @@ def test_symmetric_cli_counts(calls, capsys):
         # unit_quotient_family's R^+ base check, then the family's oracle
         (["construct", "gr4-ddf", "--n", "3"], 2),
         (["construct", "szekeres", "--q", "11"], 1),
+        # the same base check is the cyclotomic set's only run
+        (["construct", "prop22", "--q", "19", "--e", "2"], 2),
+        (["construct", "prop23", "--q", "109", "--e", "4"], 2),
     ],
 )
 def test_construct_cli_counts(argv, tables, calls, capsys):

@@ -56,6 +56,12 @@ def test_construct_rejects_bad_diophantine(capsys):
     assert "1 + 4t^2" in err
 
 
+@pytest.mark.parametrize("e", ["0", "-2"])
+def test_construct_rejects_an_index_outside_2_4_8(e, capsys):
+    code, out, err = run_cli(["construct", "prop22", "--q", "7", "--e", e], capsys)
+    assert (code, out, err) == (2, "", f"error: index e={e} is not one of 2, 4, 8\n")
+
+
 def test_construct_prop23_and_prop34(capsys):
     code, out, _ = run_cli(["construct", "prop23", "--q", "109", "--e", "4"], capsys)
     assert code == 0

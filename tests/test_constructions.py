@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +168,11 @@ def test_precondition_diagnostics():
         cyclotomic_difference_set(FieldCtx(17), 8)
     with pytest.raises(PreconditionError):
         cyclotomic_difference_set(FieldCtx(11), 5)
+    # the index is checked before anything divides by it
+    for e in (0, -2, 3):
+        for build in (cyclotomic_difference_set, cyclotomic_family):
+            with pytest.raises(PreconditionError, match=f"^index e={e} is not one of 2, 4, 8$"):
+                build(FieldCtx(7), e)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +225,15 @@ def test_quotient_machine_asserts_invariance():
         unit_quotient_family(ctx, [not_invariant], squares, reps)
 
 
+def test_quotient_machine_base_check_failure_is_a_runtime_error():
+    # the squares of GF(13) are fixed by themselves but, as 13 = 1 (mod 4),
+    # no difference set: the oracle's verdict is a failed check, not a usage error
+    ctx = FieldCtx(13)
+    squares = _codes(ctx, ctx.mult_subgroup(2))
+    with pytest.raises(RuntimeError, match="not a difference family in R\\^\\+"):
+        unit_quotient_family(ctx, [squares], squares, _codes(ctx, [ctx.one, ctx.g]))
+
+
 def test_quotient_machine_rejects_bad_transversal():
     ctx = FieldCtx(7)
     squares = _codes(ctx, ctx.mult_subgroup(2))
@@ -232,19 +248,46 @@ def test_quotient_machine_rejects_bad_transversal():
 # ---------------------------------------------------------------------------
 
 
+def _field_sets(ctx, blocks):
+    """The field elements of each block of additive codes, as sets."""
+    return [set(ctx.additive_group().decode_elements(codes)) for codes in blocks]
+
+
+def _ring_block(ring, res, i):
+    """The i-th derived block of a GR(4,n) family, formatted as ring elements."""
+    codes = res.quotient.blocks[i][2]
+    return {ring.format(x) for x in ring.additive_group().decode_elements(codes)}
+
+
 def test_szekeres_q7():
     res = szekeres_family(FieldCtx(7))
-    assert res.field_blocks == (frozenset({(1,)}), frozenset({(2,)}))
+    assert _field_sets(res.ctx, res.field_blocks) == [{(1,)}, {(2,)}]
     rep = designs.verify(res.family)
     assert rep.ok and rep.mu == 0 and rep.sizes == (1, 1)
 
 
 def test_szekeres_q11():
     res = szekeres_family(FieldCtx(11))
-    assert res.field_blocks[0] == {(3,), (4,)}
-    assert res.field_blocks[1] == {(4,), (5,)}
+    assert _field_sets(res.ctx, res.field_blocks) == [{(3,), (4,)}, {(4,), (5,)}]
+    assert all(np.array_equal(d, np.sort(d)) for d in res.field_blocks)
     rep = designs.verify(res.family)
     assert rep.ok and rep.mu == 1 and rep.sizes == (2, 2)
+
+
+def test_szekeres_result_retains_only_codes():
+    # the result holds sorted code arrays (two blocks of 16250 points, their
+    # mapped blocks and the oracle's totals), no tuple copy of any set
+    ctx = FieldCtx(65003)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = szekeres_family(ctx)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.report.ok
+    assert retained < 2 * 2**20, retained
 
 
 def test_szekeres_q19():
@@ -396,7 +439,8 @@ def test_family_matches_szekeres_up_to_inversion():
     assert lhs == rhs
     szek = szekeres_family(ctx)
     fam = cyclotomic_family(ctx, 2)
-    assert fam.field_blocks[0] == szek.field_blocks[0]
+    first = fam.quotient.blocks[0][2]
+    assert _field_sets(ctx, [first]) == _field_sets(ctx, szek.field_blocks[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +478,8 @@ def test_gr4_data_rejects_bad_u():
 def test_example_blocks_reproduced_exactly():
     ring = RingCtx(3)
     res = galois_ring_ddf(ring)
-    assert {ring.format(x) for x in res.ring_blocks[0]} == REFERENCE_D1
-    assert {ring.format(x) for x in res.ring_blocks[1]} == REFERENCE_D2
+    assert _ring_block(ring, res, 0) == REFERENCE_D1
+    assert _ring_block(ring, res, 1) == REFERENCE_D2
     rep = designs.verify(res.family)
     assert rep.ok and (rep.lam, rep.mu) == (8, 10) and rep.sizes == (12, 12)
     assert res.family.forbidden.order == 4
@@ -456,7 +500,7 @@ def test_one_admissible_y_reproduces_printed_second_block():
     matches = 0
     for y in candidates:
         res = galois_ring_ddf(ring, y=y)
-        if {ring.format(x) for x in res.ring_blocks[1]} == REFERENCE_D2:
+        if _ring_block(ring, res, 1) == REFERENCE_D2:
             matches += 1
         rep = designs.verify(res.family)
         assert rep.ok and (rep.lam, rep.mu) == (8, 10)
@@ -521,7 +565,7 @@ def test_gr4_proper_subgroup_reports_realized_sizes():
     assert rep.ok
     assert rep.mu == 10  # the outside frequency matches the full-subgroup case
     assert res.family.forbidden.is_trivial()
-    assert len(res.ring_blocks) == 8  # index of T* in the unit group
+    assert len(res.quotient.blocks) == 8  # index of T* in the unit group
     assert sum(rep.sizes) == 12 * 8 // 4  # sanity: counting identity rearranged
 
 
@@ -588,7 +632,7 @@ def test_gr4_subgroup_equal_to_forbidden_part():
     res = galois_ring_ddf(ring, subgroup=ring.additive_group().decode_elements(data.L))
     rep = designs.verify(res.family)
     assert rep.ok and rep.lam == 8 and rep.mu is None
-    assert len(res.ring_blocks) == 14  # unit-group index of L
+    assert len(res.quotient.blocks) == 14  # unit-group index of L
 
 
 def test_block_symmetry_requires_full_subgroup():
