@@ -68,6 +68,10 @@ class SearchSpec:
             )
         if self.mode not in ("exhaustive", "randomized"):
             raise PreconditionError(f"unknown mode {self.mode!r}")
+        for name, value in vars(self.budget).items():
+            # NaN fails both comparisons, and a deadline of NaN never passes
+            if value is not None and not 0 <= value < math.inf:
+                raise PreconditionError(f"budget.{name} is {value}; it must be finite and >= 0")
         if self.mode == "randomized" and (
             self.budget.max_nodes is None and self.budget.max_seconds is None
         ):
@@ -195,7 +199,9 @@ class _Budget:
         self.solutions = 0
 
     def spend_node(self) -> bool:
-        self.nodes += 1
+        # the count stops at max_nodes + 1, so a cut walk reports that however it was cut
+        if self.max_nodes is None or self.nodes <= self.max_nodes:
+            self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             return False
         if self.deadline is not None and time.perf_counter() > self.deadline:
@@ -204,6 +210,11 @@ class _Budget:
 
     def room_for_solutions(self) -> bool:
         return self.max_solutions is None or self.solutions < self.max_solutions
+
+
+def _lane_dtype(targets: Sequence[int], per_coset: int) -> np.dtype:
+    """8-bit lanes while every target is at most 127 and a choice's 2 m/4 at most 128."""
+    return np.dtype(np.uint8 if max(targets) <= 127 and 2 * per_coset <= 128 else np.uint16)
 
 
 class _CodeTables:
@@ -215,37 +226,39 @@ class _CodeTables:
     the cosets of the forbidden subgroup other than itself, each as sorted
     codes, in order of their least member.
 
-    The exhaustive walk keeps its counts packed into one int, a field of
-    ``width`` bits per difference code d at bit ``width * d``, holding
-    ``count + 2^(width-1) - 1 - targets[d]``.  A count overshoots its target
-    exactly when its field's high bit is set, so one AND with ``high`` finds
-    any overshoot, and ``complete`` (every field at ``2^(width-1) - 1``) is
-    the packed form of counts equal to the targets.  ``2^(width-1)`` exceeds
-    k(k-1), the ordered pairs of one block, so a field that starts at most
-    at its target plus one choice's pairs stays below ``2^width``: no field
-    carries into the next.
+    The exhaustive walk holds counts as rows of ``width`` w-bit lanes (dtype
+    ``lane``) read as uint64 words: lane d < v holds ``count + 2^(w-1) - 1 -
+    targets[d]``, the padding lanes (at least one) 0.  A count overshoots
+    exactly when its lane's high bit is set, which the OR of a row's words
+    ANDed with ``high`` shows.  A choice of m/4 points adds at most 2 m/4 to
+    a count (each point forms one pair per difference and orientation), so
+    with w = 8 while every target is at most 127, else 16, no lane carries.
     """
 
     def __init__(self, spec: SearchSpec) -> None:
         group = spec.group
         v = group.order
         codes = np.arange(v)
+        self._diff = group.code_sub(codes[:, None], codes[None, :])
         self.v = v
-        self.diff: List[int] = group.code_sub(codes[:, None], codes[None, :]).ravel().tolist()
+        self.diff: List[int] = self._diff.ravel().tolist()
         self.neg = self.diff[:v]
-        k, lam, mu = spec.targets()
+        _, lam, mu = spec.targets()
         self.targets = [mu] * v
         for x in spec.forbidden.codes.tolist():
             self.targets[x] = lam
         self.targets[0] = 0
         self.per_coset = spec.m // 4
         self.outside: List[List[int]] = spec.forbidden.coset_codes()[1:].tolist()
-        self.width = (k * (k - 1)).bit_length() + 1
-        fields = range(0, v * self.width, self.width)
-        self.high = sum(1 << (shift + self.width - 1) for shift in fields)
-        self.complete = sum(((1 << (self.width - 1)) - 1) << shift for shift in fields)
+        self.lane = _lane_dtype(self.targets, self.per_coset)
+        bits = 8 * self.lane.itemsize
+        self.width = -(-(v + 1) * bits // 64) * 64 // bits
+        self.high = np.uint64(sum(1 << (i + bits - 1) for i in range(0, 64, bits)))
+        # a pending row's bytes in one pass: option totals twice, point pairs twice
+        size = spec.forbidden.order
+        self.row_bytes = 2 * (math.comb(size, self.per_coset) + size) * self.width * bits // 8
         # built on first use by the exhaustive walk, one outside coset at a time
-        self._packed_cosets: List[Optional[_PackedCoset]] = [None] * len(self.outside)
+        self._coset_lanes: List[Optional[tuple]] = [None] * len(self.outside)
 
     def pair_counts(self, *blocks: Iterable[int]) -> List[int]:
         """Difference counts over the ordered pairs of distinct points of each block."""
@@ -260,67 +273,40 @@ class _CodeTables:
                         counts[diff[row + y]] += 1
         return counts
 
-    def pack(self, counts: Iterable[int]) -> int:
-        """The packed, biased form of a count list whose counts are at most their targets."""
-        width, bias = self.width, (1 << (self.width - 1)) - 1
-        return sum(
-            (c + bias - t) << (width * d) for d, (c, t) in enumerate(zip(counts, self.targets))
-        )
+    def lanes(self, counts: Sequence[int]) -> np.ndarray:
+        """The words of a row of counts that are at most their targets."""
+        row = np.zeros(self.width, self.lane)
+        bias = np.iinfo(self.lane).max // 2  # 2^(w-1) - 1
+        row[: self.v] = np.asarray(counts) + bias - np.asarray(self.targets)
+        return row.view(np.uint64)
 
-    def pair_vector(self, x: int, y: int) -> int:
-        """The packed counts of the ordered pairs (x, y) and (y, x)."""
-        diff, v, width = self.diff, self.v, self.width
-        return (1 << (width * diff[x * v + y])) + (1 << (width * diff[y * v + x]))
-
-    def packed_coset(self, idx: int) -> "_PackedCoset":
-        """The options and pair rows of outside coset ``idx``, built on first use."""
-        packed = self._packed_cosets[idx]
-        if packed is None:
-            packed = self._packed_cosets[idx] = _PackedCoset(self, idx)
-        return packed
-
-
-# Options carry one summed row up to m = 16 (per_coset = m/4 = 4), each
-# point's own row above it.  Summing costs C(m/2, m/4) rows per coset
-# instead of m/2 and saves per_coset - 1 list passes per accepted option.
-# Measured on cyclic specs (exhaustive, max_nodes; child-process peak RSS;
-# a shared 2-core host, Python 3.11):
-# m = 12 and 16 at 200,000 nodes ran 1.75-3.09 s and 9.6-12.5 s summed
-# against 3.36-4.30 s and 15.6-18.6 s per point, at 32.3 against 31.8 MB
-# and 40.9 against 33.1 MB; m = 20 at 500 nodes took 121.6 against 36.1 MB,
-# and m = 24 at 50 nodes 654 against 42 MB, with 5 of its 22 cosets built.
-_SUMMED_MAX_PER_COSET = 4
+    def coset_lanes(self, idx: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Outside coset ``idx``'s options, built on first use: their codes and
+        positions in the coset, in ``itertools.combinations`` order, the words of
+        their inside pairs, and ``reach``: per point x and lane d, the codes x - d
+        and x + d (v on a padding lane), where a row marks x's partners at d."""
+        built = self._coset_lanes[idx]
+        if built is None:
+            cs = np.asarray(self.outside[idx])
+            points = np.array(list(itertools.combinations(range(len(cs)), self.per_coset)))
+            reach = np.full((2, len(cs), self.width), self.v)
+            reach[0, :, : self.v] = self._diff[cs]
+            reach[1, :, : self.v] = self._diff[cs][:, self.neg]
+            marks = np.zeros((len(cs), self.width), self.lane)  # one row per point
+            marks[np.arange(len(cs)), cs] = 1
+            pairs = _pair_words(marks, reach)
+            inside = np.zeros((len(points), pairs.shape[2]), np.uint64)
+            for a, b in itertools.combinations(range(self.per_coset), 2):
+                inside += pairs[points[:, a], points[:, b]]
+            built = self._coset_lanes[idx] = (cs[points], points, inside, reach)
+        return built
 
 
-class _PackedCoset:
-    """One outside coset's share of the packed walk.
-
-    ``options`` holds, in ``itertools.combinations`` order, each per_coset
-    subset of the coset as (its codes, their positions in the coset, the
-    packed counts of the pairs inside it, and the rows that carry its cross
-    pairs on).  A row holds packed pair vectors, one per point of the later
-    cosets in coset order.  An option's rows are the one sum of its points'
-    rows while per_coset is at most ``_SUMMED_MAX_PER_COSET``, else each
-    point's own row.  ``size`` is the number of points in the coset.
-    """
-
-    __slots__ = ("options", "size")
-
-    def __init__(self, tables: _CodeTables, idx: int) -> None:
-        cs = tables.outside[idx]
-        pair = tables.pair_vector
-        later = list(itertools.chain.from_iterable(tables.outside[idx + 1 :]))
-        rows = [[pair(x, y) for y in later] for x in cs]
-        self.size = len(cs)
-        summed = tables.per_coset <= _SUMMED_MAX_PER_COSET
-        self.options = []
-        for locs in itertools.combinations(range(len(cs)), tables.per_coset):
-            inside = sum(pair(cs[i], cs[j]) for i, j in itertools.combinations(locs, 2))
-            if summed:
-                carried = [[sum(column) for column in zip(*(rows[i] for i in locs))]]
-            else:
-                carried = [rows[i] for i in locs]
-            self.options.append((tuple(cs[i] for i in locs), locs, inside, carried))
+def _pair_words(marks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Per row of ``marks`` and point of ``reach``, its pairs' words with the marked codes."""
+    pairs = marks.take(reach[0], axis=1).view(np.uint64)
+    pairs += marks.take(reach[1], axis=1).view(np.uint64)
+    return pairs
 
 
 _Options = Callable[[], Iterator[FrozenSet[int]]]
@@ -402,59 +388,74 @@ def _symmetric_first_blocks(tables: _CodeTables, budget: _Budget) -> Iterator[Fr
         yield frozenset(itertools.chain.from_iterable(assignment))
 
 
-def _balanced_blocks(
-    tables: _CodeTables,
-    base_counts: List[int],
-    budget: _Budget,
-) -> Iterator[FrozenSet[int]]:
-    """Coset-balanced second blocks whose differences complete the targets.
+# The bytes one pass of the exhaustive walk holds at most (``row_bytes`` a row)
+_SLICE_BYTES = 1 << 18
 
-    Depth-first over the outside cosets, keeping the running difference
-    counts packed (see ``_CodeTables``) and pruning a choice as soon as any
-    frequency it touches overshoots its target.  No block completes a base
-    that already overshoots: it returns at once, spending no node.  The
-    recursion lives in module-level functions, so a call leaves no closures
-    in reference cycles behind.
+
+def _second_blocks(
+    tables: _CodeTables, base_counts: List[int], budget: _Budget
+) -> Iterator[Tuple[FrozenSet[int], int]]:
+    """Coset-balanced second blocks whose differences complete the targets,
+    in depth-first order, each with the nodes a depth-first walk spends up
+    to it.  Level c of the tree holds the choices in the first c outside
+    cosets as rows: lane words (see ``_CodeTables``), marks (1 at each chosen
+    code) and a partial rank, the sum over the row's path of each node's
+    index in its level plus one.  The walk always extends a slice off the
+    front of the deepest level with pending rows, testing it against every
+    option of the next coset in one numpy pass, so each level's rows are
+    made in depth-first order.  A leaf's partial is then its depth-first
+    rank, and the front row of a level with nothing pending below ranks at
+    its partial plus the rows made below its level.  The walk ends once that
+    rank passes ``max_nodes`` or, read once per slice, the deadline, and
+    counts nodes as the depth-first walk does; an overshooting base spends none.
     """
-    if any(c > t for c, t in zip(base_counts, tables.targets)):
+    if any(map(operator.gt, base_counts, tables.targets)):
         return
-    points = sum(map(len, tables.outside))
-    yield from _balanced_from(tables, budget, 0, (), tables.pack(base_counts), [0] * points)
-
-
-def _balanced_from(
-    tables: _CodeTables,
-    budget: _Budget,
-    idx: int,
-    chosen: Tuple[int, ...],
-    packed: int,
-    cross: List[int],
-) -> Iterator[FrozenSet[int]]:
-    """The blocks that extend ``chosen`` over the outside cosets from ``idx`` on.
-
-    ``packed`` holds the counts so far; ``cross`` holds, for each point of
-    the cosets from ``idx`` on, the packed pairs it forms with ``chosen``.
-    A choice's counts are then ``packed`` plus its inside pairs plus the
-    cross vectors of its points.
-    """
-    if not budget.spend_node():
-        return
-    if idx == len(tables.outside):
-        if packed == tables.complete:
-            yield frozenset(chosen)
-        return
-    coset = tables.packed_coset(idx)
-    high, size = tables.high, coset.size
-    for extra, locs, inside, carried in coset.options:
-        merged = packed + inside
-        for i in locs:
-            merged += cross[i]
-        if merged & high:
-            continue
-        later = itertools.islice(cross, size, None)
-        for row in carried:
-            later = list(map(operator.add, later, row))
-        yield from _balanced_from(tables, budget, idx + 1, chosen + extra, merged, later)
+    spent, depth, lane = budget.nodes, len(tables.outside), tables.lane
+    cap = np.iinfo(np.int64).max if budget.max_nodes is None else budget.max_nodes - spent
+    made = [1] + [0] * depth  # the rows made at each level
+    pending: List[Optional[tuple]] = [None] * depth  # per level: words, marks, partial ranks
+    pending[0] = (tables.lanes(base_counts)[None], np.zeros((1, tables.width), lane), np.ones(1, int))
+    at_once = max(1, _SLICE_BYTES // tables.row_bytes)
+    level = 0
+    while level >= 0:
+        words, marks, partial = pending[level]
+        front = int(partial[0]) + sum(made[level + 1 :])
+        if front > cap or budget.deadline is not None and time.perf_counter() > budget.deadline:
+            budget.nodes = spent + min(front, cap + 1)  # the front node fails to spend
+            return
+        n = min(at_once, len(partial), cap - front + 1)
+        pending[level] = (words[n:], marks[n:], partial[n:]) if n < len(partial) else None
+        words, marks, partial = words[:n], marks[:n], partial[:n]
+        options, points, inside, reach = tables.coset_lanes(level)
+        with_point = _pair_words(marks, reach)  # each point's pairs with the chosen codes
+        totals = words[:, None] + inside
+        gathered = np.empty_like(totals)
+        for q in range(tables.per_coset):
+            totals += with_point.take(points[:, q], axis=1, out=gathered)
+        over = totals[:, :, 0].copy()
+        for word in range(1, totals.shape[2]):
+            over |= totals[:, :, word]
+        rows, opts = np.nonzero(~(over & tables.high).astype(bool))
+        ranks = partial[rows] + np.arange(made[level + 1] + 1, made[level + 1] + len(rows) + 1)
+        made[level + 1] += len(rows)
+        # partial ranks grow along a level, so the rows past the cap are a suffix
+        kept = int(np.count_nonzero(ranks <= cap))
+        rows, opts, ranks = rows[:kept], opts[:kept], ranks[:kept]
+        if level + 1 == depth:
+            # both blocks hold k points, so the counts sum to the targets'
+            # sum, and a leaf with no count above its target meets them all
+            for row, opt, rank in zip(rows.tolist(), opts.tolist(), ranks.tolist()):
+                block = np.flatnonzero(marks[row]).tolist() + options[opt].tolist()
+                yield frozenset(block), spent + rank
+        elif kept:
+            picked = marks[rows]
+            picked[np.arange(kept)[:, None], options[opts]] = 1
+            pending[level + 1] = (totals[rows, opts], picked, ranks)
+            level += 1
+        while level >= 0 and pending[level] is None:
+            level -= 1
+    budget.nodes = spent + min(sum(made), cap + 1)
 
 
 # A found family before it is built: its two code blocks, the nodes spent
@@ -493,18 +494,16 @@ def _certificates(spec: SearchSpec, hits: List[_Hit]) -> List[Certificate]:
 def search_ddf(spec: SearchSpec) -> List[Certificate]:
     """All (or budget-limited) qualifying families for the spec.
 
-    Exhaustive mode is complete when the budget is unlimited; certificates
-    come out ordered by their families' ``sorted_blocks``.  Randomized mode is deterministic for a
-    given seed.  Zero false positives: before any certificate is returned,
-    all of them have been replayed together through the independent
-    verifier.  Both modes work on mixed-radix codes, and certificates hold
-    their blocks as codes.
-
-    The walk only records its hits; the families are built and replayed
-    after it ends.  So a family that fails replay raises RuntimeError once
-    the whole budget is spent, not when it is found, and the build and
-    replay come on top of ``max_seconds`` (about 20 ms per 256 families
-    at m = 8).
+    Exhaustive mode is complete when the budget is unlimited, and a
+    certificate's ``nodes`` are those a depth-first walk over first, then
+    second blocks enters up to its family, though second blocks are walked
+    in slices (``_second_blocks``).  Randomized mode is deterministic for a
+    given seed.  Certificates hold their blocks as codes, come out ordered by
+    their families' ``sorted_blocks``, and have all been replayed together
+    through the independent verifier: zero false positives.  The walk only
+    records its hits, so a family that fails replay raises RuntimeError once
+    the budget is spent, and the build and replay come on top of
+    ``max_seconds`` (about 20 ms per 256 families at m = 8).
     """
     spec.validate()
     t0 = time.perf_counter()
@@ -522,10 +521,10 @@ def _exhaustive_search(tables: _CodeTables, budget: _Budget, t0: float) -> List[
     """Every first block, then every second block that completes its counts."""
     hits: List[_Hit] = []
     for d1 in _symmetric_first_blocks(tables, budget):
-        for d2 in _balanced_blocks(tables, tables.pair_counts(d1), budget):
+        for d2, nodes in _second_blocks(tables, tables.pair_counts(d1), budget):
             if not budget.room_for_solutions():
                 return hits
-            hits.append((d1, d2, budget.nodes, time.perf_counter() - t0))
+            hits.append((d1, d2, nodes, time.perf_counter() - t0))
             budget.solutions += 1
     return hits
 

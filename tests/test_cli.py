@@ -214,6 +214,18 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
         # Z_6 holds 4 qualifying families, so 50 solutions bound nothing
         ("randomized spec with max_solutions alone", ["search"],
          dict(spec, mode="randomized", budget={"max_solutions": 50}), "max_nodes or max_seconds"),
+        # a deadline of NaN never passes, so neither bounds a walk; the node
+        # cap keeps the randomized case finite even if the check were missing
+        ("spec max_seconds NaN", ["search"], dict(spec, budget={"max_seconds": float("nan")}),
+         "budget.max_seconds"),
+        ("randomized spec max_seconds Infinity", ["search"],
+         dict(spec, mode="randomized", budget={"max_seconds": float("inf"), "max_nodes": 50}),
+         "budget.max_seconds"),
+        ("spec max_seconds -1", ["search"], dict(spec, budget={"max_seconds": -1}), "budget.max_seconds"),
+        ("spec max_nodes -1", ["search"], dict(spec, budget={"max_nodes": -1}), "budget.max_nodes"),
+        ("spec max_solutions -1", ["search"], dict(spec, budget={"max_solutions": -1}),
+         "budget.max_solutions"),
+        ("search --budget -3", ["search", "--budget", "-3"], spec, "budget.max_nodes"),
     ]
     for i, (name, command, data, field) in enumerate(cases):
         path = tmp_path / f"case{i}.json"

@@ -1318,7 +1318,7 @@ def test_balanced_blocks_match_reference(name, data):
     assert {g.element(d): c for d, c in enumerate(counts) if c} == ref_counts
     new_budget = search._Budget(spec.budget)
     ref_budget = search._Budget(spec.budget)
-    new = [_decode(g, b) for b in search._balanced_blocks(tables, counts, new_budget)]
+    new = [_decode(g, b) for b, _ in search._second_blocks(tables, counts, new_budget)]
     ref = list(ref_balanced_blocks(spec, ref_counts, ref_budget))
     assert new == ref
     assert new_budget.nodes == ref_budget.nodes

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from designforge.search import (
     dedupe,
     search_ddf,
 )
+from test_codes import SPECS, _spec
 
 
 def z6_spec(**kw):
@@ -261,19 +263,18 @@ def test_randomized_first_blocks_are_drawn_without_building_the_options(tmp_path
     assert peaks[1] - peaks[0] < 10 * 1024, peaks
 
 
-def test_second_block_rows_are_summed_only_up_to_m16(monkeypatch):
-    # 50 nodes reach the second-block walk and build its first 6 outside
-    # cosets.  At m = 20 a coset's summed option rows would take 25 times
-    # its points' own rows (252 options of 10 points): a traced peak of
-    # 79 MiB against 4.2 MiB was measured there
-    built = []
-    init = search._PackedCoset.__init__
+def test_capped_m20_walk_keeps_a_small_traced_peak(monkeypatch):
+    # 50 nodes reach the second-block walk and build its first outside
+    # cosets' options, 252 per coset of 10 points.  Summing each option's
+    # pair rows over the later cosets once took a traced peak of 79 MiB here
+    built = set()
+    real = search._CodeTables.coset_lanes
 
-    def counted(self, tables, idx):
-        built.append(idx)
-        init(self, tables, idx)
+    def counted(self, idx):
+        built.add(idx)
+        return real(self, idx)
 
-    monkeypatch.setattr(search._PackedCoset, "__init__", counted)
+    monkeypatch.setattr(search._CodeTables, "coset_lanes", counted)
     m = 20
     v = m * (m - 1) // 2
     g = FiniteAbelianGroup((v,))
@@ -456,7 +457,7 @@ def test_dedupe_rejects_unknown_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# packed counts and swap deltas against the per-pair kernel and full rescoring
+# the slice-batched walk and swap deltas against the per-pair kernel and full rescoring
 # ---------------------------------------------------------------------------
 
 
@@ -494,123 +495,154 @@ def ref_walk_nodes(tables, idx, chosen, counts):
             yield from ref_walk_nodes(tables, idx + 1, chosen + extra, merged)
 
 
-def ref_pack(tables, counts):
-    """Field d, at bit width * d, holds count + 2^(width-1) - 1 - target."""
-    w = tables.width
-    return sum(
-        (c + (1 << (w - 1)) - 1 - t) << (w * d)
-        for d, (c, t) in enumerate(zip(counts, tables.targets))
-    )
+@functools.lru_cache(maxsize=None)
+def ref_full_search(name):
+    """The former depth-first search over a ``test_codes.SPECS`` spec, with
+    no budget, on the per-pair reference walk: every hit as (first block,
+    second block, nodes spent when reached), and the nodes of the whole walk."""
+    tables = search._CodeTables(_spec(*SPECS[name]))
+    budget = search._Budget(SearchBudget())
+    hits = []
+    for d1 in search._symmetric_first_blocks(tables, budget):
+        for idx, chosen, counts in ref_walk_nodes(tables, 0, (), tables.pair_counts(d1)):
+            budget.spend_node()
+            if idx == len(tables.outside) and counts == tables.targets:
+                hits.append((d1, frozenset(chosen), budget.nodes))
+    return hits, budget.nodes
 
 
-def _record_packed_walks(monkeypatch):
-    """Per call of ``_balanced_blocks``: its tables, base counts and every node
-    the packed walk enters, as (idx, chosen, packed)."""
-    walks = []
-    real_blocks, real_from = search._balanced_blocks, search._balanced_from
-
-    def blocks(tables, base, budget):
-        walks.append((tables, list(base), []))
-        return real_blocks(tables, base, budget)
-
-    def from_(tables, budget, idx, chosen, packed, cross):
-        walks[-1][2].append((idx, tuple(chosen), packed))
-        return real_from(tables, budget, idx, chosen, packed, cross)
-
-    monkeypatch.setattr(search, "_balanced_blocks", blocks)
-    monkeypatch.setattr(search, "_balanced_from", from_)
-    return walks
+def ref_budgeted_search(name, max_nodes, max_solutions):
+    """What the depth-first search does under a budget: the hits reached
+    within ``max_nodes`` nodes, up to ``max_solutions`` of them, and the
+    nodes counted when the walk ends short of a further solution (None when
+    it stops at one)."""
+    hits, total = ref_full_search(name)
+    reached = [hit for hit in hits if max_nodes is None or hit[2] <= max_nodes]
+    if max_solutions is not None and len(reached) > max_solutions:
+        return reached[:max_solutions], None
+    return reached, total if max_nodes is None else min(total, max_nodes + 1)
 
 
-def _assert_walks_match_reference(walks, max_nodes=None):
-    """Each recorded walk against the reference walk from the same base, up to
-    ``max_nodes`` nodes: once a budget runs out, every later call spends a
-    failing node and returns, so the order departs from the unbudgeted walk."""
-    nodes = 0
-    for tables, base, packed_nodes in walks:
-        packed_nodes = packed_nodes[:max_nodes]
-        ref = itertools.islice(ref_walk_nodes(tables, 0, (), base), len(packed_nodes))
-        assert [(i, c, ref_pack(tables, counts)) for i, c, counts in ref] == packed_nodes
-        nodes += len(packed_nodes)
-    return nodes
+def _slice_bytes(tables, rows):
+    """The slice budget that makes each pass take ``rows`` rows; None keeps the default."""
+    return search._SLICE_BYTES if rows is None else rows * tables.row_bytes
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_walk_matches_the_reference_search_under_every_budget(monkeypatch, name, rows):
+    # the same hits, in the same order, at the same node counts, for every
+    # node cap and solution cap, and caps at the first hit and one node
+    # short of it; passes of 1 and 7 rows split every level into many
+    # slices.  Their uncapped walks (up to 202,192 nodes at one row per
+    # numpy pass) are left to the default slice
+    tables = search._CodeTables(_spec(*SPECS[name]))
+    monkeypatch.setattr(search, "_SLICE_BYTES", _slice_bytes(tables, rows))
+    passes = []
+    real = tables.coset_lanes
+    tables.coset_lanes = lambda idx: passes.append(idx) or real(idx)
+    hits, _ = ref_full_search(name)
+    caps = [1, 2, 7, 40, 1000, 5000] + [nodes - i for _, _, nodes in hits[:1] for i in (0, 1)]
+    for max_nodes, max_solutions in itertools.product(
+        caps + ([None] if rows is None else []), [None, 1, 10, 256]
+    ):
+        passes.clear()
+        budget = search._Budget(SearchBudget(max_nodes=max_nodes, max_solutions=max_solutions))
+        got = [hit[:3] for hit in search._exhaustive_search(tables, budget, 0.0)]
+        want, nodes = ref_budgeted_search(name, max_nodes, max_solutions)
+        assert got == want, (max_nodes, max_solutions)
+        if nodes is not None:
+            assert budget.nodes == nodes, (max_nodes, max_solutions)
+        # each pass extends rows from a node within the cap
+        assert max_nodes is None or len(passes) <= max_nodes
+
+
+def test_walk_with_16_bit_lanes_matches_the_reference_search(monkeypatch):
+    # m >= 28 needs 16-bit lanes (a target above 127); the same search at m = 8
+    monkeypatch.setattr(search, "_lane_dtype", lambda targets, per_coset: np.dtype(np.uint16))
+    for name in ("Z7xZ2^2, m=8", "Z6, m=4"):
+        tables = search._CodeTables(_spec(*SPECS[name]))
+        assert tables.lane == np.uint16
+        for max_nodes in (None, 5000):
+            budget = search._Budget(SearchBudget(max_nodes=max_nodes))
+            got = [hit[:3] for hit in search._exhaustive_search(tables, budget, 0.0)]
+            assert (got, budget.nodes) == ref_budgeted_search(name, max_nodes, None)
 
 
 def test_packed_walk_matches_the_per_pair_kernel_at_m8(monkeypatch):
-    # every node of the capped m=8 walk: the same children (so the same
-    # accept/reject decision on every choice) and the same counts
-    walks = _record_packed_walks(monkeypatch)
-    g = FiniteAbelianGroup((7, 2, 2))
-    n = Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)])
-    spec = SearchSpec(group=g, forbidden=n, m=8, budget=SearchBudget(max_solutions=256))
+    # the benchmark's spec: 256 certificates, the last after 30077 nodes.
+    # 49 first blocks reach the walk; the 6 whose counts overshoot spend
+    # no node in it
+    bases = []
+    real = search._second_blocks
+
+    def recorded(tables, base, budget):
+        bases.append(all(map(operator.le, base, tables.targets)))
+        return real(tables, base, budget)
+
+    monkeypatch.setattr(search, "_second_blocks", recorded)
+    name = "Z7xZ2^2, m=8"
+    spec = _spec(*SPECS[name])
+    spec.budget = SearchBudget(max_solutions=256)
     certs = search_ddf(spec)
-    assert len(certs) == 256 and certs[-1].nodes == 30077
-    # 49 first blocks reach the walk: the 6 whose counts overshoot enter no
-    # node, and of the 43 second-block walks the last closed at the 257th block
-    assert len(walks) == 49
-    fits = [all(map(operator.le, base, tables.targets)) for tables, base, _ in walks]
-    assert [bool(nodes) for _, _, nodes in walks] == fits and sum(fits) == 43
-    assert _assert_walks_match_reference(walks) == 30236
+    want, _ = ref_budgeted_search(name, None, 256)
+    assert len(certs) == 256 and certs[-1].nodes == want[-1][2] == 30077
+    assert sorted(c.nodes for c in certs) == [nodes for _, _, nodes in want]
+    assert len(bases) == 49 and sum(bases) == 43
 
 
-@pytest.mark.parametrize("m", [12, 16])
-def test_packed_walk_matches_the_per_pair_kernel_on_cyclic_specs(monkeypatch, m):
-    # the first 5000 nodes over Z_v, v = m(m-1)/2, with wider fields and more
-    # cosets, from the first first block whose counts fit the targets
-    _check_cyclic_walk(monkeypatch, m)
-
-
-def test_packed_walk_with_per_point_rows_matches_the_per_pair_kernel(monkeypatch):
-    # above m = 16 an option carries its points' own rows, not their sum;
-    # the same walk at m = 12 with the bound moved below it
-    assert 20 // 4 > search._SUMMED_MAX_PER_COSET >= 16 // 4
-    monkeypatch.setattr(search, "_SUMMED_MAX_PER_COSET", 12 // 4 - 1)
-    _check_cyclic_walk(monkeypatch, 12)
-
-
-def _check_cyclic_walk(monkeypatch, m):
+@pytest.mark.parametrize("m", [12])
+def test_packed_walk_matches_the_per_pair_kernel_on_cyclic_specs(m):
+    # the whole second-block tree of the first first block whose counts fit
+    # the targets over Z_v, v = m(m-1)/2: 33,135 nodes, no block
     v = m * (m - 1) // 2
     g = FiniteAbelianGroup((v,))
     n = Subgroup.from_elements(g, [(2 * v // m * i,) for i in range(m // 2)])
-    spec = SearchSpec(group=g, forbidden=n, m=m)
-    tables = search._CodeTables(spec)
-    assert tables.width == (m * (m - 2) // 4 * (m * (m - 2) // 4 - 1)).bit_length() + 1
+    tables = search._CodeTables(SearchSpec(group=g, forbidden=n, m=m))
     fits = next(
         d1
         for d1 in search._symmetric_first_blocks(tables, search._Budget(SearchBudget()))
         if all(c <= t for c, t in zip(tables.pair_counts(d1), tables.targets))
     )
-    walks = _record_packed_walks(monkeypatch)
-    budget = search._Budget(SearchBudget(max_nodes=5000))
-    assert list(search._balanced_blocks(tables, tables.pair_counts(fits), budget)) == []
-    assert len(walks[0][2]) > 5000
-    assert _assert_walks_match_reference(walks, 5000) == 5000
+    budget = search._Budget(SearchBudget())
+    assert list(search._second_blocks(tables, tables.pair_counts(fits), budget)) == []
+    ref = ref_walk_nodes(tables, 0, (), tables.pair_counts(fits))
+    assert budget.nodes == sum(1 for _ in ref) == 33135
 
 
-def test_packed_fields_accept_the_target_and_reject_one_more():
-    # the first and the last field, with every other count at its target
-    g = FiniteAbelianGroup((7, 2, 2))
-    spec = SearchSpec(
-        group=g, forbidden=Subgroup.from_elements(g, [(0, a, b) for a in range(2) for b in range(2)]), m=8
-    )
-    tables = search._CodeTables(spec)
-    w, v = tables.width, tables.v
-    k = spec.targets()[0]
-    assert 1 << (w - 1) > k * (k - 1) >= 1 << (w - 2)
-    at_target = tables.pack(tables.targets)
-    assert at_target == ref_pack(tables, tables.targets) == tables.complete
-    assert not at_target & tables.high
+def test_packed_fields_accept_the_target_and_reject_one_more(monkeypatch):
+    # lanes 0 and v - 1, with every other count at its target, in the 8-bit
+    # lanes of m = 8 and the 16-bit ones of m >= 28
+    for lane in (np.uint8, np.uint16):
+        monkeypatch.setattr(search, "_lane_dtype", lambda targets, per_coset: np.dtype(lane))
+        _check_lanes(search._CodeTables(_spec(*SPECS["Z7xZ2^2, m=8"])))
+
+
+def _check_lanes(tables):
+    v, high, widest = tables.v, tables.high, 2 * tables.per_coset
+
+    def overshoots(words):
+        return bool(np.bitwise_or.reduce(words) & high)
+
+    def step(d, by):
+        lanes = np.zeros(tables.width, tables.lane)
+        lanes[d] = by
+        return lanes.view(np.uint64)
+
+    at_target = tables.lanes(tables.targets)
+    assert not overshoots(at_target)
     for d in (0, v - 1):
-        one = 1 << (w * d)
-        assert (at_target + one) & tables.high  # target + 1
+        assert overshoots(at_target + step(d, 1))  # target + 1
         if tables.targets[d]:
             below = list(tables.targets)
             below[d] -= 1
-            reaches = tables.pack(below) + one
-            assert not reaches & tables.high and reaches == tables.complete
-        # a whole block's pairs on top of a count at its target stay in the field
-        most = at_target + k * (k - 1) * one
-        assert most >> (w * (d + 1)) == at_target >> (w * (d + 1))
-        assert most & tables.high == 1 << (w * d + w - 1)
+            reaches = tables.lanes(below) + step(d, 1)
+            assert not overshoots(reaches) and (reaches == at_target).all()
+        # the widest step on a count at its target sets only its own lane's
+        # high bit and leaves the next lane (at d = v - 1 a padding lane) alone
+        most = (at_target + step(d, widest)).view(tables.lane)
+        assert most[d] == (1 << (8 * tables.lane.itemsize - 1)) - 1 + widest
+        assert (np.delete(most, d) == np.delete(at_target.view(tables.lane), d)).all()
 
 
 def test_an_overshooting_base_completes_no_block():
@@ -623,9 +655,9 @@ def test_an_overshooting_base_completes_no_block():
     tables = search._CodeTables(spec)
     base = tables.pair_counts(d1)
     fits = search._Budget(SearchBudget())
-    assert list(search._balanced_blocks(tables, base, fits))
+    assert list(search._second_blocks(tables, base, fits))
     over = search._Budget(SearchBudget())
-    assert list(search._balanced_blocks(tables, [1] + base[1:], over)) == []
+    assert list(search._second_blocks(tables, [1] + base[1:], over)) == []
     assert fits.nodes > 0 and over.nodes == 0
 
 

@@ -124,7 +124,7 @@ MULT_GROUPS = [_Z7] + [
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     st.sampled_from([(6,), (12,), (2, 2, 2), (2, 2, 2, 2), (3, 6), (4, 2)]),
     st.integers(min_value=0, max_value=10**9),
@@ -141,7 +141,7 @@ def test_subgroup_check_matches_all_pairs_scan(moduli, seed):
     assert rejects(Subgroup.from_elements, g, candidate) == (not ref_is_subgroup(g, candidate))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(range(len(MULT_GROUPS))), st.integers(min_value=0, max_value=10**9))
 def test_unit_closure_check_matches_all_pairs_scan(which, seed):
     rng = random.Random(seed)
@@ -156,7 +156,7 @@ def test_unit_closure_check_matches_all_pairs_scan(which, seed):
     assert new == (not ref_is_closed(candidate, one, mul))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3]), st.integers(min_value=0, max_value=10**9))
 def test_user_subgroup_check_matches_all_pairs_scan(n, seed):
     rng = random.Random(seed)
@@ -203,7 +203,7 @@ def iso_on_codes(table, codomain, elements, mul, one, name):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(range(len(ISO_TABLES))), st.integers(min_value=0, max_value=10**9))
 def test_isomorphism_check_matches_all_pairs_scan(which, seed):
     rng = random.Random(seed)
@@ -223,7 +223,7 @@ def test_isomorphism_check_matches_all_pairs_scan(which, seed):
     assert rejects(iso.verify) == (not ref_is_isomorphism(codomain, table, mul))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from(["GF(13)", 2, 3]), st.integers(min_value=0, max_value=10**9))
 def test_invariance_check_matches_all_pairs_scan(which, seed):
     rng = random.Random(seed)
