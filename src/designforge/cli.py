@@ -46,8 +46,9 @@ def _dump(data: dict) -> str:
 def _emit(chunks: Iterable[str], config: RunConfig) -> None:
     """Write the chunks, in order, to the --out file or to stdout.
 
-    Callers pass only verified artifacts, so --out is opened here, after the
-    gate.  Chunks are ``str``: a redirected stdout may have no byte buffer.
+    Callers pass only gated output, a verified artifact or the report of
+    ``verify``, so --out is opened here, after the gate.  Chunks are
+    ``str``: a redirected stdout may have no byte buffer.
     """
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
@@ -135,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         data = json.load(fh)
     family = designs.DifferenceFamily.from_json(data)
     report = designs.verify(family)
-    print(report.summary())
+    _emit([report.summary() + "\n"], config)
     return 0 if report.ok else 1
 
 

@@ -13,6 +13,7 @@ converts between the forms.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,17 +144,28 @@ def json_ints(value: object, where: str) -> Tuple[int, ...]:
     return tuple(value)
 
 
+def _narrowest_int(value: int) -> type:
+    """The narrowest signed numpy integer type holding the nonnegative ``value``."""
+    for kind, bits in ((np.int8, 7), (np.int16, 15), (np.int32, 31)):
+        if value < 1 << bits:
+            return kind
+    return np.int64
+
+
 class FiniteAbelianGroup:
     """Direct product of cyclic groups, written additively.
 
     Boundary elements are tuples of residues, one per modulus.  The stored
     and working form is the mixed-radix code ``sum(c_i * weights[i])``:
     ``index``/``element`` convert one element, ``encode``/``decode`` whole
-    arrays, and ``code_sub``/``code_add`` combine code arrays one coordinate
-    at a time, never materialising a coordinate axis.
+    arrays.  ``code_sub``/``code_add`` combine code arrays with one raw op
+    on the codes and a wrap correction per coordinate, never materialising
+    a coordinate axis or dividing the broadcast result; ``cayley_rows``
+    builds whole rows of the Cayley table from the small tables of a lead
+    and a trail factor.
     """
 
-    __slots__ = ("moduli", "order", "weights")
+    __slots__ = ("moduli", "order", "weights", "_wraps")
 
     def __init__(self, moduli: Sequence[int]) -> None:
         mods = tuple(int(m) for m in moduli)
@@ -168,6 +180,10 @@ class FiniteAbelianGroup:
             weights[i] = weights[i + 1] * mods[i + 1]
         self.weights = tuple(weights)
         self.order = weights[0] * mods[0]
+        # (w, m*w, m*w in the narrowest signed type) per coordinate that can wrap
+        self._wraps = tuple(
+            (w, m * w, _narrowest_int(m * w)(m * w)) for m, w in zip(mods, weights) if m > 1
+        )
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup({list(self.moduli)})"
@@ -332,18 +348,55 @@ class FiniteAbelianGroup:
             codes, neg = codes + offsets, neg + offsets
         return codes[np.searchsorted(codes, neg) % max(codes.size, 1)] == neg
 
+    def cayley_rows(self, rows: object, op: Callable) -> np.ndarray:
+        """Codes of ``op(r, j)`` (``np.subtract`` or ``np.add``) for each of
+        the 1-D row codes r against every code j, as a (len(rows), order)
+        ``code_dtype`` array: those rows of the group's Cayley table.
+
+        The moduli split into a lead factor of order L and a trail factor of
+        order T, at the first split with the least L + T (a cyclic group has
+        only the trivial lead).  A code is its lead code times T plus its
+        trail code, so the rows are each factor's small R x L and R x T
+        tables, from code arithmetic, joined by one broadcast add.  With a
+        trivial lead the trail table is the result itself.
+        """
+        rows = np.asarray(rows, dtype=self.code_dtype).reshape(-1, 1)
+        leads = list(itertools.accumulate(self.moduli[:-1], operator.mul, initial=1))
+        cut = min(range(len(leads)), key=lambda s: leads[s] + self.order // leads[s])
+        lead_order, trail_order = leads[cut], self.order // leads[cut]
+        tails = FiniteAbelianGroup(self.moduli[cut:])._code_combine(
+            rows % trail_order, np.arange(trail_order, dtype=rows.dtype), op
+        )
+        if not cut:
+            return tails
+        heads = FiniteAbelianGroup(self.moduli[:cut])._code_combine(
+            rows // trail_order, np.arange(lead_order, dtype=rows.dtype), op
+        )
+        heads *= trail_order
+        return (heads[:, :, None] + tails[:, None, :]).reshape(rows.size, self.order)
+
     def _code_combine(self, x: object, y: object, op: Callable) -> np.ndarray:
-        # one coordinate at a time: the digits come from the (small) inputs,
-        # and the broadcast result holds codes only, at the inputs' dtype
-        # (a*w +- b*w) mod m*w = ((a +- b) mod m) * w, with a, b digits of x, y
-        out: Any = None
-        for m, w in zip(self.moduli, self.weights):
-            digit = op((x // w) % m * w, (y // w) % m * w)
-            digit %= m * w
-            if out is None:
-                out = digit
+        # One raw op on the codes, then a correction of m*w wherever a
+        # coordinate's digits wrapped: digits are reduced residues, so one
+        # correction is enough, and int32 codes stay below INT32_CODE_ORDER,
+        # so the raw sum cannot overflow.  Only the (small) inputs are
+        # divided: a digit times w is x % (m*w) - x % w, where x % (m*w) is
+        # the previous coordinate's x % w (x itself at the lead).  The
+        # broadcast result sees a compare and a multiply-add per coordinate,
+        # the product in the narrowest type holding m*w: a masked add is
+        # slower on the alternating masks of Z_2 coordinates, and an int32
+        # product costs memory and time.
+        out = op(x, y)
+        add = op is np.add
+        undo = np.subtract if add else np.add
+        for w, mw, step in self._wraps:
+            if w == 1:  # the last coordinate: x already is its digit
+                xd, yd = x, y
             else:
-                out += digit
+                x_low, y_low = x % w, y % w
+                xd, yd, x, y = x - x_low, y - y_low, x_low, y_low
+            wrapped = xd >= mw - yd if add else xd < yd
+            undo(out, wrapped * step, out=out)
         return out
 
     # -- serialization ---------------------------------------------------

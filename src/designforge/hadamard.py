@@ -11,9 +11,11 @@ ambient group's lexicographic element enumeration, which serialization
 records.
 
 Every whole-matrix step works on tiles of ``_TILE_ROWS`` rows: the Gram
-gate, the entry, symmetry and skewness checks, and the three assemblies,
-which write int8 rows straight from the group's codes.  Besides the int8
-matrix itself, none holds more than a few tiles.
+gate, the entry, symmetry and skewness checks, and the three assemblies.
+An assembly writes each group-developed block of rows by gathering int8 +-1
+tables, built once per assembly and indexed by group code, at the codes of
+that block's rows of the Cayley table (``FiniteAbelianGroup.cayley_rows``).
+Besides the int8 matrix itself, none holds more than a few tiles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,9 +40,10 @@ MAX_FINGERPRINT_ORDER = 128
 MAX_MATRIX_ORDER = 16384
 # Rows per tile of the gate, the entry checks and the assemblies.  A pair of
 # gate tiles casts to 2 * 512 * order float32 entries, 64 MiB at the cap; an
-# assembly block holds a few 512 x v int32 code arrays, 16 MiB each at
-# v = 8191.  Smaller tiles cost the gate time in BLAS calls too small to run
-# at full speed (256 rows: 45% slower at order 8192 on a 2-core host).
+# assembly block holds one 512 x v int32 code array at a time, 16 MiB at
+# v = 8191, and a few int8 blocks of rows.  Smaller tiles cost the gate time
+# in BLAS calls too small to run at full speed (256 rows: 45% slower at order
+# 8192 on a 2-core host).
 _TILE_ROWS = 512
 # float32 holds every integer of magnitude up to 2^24 exactly.
 FLOAT32_EXACT_LIMIT = 1 << 24
@@ -331,18 +334,25 @@ def normalize(M: SignMatrix) -> Tuple[SignMatrix, np.ndarray, np.ndarray]:
 # -- group-indexed incidence machinery ------------------------------------------
 
 
-def _row_blocks(group: FiniteAbelianGroup) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+def _row_blocks(group: FiniteAbelianGroup) -> Iterator[Tuple[slice, np.ndarray]]:
     """The group's positions in blocks of ``_TILE_ROWS`` rows: each block's
-    row slice, its row codes as a column, and every column code.
-
-    Positions are mixed-radix codes, so ``code_sub`` and ``code_add`` of a
-    block's two code arrays are the i - j and i + j rows of the block; no
-    whole table is built.  Callers check the order against
-    MAX_MATRIX_ORDER first, so the codes are int32.
-    """
+    row slice and its row codes.  Callers check the order against
+    MAX_MATRIX_ORDER first."""
     codes = np.arange(group.order, dtype=group.code_dtype)
     for start in range(0, group.order, _TILE_ROWS):
-        yield slice(start, start + _TILE_ROWS), codes[start : start + _TILE_ROWS, None], codes
+        yield slice(start, start + _TILE_ROWS), codes[start : start + _TILE_ROWS]
+
+
+def _gather_rows(
+    group: FiniteAbelianGroup, rows: np.ndarray, op: Callable, *tables: np.ndarray
+) -> List[np.ndarray]:
+    """Rows ``rows`` of the group-developed matrix of each int8 table indexed
+    by code: the table gathered (``take``) at ``group.cayley_rows(rows, op)``,
+    the codes of op(i, j) for i in ``rows`` and every code j.  The codes live
+    only here, so an assembly holds one block of codes at a time besides its
+    int8 rows."""
+    codes = group.cayley_rows(rows, op)
+    return [table.take(codes) for table in tables]
 
 
 def _membership(group: FiniteAbelianGroup, codes: np.ndarray) -> np.ndarray:
@@ -391,20 +401,21 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
     skew_idx = next((i for i, c in enumerate(codes) if not group.negatives_in(c).any()), None)
     if skew_idx is None:
         raise PreconditionError("neither block satisfies the skewness condition")
-    in_S = _membership(group, codes[skew_idx])
-    in_S[0] = 1  # the skew block plus the identity
-    in_T = _membership(group, codes[1 - skew_idx])
+    signs_S = 2 * _membership(group, codes[skew_idx]) - 1
+    signs_S[0] = 1  # the skew block plus the identity
+    signs_T = 2 * _membership(group, codes[1 - skew_idx]) - 1
     # [[1, 1, e^T, -e^T], [-1, 1, e^T, e^T], [-e, -e, A, B], [e, -e, -B, A]]
     M = np.empty((2 * v + 2, 2 * v + 2), dtype=np.int8)
     M[:2, :2] = [[1, 1], [-1, 1]]
     M[:2, 2:] = np.repeat(np.array([[1, -1], [1, 1]], dtype=np.int8), v, axis=1)
     M[2:, :2] = np.repeat(np.array([[-1, -1], [1, -1]], dtype=np.int8), v, axis=0)
     upper, lower = M[2 : v + 2, 2:], M[v + 2 :, 2:]
-    for rows, i, j in _row_blocks(group):
-        A = 2 * in_S[group.code_sub(i, j)] - 1
-        B = 2 * in_T[group.code_add(i, j)] - 1
+    for rows, i in _row_blocks(group):
+        (A,) = _gather_rows(group, i, np.subtract, signs_S)
+        (B,) = _gather_rows(group, i, np.add, signs_T)
         upper[rows, :v], upper[rows, v:] = A, B
-        lower[rows, :v], lower[rows, v:] = -B, A
+        np.negative(B, out=lower[rows, :v])
+        lower[rows, v:] = A
     result = SignMatrix(
         M,
         provenance={
@@ -602,8 +613,8 @@ def _resolve_assignment(n_cosets: int, assignment: Assignment) -> List[int]:
 
 @dataclass
 class _SymmetricLayout:
-    """The order-m^2 array short of its v x v blocks, which ``rows`` gives a
-    block of rows at a time from the group's codes."""
+    """The order-m^2 array short of its v x v blocks, which ``matrix`` and
+    ``parts`` write a block of rows at a time from the group's codes."""
 
     group: FiniteAbelianGroup
     N: Subgroup
@@ -615,22 +626,13 @@ class _SymmetricLayout:
     in_N: np.ndarray  # 0/1 membership of N, by code
     assignment: List[int]
 
-    def rows(self, i: np.ndarray, j: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """The rows of A', B', C and n_in for row codes i (a column) against
-        column codes j."""
-        diff, sums = self.group.code_sub(i, j), self.group.code_add(i, j)
-        return (
-            2 * self.first[diff] - 1,
-            2 * self.second[sums] - 1,
-            self.in_N[sums],
-            self.in_N[diff],
-        )
-
     def parts(self) -> SymmetricParts:
         v = self.group.order
+        first, second = 2 * self.first - 1, 2 * self.second - 1
         Ap, Bp, C, n_in = (np.empty((v, v), dtype=np.int8) for _ in range(4))
-        for rows, i, j in _row_blocks(self.group):
-            Ap[rows], Bp[rows], C[rows], n_in[rows] = self.rows(i, j)
+        for rows, i in _row_blocks(self.group):
+            Ap[rows], n_in[rows] = _gather_rows(self.group, i, np.subtract, first, self.in_N)
+            Bp[rows], C[rows] = _gather_rows(self.group, i, np.add, second, self.in_N)
         return SymmetricParts(
             self.group, self.N, self.m, self.H1, self.H2, C, Ap, Bp, n_in, self.assignment
         )
@@ -643,10 +645,14 @@ class _SymmetricLayout:
         M[:m, m : m + v], M[:m, m + v :] = self.H1.T, self.H2.T
         M[m : m + v, :m], M[m + v :, :m] = self.H1, self.H2
         upper, lower = M[m : m + v, m:], M[m + v :, m:]
-        for rows, i, j in _row_blocks(self.group):
-            Ap, Bp, C, _ = self.rows(i, j)
+        # +-1 tables by code: A' of i - j, and B' and -B' - 2C of i + j
+        first, second = 2 * self.first - 1, 2 * self.second - 1
+        corner = 1 - 2 * self.second - 2 * self.in_N
+        for rows, i in _row_blocks(self.group):
+            (Ap,) = _gather_rows(self.group, i, np.subtract, first)
+            Bp, corner_rows = _gather_rows(self.group, i, np.add, second, corner)
             upper[rows, :v], upper[rows, v:] = Bp, Ap
-            lower[rows, :v], lower[rows, v:] = Ap, -Bp - 2 * C
+            lower[rows, :v], lower[rows, v:] = Ap, corner_rows
         return M
 
 
@@ -832,10 +838,10 @@ def hadamard_from_difference_set(family: DifferenceFamily) -> SignMatrix:
         raise PreconditionError("need a single-block family")
     group = family.ambient
     check_matrix_order(group.order)
-    member = _membership(group, family.blocks[0].codes)
+    signs = 2 * _membership(group, family.blocks[0].codes) - 1
     A = np.empty((group.order, group.order), dtype=np.int8)
-    for rows, i, j in _row_blocks(group):
-        A[rows] = 2 * member[group.code_sub(i, j)] - 1
+    for rows, i in _row_blocks(group):
+        (A[rows],) = _gather_rows(group, i, np.subtract, signs)
     M = SignMatrix(A, labels=list(group.elements()), provenance={"construction": "difference-set"})
     if not is_hadamard(M):
         raise AssemblyError("difference set does not give a Hadamard matrix")

@@ -149,6 +149,31 @@ def test_verify_corrupted_family_exits_one(tmp_path, capsys):
     assert "FAILED" in out and "witness" in out
 
 
+def test_verify_writes_its_report_to_out(tmp_path, capsys):
+    # the report line goes to --out, not stdout, for a FAILED report too
+    good = tmp_path / "fam.json"
+    run_cli(["construct", "szekeres", "--q", "11", "--out", str(good)], capsys)
+    data = json.loads(good.read_text())
+    data["blocks"][0][0] = [0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for family, want_code in ((good, 0), (bad, 1)):
+        _, printed, _ = run_cli(["verify", str(family)], capsys)
+        report = tmp_path / "report.txt"
+        assert run_cli(["verify", str(family), "--out", str(report)], capsys) == (want_code, "", "")
+        assert report.read_text() == printed
+    assert printed.startswith("FAILED")
+
+
+def test_verify_into_an_unwritable_out_exits_two(tmp_path, capsys):
+    family = tmp_path / "fam.json"
+    run_cli(["construct", "szekeres", "--q", "11", "--out", str(family)], capsys)
+    for out_path in (tmp_path, tmp_path / "missing" / "report.txt"):
+        code, out, err = run_cli(["verify", str(family), "--out", str(out_path)], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_io_errors_exit_two_with_one_line(tmp_path, capsys):
     cases = {
         "missing file": ["verify", str(tmp_path / "missing.json")],
@@ -345,6 +370,12 @@ PINNED_MATRICES = [
      "f4c4db92f1fe6904913da1247e84dbdd56732fc6ed2454122cabe4491dd12211"),
     (["sylvester", "--k", "6", "--format", "text"],
      "4518db41461e778092703f40280d663dab31e031b0c622674a2edd8f8f7a8e4e"),
+    # the benchmark's own matrices: Z_665, whose rows span two tiles, and
+    # Z_31 x Z_2^4, whose Cayley rows join a lead and a trail factor
+    (["skew", "--q", "1331"],
+     "84968ee32e9f15e6b736bdd96b3a2d13bb5ffa73d27fa0acc273a135a25a2093"),
+    (["symmetric", "--n", "5", "--u", "7"],
+     "42702face090efda506095667a9a8dba879169aecdb9c01f6f51e3b76af10624"),
 ]
 
 

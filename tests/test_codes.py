@@ -351,6 +351,9 @@ def ref_canonical_form(family, symmetries):
 # ---------------------------------------------------------------------------
 
 moduli_lists = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
+# Rows per block of the assemblies: single rows, blocks that split a group
+# unevenly, and the library's own tile.
+TILES = [1, 3, 7, hadamard._TILE_ROWS]
 
 
 def random_family(data, group, max_blocks=3, max_size=8):
@@ -477,6 +480,62 @@ def test_code_arithmetic_matches_tuple_arithmetic(moduli, data):
             assert g.element(int(diff[i, j])) == g.sub(x, y)
             assert g.element(int(sums[i, j])) == g.add(x, y)
     assert [g.element(int(c)) for c in g.code_sub(0, cx)] == [g.neg(x) for x in xs]
+    # a Python-int operand on either side
+    y0 = int(cy[0])
+    assert [g.element(int(c)) for c in g.code_sub(y0, cx)] == [g.sub(ys[0], x) for x in xs]
+    assert [g.element(int(c)) for c in g.code_add(cx, y0)] == [g.add(x, ys[0]) for x in xs]
+    # the 3-D broadcast of search._least_translates: shifts against rows of codes
+    rows = np.stack([cx, cx[::-1]])
+    translates = g.code_add(cy[:, None], rows[:, None, :])
+    assert translates.shape == (2, len(ys), len(xs))
+    for r, row in enumerate(rows.tolist()):
+        for s, y in enumerate(ys):
+            assert [g.element(int(c)) for c in translates[r, s]] == [
+                g.add(y, g.element(c)) for c in row
+            ]
+    # int64 codes: the same moduli beside two large ones, order above 2^30,
+    # elements drawn coordinate by coordinate, never enumerated
+    big = FiniteAbelianGroup([*moduli, 40009, 30011])
+    assert big.order > groups.INT32_CODE_ORDER and big.code_dtype == np.int64
+    residues = st.tuples(*(st.integers(0, m - 1) for m in big.moduli))
+    bx = data.draw(st.lists(residues, min_size=1, max_size=6))
+    by = data.draw(st.lists(residues, min_size=1, max_size=6))
+    ex, ey = big.encode(bx), big.encode(by)
+    big_diff = big.code_sub(ex[:, None], ey[None, :])
+    big_sums = big.code_add(ex[:, None], ey[None, :])
+    assert big_diff.dtype == big_sums.dtype == np.int64
+    for i, x in enumerate(bx):
+        for j, y in enumerate(by):
+            assert big.element(int(big_diff[i, j])) == big.sub(x, y)
+            assert big.element(int(big_sums[i, j])) == big.add(x, y)
+    assert [big.element(int(c)) for c in big.code_sub(0, ex)] == [big.neg(x) for x in bx]
+
+
+@settings(max_examples=100, deadline=None)
+@given(moduli_lists, st.sampled_from(TILES), st.data())
+def test_cayley_rows_match_code_arithmetic_on_every_row_block(moduli, tile, data):
+    # each row block of the assemblies, and rows in any order, against
+    # code_sub and code_add of the row codes against every code, and each
+    # block's gathered rows against fancy indexing at those codes
+    g = FiniteAbelianGroup(moduli)
+    every = np.arange(g.order, dtype=g.code_dtype)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=g.order, max_size=g.order)
+    table = np.array(data.draw(signs), dtype=np.int8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hadamard, "_TILE_ROWS", tile)
+        blocks = list(hadamard._row_blocks(g))
+    assert [rows.indices(g.order) for rows, _ in blocks] == [
+        (start, min(start + tile, g.order), 1) for start in range(0, g.order, tile)
+    ]
+    assert all(np.array_equal(i, every[rows]) for rows, i in blocks)
+    picked = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=8))
+    for i in [i for _, i in blocks] + [np.array(picked, dtype=g.code_dtype)]:
+        for op, combine in ((np.subtract, g.code_sub), (np.add, g.code_add)):
+            want = combine(i[:, None], every[None, :])
+            got = g.cayley_rows(i, op)
+            assert got.dtype == g.code_dtype and np.array_equal(got, want)
+            gathered, again = hadamard._gather_rows(g, i, op, table, -table)
+            assert np.array_equal(gathered, table[want]) and np.array_equal(again, -table[want])
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +903,6 @@ def product_difference_set(g1, d1, g2, d2):
     dims = len(g1.moduli)
     points = frozenset(x for x in g.elements() if (x[:dims] in d1) == (x[dims:] in d2))
     return DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, points)])
-
-
-TILES = [1, 3, 7, hadamard._TILE_ROWS]
 
 
 @pytest.mark.parametrize("tile", TILES)
