@@ -13,12 +13,13 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import constructions, designs, hadamard, search
 from .constructions import PreconditionError
 from .field import MAX_FIELD_SIZE, FieldCtx, factorize, load_poly_table
 from .galois import RingCtx
+from .groups import json_file
 
 POLY_TABLE_ENV = "DESIGNFORGE_POLY_TABLE"
 
@@ -105,9 +106,7 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
             result = constructions.szekeres_family(ctx)
         else:
             e = args.e if args.e is not None else 2
-            result = constructions.cyclotomic_family(
-                ctx, e, with_zero=(kind == "prop23")
-            )
+            result = constructions.cyclotomic_family(ctx, e, with_zero=(kind == "prop23"))
     elif kind in ("gr4-ddf", "gr4-union", "prop34"):
         if args.n is None:
             raise PreconditionError(f"{kind} needs --n")
@@ -119,22 +118,16 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
             y = None
             if args.y is not None:
                 if not 0 <= args.y < len(ring.teichmuller):
-                    raise PreconditionError(
-                        f"--y {args.y} out of range for the Teichmuller list"
-                    )
+                    raise PreconditionError(f"--y {args.y} out of range for the Teichmuller list")
                 y = ring.principal_units()[args.y]
-            result = constructions.galois_ring_ddf(
-                ring, u=u, y=y, include_ideal=(kind == "gr4-union")
-            )
+            result = constructions.galois_ring_ddf(ring, u=u, y=y, include_ideal=(kind == "gr4-union"))
     else:
         raise PreconditionError(f"unknown construction kind {kind!r}")
     return _emit_family(result, config)
 
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    with open(args.family, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    family = designs.DifferenceFamily.from_json(data)
+    family = designs.DifferenceFamily.from_json(json_file(args.family))
     report = designs.verify(family)
     _emit([report.summary() + "\n"], config)
     return 0 if report.ok else 1
@@ -159,8 +152,7 @@ def _cmd_hadamard(args: argparse.Namespace, config: RunConfig) -> int:
             u = _trace_zero_u(ring, args.u)
             family = constructions.galois_ring_ddf(ring, u=u).family
         elif args.family is not None:
-            with open(args.family, "r", encoding="utf-8") as fh:
-                family = designs.DifferenceFamily.from_json(json.load(fh))
+            family = designs.DifferenceFamily.from_json(json_file(args.family))
         else:
             raise PreconditionError("symmetric needs --n or --family")
         matrix = hadamard.symmetric_from_ddf(family).matrix
@@ -170,34 +162,35 @@ def _cmd_hadamard(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+def _certificate_lines(certs: Sequence[search.Certificate]) -> List[str]:
+    """``_dump`` of each ``to_json`` of one ``search_ddf`` call's certificates,
+    less ``elapsed``, which would make stdout irreproducible.  They share all
+    fields but blocks and nodes, dumped once from the first; blocks are joined
+    from element text by code, and ``fields``, built in sorted key order,
+    keeps that order through ``update``."""
+    if not certs:
+        return []
+    first, group, lines = certs[0], certs[0].family.ambient, []
+    shared = dict(first.family.to_json(), spec=first.spec.to_json(), seed=first.seed, nodes=None)
+    fields = {key: f'"{key}":{_dump(value)}' for key, value in sorted(shared.items())}
+    text = [_dump(e) for e in group.decode(range(group.order)).tolist()]
+    for cert in certs:
+        blocks = [",".join([text[c] for c in b.codes.tolist()]) for b in cert.family.sorted_blocks()]
+        fields.update(blocks='"blocks":[[%s]]' % "],[".join(blocks), nodes=f'"nodes":{cert.nodes}')
+        lines.append("{%s}" % ",".join(fields.values()))
+    return lines
+
+
 def _cmd_search(args: argparse.Namespace, config: RunConfig) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = search.SearchSpec.from_json(json.load(fh))
+    spec = search.SearchSpec.from_json(json_file(args.spec))
     if args.seed is not None:
         spec.seed = args.seed
     if config.budget is not None:
         spec.budget.max_nodes = config.budget
     certs = search.search_ddf(spec)
-    reduced = search.dedupe(certs)
-    lines = []
-    for cert in certs:
-        payload = cert.to_json()
-        payload.pop("elapsed", None)  # keep stdout reproducible
-        lines.append(_dump(payload))
-    lines.append(
-        _dump(
-            {
-                "summary": {
-                    "certificates": len(certs),
-                    "orbits": len(reduced),
-                    "nodes": max((c.nodes for c in certs), default=None),
-                    "mode": spec.mode,
-                    "seed": spec.seed,
-                }
-            }
-        )
-    )
-    _emit(["\n".join(lines) + "\n"], config)
+    summary = {"certificates": len(certs), "orbits": len(search.dedupe(certs)), "mode": spec.mode,
+               "nodes": max((c.nodes for c in certs), default=None), "seed": spec.seed}
+    _emit(["\n".join([*_certificate_lines(certs), _dump({"summary": summary})]) + "\n"], config)
     return 0
 
 

@@ -6,13 +6,12 @@ an explicit table, which keeps all downstream verification exact and fast.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, json_ints, json_object
+from .groups import FiniteAbelianGroup, json_file, json_ints, json_object
 
 Element = Tuple[int, ...]
 Poly = Tuple[int, ...]  # coefficients, lowest degree first
@@ -180,8 +179,7 @@ def load_poly_table(path: str) -> Dict[Tuple[int, int], Poly]:
     """Read a user table: JSON mapping "p,r" to coefficient lists (low first).
 
     A malformed table raises ValueError naming the key at fault."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json_object(json.load(fh), "poly table")
+    raw = json_object(json_file(path), "poly table")
     table: Dict[Tuple[int, int], Poly] = {}
     for key, coeffs in raw.items():
         try:

@@ -13,6 +13,7 @@ converts between the forms.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -144,6 +145,17 @@ def json_ints(value: object, where: str) -> Tuple[int, ...]:
     return tuple(value)
 
 
+def json_file(path: str) -> object:
+    """The JSON value in the file at ``path``.  Input nested too deeply to
+    parse raises ValueError, not the parser's RecursionError: that is a
+    RuntimeError, which the CLI reports as a failed verification."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON arrays or objects too deeply") from None
+
+
 def _narrowest_int(value: int) -> type:
     """The narrowest signed numpy integer type holding the nonnegative ``value``."""
     for kind, bits in ((np.int8, 7), (np.int16, 15), (np.int32, 31)):
@@ -200,9 +212,7 @@ class FiniteAbelianGroup:
         return (0,) * len(self.moduli)
 
     def contains(self, a: Sequence[int]) -> bool:
-        return len(a) == len(self.moduli) and all(
-            0 <= c < m for c, m in zip(a, self.moduli)
-        )
+        return len(a) == len(self.moduli) and all(0 <= c < m for c, m in zip(a, self.moduli))
 
     def add(self, a: Element, b: Element) -> Element:
         if len(a) != len(self.moduli) or len(b) != len(self.moduli):

@@ -59,22 +59,17 @@ class SearchSpec:
                 "unless m = 0 (mod 4)"
             )
         if self.group.order != m * (m - 1) // 2:
-            raise PreconditionError(
-                f"|G|={self.group.order}, need m(m-1)/2={m * (m - 1) // 2}"
-            )
+            raise PreconditionError(f"|G|={self.group.order}, need m(m-1)/2={m * (m - 1) // 2}")
         if self.forbidden.order != m // 2:
-            raise PreconditionError(
-                f"|N|={self.forbidden.order}, need m/2={m // 2}"
-            )
+            raise PreconditionError(f"|N|={self.forbidden.order}, need m/2={m // 2}")
         if self.mode not in ("exhaustive", "randomized"):
             raise PreconditionError(f"unknown mode {self.mode!r}")
         for name, value in vars(self.budget).items():
             # NaN fails both comparisons, and a deadline of NaN never passes
             if value is not None and not 0 <= value < math.inf:
                 raise PreconditionError(f"budget.{name} is {value}; it must be finite and >= 0")
-        if self.mode == "randomized" and (
-            self.budget.max_nodes is None and self.budget.max_seconds is None
-        ):
+        budget = self.budget
+        if self.mode == "randomized" and budget.max_nodes is None and budget.max_seconds is None:
             # max_solutions alone bounds nothing: the group may hold fewer
             # distinct families than it asks for
             raise PreconditionError(
@@ -89,16 +84,8 @@ class SearchSpec:
 
     def to_json(self) -> dict:
         return {
-            "group": self.group.to_json(),
-            "forbidden": self.forbidden.to_json(),
-            "m": self.m,
-            "mode": self.mode,
-            "seed": self.seed,
-            "budget": {
-                "max_nodes": self.budget.max_nodes,
-                "max_solutions": self.budget.max_solutions,
-                "max_seconds": self.budget.max_seconds,
-            },
+            "group": self.group.to_json(), "forbidden": self.forbidden.to_json(), "m": self.m,
+            "mode": self.mode, "seed": self.seed, "budget": dict(vars(self.budget)),
         }
 
     @classmethod
@@ -143,21 +130,17 @@ class Certificate:
     elapsed: float
 
     def to_json(self) -> dict:
-        data = self.family.to_json()
-        data["spec"] = self.spec.to_json()
-        data["nodes"] = self.nodes
-        data["seed"] = self.seed
-        data["elapsed"] = round(self.elapsed, 6)
-        return data
+        return dict(
+            self.family.to_json(), spec=self.spec.to_json(), nodes=self.nodes, seed=self.seed,
+            elapsed=round(self.elapsed, 6),
+        )
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
         """Parse ``to_json`` output; a malformed field raises ValueError naming it,
         such as ``certificate.spec.m`` or ``certificate.nodes``."""
         where = "certificate"
-        spec = SearchSpec.from_json(
-            json_field(data, "spec", where, json_object), f"{where}.spec"
-        )
+        spec = SearchSpec.from_json(json_field(data, "spec", where, json_object), f"{where}.spec")
         return cls(
             family=DifferenceFamily.from_json(data),
             spec=spec,
@@ -190,11 +173,8 @@ class _Budget:
     def __init__(self, budget: SearchBudget) -> None:
         self.max_nodes = budget.max_nodes
         self.max_solutions = budget.max_solutions
-        self.deadline = (
-            time.perf_counter() + budget.max_seconds
-            if budget.max_seconds is not None
-            else None
-        )
+        seconds = budget.max_seconds
+        self.deadline = None if seconds is None else time.perf_counter() + seconds
         self.nodes = 0
         self.solutions = 0
 
@@ -472,17 +452,9 @@ def _certificates(spec: SearchSpec, hits: List[_Hit]) -> List[Certificate]:
     blocks = Block.from_rows(group, np.fromiter(codes, dtype=np.int64).reshape(-1, k))
     certs = [
         Certificate(
-            family=DifferenceFamily(
-                ambient=group,
-                forbidden=spec.forbidden,
-                blocks=blocks[2 * i : 2 * i + 2],
-                declared=declared,
-                provenance={"construction": "search", "m": spec.m, "mode": spec.mode},
-            ),
-            spec=spec,
-            nodes=nodes,
-            seed=spec.seed,
-            elapsed=elapsed,
+            DifferenceFamily(group, spec.forbidden, blocks[2 * i : 2 * i + 2], declared,
+                             provenance={"construction": "search", "m": spec.m, "mode": spec.mode}),
+            spec, nodes, spec.seed, elapsed,
         )
         for i, (_, _, nodes, elapsed) in enumerate(hits)
     ]
@@ -503,7 +475,7 @@ def search_ddf(spec: SearchSpec) -> List[Certificate]:
     through the independent verifier: zero false positives.  The walk only
     records its hits, so a family that fails replay raises RuntimeError once
     the budget is spent, and the build and replay come on top of
-    ``max_seconds`` (about 20 ms per 256 families at m = 8).
+    ``max_seconds`` (about 5 ms per 256 families at m = 8).
     """
     spec.validate()
     t0 = time.perf_counter()
@@ -626,8 +598,9 @@ def _scored_swap(
 
 
 SYMMETRY_NAMES = ("translation", "negation", "n_multiplication")
-# Codes formed per ``code_add`` by ``_canonical_forms``: 32 KB of int32 codes
-# per slice, so deduplicating a search's certificates adds no peak memory.
+# Codes formed per ``code_add`` by ``_least_translates``: 32 KB of int32 codes
+# per slice, so deduplicating a search's certificates adds no peak memory
+# (256 KiB slices read 0.7 MB higher in 5 s search_m8 benchmark runs).
 _TRANSLATES_AT_ONCE = 1 << 13
 
 
@@ -646,89 +619,115 @@ def canonical_form(
     return _canonical_forms([family], symmetries)[0]
 
 
-def _canonical_forms(
-    families: Sequence[DifferenceFamily], symmetries: Sequence[str]
-) -> List[Tuple[Tuple[Element, ...], ...]]:
-    """``canonical_form`` of each family, batched.
+def _canonical_forms(families: Sequence[DifferenceFamily], symmetries: Sequence[str]) -> list:
+    """``canonical_form`` of each family, batched: its code key decoded."""
+    forms = {}
+    for group, members, keys in _canonical_keys(families, symmetries):
+        forms.update(zip(members, _decoded(group, keys)))
+    return [forms[f] for f in range(len(families))]
 
-    The blocks are stacked by ambient group, block size and shift set, each
-    stack with its negation beneath it.  One ``code_add`` per stack forms
-    every translate on mixed-radix codes (in slices of a bounded number of
-    translates), whose order is lexicographic tuple order; each translate is
-    sorted along its row, and one lexsort with the block as its primary key
-    puts each block's least translate first among its own.  The least image
-    is chosen on codes and only it is decoded.
+
+def _canonical_keys(
+    families: Sequence[DifferenceFamily], symmetries: Sequence[str]
+) -> Iterator[Tuple[FiniteAbelianGroup, List[int], np.ndarray]]:
+    """Per class of families with one group and one multiset of block sizes:
+    the group, the families' indices and their canonical images as code keys,
+    each the image's blocks as rows padded with -1.  Code order is element
+    order and -1 sorts first, so keys compare as the images' element tuples.
+
+    A class's blocks are stacked by size and shift set, each stack with its
+    negation beneath it, for ``_least_translates``.  Ranking the translates
+    orders each negation state's blocks; ranking the states picks the lesser.
     """
     for name in symmetries:
         if name not in SYMMETRY_NAMES:
             raise ValueError(f"unknown symmetry {name!r}; pick from {SYMMETRY_NAMES}")
     negations = 2 if "negation" in symmetries else 1
-    # per (group, block size, shifts): the group, the shifts, the block codes
-    # and the family of each block
-    stacks: Dict[tuple, Tuple[FiniteAbelianGroup, np.ndarray, List[np.ndarray], List[int]]] = {}
+    classes: Dict[tuple, List[int]] = {}
     for f, family in enumerate(families):
-        group = family.ambient
-        if "translation" in symmetries:
-            shifts = np.arange(group.order, dtype=group.code_dtype)
-        elif "n_multiplication" in symmetries:
-            shifts = family.forbidden.codes
-        else:
-            shifts = np.zeros(1, dtype=group.code_dtype)
-        for block in family.blocks:
-            key = (group, block.size, shifts.tobytes())
-            stack = stacks.setdefault(key, (group, shifts, [], []))
-            stack[2].append(block.codes)
-            stack[3].append(f)
-    # images[f][neg]: the codes of the least translates of family f's blocks
-    images: List[List[List[Tuple[int, ...]]]] = [
-        [[] for _ in range(negations)] for _ in families
-    ]
-    element_of: Dict[FiniteAbelianGroup, Dict[int, Element]] = {}
-    for group, shifts, blocks, owners in stacks.values():
-        codes = np.stack(blocks)
-        if negations == 2:
-            codes = np.concatenate([codes, group.code_sub(0, codes)])
-        step = max(1, _TRANSLATES_AT_ONCE // (shifts.size * max(codes.shape[1], 1)))
-        least = np.concatenate(
-            [_least_translates(group, codes[i : i + step], shifts) for i in range(0, len(codes), step)]
-        )
-        for r, row in enumerate(least.tolist()):
-            neg, i = divmod(r, len(owners))
-            images[owners[i]][neg].append(tuple(row))
-        used = group.sorted_codes(least, "translate")
-        element_of.setdefault(group, {}).update(
-            zip(used.tolist(), group.decode_elements(used))
-        )
-    forms = []
-    for family, states in zip(families, images):
-        best = min(tuple(sorted(state)) for state in states)
-        elements = element_of.get(family.ambient, {})
-        forms.append(tuple(tuple(elements[c] for c in blk) for blk in best))
-    return forms
+        classes.setdefault((family.ambient, family.sizes()), []).append(f)
+    for (group, sizes), members in classes.items():
+        # images[row, neg, slot]: a least translate of block ``slot`` of the
+        # class's family ``row`` in negation state ``neg``
+        shape = (len(members), negations, len(sizes), max(sizes, default=0) + 1)
+        images = np.full(shape, -1, group.code_dtype)
+        stacks: Dict[tuple, Tuple[np.ndarray, list]] = {}
+        for row, f in enumerate(members):
+            # a subgroup's least code is 0, the identity
+            shifts = families[f].forbidden.codes[: None if "n_multiplication" in symmetries else 1]
+            for slot, block in enumerate(families[f].blocks):
+                if block.size:  # an empty block's image is its padding
+                    stack = stacks.setdefault((block.size, shifts.tobytes()), (shifts, []))
+                    stack[1].append((block.codes, row, slot))
+        for shifts, stack in stacks.values():
+            blocks, rows, slots = zip(*stack)
+            codes = np.stack(blocks)
+            if negations == 2:
+                codes = np.concatenate([codes, group.code_sub(0, codes)])
+            at = (np.tile(rows, negations), np.arange(len(codes)) // len(rows), np.tile(slots, negations))
+            images[at + (slice(codes.shape[1]),)] = _least_translates(
+                group, codes, None if "translation" in symmetries else shifts
+            )
+        rank = _row_ranks(images.reshape(-1, shape[3])).reshape(shape[:3])
+        images = np.take_along_axis(images, rank.argsort(axis=2)[..., None], axis=2)
+        rank = _row_ranks(images.reshape(shape[0] * negations, shape[2] * shape[3]))
+        lesser = rank.reshape(-1, negations).argmin(axis=1)
+        yield group, members, images[np.arange(len(members)), lesser]
+
+
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Each row's place in the lexicographic order of the rows, by ``np.lexsort``
+    (``np.unique`` sorts rows as records, many times slower)."""
+    rank = np.empty(len(rows), np.intp)
+    rank[np.lexsort(rows.T[::-1]) if rows.shape[1] else slice(None)] = np.arange(len(rows))
+    return rank
 
 
 def _least_translates(
-    group: FiniteAbelianGroup, codes: np.ndarray, shifts: np.ndarray
+    group: FiniteAbelianGroup, codes: np.ndarray, shifts: Optional[np.ndarray]
 ) -> np.ndarray:
-    """The lexicographically least sorted translate of each row of ``codes``."""
-    translates = np.sort(group.code_add(shifts[:, None], codes[:, None, :]), axis=2)
-    rows, count, size = translates.shape
-    flat = translates.reshape(rows * count, size)
-    block_of = np.repeat(np.arange(rows, dtype=flat.dtype), count)
-    return flat[np.lexsort(np.vstack([flat.T[::-1], block_of]))[::count]]
+    """The lexicographically least sorted translate of each row of ``codes``
+    by one of ``shifts``, or by any element if ``shifts`` is None: then only
+    the shifts taking a point to 0, the least code, can give it.  A slice of
+    rows forms at most ``_TRANSLATES_AT_ONCE`` codes; then per column of the
+    sorted translates, the shifts whose value is least among those kept stay."""
+    tried = codes.shape[1] if shifts is None else shifts.size  # shifts per row
+    step = max(1, _TRANSLATES_AT_ONCE // (tried * codes.shape[1]))
+    least = np.empty_like(codes)
+    for i in range(0, len(codes), step):
+        rows = codes[i : i + step]
+        moves = group.code_sub(0, rows) if shifts is None else shifts[None, :]
+        translates = np.sort(group.code_add(moves[:, :, None], rows[:, None, :]), axis=2)
+        kept = np.ones(translates.shape[:2], bool)
+        for column in np.moveaxis(translates, 2, 0):
+            value = np.where(kept, column, group.order)
+            kept &= value == value.min(axis=1, keepdims=True)
+        least[i : i + step] = translates[np.arange(len(rows)), kept.argmax(axis=1)]
+    return least
+
+
+def _decoded(group: FiniteAbelianGroup, keys: np.ndarray) -> list:
+    """The element tuples of code keys (see ``_canonical_keys``)."""
+    used = group.sorted_codes(keys[keys >= 0], "key")
+    element = dict(zip(used.tolist(), group.decode_elements(used)))
+    return [tuple(tuple(element[c] for c in blk if c >= 0) for blk in key) for key in keys.tolist()]
 
 
 def dedupe(
-    certs: Sequence[Certificate],
-    symmetries: Sequence[str] = SYMMETRY_NAMES,
+    certs: Sequence[Certificate], symmetries: Sequence[str] = SYMMETRY_NAMES
 ) -> List[Certificate]:
     """One certificate per orbit of the declared symmetry actions.
 
     The kept representative is the first certificate of its orbit in input
-    order; output order follows the canonical image.
+    order; output order follows the canonical image.  One ``np.unique`` per
+    class of ``_canonical_keys`` finds its orbits, whose keys alone are
+    decoded: images of equal element tuples in two groups are one orbit.
     """
+    firsts: List[Tuple[int, tuple]] = []
+    for group, members, keys in _canonical_keys([c.family for c in certs], symmetries):
+        first = np.unique(keys, axis=0, return_index=True)[1]
+        firsts += zip([members[i] for i in first.tolist()], _decoded(group, keys[first]))
     best: Dict[tuple, Certificate] = {}
-    for cert, key in zip(certs, _canonical_forms([c.family for c in certs], symmetries)):
-        if key not in best:
-            best[key] = cert
+    for i, form in sorted(firsts, key=operator.itemgetter(0)):
+        best.setdefault(form, certs[i])
     return [best[k] for k in sorted(best)]

@@ -252,9 +252,12 @@ def test_malformed_files_exit_two_with_one_line(tmp_path, capsys):
          "budget.max_solutions"),
         ("search --budget -3", ["search", "--budget", "-3"], spec, "budget.max_nodes"),
     ]
+    # nesting deeper than the parser's recursion limit (a string is the file's text)
+    for command in (["verify"], ["search"], ["hadamard", "symmetric", "--family"], poly_table):
+        cases.append((f"{command[0]} of 200,000 nested arrays", command, "[" * 200_000, "too deeply"))
     for i, (name, command, data, field) in enumerate(cases):
         path = tmp_path / f"case{i}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         code, out, err = run_cli(command + [str(path)], capsys)
         assert code == 2, name
         assert out == "", name

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designforge import designs, groups, hadamard, search
+from designforge import cli, designs, groups, hadamard, search
 from designforge.constructions import (
     block_symmetry_report,
     galois_ring_data,
@@ -1326,6 +1326,54 @@ def test_dedupe_keeps_the_first_certificate_of_each_orbit():
     for symmetries in SYMMETRY_SUBSETS:
         kept = search.dedupe(certs, symmetries)
         assert [id(c) for c in kept] == [id(c) for c in ref_dedupe(certs, symmetries)]
+
+
+@pytest.fixture(scope="module")
+def spec_certificates():
+    """Per entry of ``SPECS`` and search mode, the certificates found: up to 8
+    exhaustive ones, and up to 4 from a seeded randomized climb."""
+    found = {}
+    for name in sorted(SPECS):
+        for mode, budget in (
+            ("exhaustive", search.SearchBudget(max_solutions=8)),
+            ("randomized", search.SearchBudget(max_nodes=20000, max_solutions=4)),
+        ):
+            spec = dataclasses.replace(_spec(*SPECS[name]), mode=mode, budget=budget, seed=5)
+            found[name, mode] = search.search_ddf(spec)
+    return found
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.data())
+def test_dedupe_keeps_the_reference_representatives_of_shuffled_copies(spec_certificates, data):
+    # certificates of six groups in any order, some repeated and some
+    # copied, so the kept object shows which of equal families came first
+    pool = [cert for certs in spec_certificates.values() for cert in certs]
+    # families of Z_6 and Z_7 with the same element tuples: one orbit to ref_dedupe
+    lookalikes = []
+    for moduli in ((6,), (7,)):
+        g = FiniteAbelianGroup(moduli)
+        family = DifferenceFamily(g, Subgroup.from_elements(g, [(0,)]), [Block.from_elements(g, [(0,), (1,)])])
+        lookalikes.append(search.Certificate(family, pool[0].spec, nodes=0, seed=0, elapsed=0.0))
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=24))
+    picks = data.draw(st.permutations(picks + lookalikes))
+    certs = [dataclasses.replace(cert) if data.draw(st.booleans()) else cert for cert in picks]
+    for symmetries in SYMMETRY_SUBSETS:
+        kept = search.dedupe(certs, symmetries)
+        assert [id(c) for c in kept] == [id(c) for c in ref_dedupe(certs, symmetries)]
+
+
+def test_certificate_lines_match_the_dumped_json(spec_certificates):
+    # the CLI's line writer against the per-certificate dump it replaces
+    for (name, mode), certs in spec_certificates.items():
+        dumped = [
+            cli._dump({key: value for key, value in cert.to_json().items() if key != "elapsed"})
+            for cert in certs
+        ]
+        assert cli._certificate_lines(certs) == dumped, (name, mode)
+    # both modes found families in a cyclic and in a mixed-radix group
+    for name in ("Z6, m=4", "Z7xZ2^2, m=8", "Z14xZ2, m=8"):
+        assert all(spec_certificates[name, mode] for mode in ("exhaustive", "randomized"))
 
 
 # ---------------------------------------------------------------------------
