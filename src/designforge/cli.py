@@ -117,7 +117,7 @@ def _cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             y = None
             if args.y is not None:
-                if not 0 <= args.y < len(ring.teichmuller):
+                if not 0 <= args.y < ring.teich_codes.size:
                     raise PreconditionError(f"--y {args.y} out of range for the Teichmuller list")
                 y = ring.principal_units()[args.y]
             result = constructions.galois_ring_ddf(ring, u=u, y=y, include_ideal=(kind == "gr4-union"))

@@ -7,7 +7,7 @@ an explicit table, which keeps all downstream verification exact and fast.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,13 +93,23 @@ def _trim(c: List[int]) -> Tuple[int, ...]:
     return tuple(c)
 
 
-def poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> Poly:
+def pad_poly(poly: Sequence[int], r: int) -> Element:
+    """A reduced polynomial as a length-r coefficient tuple."""
+    return tuple(poly) + (0,) * (r - len(poly))
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """The unreduced product, with len(a) + len(b) - 1 coefficients mod p."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_rem(out, mod, p)
+    return out
+
+
+def poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> Poly:
+    return poly_rem(poly_mul(a, b, p), mod, p)
 
 
 def poly_rem(a: Sequence[int], mod: Sequence[int], p: int) -> Poly:
@@ -116,6 +126,9 @@ def poly_rem(a: Sequence[int], mod: Sequence[int], p: int) -> Poly:
 
 
 def poly_powmod(a: Sequence[int], k: int, mod: Sequence[int], p: int) -> Poly:
+    """a^k mod ``mod`` by square-and-multiply, for k >= 0."""
+    if k < 0:
+        raise ValueError(f"exponent {k} is negative")
     result: Poly = (1,)
     base = poly_rem(list(a), mod, p)
     while k:
@@ -221,10 +234,14 @@ class UnitTables:
         cls, additive: FiniteAbelianGroup, m: int, bits: int, exp: np.ndarray, units: np.ndarray
     ) -> "UnitTables":
         """The tables for ``exp``, where ``units`` masks the additive codes of
-        the units.  One bincount proves exp a bijection onto them (every unit
-        hit once, no nonunit hit) before log is built as its inverse."""
-        hits = np.bincount(exp, minlength=additive.order)
-        if exp.size != m << bits or not (hits == units).all():
+        the units.  exp is proved a bijection onto them before log is built
+        as its inverse: its codes lie in range and hit exactly the units, and
+        there are as many codes as units, so none is hit twice."""
+        sized = exp.size == m << bits == np.count_nonzero(units)  # m >= 1: exp is not empty
+        hit = np.zeros(additive.order, dtype=bool)
+        if sized and 0 <= exp.min() and exp.max() < additive.order:
+            hit[exp] = True
+        if not (sized and (hit == units).all()):
             raise RuntimeError(f"exp is not a bijection onto the units of {additive}")
         log = np.full(additive.order, -1, dtype=exp.dtype)
         log[exp] = np.arange(exp.size, dtype=exp.dtype)
@@ -260,6 +277,29 @@ class UnitTables:
         return out
 
 
+def _powers_by_doubling(
+    group: FiniteAbelianGroup, one: Element, g: Element, mul: Callable, count: int
+) -> np.ndarray:
+    """The additive codes of g^0, ..., g^(count-1) in ``group``, whose
+    coordinates are the coefficients of a ring element.  Multiplying by g^s
+    is linear on coefficient rows, over Z_p for GF(p^r) and over Z_4 for
+    GR(4,n), so exp[s:2s] is exp[:s] times the matrix whose row j is
+    x^j g^s (``mul`` multiplies tuples), applied to digit rows in chunks."""
+    exp = np.empty(count, dtype=group.code_dtype)
+    exp[0] = group.index(one)
+    basis = [tuple(row) for row in np.eye(len(group.moduli), dtype=int).tolist()]
+    chunk = 1 << 16  # rows of int64 digits: about 10 MB of them at r = 20
+    s, g_s = 1, g
+    while s < count:
+        matrix = np.array([mul(x, g_s) for x in basis], dtype=np.int64)
+        stop = min(s, count - s)
+        for start in range(0, stop, chunk):
+            rows = exp[start : min(start + chunk, stop)]
+            exp[s + start : s + start + rows.size] = group.encode(group.decode(rows) @ matrix)
+        s, g_s = 2 * s, mul(g_s, g_s)
+    return exp
+
+
 # -- the field context ---------------------------------------------------------
 
 
@@ -269,8 +309,8 @@ class FieldCtx:
     Elements are length-r tuples over GF(p), lowest degree first.  The
     primitive element is found by a brute-force order scan over elements in
     encoded order, so construction is deterministic.  The exp/log tables,
-    ``unit_tables``, are built once by doubling; the context is immutable
-    afterwards.
+    ``unit_tables``, are built once by ``_powers_by_doubling``; the context
+    is immutable afterwards.
     """
 
     def __init__(
@@ -310,12 +350,12 @@ class FieldCtx:
         self.zero: Element = (0,) * r
         self.one: Element = (1,) + (0,) * (r - 1)
         self.g = self._find_primitive()
-        self.unit_tables = self._exp_by_doubling()
+        # from_exp proves exp a bijection onto the units, which is the order check of g
+        group = self.additive_group()
+        exp = _powers_by_doubling(group, self.one, self.g, self.mul, q - 1)
+        self.unit_tables = UnitTables.from_exp(group, q - 1, 0, exp, np.arange(q) != 0)
 
     # -- construction helpers
-
-    def _pad(self, poly: Poly) -> Element:
-        return tuple(poly) + (0,) * (self.r - len(poly))
 
     def _find_primitive(self) -> Element:
         target = self.q - 1
@@ -328,36 +368,9 @@ class FieldCtx:
                 return a
         raise RuntimeError(f"no primitive element found in GF({self.p}^{self.r})")
 
-    def _exp_by_doubling(self) -> UnitTables:
-        """The unit tables of g: exp[s:2s] is exp[:s] times g^s, the GF(p)-linear
-        map whose matrix has row j = x^j g^s, applied to digit rows in chunks.
-        ``UnitTables.from_exp`` proves exp a bijection onto the units, which is
-        the order check of g."""
-        group = self.additive_group()
-        exp = np.empty(self.q - 1, dtype=group.code_dtype)
-        exp[0] = group.index(self.one)
-        basis = [self.element((0,) * j + (1,)) for j in range(self.r)]
-        chunk = 1 << 16  # rows of int64 digits: about 10 MB of them at r = 20
-        s, g_s = 1, self.g
-        while s < exp.size:
-            matrix = np.array([self.mul(x, g_s) for x in basis], dtype=np.int64)
-            stop = min(s, exp.size - s)
-            for start in range(0, stop, chunk):
-                rows = exp[start : min(start + chunk, stop)]
-                exp[s + start : s + start + rows.size] = group.encode(group.decode(rows) @ matrix)
-            s, g_s = 2 * s, self.mul(g_s, g_s)
-        return UnitTables.from_exp(group, exp.size, 0, exp, np.arange(self.q) != 0)
-
     def poly_pow(self, a: Element, k: int) -> Element:
-        """Square-and-multiply power using raw polynomial arithmetic."""
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        """Square-and-multiply power using raw polynomial arithmetic, k >= 0."""
+        return pad_poly(poly_powmod(a, k, self.modulus, self.p), self.r)
 
     # -- basic queries
 
@@ -386,9 +399,7 @@ class FieldCtx:
             yield self.decode(idx)
 
     def element(self, coeffs: Sequence[int]) -> Element:
-        if len(coeffs) > self.r:
-            return self._pad(poly_rem(list(coeffs), self.modulus, self.p))
-        return tuple(c % self.p for c in coeffs) + (0,) * (self.r - len(coeffs))
+        return pad_poly(poly_rem(coeffs, self.modulus, self.p), self.r)
 
     # -- arithmetic
 
@@ -402,7 +413,7 @@ class FieldCtx:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a: Element, b: Element) -> Element:
-        return self._pad(poly_mulmod(a, b, self.modulus, self.p))
+        return pad_poly(poly_mulmod(a, b, self.modulus, self.p), self.r)
 
     def inv(self, a: Element) -> Element:
         if a == self.zero:

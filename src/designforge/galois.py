@@ -1,14 +1,15 @@
 """Exact arithmetic in the Galois ring GR(4,n).
 
 At the boundary an element is a length-n tuple over Z_4, reduced by a
-primitive basic irreducible modulus; the tuple arithmetic of ``RingCtx`` is
+primitive basic irreducible modulus; its tuple arithmetic is the field's
+polynomial arithmetic (``field.poly_mulmod`` and kin) at modulus 4, and is
 the reference.  Hot paths hold an element as its additive code, its
 mixed-radix rank in Z_4^n, and a unit also as its log code (i, bbar) for
 xi^i(1+2*lift(bbar)), through one log/exp table pair per ring
-(``RingCtx.unit_tables``).  The context tabulates the Teichmuller set,
-exposes the unit decomposition a0*(1+2*a1), reduces onto the residue field
-F_{2^n}, and owns the coordinates that carry any unit subgroup onto
-Z_d x Z_2^s.
+(``RingCtx.unit_tables``).  The context holds the Teichmuller set as codes,
+built by the field's doubling, exposes the unit decomposition a0*(1+2*a1),
+reduces onto the residue field F_{2^n}, and owns the coordinates that carry
+any unit subgroup onto Z_d x Z_2^s.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import BUILTIN_POLYS, FieldCtx, UnitTables, factorize
+from .field import BUILTIN_POLYS, FieldCtx, UnitTables, _powers_by_doubling, pad_poly, poly_mul
+from .field import poly_mulmod, poly_powmod, poly_rem
 from .groups import FiniteAbelianGroup, GroupIso
 
 Element = Tuple[int, ...]
@@ -35,13 +37,7 @@ def graeffe_lift(h: Sequence[int]) -> Tuple[int, ...]:
     coefficients define g; the sign keeps g monic.
     """
     n = len(h) - 1
-    a = [c % 4 for c in h]
-    b = [(c if i % 2 == 0 else -c) % 4 for i, c in enumerate(h)]
-    prod = [0] * (2 * n + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % 4
+    prod = poly_mul(h, [c if i % 2 == 0 else -c for i, c in enumerate(h)], 4)
     if any(prod[i] for i in range(1, 2 * n + 1, 2)):
         raise RuntimeError(f"squaring lift of {tuple(h)} produced odd terms")
     sign = 1 if n % 2 == 0 else -1
@@ -66,6 +62,8 @@ class RingCtx:
 
     Given only the degree, the modulus is ``graeffe_lift`` of the primitive
     polynomial ``BUILTIN_POLYS[(2, n)]``, for 1 <= n <= MAX_RING_DEGREE.
+    T_n is stored once, as ``teich_codes``: the read-only additive codes of
+    [0, 1, xi, ..., xi^(2^n - 2)].
     """
 
     def __init__(self, n: Optional[int] = None, modulus: Optional[Sequence[int]] = None) -> None:
@@ -91,34 +89,25 @@ class RingCtx:
         self.one: Element = (1,) + (0,) * (n - 1)
         self.two: Element = (2,) + (0,) * (n - 1)
         self.xi: Element = self.element((0, 1))
-        self._check_primitive_basic()
-        # T_n ordered as [0, 1, xi, xi^2, ...]; index 0 is the zero element.
-        teich: List[Element] = [self.zero, self.one]
-        cur = self.one
-        for _ in range(2**n - 2):
-            cur = self.mul(cur, self.xi)
-            teich.append(cur)
-        self.teichmuller: Tuple[Element, ...] = tuple(teich)
-        self._teich_index: Dict[Element, int] = {t: i for i, t in enumerate(teich)}
-        if len(self._teich_index) != 2**n:
-            raise RuntimeError("Teichmuller elements are not distinct")
-        for t in self.teichmuller:
-            if self.teichmuller_project(t) != t and t != self.zero:
-                raise RuntimeError(f"{t} is not fixed by the Teichmuller projection")
-
-    def _check_primitive_basic(self) -> None:
-        order = 2**self.n - 1
-        if self.pow(self.xi, order) != self.one:
-            raise ValueError(f"modulus {self.modulus} is not primitive basic: xi^{order} != 1")
-        for ell in factorize(order):
-            if self.pow(self.xi, order // ell) == self.one:
-                raise ValueError(
-                    f"modulus {self.modulus} is not primitive basic: xi has order < {order}"
-                )
-        # residue modulus must be primitive over GF(2)
-        xbar = self.residue.element((0, 1)) if self.n > 1 else self.residue.one
-        if self.residue.element_order(xbar) != order:
+        # T_n as additive codes [0, 1, xi, ..., xi^(m-1)], from the m + 1 powers of xi
+        m, group = 2**n - 1, self.additive_group()
+        powers = _powers_by_doubling(group, self.one, self.xi, self.mul, m + 1)
+        if powers[m] != powers[0]:
+            raise ValueError(f"modulus {mod} is not primitive basic: xi^{m} != 1")
+        teich = np.concatenate([np.zeros(1, dtype=powers.dtype), powers[:m]])
+        ordered = np.sort(teich)  # distinct powers: xi has order m
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError(f"modulus {mod} is not primitive basic: xi has order < {m}")
+        fixed = teich  # t^(2^n) = t, by n squarings through the table-free product
+        for _ in range(n):
+            fixed = self.mul_codes(fixed, fixed)
+        if not np.array_equal(fixed, teich):
+            t = group.element(int(teich[np.argmax(fixed != teich)]))
+            raise RuntimeError(f"{t} is not fixed by the Teichmuller projection")
+        if self.residue.element_order(self.residue_of(self.xi)) != m:
             raise ValueError(f"residue modulus {self.residue.modulus} is not primitive")
+        teich.flags.writeable = False
+        self.teich_codes: np.ndarray = teich
 
     # -- element handling --------------------------------------------------
 
@@ -126,16 +115,7 @@ class RingCtx:
         return f"RingCtx(GR(4,{self.n}), modulus={list(self.modulus)})"
 
     def element(self, coeffs: Sequence[int]) -> Element:
-        c = [x % 4 for x in coeffs]
-        while len(c) > self.n:
-            top = c.pop()
-            if top:
-                base = len(c) - self.n
-                for j in range(self.n):
-                    c[base + j] = (c[base + j] - top * self.modulus[j]) % 4
-        while len(c) < self.n:
-            c.append(0)
-        return tuple(c)
+        return pad_poly(poly_rem(coeffs, self.modulus, 4), self.n)
 
     def elements(self) -> Iterator[Element]:
         """All 4^n elements in the additive group's lexicographic order."""
@@ -168,22 +148,11 @@ class RingCtx:
         return tuple((-x) % 4 for x in a)
 
     def mul(self, a: Element, b: Element) -> Element:
-        out = [0] * (2 * self.n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % 4
-        return self.element(out)
+        return pad_poly(poly_mulmod(a, b, self.modulus, 4), self.n)
 
     def pow(self, a: Element, k: int) -> Element:
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        """a^k for k >= 0."""
+        return pad_poly(poly_powmod(a, k, self.modulus, 4), self.n)
 
     def is_unit(self, a: Element) -> bool:
         return any(c % 2 for c in a)
@@ -205,6 +174,11 @@ class RingCtx:
         """Reduction modulo the maximal ideal, as a residue-field element."""
         return tuple(c % 2 for c in a)
 
+    @cached_property
+    def teichmuller(self) -> Tuple[Element, ...]:
+        """T_n as tuples, ordered as [0, 1, xi, xi^2, ...]: ``teich_codes`` decoded."""
+        return tuple(self.additive_group().decode_elements(self.teich_codes))
+
     def lift(self, fbar: Tuple[int, ...]) -> Element:
         """Teichmuller lift of a residue-field element."""
         if fbar == self.residue.zero:
@@ -216,8 +190,10 @@ class RingCtx:
         return self.pow(a, 2**self.n)
 
     def teich_index(self, a: Element) -> int:
-        idx = self._teich_index.get(a)
-        if idx is None:
+        """The position of a in T_n: 1 + the discrete log of its residue, 0 for zero."""
+        fbar = self.residue_of(a)
+        idx = 0 if fbar == self.residue.zero else 1 + self.residue.discrete_log(fbar)
+        if self.additive_group().element(int(self.teich_codes[idx])) != a:
             raise ValueError(f"{a} is not a Teichmuller element")
         return idx
 
@@ -273,17 +249,25 @@ class RingCtx:
         code of bbar.  Since 2y depends only on the residue of y, it is built
         additively as teich[i] + 2*(xibar^i * bbar), with the residue product
         read off the residue field's own exp/log pair, whose generator is
-        xbar, the residue of xi.
+        xbar, the residue of xi.  A code holds each Z_4 digit in two bits,
+        every digit of 2y is 0 or 2, and adding 2 to a digit flips its high
+        bit, so the sum is an xor of codes.
+        exp is filled in blocks of log-code rows i, so no full-size
+        temporary is made.
         """
         n, m = self.n, 2**self.n - 1
         group, residues = self.additive_group(), self.residue_group()
-        teich = group.encode(self.teichmuller)  # [0, 1, xi, ..., xi^(m-1)]
         # twice[c] = 2*lift(cbar) for the residue with Z_2^n code c
         twice = group.encode(2 * residues.decode(np.arange(2**n)))
         res = self.residue.unit_tables  # exp[k] is the Z_2^n code of xibar^k
-        xi_times_b = res.exp[(np.arange(m)[:, None] + res.log) % m]
-        xi_times_b[:, 0] = 0  # the zero residue, whose log is -1
-        exp = group.code_add(teich[1:, None], twice[xi_times_b]).ravel()
+        exp = np.empty(m << n, dtype=group.code_dtype)
+        rows = max(1, (1 << 18) >> n)
+        for start in range(0, m, rows):
+            i = np.arange(start, min(start + rows, m))
+            xi_times_b = res.exp[(i[:, None] + res.log) % m]
+            xi_times_b[:, 0] = 0  # the zero residue, whose log is -1
+            block = self.teich_codes[1 + i, None] ^ twice[xi_times_b]
+            exp[start << n : (start + i.size) << n] = block.ravel()
         units = np.ones(group.order, dtype=bool)
         units[twice] = False  # the nonunits 2R
         return UnitTables.from_exp(group, m, n, exp, units)

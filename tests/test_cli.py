@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge import cli, constructions, hadamard
 from designforge.cli import main
@@ -289,6 +293,44 @@ def test_trace_zero_exponent_out_of_range_exits_two(capsys):
         assert len(err.splitlines()) == 1 and "out of range" in err, (argv, err)
     code, out, _ = run_cli(["construct", "gr4-ddf", "--n", "3", "--u", "3"], capsys)
     assert code == 0 and json.loads(out)["provenance"]["u"] == 3
+
+
+RING_KINDS = [["construct", "gr4-ddf"], ["construct", "gr4-union"], ["construct", "prop34"]]
+FIELD_KINDS = [["construct", "szekeres"], ["construct", "prop22"], ["construct", "prop23"]]
+
+
+@st.composite
+def flag_argvs(draw):
+    """Small, often invalid, values of the ring and field flags."""
+    kind = draw(st.sampled_from(["ring", "symmetric", "field", "skew", "sylvester"]))
+    if kind in ("ring", "symmetric"):
+        n = draw(st.integers(-1, 5 if kind == "ring" else 4))
+        argv = draw(st.sampled_from(RING_KINDS)) if kind == "ring" else ["hadamard", "symmetric"]
+        argv += ["--n", str(n)]
+        for flag in ("--u", "--y") if kind == "ring" else ("--u",):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(st.integers(-2, 2 ** max(n, 0) + 1)))]
+        return argv
+    if kind == "sylvester":
+        return ["hadamard", "sylvester", "--k", str(draw(st.integers(-2, 10)))]
+    q = ["--q", str(draw(st.integers(-2, 300)))]
+    if kind == "skew":
+        return ["hadamard", "skew", *q]
+    e = draw(st.one_of(st.none(), st.sampled_from([-2, 0, 1, 2, 3, 4, 8, 16])))
+    return draw(st.sampled_from(FIELD_KINDS)) + q + ([] if e is None else ["--e", str(e)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flag_argvs())
+def test_ring_and_field_flags_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and out.getvalue() == "", (argv, err)
 
 
 def test_failed_self_check_exits_one(monkeypatch, capsys):

@@ -1,6 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 
+from designforge import galois
 from designforge.constructions import galois_ring_data
+from designforge.field import BUILTIN_POLYS, FieldCtx, UnitTables
 from designforge.galois import (
     MAX_RING_DEGREE,
     RingCtx,
@@ -228,3 +233,173 @@ def test_format_and_parse():
     assert ring.parse("123") == a
     r4 = RingCtx(4)
     assert r4.parse(r4.format((1, 2, 3, 0))) == (1, 2, 3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the field's arithmetic at modulus 4, against the loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_element(ring, coeffs):
+    c = [x % 4 for x in coeffs]
+    while len(c) > ring.n:
+        top = c.pop()
+        if top:
+            base = len(c) - ring.n
+            for j in range(ring.n):
+                c[base + j] = (c[base + j] - top * ring.modulus[j]) % 4
+    while len(c) < ring.n:
+        c.append(0)
+    return tuple(c)
+
+
+def ref_mul(ring, a, b):
+    out = [0] * (2 * ring.n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % 4
+    return ref_element(ring, out)
+
+
+def ref_pow(ring, a, k):
+    result, base = ring.one, a
+    while k:
+        if k & 1:
+            result = ref_mul(ring, result, base)
+        base = ref_mul(ring, base, base)
+        k >>= 1
+    return result
+
+
+def ref_graeffe_product(h):
+    """h(x)h(-x) over Z_4, coefficient by coefficient."""
+    n = len(h) - 1
+    a = [c % 4 for c in h]
+    b = [(c if i % 2 == 0 else -c) % 4 for i, c in enumerate(h)]
+    prod = [0] * (2 * n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % 4
+    return prod
+
+
+def ref_unit_exp(ring):
+    """The unit tables' exp in one broadcast: teich[i] + 2*(xibar^i * bbar)."""
+    n, m = ring.n, 2**ring.n - 1
+    group, residues = ring.additive_group(), ring.residue_group()
+    teich = group.encode([ring.pow(ring.xi, i) for i in range(m)])
+    twice = group.encode(2 * residues.decode(np.arange(2**n)))
+    res = ring.residue.unit_tables
+    xi_times_b = res.exp[(np.arange(m)[:, None] + res.log) % m]
+    xi_times_b[:, 0] = 0
+    return group.code_add(teich[:, None], twice[xi_times_b]).ravel()
+
+
+@pytest.mark.parametrize("n", range(1, MAX_RING_DEGREE + 1))
+def test_teich_codes_match_the_tuple_loop(n):
+    ring = RingCtx(n)
+    teich, cur = [ring.zero, ring.one], ring.one
+    for _ in range(2**n - 2):
+        cur = ref_mul(ring, cur, ring.xi)
+        teich.append(cur)
+    assert ring.teichmuller == tuple(teich)
+    assert np.array_equal(ring.teich_codes, ring.additive_group().encode(teich))
+    assert ring.teich_codes.dtype == ring.additive_group().code_dtype
+    with pytest.raises(ValueError):
+        ring.teich_codes[0] = 1
+
+
+def test_ring_arithmetic_matches_the_schoolbook_loops():
+    rng = random.Random(22)
+    for n in range(1, 7):
+        ring = RingCtx(n)
+        for _ in range(100):
+            a, b = (tuple(rng.randrange(4) for _ in range(n)) for _ in range(2))
+            long = [rng.randrange(-8, 8) for _ in range(rng.randrange(3 * n + 2))]
+            k = rng.randrange(3 * 4**n)
+            assert ring.element(long) == ref_element(ring, long)
+            assert ring.mul(a, b) == ref_mul(ring, a, b)
+            assert ring.pow(a, k) == ref_pow(ring, a, k)
+
+
+def test_graeffe_lift_matches_the_schoolbook_product():
+    for (p, n), h in BUILTIN_POLYS.items():
+        if p == 2:
+            prod = ref_graeffe_product(h)
+            sign = 1 if n % 2 == 0 else -1
+            assert graeffe_lift(h) == tuple((sign * prod[2 * i]) % 4 for i in range(n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_built_unit_exp_matches_the_one_shot_formula(n):
+    ring = RingCtx(n)
+    assert ring.unit_tables.exp.dtype == np.int32
+    assert np.array_equal(ring.unit_tables.exp, ref_unit_exp(ring))
+
+
+def test_negative_exponents_are_refused():
+    ring = RingCtx(3)
+    with pytest.raises(ValueError, match="exponent -1 is negative"):
+        ring.pow(ring.xi, -1)
+    field = FieldCtx(2, 3)
+    with pytest.raises(ValueError, match="exponent -1 is negative"):
+        field.poly_pow(field.g, -1)
+
+
+# ---------------------------------------------------------------------------
+# every check of the context, made to fail
+# ---------------------------------------------------------------------------
+
+
+def test_a_root_of_order_six_fails_xi_to_the_m():
+    # x^2 + 3x + 1 reduces to the primitive x^2 + x + 1, but x^3 = 3 = -1
+    with pytest.raises(ValueError, match=r"not primitive basic: xi\^3 != 1"):
+        RingCtx(modulus=(1, 3, 1))
+
+
+def test_a_root_of_order_five_fails_the_order_check():
+    # the lift of x^4 + x^3 + x^2 + x + 1, whose root has order 5 in GF(16)^*
+    with pytest.raises(ValueError, match="not primitive basic: xi has order < 15"):
+        RingCtx(modulus=graeffe_lift((1, 1, 1, 1, 1)))
+
+
+def test_a_power_off_the_teichmuller_set_fails_the_projection(monkeypatch):
+    build = galois._powers_by_doubling
+
+    def minus_one_for_xi(group, one, g, mul, count):
+        powers = build(group, one, g, mul, count).copy()
+        powers[1] = group.index((3,) + (0,) * (len(one) - 1))  # -1 has order 2
+        return powers
+
+    monkeypatch.setattr(galois, "_powers_by_doubling", minus_one_for_xi)
+    with pytest.raises(RuntimeError, match="not fixed by the Teichmuller projection"):
+        RingCtx(4)
+
+
+def test_a_residue_of_lower_order_fails_the_residue_check(monkeypatch):
+    monkeypatch.setattr(FieldCtx, "element_order", lambda self, a: 1)
+    with pytest.raises(ValueError, match="residue modulus .* is not primitive"):
+        RingCtx(3)
+
+
+def test_a_repeated_teichmuller_row_fails_the_unit_bijection():
+    ring = RingCtx(4)
+    teich = ring.teich_codes.copy()
+    teich[2] = teich[1]  # rows 0 and 1 of exp then both cover 1 + 2R
+    ring.teich_codes = teich
+    with pytest.raises(RuntimeError, match="not a bijection onto the units"):
+        ring.unit_tables
+
+
+def test_from_exp_refuses_every_kind_of_non_bijection():
+    group = FiniteAbelianGroup((5,))
+    units = np.arange(5) != 0
+    assert UnitTables.from_exp(group, 4, 0, np.array([1, 2, 4, 3]), units).log.tolist() == [
+        -1, 0, 1, 3, 2
+    ]
+    # -1 would index code 4, the one unit missing, if codes were not range-checked
+    for exp in ([1, 2, 2, 3], [1, 2, 4, 0], [1, 2, 3, -1], [1, 2, 4, 5], [1, 2, 4]):
+        with pytest.raises(RuntimeError, match="not a bijection onto the units"):
+            UnitTables.from_exp(group, 4, 0, np.array(exp), units)
