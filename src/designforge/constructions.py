@@ -452,7 +452,7 @@ def galois_ring_data(
     if E.size != 2 ** (n - 1):
         raise RuntimeError(f"|E| = {E.size} is not 2^(n-1)")
     # D = T^* x (1 + 2 lift(E)): the log codes whose 2-part lies in E
-    D = group.sorted_codes(tables.exp[np.arange(tables.m)[:, None] << n | E], "element")
+    D = group.sorted_codes(tables.exp[np.arange(tables.m)[:, None] << n | E].ravel(), "element")
     N = D
     if subgroup is not None:
         N = group.sorted_codes(subgroup, "element")

@@ -35,11 +35,14 @@ _NS_KEY, _NS_DIGIT, _NS_ROW, _NS_BYTE, _NS_BIN, _NS_RUN = 2.6, 12.0, 560.0, 0.03
 
 class Block:
     """A subset of a finite abelian group, stored only as its members' sorted,
-    distinct, read-only codes; ``elements`` and ``sorted_elements`` decode them."""
+    distinct, read-only codes; ``elements`` and ``sorted_elements`` decode them.
+    A code or element outside the group, or repeated, is refused."""
 
     __slots__ = ("ambient", "codes")
 
     def __init__(self, ambient: FiniteAbelianGroup, codes: object) -> None:
+        if np.ndim(codes) != 1:
+            raise ValueError("block codes are not a 1-D array")
         self.ambient = ambient
         self.codes = ambient.sorted_codes(codes, "block")
 
@@ -51,10 +54,12 @@ class Block:
 
     @classmethod
     def from_rows(cls, ambient: FiniteAbelianGroup, rows: object) -> List["Block"]:
-        """One block per row of a 2-D array of codes, all checked and sorted
-        at once by ``sorted_code_rows``."""
+        """One block per row of a 2-D array of codes, all sorted and checked at
+        once by ``sorted_codes``: a code outside the group or repeated is refused."""
+        if np.ndim(rows) != 2:
+            raise ValueError("block rows are not a 2-D array")
         blocks = []
-        for row in ambient.sorted_code_rows(rows, "block"):
+        for row in ambient.sorted_codes(rows, "block"):
             block = cls.__new__(cls)
             block.ambient, block.codes = ambient, row
             blocks.append(block)
@@ -356,7 +361,7 @@ def difference_table(family: DifferenceFamily) -> Dict[Element, int]:
 
 def difference_count(family: DifferenceFamily, d: Element) -> int:
     """How many ordered pairs in the family have difference d (d != 0)."""
-    code = int(family.ambient.encode([d])[0])
+    code = int(family.ambient.checked_encode([d], "difference")[0])
     if code == 0:
         raise ValueError("difference counts are only defined for nonzero d")
     return int(difference_totals(family)[code])

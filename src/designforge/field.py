@@ -358,12 +358,11 @@ class FieldCtx:
     # -- construction helpers
 
     def _find_primitive(self) -> Element:
+        # the modulus is irreducible, so a^(q-1) = 1 for every candidate a
         target = self.q - 1
         prime_divs = list(factorize(target))
         for idx in range(1, self.q):
             a = self.decode(idx)
-            if self.poly_pow(a, target) != self.one:
-                continue
             if all(self.poly_pow(a, target // ell) != self.one for ell in prime_divs):
                 return a
         raise RuntimeError(f"no primitive element found in GF({self.p}^{self.r})")

@@ -187,14 +187,11 @@ class FiniteAbelianGroup:
             raise ValueError(f"moduli must all be >= 1, got {mods}")
         self.moduli = mods
         # weights[i] is the product of the moduli after position i
-        weights = [1] * len(mods)
-        for i in range(len(mods) - 2, -1, -1):
-            weights[i] = weights[i + 1] * mods[i + 1]
-        self.weights = tuple(weights)
-        self.order = weights[0] * mods[0]
+        self.weights = tuple(itertools.accumulate(mods[:0:-1], operator.mul, initial=1))[::-1]
+        self.order = self.weights[0] * mods[0]
         # (w, m*w, m*w in the narrowest signed type) per coordinate that can wrap
         self._wraps = tuple(
-            (w, m * w, _narrowest_int(m * w)(m * w)) for m, w in zip(mods, weights) if m > 1
+            (w, m * w, _narrowest_int(m * w)(m * w)) for m, w in zip(mods, self.weights) if m > 1
         )
 
     def __repr__(self) -> str:
@@ -261,8 +258,9 @@ class FiniteAbelianGroup:
         return codes.astype(self.code_dtype)
 
     def code_set(self, elements: Iterable[Element]) -> np.ndarray:
-        """Sorted distinct codes of some elements."""
-        return self.sorted_codes(self.encode(list(elements)), "element")
+        """Sorted codes of some distinct elements, each a reduced residue
+        per modulus: an element outside the group or repeated is refused."""
+        return self.sorted_codes(self.checked_encode(list(elements), "element"), "element")
 
     def checked_encode(self, elements: Sequence[Element], what: str) -> np.ndarray:
         """Codes of boundary elements that must already be reduced residues,
@@ -284,48 +282,40 @@ class FiniteAbelianGroup:
         in one pass: each element an array of integers, a reduced residue per
         modulus (``checked_encode``), none repeated.  Types are checked on
         the whole array at once; only a failure scans it element by element
-        to name the first bad one by its path, such as ``family.blocks[0][2]``.
-        A repeat raises ValueError ``{where} repeats {what} {e}`` for the
-        first in file order."""
+        to name the first bad one by its path, such as ``family.blocks[0][2]``;
+        the first repeat in file order raises ``{where} repeats {what} {e}``."""
         items = json_list(value, where)
         if not set(map(type, items)) <= {list} or not set(
             map(type, itertools.chain.from_iterable(items))
         ) <= {int}:  # bools, floats and nested arrays fail here too
             for i, e in enumerate(items):
                 json_ints(e, f"{where}[{i}]")
-        codes = np.sort(self.checked_encode(items, what))
-        if (codes[1:] == codes[:-1]).any():
-            seen: set = set()
-            for e in map(tuple, items):
-                if e in seen:
-                    raise ValueError(f"{where} repeats {what} {e}")
-                seen.add(e)
-        return codes
+        codes = self.checked_encode(items, what)
+        try:
+            return self.sorted_codes(codes, what)
+        except ValueError:  # the codes are in range, so some repeat: name the first in file order
+            order = np.argsort(codes, kind="stable")  # equal codes stay in file order
+            later = order[1:][codes[order[1:]] == codes[order[:-1]]]
+            raise ValueError(f"{where} repeats {what} {tuple(items[later.min()])}") from None
 
     def sorted_codes(self, codes: object, what: str) -> np.ndarray:
-        """Sorted distinct codes as a read-only ``code_dtype`` array; a code
-        outside 0..order-1 raises ValueError naming the least or greatest.
-        No ``np.unique``: it imports ``numpy.ma``, 1.7 MB of peak RSS."""
-        arr = np.sort(np.asarray(codes, dtype=np.int64), axis=None)
-        if arr.size and (arr[0] < 0 or arr[-1] >= self.order):
-            raise ValueError(f"{what} code {arr[0] if arr[0] < 0 else arr[-1]} outside {self}")
-        arr = arr[np.diff(arr, prepend=-1) != 0].astype(self.code_dtype)
-        arr.flags.writeable = False
-        return arr
-
-    def sorted_code_rows(self, rows: object, what: str) -> np.ndarray:
-        """Each row of a 2-D array of codes sorted, as one read-only
-        ``code_dtype`` array: one sort, then one pass over all rows raises
-        ValueError if a code lies outside 0..order-1 or repeats in its row."""
-        arr = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
-        low, high = (arr[:, 0].min(), arr[:, -1].max()) if arr.size else (0, 0)
+        """Sorted codes of one set (1-D) or one set per row (2-D), as one
+        read-only ``code_dtype`` array.  A code outside 0..order-1 (the least
+        or greatest, checked in the input's dtype before the cast) or repeated
+        in its set (the first after sorting, ``in row r`` for rows) raises
+        ValueError; none is dropped.  No ``np.unique``: it imports ``numpy.ma``."""
+        arr = np.asarray(codes)
+        if arr.ndim not in (1, 2) or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError(f"{what} codes are not a 1-D or 2-D array of integers")
+        low, high = (arr.min(), arr.max()) if arr.size else (0, 0)
         if low < 0 or high >= self.order:
             raise ValueError(f"{what} code {low if low < 0 else high} outside {self}")
-        repeats = np.argwhere(arr[:, 1:] == arr[:, :-1])
-        if repeats.size:
-            row, at = repeats[0].tolist()
-            raise ValueError(f"{what} code {arr[row, at]} repeats in row {row}")
         arr = arr.astype(self.code_dtype)
+        arr.sort(axis=-1)
+        repeats = np.argwhere(arr[..., 1:] == arr[..., :-1])
+        if repeats.size:
+            at = tuple(repeats[0].tolist())
+            raise ValueError(f"{what} code {arr[at]} repeats" + f" in row {at[0]}" * (arr.ndim == 2))
         arr.flags.writeable = False
         return arr
 
@@ -440,6 +430,8 @@ class Subgroup:
     __slots__ = ("parent", "codes", "_generators", "_coset_index")
 
     def __init__(self, parent: FiniteAbelianGroup, codes: object) -> None:
+        if np.ndim(codes) != 1:
+            raise ValueError("subgroup codes are not a 1-D array")
         codes = parent.sorted_codes(codes, "subgroup")
         if not codes.size or codes[0] != 0:
             raise ValueError(f"not a subgroup: the identity {parent.zero()!r} is missing")
@@ -535,16 +527,20 @@ class Subgroup:
 
 
 def subgroup_generated(group: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:
-    """Smallest subgroup containing ``gens`` (closure under repeated addition)."""
-    steps = group.encode(list(gens))
+    """Smallest subgroup containing ``gens``; a generator outside the group is refused.
+    Each g joins the cosets H + j*g, 0 < j < k, to the subgroup H so far, k the least
+    j > 0 with j*g in H: disjoint cosets, nothing collapses, the j*g in doubling runs."""
     reached = np.zeros(group.order, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=group.code_dtype)
-    while frontier.size:
-        frontier = group.sorted_codes(group.code_add(frontier[:, None], steps[None, :]), "sum")
-        frontier = frontier[~reached[frontier]]
-        reached[frontier] = True
-    return Subgroup(group, np.flatnonzero(reached))
+    codes = np.zeros(1, dtype=group.code_dtype)
+    for g in group.checked_encode(list(gens), "generator")[:, None]:
+        reached[codes] = True
+        multiples, hit = codes[:1], ()  # j*g for 0 <= j < multiples.size
+        while not len(hit):
+            more = group.code_add(multiples, group.code_add(multiples[-1:], g))
+            hit = np.flatnonzero(reached[more])
+            multiples = np.concatenate([multiples, more[: hit[0] if hit.size else None]])
+        codes = group.code_add(codes[:, None], multiples).ravel()
+    return Subgroup(group, codes)
 
 
 def cosets(group: FiniteAbelianGroup, sub: Subgroup) -> List[Tuple[Element, frozenset]]:

@@ -708,7 +708,7 @@ def _least_translates(
 
 def _decoded(group: FiniteAbelianGroup, keys: np.ndarray) -> list:
     """The element tuples of code keys (see ``_canonical_keys``)."""
-    used = group.sorted_codes(keys[keys >= 0], "key")
+    used = np.flatnonzero(np.bincount(keys[keys >= 0]))
     element = dict(zip(used.tolist(), group.decode_elements(used)))
     return [tuple(tuple(element[c] for c in blk if c >= 0) for blk in key) for key in keys.tolist()]
 

@@ -396,7 +396,7 @@ def test_block_range_check_names_the_first_failing_element():
 
 def test_blocks_and_subgroups_store_sorted_checked_codes():
     g = FiniteAbelianGroup((6,))
-    block = Block(g, [3, 1, 3])
+    block = Block(g, [3, 1])
     assert block.codes.tolist() == [1, 3] and block.codes.dtype == g.code_dtype
     assert not block.codes.flags.writeable
     assert block.elements == {(1,), (3,)} and block.sorted_elements() == [(1,), (3,)]
@@ -408,7 +408,18 @@ def test_blocks_and_subgroups_store_sorted_checked_codes():
             Block(g, codes)
         with pytest.raises(ValueError, match=rf"^subgroup code {bad} outside"):
             Subgroup(g, codes)
+    # a repeat is refused, not collapsed into a smaller set
+    with pytest.raises(ValueError, match=r"^block code 3 repeats$"):
+        Block(g, [3, 1, 3])
+    with pytest.raises(ValueError, match=r"^subgroup code 0 repeats$"):
+        Subgroup(g, [3, 0, 0])
+    with pytest.raises(ValueError, match=r"^block code 3 repeats$"):
+        Block.from_elements(g, [(3,), (1,), (3,)])
     assert Subgroup(g, [3, 0]).elements == {(0,), (3,)}
+    # a subgroup is one set of codes, as a block is
+    for codes in ([[0], [3]], [[0, 3]]):
+        with pytest.raises(ValueError, match=r"^subgroup codes are not a 1-D array$"):
+            Subgroup(g, codes)
 
 
 def test_blocks_from_rows_match_one_block_at_a_time():
@@ -445,14 +456,15 @@ def ref_json_elements(value, where):
 def ref_read(data, spec):
     """The forbidden codes and the block codes (None for a spec) of a file,
     read through tuples: the former chain, which took a block through a
-    frozenset and let a repeated element collapse; or the ValueError text."""
+    frozenset and let a repeated element collapse, as its ``Subgroup`` let a
+    repeated forbidden element collapse; or the ValueError text."""
     where = "spec" if spec else "family"
     try:
         group = FiniteAbelianGroup.from_json(
             json_field(data, "group", where, json_object), f"{where}.group"
         )
         elements = json_field(data, "forbidden", where, ref_json_elements)
-        forbidden = Subgroup.from_elements(group, elements).codes.tolist()
+        forbidden = Subgroup.from_elements(group, dict.fromkeys(elements)).codes.tolist()
         if spec:
             return forbidden, None
         return forbidden, [
