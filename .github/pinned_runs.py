@@ -4,7 +4,8 @@ check each one's exit code, its own peak RSS and its stdout.
 Every row of ``RUNS`` is one command: its name, the CLI arguments, an
 optional file argument, the cap on the child's peak RSS in MiB, and the
 check of its stdout (a sha256 prefix, an exact text, or the summary-only
-line of a cut search).  A file argument is either a search spec, written as
+line of a cut search).  Each row's wall seconds are printed too, as a
+report, not a bound.  A file argument is either a search spec, written as
 JSON, or the name of an earlier row whose stdout is read back, as ``verify``
 reads the q = 524287 family.  The peak RSS is the child's own, read with
 ``os.wait4``.
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 M8 = {"group": {"moduli": [7, 2, 2]}, "forbidden": [[0, a, b] for a in range(2) for b in range(2)],
@@ -49,9 +51,9 @@ def summary_only(path):
 
 RUNS = [
     # the order-16384 symmetric array
-    ("symmetric-n7", ["hadamard", "symmetric", "--n", "7"], None, 1024, sha256_prefix("871085a4339f")),
+    ("symmetric-n7", ["hadamard", "symmetric", "--n", "7"], None, 512, sha256_prefix("871085a4339f")),
     # the order-16364 skew array, Z_8181 over 16 row tiles
-    ("skew-q16363", ["hadamard", "skew", "--q", "16363"], None, 1024, sha256_prefix("6646f3a14468")),
+    ("skew-q16363", ["hadamard", "skew", "--q", "16363"], None, 512, sha256_prefix("6646f3a14468")),
     # the Szekeres family at q = 524287 passes the oracle, and verify reads it back
     ("szekeres-q524287", ["construct", "szekeres", "--q", "524287"], None, 128,
      sha256_prefix("cc7056ee88e1")),
@@ -87,10 +89,12 @@ def main():
             elif file_arg is not None:  # a search spec
                 args = args + [os.path.join(workdir, f"{name}.json")]
                 Path(args[-1]).write_text(json.dumps(file_arg))
+            start = time.monotonic()
             code, rss_mib = run(args, out)
+            wall_s = time.monotonic() - start
             ok = code == 0 and rss_mib < cap_mib and check(out)
-            print(f"{'ok  ' if ok else 'FAIL'} {name}: exit {code}, peak RSS {rss_mib:.1f} MiB "
-                  f"(cap {cap_mib}), stdout sha256 {sha256(out)}", flush=True)
+            print(f"{'ok  ' if ok else 'FAIL'} {name}: exit {code}, {wall_s:.1f} s, peak RSS "
+                  f"{rss_mib:.1f} MiB (cap {cap_mib}), stdout sha256 {sha256(out)}", flush=True)
             if not ok:
                 with open(out, "rb") as fh:
                     print(f"     stdout begins {fh.read(200)!r}", flush=True)

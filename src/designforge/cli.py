@@ -134,6 +134,13 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_hadamard(args: argparse.Namespace, config: RunConfig) -> int:
+    reads = {"sylvester": ("k",), "skew": ("q",), "symmetric": ("n", "u")}[args.subkind]
+    if args.subkind == "symmetric" and args.family is not None:
+        reads = ("family",)
+    for flag in ("k", "q", "n", "u", "family"):
+        if flag not in reads and getattr(args, flag) is not None:
+            with_family = " with --family" * (reads == ("family",))
+            raise PreconditionError(f"hadamard {args.subkind} does not read --{flag}{with_family}")
     if args.subkind == "sylvester":
         if args.k is None:
             raise PreconditionError("sylvester needs --k")
@@ -156,8 +163,6 @@ def _cmd_hadamard(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             raise PreconditionError("symmetric needs --n or --family")
         matrix = hadamard.symmetric_from_ddf(family).matrix
-    else:
-        raise PreconditionError(f"unknown hadamard subkind {args.subkind!r}")
     _emit(matrix.iter_json() if config.fmt == "json" else matrix.iter_text(), config)
     return 0
 

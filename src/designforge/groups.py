@@ -29,6 +29,18 @@ MAX_GROUP_ORDER = 1 << 24
 INT32_CODE_ORDER = 1 << 30
 
 
+def cycle_least(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """``values[x]`` lowered to the least value on x's cycle of the index
+    permutation ``perm`` by doubling: round k takes the minimum with the value
+    2^k steps on; once one changes nothing, values are constant around each
+    cycle of the step, so of ``perm``.  Unchanged, ``values`` is returned."""
+    while True:
+        lowered = np.minimum(values, values[perm])
+        if np.array_equal(lowered, values):
+            return values
+        values, perm = lowered, perm[perm]
+
+
 def closure_table(
     count: int,
     identity: int,
@@ -424,10 +436,11 @@ class Subgroup:
     """A verified subgroup: contains zero, closed under addition (so under negation).
 
     Its one stored form is ``codes``, its members' sorted codes; ``elements``
-    decodes them.  ``coset_index`` is the one place cosets are computed.
+    decodes them, and ``generators`` lists the codes that generate it.
+    ``coset_index`` is the one place cosets are computed.
     """
 
-    __slots__ = ("parent", "codes", "_generators", "_coset_index")
+    __slots__ = ("parent", "codes", "generators", "_coset_index")
 
     def __init__(self, parent: FiniteAbelianGroup, codes: object) -> None:
         if np.ndim(codes) != 1:
@@ -446,7 +459,7 @@ class Subgroup:
         )
         self.parent = parent
         self.codes = codes
-        self._generators = codes[gens].tolist()
+        self.generators = codes[gens].tolist()
         self._coset_index: Optional[np.ndarray] = None
 
     @classmethod
@@ -481,24 +494,15 @@ class Subgroup:
 
         Cosets are numbered by their least member in code (so element) order,
         so the subgroup itself is coset 0.  ``least[x]``, the least member of
-        x's coset, comes from doubling along each generator g: a round takes
-        the minimum over x + j*g for j below a span that then doubles, until
-        a round changes nothing, which first happens once the span covers
-        the cycle of g.  A round is two gathers over G, and there are about
-        log|N| rounds.
+        x's coset, is ``cycle_least`` along the translation by each
+        generator: about log|N| rounds of two gathers over G in all.
         """
         if self._coset_index is None:
             group = self.parent
             every = np.arange(group.order, dtype=group.code_dtype)
             least = every
-            for g in self._generators:
-                step = group.code_add(every, g)  # step[x] = x + span*g, span = 1 first
-                while True:
-                    shifted = np.minimum(least, least[step])
-                    if np.array_equal(shifted, least):
-                        break
-                    least = shifted
-                    step = step[step]
+            for g in self.generators:
+                least = cycle_least(least, group.code_add(every, g))
             # a coset's number is the rank of its least member among all of them
             self._coset_index = np.searchsorted(np.flatnonzero(least == every), least)
             self._coset_index.flags.writeable = False

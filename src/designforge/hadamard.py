@@ -15,7 +15,9 @@ gate, the entry, symmetry and skewness checks, and the three assemblies.
 An assembly writes each group-developed block of rows by gathering int8 +-1
 tables, built once per assembly and indexed by group code, at the codes of
 that block's rows of the Cayley table (``FiniteAbelianGroup.cayley_rows``).
-Besides the int8 matrix itself, none holds more than a few tiles.
+Besides the int8 matrix itself, none holds more than a few tiles.  Each
+assembly claims its translations to the Gram gate, which verifies them and
+then multiplies one row per orbit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from . import designs
+from . import designs, groups
 from .constructions import PreconditionError
 from .designs import DifferenceFamily
 from .groups import FiniteAbelianGroup, Subgroup, json_field, json_int, json_ints, json_list, json_object
@@ -50,6 +52,8 @@ FLOAT32_EXACT_LIMIT = 1 << 24
 # Entries the streaming writers turn into text per block of rows: each block
 # holds a few bytes per entry, about 3 MiB at this size.
 WRITE_BLOCK_ENTRIES = 1 << 18
+# A claimed automorphism of a matrix: (sigma on rows, tau on columns).
+Symmetry = Tuple[np.ndarray, np.ndarray]
 
 
 class AssemblyError(RuntimeError):
@@ -227,42 +231,73 @@ def _check_square(rows: Sequence[Sequence], where: str) -> None:
         raise ValueError(f"{where} has {len(rows)} rows of {widths[0]} entries, not a square")
 
 
-def _gram_residual(M: SignMatrix) -> Optional[Tuple[int, int, int]]:
-    """The least (i, j) in row-major order where M M^T - order * I is
-    nonzero, with that entry, or None if M is Hadamard.
+def _orbit_leasts(A: np.ndarray, symmetries: Sequence[Symmetry]) -> np.ndarray:
+    """The least row of each orbit of the claimed symmetries (sigma, tau)
+    that A has, sorted; every row if none holds.  A claim holds if both are
+    permutations of range(order) and A[sigma[i], tau[j]] == A[i, j], checked
+    a row tile at a time with ``take(tau, axis=1)``; any other is dropped."""
+    every, sigmas = np.arange(A.shape[0]), []
+    tiles = [slice(r, r + _TILE_ROWS) for r in range(0, every.size, _TILE_ROWS)]
+    for sigma, tau in symmetries:
+        sigma, tau = np.asarray(sigma), np.asarray(tau)
+        both_perms = all(p.shape == every.shape and p.dtype.kind in "iu"
+                         and np.array_equal(np.sort(p), every) for p in (sigma, tau))
+        if both_perms and all(np.array_equal(A[sigma[s]].take(tau, axis=1), A[s]) for s in tiles):
+            sigmas.append(sigma)
+    least, before = every, None
+    while sigmas and least is not before:  # until a sweep changes nothing
+        before = least
+        for sigma in sigmas:
+            least = groups.cycle_least(least, sigma)
+    return np.flatnonzero(least == every)
 
-    The residual is exact: each pair of row tiles in the upper triangle is
-    one ``_exact_product``, a diagonal pair in the X X^T form; each row tile
-    is cast to float32 and bounded once for all of its pairs.  It is
-    symmetric with a zero diagonal (every +-1 row has squared norm order),
-    so when row tile I is reached no earlier row has a nonzero entry, hence
-    neither has any row of I left of I's diagonal tile, and the least pair
-    of I is the least over its tiles right of it.
+
+def _gram_residual(
+    M: SignMatrix, symmetries: Sequence[Symmetry] = ()
+) -> Optional[Tuple[int, int, int]]:
+    """An (i, j) where M M^T - order * I is nonzero, with that entry, or
+    None if M is Hadamard; the least such (i, j), row-major, if no claimed
+    symmetry holds.
+
+    Each tile of the rows R that ``_orbit_leasts`` keeps is cast to float32
+    and bounded once, then multiplied exactly by each column tile from the
+    one holding its least row, as X X^T on the rows' own tile.  That covers
+    G = M M^T: G is symmetric, and G = P_sigma G P_sigma^T for each verified
+    sigma, as M = P_sigma M P_tau^T.  With r(x) the least row of x's orbit,
+    take a pair with r(a) <= r(b) and pi, in the group the sigmas generate,
+    with pi(r(a)) = a: G[a, b] = G[r(a), pi^-1 b], and pi^-1 b >= r(b) >=
+    r(a).  With every row in R, as G's diagonal is zero (a +-1 row has
+    squared norm order), no earlier row has a nonzero entry when row tile I
+    is reached, so neither has any row of I left of I's diagonal tile.
     """
     A, n = M.entries, M.order
-    for r in range(0, n, _TILE_ROWS):
-        X = A[r : r + _TILE_ROWS]
+    rows = _orbit_leasts(A, symmetries)
+    for start in range(0, rows.size, _TILE_ROWS):
+        R = rows[start : start + _TILE_ROWS]
+        X = A[R]
         x_max = _max_abs(X)
-        X = X.astype(np.float32)  # cast once for all of the row tile's pairs
+        X = X.astype(np.float32)  # cast once for all of the tile's column tiles
         found = []
-        for c in range(r, n, _TILE_ROWS):
-            if c == r:
+        for c in range(R[0] - R[0] % _TILE_ROWS, n, _TILE_ROWS):
+            if c == R[0] and rows.size == n:
                 G = _exact_product(X, maxes=(x_max, x_max))
-                G[np.diag_indices_from(G)] -= n
             else:
                 Y = A[c : c + _TILE_ROWS]
                 G = _exact_product(X, Y.T, maxes=(x_max, _max_abs(Y)))
+            diagonal = (R >= c) & (R < c + _TILE_ROWS)
+            G[diagonal, R[diagonal] - c] -= n
             if G.any():
                 i, j = np.argwhere(G)[0].tolist()
-                found.append((r + i, c + j, int(G[i, j])))
+                found.append((int(R[i]), c + j, int(G[i, j])))
         if found:
             return min(found)
     return None
 
 
-def is_hadamard(M: SignMatrix) -> bool:
-    """Exact check of M M^T = order * I."""
-    return _gram_residual(M) is None
+def is_hadamard(M: SignMatrix, symmetries: Sequence[Symmetry] = ()) -> bool:
+    """Exact check of M M^T = order * I.  Claimed symmetries, each verified
+    first, change the work (a row per orbit) but never the verdict."""
+    return _gram_residual(M, symmetries) is None
 
 
 def hadamard_failure(M: SignMatrix) -> Optional[str]:
@@ -361,6 +396,21 @@ def _membership(group: FiniteAbelianGroup, codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _translations(
+    group: FiniteAbelianGroup, head: int, gens: Sequence[int], rows: tuple, cols: tuple
+) -> List[Symmetry]:
+    """Claims for an array that fixes its first ``head`` rows and columns,
+    then holds group-indexed blocks: per generator code g (the radix weights
+    generate any group), block b's rows move by rows[b] * g, columns by cols[b] * g."""
+    codes, v = np.arange(group.order, dtype=group.code_dtype), group.order
+
+    def moved(g: int, signs: tuple) -> np.ndarray:
+        blocks = [(group.code_add if s > 0 else group.code_sub)(codes, g) for s in signs]
+        return np.concatenate([np.arange(head)] + [head + b * v + x for b, x in enumerate(blocks)])
+
+    return [(moved(g, rows), moved(g, cols)) for g in gens]
+
+
 # -- skew Hadamard matrices from two-block families ------------------------------
 
 
@@ -425,7 +475,7 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
             "skew_block": skew_idx,
         },
     )
-    if not is_hadamard(result):
+    if not is_hadamard(result, _translations(group, 2, group.weights, (1, -1), (1, -1))):
         raise AssemblyError("assembled matrix is not Hadamard")
     if not is_skew(result):
         raise AssemblyError("assembled matrix is not skew")
@@ -820,7 +870,8 @@ def symmetric_from_ddf(
         },
     )
     result = SymmetricHadamardResult(matrix, family, layout)
-    if not (is_hadamard(matrix) and is_symmetric(matrix)):
+    claims = _translations(layout.group, m, layout.N.generators, (1, -1), (-1, 1))
+    if not (is_hadamard(matrix, claims) and is_symmetric(matrix)):
         failing = [c for c in identity_checks(result.parts) if not c.ok]
         names = ", ".join(f"{c.number}:{c.name}" for c in failing) or "none isolated"
         raise AssemblyError(f"assembled matrix failed; failing identities: {names}")
@@ -843,7 +894,7 @@ def hadamard_from_difference_set(family: DifferenceFamily) -> SignMatrix:
     for rows, i in _row_blocks(group):
         (A[rows],) = _gather_rows(group, i, np.subtract, signs)
     M = SignMatrix(A, labels=list(group.elements()), provenance={"construction": "difference-set"})
-    if not is_hadamard(M):
+    if not is_hadamard(M, _translations(group, 0, group.weights, (1,), (1,))):
         raise AssemblyError("difference set does not give a Hadamard matrix")
     return M
 

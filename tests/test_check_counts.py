@@ -34,9 +34,9 @@ def calls(monkeypatch):
         log["stacks"].append(len(families))
         return table(families)
 
-    def counted_gram(M):
+    def counted_gram(M, symmetries=()):
         log["grams"].append(M.order)
-        return gram(M)
+        return gram(M, symmetries)
 
     def counted_cond(families, m=None):
         log["conditions"] += len(families)
@@ -135,7 +135,7 @@ def test_failed_gate_exits_one(argv, order, monkeypatch, capsys):
     # the artifact is what the exit code reports
     gram = hadamard.is_hadamard
     monkeypatch.setattr(
-        hadamard, "is_hadamard", lambda M: M.order != order and gram(M)
+        hadamard, "is_hadamard", lambda M, symmetries=(): M.order != order and gram(M, symmetries)
     )
     assert cli.main(argv) == 1
     captured = capsys.readouterr()

@@ -381,6 +381,33 @@ def test_hadamard_symmetric_from_file(tmp_path, capsys):
     assert json.loads(out)["order"] == 64
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["symmetric", "--n", "2", "--family", "FAM"], "--n"),
+        (["symmetric", "--family", "FAM", "--u", "1"], "--u"),
+        (["symmetric", "--n", "3", "--k", "3"], "--k"),
+        (["symmetric", "--family", "FAM", "--q", "7"], "--q"),
+        (["skew", "--q", "7", "--n", "3"], "--n"),
+        (["skew", "--q", "7", "--u", "1"], "--u"),
+        (["skew", "--q", "7", "--family", "FAM"], "--family"),
+        (["skew", "--q", "7", "--k", "3"], "--k"),
+        (["sylvester", "--k", "3", "--n", "3"], "--n"),
+        (["sylvester", "--k", "3", "--u", "1"], "--u"),
+        (["sylvester", "--k", "3", "--family", "FAM"], "--family"),
+        (["sylvester", "--k", "3", "--q", "7"], "--q"),
+    ],
+)
+def test_hadamard_refuses_a_flag_its_subkind_does_not_read(argv, flag, tmp_path, capsys):
+    # every one of these once exited 0 and ignored the flag
+    fam = tmp_path / "fam.json"
+    run_cli(["construct", "gr4-ddf", "--n", "3", "--out", str(fam)], capsys)
+    argv = ["hadamard"] + [str(fam) if a == "FAM" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and f"does not read {flag}" in err, err
+
+
 def test_oversized_hadamard_requests_exit_two_before_allocating(capsys):
     # orders 2^15, 10^6 + 4 and 4^8 exceed MAX_MATRIX_ORDER; the CLI refuses
     # them before building the matrix, the field or the ring

@@ -959,7 +959,7 @@ def test_difference_set_rows_match_index_tables_on_any_block(moduli, tile, data)
     family = DifferenceFamily(g, Subgroup.trivial(g), [Block.from_elements(g, points)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hadamard, "_TILE_ROWS", tile)
-        mp.setattr(hadamard, "is_hadamard", lambda M: True)
+        mp.setattr(hadamard, "is_hadamard", lambda M, symmetries=(): True)
         got = hadamard.hadamard_from_difference_set(family).entries
     assert np.array_equal(got, ref_difference_set_matrix(family))
 

@@ -6,7 +6,12 @@ through ``hadamard._exact_product``.  The hypothesis tests require the same
 verdicts and the same witness strings on random +-1 matrices, on Hadamard
 matrices with one entry flipped, and on perturbed symmetric-array parts.
 The single-flip tests at orders 1024 and 4096 run where the int64 reference
-is too slow to keep, so their witness is computed by hand.  The gate and the
+is too slow to keep, so their witness is computed by hand.  The builders
+claim translations (sigma on rows, tau on columns) that the gate verifies
+before it multiplies one row per orbit; the symmetry tests require the
+verdict of every claim list they draw, valid or malformed, on intact,
+corrupted and flipped arrays, to equal both the gate with no claim and the
+int64 reference.  The gate and the
 entry, symmetry and skewness checks work on tiles of rows; the tiled tests
 shrink the tile to 1, 3 and 7 rows so that small matrices have many tiles,
 ragged ones included, and the tracemalloc tests bound what a tile costs.
@@ -24,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designforge import hadamard
-from designforge.constructions import galois_ring_ddf, szekeres_family
+from designforge.constructions import galois_ring_data, galois_ring_ddf, szekeres_family
 from designforge.designs import Block, DifferenceFamily
 from designforge.field import FieldCtx
 from designforge.galois import RingCtx
@@ -34,6 +39,7 @@ from designforge.hadamard import (
     _exact_product,
     build_symmetric_parts,
     hadamard_failure,
+    hadamard_from_difference_set,
     identity_checks,
     is_hadamard,
     is_skew,
@@ -296,3 +302,198 @@ def test_exact_product_refuses_products_float32_cannot_hold():
     # and the Gram form X X^T uses X on both sides
     with pytest.raises(ValueError, match="2\\^24"):
         _exact_product(np.full((1, 2), 2**12))
+
+
+# ---------------------------------------------------------------------------
+# the gate with claimed symmetries
+# ---------------------------------------------------------------------------
+
+
+def _difference_set_64():
+    group = RingCtx(3).additive_group()
+    data = galois_ring_data(RingCtx(3))
+    return hadamard_from_difference_set(DifferenceFamily(group, Subgroup.trivial(group), [Block(group, data.D)]))
+
+
+# each builder with the number of row orbits its claims leave
+BUILDERS = {
+    "skew-q7": (lambda: skew_from_df(szekeres_family(FieldCtx(7)).family), 4),
+    "skew-q23": (lambda: skew_from_df(szekeres_family(FieldCtx(23)).family), 4),
+    "symmetric-n3": (lambda: symmetric_from_ddf(galois_ring_ddf(RingCtx(3)).family), 8 + 2 * 28 // 4),
+    "difference-set-64": (_difference_set_64, 1),
+}
+
+
+def recording_gate(monkeypatch):
+    """A list that collects each (matrix, claims) passed to ``is_hadamard``
+    from now on; the gate itself still answers."""
+    seen, gate = [], hadamard.is_hadamard
+
+    def record(M, symmetries=()):
+        seen.append((M, symmetries))
+        return gate(M, symmetries)
+
+    monkeypatch.setattr(hadamard, "is_hadamard", record)
+    return seen
+
+
+def built(name, monkeypatch):
+    """The array a builder gates last and the claims it passes with it."""
+    seen = recording_gate(monkeypatch)
+    BUILDERS[name][0]()
+    return seen[-1]
+
+
+def assert_claims_agree(M, claims):
+    """The claimed gate's verdict is the plain gate's and the reference's,
+    and any witness it gives is a true nonzero entry of M M^T - order * I."""
+    A = M.entries.astype(np.int64)
+    residual = A @ A.T - M.order * np.eye(M.order, dtype=np.int64)
+    verdict = is_hadamard(M, claims)
+    assert verdict == is_hadamard(M) == (ref_failure(M.entries) is None)
+    witness = hadamard._gram_residual(M, claims)
+    assert (witness is None) == verdict
+    if witness is not None:
+        i, j, inner = witness
+        assert inner == residual[i, j] != 0
+    return verdict
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7, 512])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_claims_of_each_builder_hold_and_leave_its_orbits(name, tile, monkeypatch):
+    M, claims = built(name, monkeypatch)
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", tile)
+    assert claims and assert_claims_agree(M, claims)
+    assert hadamard._orbit_leasts(M.entries, claims).size == BUILDERS[name][1]
+
+
+@pytest.mark.parametrize("tile", [3, 512])
+@pytest.mark.parametrize("name, table", [("skew-q23", 1), ("symmetric-n3", 1), ("difference-set-64", 0)])
+def test_developed_corruptions_keep_their_claims_and_fail(name, table, tile, monkeypatch):
+    # one entry of a +-1 table (the skew signs_T, the symmetric 'second',
+    # the difference set's signs) flipped: every block is still developed
+    membership, made = hadamard._membership, []
+
+    def flipped(group, codes):
+        out = membership(group, codes)
+        if len(made) == table:
+            out[np.flatnonzero(out)[1]] = 0  # the second member leaves (never one of N)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(hadamard, "_membership", flipped)
+    seen = recording_gate(monkeypatch)
+    with pytest.raises(hadamard.AssemblyError):
+        BUILDERS[name][0]()
+    M, claims = seen[-1]
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", tile)
+    assert hadamard._orbit_leasts(M.entries, claims).size == BUILDERS[name][1]
+    assert not assert_claims_agree(M, claims)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_single_entry_flips_fail_with_or_without_their_claims(name, monkeypatch):
+    M, claims = built(name, monkeypatch)
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", 7)
+    rng = random.Random(name)
+    spots = [(0, 0), (M.order - 1, M.order - 1)]
+    spots += [(rng.randrange(M.order), rng.randrange(M.order)) for _ in range(20)]
+    for i, j in spots:
+        A = M.entries.copy()
+        A[i, j] = -A[i, j]
+        assert not assert_claims_agree(SignMatrix(A), claims)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_malformed_claims_are_dropped(name, monkeypatch):
+    M, claims = built(name, monkeypatch)
+    rng = np.random.default_rng(len(name))
+    sigma, tau = (np.asarray(p) for p in claims[0])
+    repeat = sigma.copy()
+    repeat[1] = repeat[0]
+    bad = [
+        (sigma[:-1], tau),  # wrong length
+        (sigma, np.append(tau, 0)),
+        (repeat, tau),  # not a permutation
+        (sigma, -1 - tau),
+        (sigma.astype(float), tau),  # not integers
+        (sigma == 0, tau == 0),
+        (rng.permutation(M.order), rng.permutation(M.order)),  # M is not invariant
+        (np.roll(np.arange(M.order), 1), np.arange(M.order)),
+    ]
+    for claim in bad:
+        assert hadamard._orbit_leasts(M.entries, [claim]).size == M.order
+        assert assert_claims_agree(M, [claim])
+    # the verified claims alone decide the orbits, whatever else is claimed
+    leasts = hadamard._orbit_leasts(M.entries, claims)
+    assert np.array_equal(hadamard._orbit_leasts(M.entries, bad + list(claims)), leasts)
+    A = M.entries.copy()
+    A[-1, 0] = -A[-1, 0]
+    assert not assert_claims_agree(SignMatrix(A), bad + list(claims))
+
+
+def test_orbits_close_under_claims_that_do_not_commute():
+    # J - 2I of order 4 is Hadamard and invariant under every permutation
+    # applied to rows and columns alike.  Claimed (1 2) then (0 2), one sweep
+    # leaves row 1 looking least; the second sweep joins it to row 0's orbit.
+    M = SignMatrix(np.ones((4, 4), dtype=np.int8) - 2 * np.eye(4, dtype=np.int8))
+    swaps = [np.array([0, 2, 1, 3]), np.array([2, 1, 0, 3])]
+    claims = [(p, p) for p in swaps]
+    assert hadamard._orbit_leasts(M.entries, claims).tolist() == [0, 3]
+    assert assert_claims_agree(M, claims)
+    A = M.entries.copy()
+    A[3, 3] = 1  # still invariant, no longer Hadamard
+    assert hadamard._orbit_leasts(A, claims).tolist() == [0, 3]
+    assert not assert_claims_agree(SignMatrix(A), claims)
+
+
+def test_a_map_that_is_no_permutation_is_dropped_though_m_satisfies_it():
+    # rows h0, h1, h2, h2 of the order-4 Sylvester matrix; swapping columns
+    # 1 and 2 turns h1 into h2 and h2 into h1, so M[sigma[i], tau[j]] ==
+    # M[i, j] holds for sigma = [0, 2, 1, 1], which folds row 3 onto row 1:
+    # trusted, it would leave rows 0 and 1 only and pass the repeated row
+    A = sylvester(2).entries[[0, 1, 2, 2]]
+    sigma, tau = np.array([0, 2, 1, 1]), np.array([0, 2, 1, 3])
+    assert np.array_equal(A[sigma][:, tau], A)
+    assert hadamard._orbit_leasts(A, [(sigma, tau)]).size == 4
+    assert not assert_claims_agree(SignMatrix(A), [(sigma, tau)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_developed_random_arrays_match_the_reference(seed, monkeypatch):
+    # a random +-1 table developed over a small group: rarely Hadamard, so
+    # the reduced rows must find the residual the full scan finds
+    rng = random.Random(seed)
+    group = FiniteAbelianGroup(rng.choice([(4,), (2, 2), (16,), (4, 4), (2, 2, 2, 2), (3, 5)]))
+    signs = np.array([rng.choice((-1, 1)) for _ in range(group.order)], dtype=np.int8)
+    codes = np.arange(group.order, dtype=group.code_dtype)
+    M = SignMatrix(signs[group.cayley_rows(codes, np.subtract)])
+    claims = hadamard._translations(group, 0, group.weights, (1,), (1,))
+    monkeypatch.setattr(hadamard, "_TILE_ROWS", rng.choice([1, 3, 512]))
+    assert hadamard._orbit_leasts(M.entries, claims).size == 1
+    assert_claims_agree(M, claims)
+
+
+@pytest.mark.parametrize(
+    "build, rows",
+    [
+        (lambda: skew_from_df(szekeres_family(FieldCtx(11, 3)).family), 4),
+        (lambda: symmetric_from_ddf(galois_ring_ddf(RingCtx(5)).family), 94),
+        (_difference_set_64, 1),
+    ],
+)
+def test_gate_multiplies_one_row_per_orbit(build, rows, monkeypatch):
+    products, product = [], hadamard._exact_product
+
+    def counted(X, Y=None, maxes=None):
+        products.append(X.shape)
+        return product(X, Y, maxes)
+
+    monkeypatch.setattr(hadamard, "_exact_product", counted)
+    M = build()
+    M = getattr(M, "matrix", M)
+    # one product per column tile, each of the orbit rows (the default
+    # seed's own gate, if any, has a shorter inner dimension)
+    tiles = -(-M.order // hadamard._TILE_ROWS)
+    assert [x for x in products if x[1] == M.order] == [(rows, M.order)] * tiles
