@@ -7,7 +7,8 @@ check of its stdout (a sha256 prefix, an exact text, or the summary-only
 line of a cut search).  Each row's wall seconds are printed too, as a
 report, not a bound.  A file argument is either a search spec, written as
 JSON, or the name of an earlier row whose stdout is read back, as ``verify``
-reads the q = 524287 family.  The peak RSS is the child's own, read with
+reads the q = 524287 family and ``hadamard symmetric --family`` the GR(4,6)
+one.  The peak RSS is the child's own, read with
 ``os.wait4``.
 
 Usage: python .github/pinned_runs.py   (runs every row; exits 1 if any fails)
@@ -59,6 +60,12 @@ RUNS = [
      sha256_prefix("cc7056ee88e1")),
     ("verify-szekeres-q524287", ["verify"], "szekeres-q524287", 128,
      exactly(b"VERIFIED: lambda=- mu=131070 K=[131071, 131071]\n")),
+    # the GR(4,6) family; the order-4096 array from it read back, which the
+    # builder verifies, and built in process, which reads the carried verdict
+    ("gr4-ddf-n6", ["construct", "gr4-ddf", "--n", "6"], None, 64, sha256_prefix("0323014097ae")),
+    ("symmetric-family-n6", ["hadamard", "symmetric", "--family"], "gr4-ddf-n6", 128,
+     sha256_prefix("c6f1c602fb5a")),
+    ("symmetric-n6", ["hadamard", "symmetric", "--n", "6"], None, 128, sha256_prefix("c6f1c602fb5a")),
     # the Teichmuller difference set of GR(4,12)
     ("prop34-n12", ["construct", "prop34", "--n", "12"], None, 320, sha256_prefix("4c24487cb98c")),
     # the full m = 8 search, 1152 certificates in 36 orbits

@@ -77,8 +77,8 @@ def _trace_zero_u(ring: RingCtx, u: Optional[int]):
     return ring.residue.g_pow(u)
 
 
-def _family_text(family: designs.DifferenceFamily, report: designs.VerificationReport) -> str:
-    lines = [report.summary()]
+def _family_text(family: designs.DifferenceFamily) -> str:
+    lines = [family.report.summary()]
     if family.provenance:
         lines.insert(0, _dump(family.provenance))
     for blk in family.sorted_blocks():
@@ -88,11 +88,11 @@ def _family_text(family: designs.DifferenceFamily, report: designs.VerificationR
 
 
 def _emit_family(result, config: RunConfig) -> int:
-    """Print a construction's family with the report its own oracle run made."""
+    """Print a construction's family with the report its own oracle run left on it."""
     if config.fmt == "json":
         _emit([_dump(result.family.to_json()) + "\n"], config)
     else:
-        _emit([_family_text(result.family, result.report) + "\n"], config)
+        _emit([_family_text(result.family) + "\n"], config)
     return 0
 
 

@@ -4,10 +4,10 @@ Every construction returns its family together with the raw field- or
 ring-level blocks, held as sorted additive codes and nothing decoded from them
 (``decode_elements`` of the field's or ring's additive group gives the
 tuples).  Nothing leaves this module unverified: the exhaustive oracle in
-designs.py is run once on each output and its report is returned with it,
-once on each source difference set, and the derived-family identity
-theta(t) = lambda - lambda_t is checked pointwise for every construction
-routed through the generic quotient machine.
+designs.py is run once on each output family, which carries the report as
+``family.report``, and once on each source difference set, and the
+derived-family identity theta(t) = lambda - lambda_t is checked pointwise for
+every construction routed through the generic quotient machine.
 """
 
 from __future__ import annotations
@@ -28,6 +28,15 @@ Element = Tuple[int, ...]
 
 class PreconditionError(ValueError):
     """A construction precondition (diophantine or structural) failed."""
+
+
+def _verified(family: DifferenceFamily, failure: str, need_mu: bool = False) -> DifferenceFamily:
+    """The family, carrying its oracle verdict, or RuntimeError(f"{failure}:
+    {summary}") if that fails or, with ``need_mu``, realizes no mu."""
+    report = designs.verify(family)
+    if not report.ok or (need_mu and report.mu is None):
+        raise RuntimeError(f"{failure}: {report.summary()}")
+    return family
 
 
 # -- cyclotomic difference sets -------------------------------------------------
@@ -107,15 +116,12 @@ def cyclotomic_difference_set(
     group = ctx.unit_tables.additive
     k = codes.size
     lam = k * (k - 1) // (q - 1)  # exact: every closed form above implies it
-    family = DifferenceFamily(
+    family = _verified(DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
         blocks=[Block(group, codes)],
         declared=DesignParams(None, lam, (k,)),
-    )
-    report = designs.verify(family)
-    if not report.ok:
-        raise RuntimeError(f"cyclotomic set failed verification: {report.summary()}")
+    ), "cyclotomic set failed verification")
     return CyclotomicDS(ctx, e, with_zero, family.blocks[0].codes, q, k, lam)
 
 
@@ -172,16 +178,11 @@ def unit_quotient_family(
                 raise PreconditionError(f"block is not fixed by subgroup generator {g_elem}")
     rep_logs = _transversal_logs(tables, n_logs, reps)
     # the input family must be a difference family in the additive group
-    base = DifferenceFamily(
+    base = _verified(DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
         blocks=[Block(group, D) for D in block_codes],
-    )
-    report = designs.verify(base)
-    if not report.ok or report.mu is None:
-        raise RuntimeError(
-            f"input blocks are not a difference family in R^+: {report.summary()}"
-        )
+    ), "input blocks are not a difference family in R^+", need_mu=True)
     n_position = np.full(tables.exp.size, -1, dtype=np.int64)
     n_position[n_logs] = np.arange(n_codes.size)
     out_blocks: List[Tuple[int, int, np.ndarray]] = []
@@ -202,7 +203,7 @@ def unit_quotient_family(
             group.code_sub(D[None, :], Z[:, None]).ravel(), minlength=group.order
         )
     lambda_t = pair_counts[group.code_sub(n_codes, tables.one)]
-    return QuotientFamilyResult(out_blocks, report.mu, n_codes, lambda_t)
+    return QuotientFamilyResult(out_blocks, base.report.mu, n_codes, lambda_t)
 
 
 def _mask(size: int, codes: np.ndarray) -> np.ndarray:
@@ -271,12 +272,13 @@ def _check_quotient_consistency(
     result: QuotientFamilyResult,
     group: FiniteAbelianGroup,
     images: np.ndarray,
-    report: designs.VerificationReport,
+    family: DifferenceFamily,
 ) -> None:
-    """Check that the oracle's count at the family code ``images[j]`` of every
-    t = ``result.subgroup[j]`` other than 1 (image 0) is base_lambda - lambda_t;
-    the first t in code order that fails is named with its element of ``group``."""
-    counts = report.totals[images]
+    """Check that the count at the family code ``images[j]`` of every t =
+    ``result.subgroup[j]`` other than 1 (image 0), as the oracle verdict the
+    family carries has it, is base_lambda - lambda_t; the first t in code
+    order that fails is named with its element of ``group``."""
+    counts = family.report.totals[images]
     bad = np.flatnonzero((counts != result.base_lambda - result.lambda_t) & (images != 0))
     if bad.size:
         j = bad[0]
@@ -294,7 +296,6 @@ class SzekeresFamily:
     ctx: FieldCtx
     field_blocks: Tuple[np.ndarray, np.ndarray]  # sorted additive codes of d1, d2
     family: DifferenceFamily
-    report: designs.VerificationReport  # the oracle's verdict on ``family``
 
 
 def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
@@ -326,10 +327,7 @@ def szekeres_family(ctx: FieldCtx) -> SzekeresFamily:
         declared=DesignParams(None, (q - 7) // 4, (k, k)),
         provenance={"construction": "szekeres", "q": q},
     )
-    report = designs.verify(family)
-    if not report.ok:
-        raise RuntimeError(f"Szekeres family failed verification: {report.summary()}")
-    return SzekeresFamily(ctx, (d1, d2), family, report)
+    return SzekeresFamily(ctx, (d1, d2), _verified(family, "Szekeres family failed verification"))
 
 
 def szekeres_inverse_identity(ctx: FieldCtx) -> Tuple[FrozenSet[Element], FrozenSet[Element]]:
@@ -347,7 +345,6 @@ def szekeres_inverse_identity(ctx: FieldCtx) -> Tuple[FrozenSet[Element], Frozen
 class CyclotomicFamily:
     family: DifferenceFamily
     quotient: QuotientFamilyResult
-    report: designs.VerificationReport
 
 
 def cyclotomic_family(
@@ -399,11 +396,9 @@ def cyclotomic_family(
             "e": e,
         },
     )
-    report = designs.verify(family)
-    _check_quotient_consistency(quotient, group, tables.log[quotient.subgroup] // e, report)
-    if not report.ok:
-        raise RuntimeError(f"cyclotomic family failed verification: {report.summary()}")
-    return CyclotomicFamily(family, quotient, report)
+    _verified(family, "cyclotomic family failed verification")
+    _check_quotient_consistency(quotient, group, tables.log[quotient.subgroup] // e, family)
+    return CyclotomicFamily(family, quotient)
 
 
 # -- GR(4,n) divisible difference families ---------------------------------------
@@ -473,7 +468,6 @@ class GaloisRingDDF:
     iso: GroupIso
     family: DifferenceFamily
     quotient: QuotientFamilyResult
-    report: designs.VerificationReport
 
 
 def _coset_reps(ring: RingCtx, N: np.ndarray) -> np.ndarray:
@@ -591,19 +585,9 @@ def galois_ring_ddf(
             "modulus": list(ring.modulus),
         },
     )
-    report = designs.verify(family)
-    _check_quotient_consistency(quotient, additive, iso.map_codes(quotient.subgroup), report)
-    if not report.ok:
-        raise RuntimeError(f"unit-subgroup family failed verification: {report.summary()}")
-    return GaloisRingDDF(
-        data=data,
-        include_ideal=include_ideal,
-        y=y,
-        iso=iso,
-        family=family,
-        quotient=quotient,
-        report=report,
-    )
+    _verified(family, "unit-subgroup family failed verification")
+    _check_quotient_consistency(quotient, additive, iso.map_codes(quotient.subgroup), family)
+    return GaloisRingDDF(data, include_ideal, y, iso, family, quotient)
 
 
 @dataclass
@@ -612,7 +596,6 @@ class TeichmullerDS:
     u: Element
     codes: np.ndarray  # sorted additive codes of the members in GR(4,n)
     family: DifferenceFamily
-    report: designs.VerificationReport
 
 
 def teichmuller_difference_set(
@@ -643,12 +626,8 @@ def teichmuller_difference_set(
             "u": ring.residue.discrete_log(data.u),
         },
     )
-    report = designs.verify(family)
-    if not report.ok:
-        raise RuntimeError(
-            f"Teichmuller difference set failed verification: {report.summary()}"
-        )
-    return TeichmullerDS(ring, data.u, members, family, report)
+    _verified(family, "Teichmuller difference set failed verification")
+    return TeichmullerDS(ring, data.u, members, family)
 
 
 @dataclass

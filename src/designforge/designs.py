@@ -110,17 +110,23 @@ class DesignParams:
         return lhs == lam * (forbidden_order - 1) + mu * (group_order - forbidden_order)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DifferenceFamily:
-    """Blocks in an ambient group with an optional forbidden subgroup."""
+    """Blocks in an ambient group with an optional forbidden subgroup.
+
+    Frozen, so the verdict ``verify_batch`` leaves in ``report`` stays the
+    one on these blocks, subgroup and declared parameters; a family made by
+    ``dataclasses.replace`` starts without one."""
 
     ambient: FiniteAbelianGroup
     forbidden: Subgroup
-    blocks: List[Block]
+    blocks: Tuple[Block, ...]
     declared: Optional[DesignParams] = None
     provenance: Optional[dict] = None
+    report: Optional[VerificationReport] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.forbidden.parent != self.ambient:
             raise ValueError("forbidden subgroup lives in a different group")
         for b in self.blocks:
@@ -367,7 +373,7 @@ def difference_count(family: DifferenceFamily, d: Element) -> int:
     return int(difference_totals(family)[code])
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     ok: bool
     lam: Optional[int]
@@ -380,8 +386,8 @@ class VerificationReport:
 
     def summary(self) -> str:
         status = "VERIFIED" if self.ok else "FAILED"
-        lam = "-" if self.lam is None else self.lam
-        parts = [f"{status}: lambda={lam} mu={self.mu} K={list(self.sizes)}"]
+        lam, mu = ("-" if x is None else x for x in (self.lam, self.mu))
+        parts = [f"{status}: lambda={lam} mu={mu} K={list(self.sizes)}"]
         if self.message:
             parts.append(self.message)
         if self.witness is not None:
@@ -405,10 +411,11 @@ def verify_batch(families: Sequence[DifferenceFamily]) -> List[VerificationRepor
     witness in element order, never raised.  The families must share one
     ambient group and one forbidden subgroup (else ValueError), and share
     one ``stacked_difference_totals`` run.  Each report keeps its row of
-    the oracle's code-indexed totals, read-only, as ``totals``, so callers
-    never need to count again.  Everything is read off the rows with a
-    membership mask of the forbidden subgroup; no group element is walked
-    in Python.
+    the oracle's code-indexed totals, read-only, as ``totals``, and is left
+    on its family as ``report``, so callers never need to count again; this
+    counts on every call all the same, and never reads a carried report.
+    Everything is read off the rows with a membership mask of the forbidden
+    subgroup; no group element is walked in Python.
     """
     if not families:
         return []
@@ -468,6 +475,7 @@ def verify_batch(families: Sequence[DifferenceFamily]) -> List[VerificationRepor
         reports.append(
             VerificationReport(ok, lam, mu, sizes, message, witness, degenerate, totals=totals[f])
         )
+        object.__setattr__(family, "report", reports[-1])
     return reports
 
 
@@ -592,7 +600,7 @@ def one_rotational_design(family: DifferenceFamily) -> PointedDesign:
         raise ValueError("one-rotational development needs a cyclic ambient group")
     if not family.forbidden.is_trivial():
         raise ValueError("one-rotational development needs a plain difference family")
-    rep = verify(family)
+    rep = family.report or verify(family)
     if not rep.ok:
         raise ValueError(f"family failed verification: {rep.summary()}")
     lam = rep.mu

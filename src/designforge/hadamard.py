@@ -439,7 +439,7 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
         raise PreconditionError(f"group order {v} is even, need |G| = 2m+1")
     m = (v - 1) // 2
     check_matrix_order(4 * (m + 1))
-    report = designs.verify(family)
+    report = family.report or designs.verify(family)
     if not report.ok:
         raise PreconditionError(f"family failed verification: {report.summary()}")
     if report.sizes != (m, m) or report.mu != m - 1:
@@ -528,9 +528,10 @@ def check_symmetric_conditions_batch(
     of the first block whose negative it misses; a balance failure names
     the first coset off m/4, by least member, and the first block there.
     A failure of m, |N|, |G| or the block count is reported alone, before
-    the oracle and the coset index cost anything.  The other families share
-    one ``designs.verify_batch`` run, one ``negatives_in`` and one bincount
-    of ``N.coset_index()`` over all of their blocks.
+    the oracle and the coset index cost anything.  The other families read
+    the verdicts they carry; those without one share one
+    ``designs.verify_batch`` run.  All share one ``negatives_in`` and one
+    bincount of ``N.coset_index()`` over all of their blocks.
     """
     if not families:
         return []
@@ -546,7 +547,8 @@ def check_symmetric_conditions_batch(
             shaped.append(i)
     if shaped:
         batch = [families[i] for i in shaped]
-        for i, report in zip(shaped, _structure_reports(batch, N, designs.verify_batch(batch))):
+        designs.verify_batch([family for family in batch if family.report is None])
+        for i, report in zip(shaped, _structure_reports(batch, N)):
             reports[i] = report
     return reports  # type: ignore[return-value]  # every slot is filled
 
@@ -566,11 +568,9 @@ def _shape_failures(family: DifferenceFamily, m: int) -> List[str]:
     return failures
 
 
-def _structure_reports(
-    batch: List[DifferenceFamily], N: Subgroup, verdicts: List[designs.VerificationReport]
-) -> List[SeedConditionReport]:
+def _structure_reports(batch: List[DifferenceFamily], N: Subgroup) -> List[SeedConditionReport]:
     """The rest of ``check_symmetric_conditions_batch`` for well-shaped
-    families with forbidden subgroup N, given their oracle verdicts."""
+    families with forbidden subgroup N, which carry their oracle verdicts."""
     group = N.parent
     m = 2 * N.order
     k, lam, mu = m * (m - 2) // 4, m * (m - 4) // 4, m * (m - 3) // 4
@@ -586,7 +586,8 @@ def _structure_reports(
     per_coset = per_coset.reshape(len(batch), 2, n_cosets)
     balanced = ~(per_coset[:, :, 0].any(axis=1) | (per_coset[:, :, 1:] != m // 4).any(axis=(1, 2)))
     reports = []
-    for f, (report, is_balanced) in enumerate(zip(verdicts, balanced.tolist())):
+    for f, (family, is_balanced) in enumerate(zip(batch, balanced.tolist())):
+        report = family.report
         failures: List[str] = []
         if not report.ok:
             failures.append(f"family does not verify: {report.summary()}")

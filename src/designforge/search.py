@@ -156,8 +156,8 @@ class Certificate:
 
 def replay_certificates(certs: Sequence[Certificate]) -> List[bool]:
     """Whether each certificate's family passes ``check_symmetric_conditions``
-    at the spec's m, the oracle's verdict included: one
-    ``check_symmetric_conditions_batch`` run.  The certificates must share
+    at the spec's m, the oracle's verdict included (counted for the families
+    that carry none): one ``check_symmetric_conditions_batch`` run.  The certificates must share
     one m, and their families one group and forbidden subgroup; otherwise
     this raises ValueError."""
     if not certs:

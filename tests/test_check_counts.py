@@ -3,7 +3,9 @@
 Counting wrappers around the oracle (``designs.stacked_difference_totals``,
 behind every single-family call too), the Gram gate (``hadamard.is_hadamard``)
 and the symmetric-array precondition check record every call made while one
-artifact is built.
+artifact is built.  A family carries the verdict of its oracle run, so a
+builder handed a constructed family reads that verdict and runs the oracle
+only on a family read from a file; ``verify`` itself counts on every call.
 """
 
 import json
@@ -14,7 +16,7 @@ from designforge import cli, constructions, designs, groups, hadamard
 from designforge.field import FieldCtx
 from designforge.galois import RingCtx
 from designforge.groups import FiniteAbelianGroup, Subgroup
-from designforge.search import SearchBudget, SearchSpec, search_ddf
+from designforge.search import Certificate, SearchBudget, SearchSpec, search_ddf
 
 
 @pytest.fixture
@@ -50,8 +52,9 @@ def calls(monkeypatch):
 
 def test_symmetric_cli_counts(calls, capsys):
     assert cli.main(["hadamard", "symmetric", "--n", "3"]) == 0
-    # unit_quotient_family's base check, the family's oracle, the array check
-    assert len(calls["tables"]) == 3
+    # unit_quotient_family's base check and the family's oracle; the array
+    # check reads the verdict the family carries
+    assert len(calls["tables"]) == 2
     assert calls["conditions"] == 1
     # the default order-8 seed is gated by sylvester() alone
     assert sorted(calls["grams"]) == [8, 64]
@@ -76,9 +79,40 @@ def test_construct_cli_counts(argv, tables, calls, capsys):
 
 def test_skew_cli_counts(calls, capsys):
     assert cli.main(["hadamard", "skew", "--q", "7"]) == 0
-    # szekeres_family's oracle, then skew_from_df's entry check
-    assert len(calls["tables"]) == 2
+    # szekeres_family's oracle; skew_from_df reads the verdict it left
+    assert len(calls["tables"]) == 1
     assert calls["grams"] == [8]
+
+
+@pytest.mark.parametrize("argv", [["hadamard", "symmetric", "--family"], ["verify"]])
+def test_a_family_file_passes_the_oracle_once(argv, calls, tmp_path, capsys):
+    # a family read back from JSON carries no verdict: one run, in the array
+    # check or in verify
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(constructions.galois_ring_ddf(RingCtx(3)).family.to_json()))
+    calls["tables"].clear()
+    assert cli.main(argv + [str(path)]) == 0
+    assert len(calls["tables"]) == 1
+    assert calls["conditions"] == (argv[0] == "hadamard")
+
+
+def test_builders_read_the_verdict_a_constructed_family_carries(calls):
+    for family, build in [
+        (constructions.szekeres_family(FieldCtx(19)).family, hadamard.skew_from_df),
+        (constructions.cyclotomic_family(FieldCtx(11), 2, with_zero=True).family,
+         designs.one_rotational_design),
+    ]:
+        calls["tables"].clear()
+        build(family)
+        assert calls["tables"] == []
+
+
+def test_verify_counts_on_every_call(calls):
+    family = constructions.szekeres_family(FieldCtx(11)).family
+    calls["tables"].clear()
+    first, second = designs.verify(family), designs.verify(family)
+    assert calls["tables"] == [family, family]
+    assert first is not second and family.report is second
 
 
 def test_sylvester_cli_counts(calls, capsys):
@@ -95,12 +129,17 @@ def test_family_oracle_runs_once(calls):
 
 
 def test_replay_runs_the_oracle_once(calls):
+    # search_ddf replays each certificate before it returns, so an in-memory
+    # one carries its verdict; one read back from JSON is checked afresh
     g = FiniteAbelianGroup((6,))
     spec = SearchSpec(group=g, forbidden=Subgroup.from_elements(g, [(0,), (3,)]), m=4)
     cert = search_ddf(spec)[0]
     calls["tables"].clear()
     assert cert.replay()
-    assert len(calls["tables"]) == 1
+    assert calls["tables"] == []
+    loaded = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert loaded.replay()
+    assert calls["tables"] == [loaded.family]
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "randomized"])

@@ -723,7 +723,9 @@ def test_tier1_families_reach_both_kernels(m8_certificates):
     # the m=8 search's 12-point blocks go to the scatter kernel
     report, plans = planned(lambda: verify(_paley_family(8191)))
     assert report.ok and plans == [(0, True)]
-    replayed, plans = planned(lambda: search.replay_certificates(m8_certificates))
+    # certificates read back from JSON carry no verdict, so the replay counts
+    loaded = [search.Certificate.from_json(cert.to_json()) for cert in m8_certificates]
+    replayed, plans = planned(lambda: search.replay_certificates(loaded))
     assert all(replayed) and len(plans) == 1 and not plans[0][1]
 
 
@@ -1109,7 +1111,8 @@ def _batch_matches_the_per_family_reference(families, m=None):
 def test_batched_replay_matches_the_per_family_reference_on_every_m8_certificate(
     m8_certificates,
 ):
-    families = [cert.family for cert in m8_certificates]
+    # copies without the verdicts the search left, so the batch runs the oracle
+    families = [dataclasses.replace(cert.family) for cert in m8_certificates]
     assert len(families) == 1152
     want = _batch_matches_the_per_family_reference(families, 8)
     assert all(ok for ok, *_ in want)
@@ -1255,15 +1258,16 @@ def test_block_symmetry_negation_controls_match_the_scan():
     # swap a point of the first block for another point of the same coset:
     # the coset counts hold, negation closure breaks
     same_coset = next(e for e in g.elements() if e[0] == d1[0][0] and e not in fam.blocks[0].elements)
-    fam.blocks[0] = Block.from_elements(g, (original[0].elements - {d1[0]}) | {same_coset})
-    rep = block_symmetry_report(res)
-    assert _symmetry_fields(rep) == ref_block_symmetry(res)
+    first = Block.from_elements(g, (original[0].elements - {d1[0]}) | {same_coset})
+    mutant = dataclasses.replace(res, family=dataclasses.replace(fam, blocks=(first, original[1])))
+    rep = block_symmetry_report(mutant)
+    assert _symmetry_fields(rep) == ref_block_symmetry(mutant)
     assert not rep.d1_negation_closed and rep.witness == "negation escapes the first block"
     # put a point and its negative into the second block
-    fam.blocks[0] = original[0]
-    fam.blocks[1] = Block.from_elements(g, (original[1].elements - {d2[0]}) | {g.neg(d2[1])})
-    rep = block_symmetry_report(res)
-    assert _symmetry_fields(rep) == ref_block_symmetry(res)
+    second = Block.from_elements(g, (original[1].elements - {d2[0]}) | {g.neg(d2[1])})
+    mutant = dataclasses.replace(res, family=dataclasses.replace(fam, blocks=(original[0], second)))
+    rep = block_symmetry_report(mutant)
+    assert _symmetry_fields(rep) == ref_block_symmetry(mutant)
     assert not rep.d2_negation_free and "collides" in rep.witness
 
 

@@ -286,7 +286,7 @@ def test_szekeres_result_retains_only_codes():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.report.ok
+    assert res.family.report.ok
     assert retained < 2 * 2**20, retained
 
 
@@ -388,9 +388,9 @@ def test_array_consistency_check_matches_the_per_t_loop():
     for res, ring_or_field, iso_map, images in cases:
         group, one = ring_or_field.additive_group(), ring_or_field.one
         quotient = res.quotient
-        assert np.array_equal(res.report.totals, designs.difference_totals(res.family))
+        assert np.array_equal(res.family.report.totals, designs.difference_totals(res.family))
         # both pass on the true lambda_t
-        constructions._check_quotient_consistency(quotient, group, images, res.report)
+        constructions._check_quotient_consistency(quotient, group, images, res.family)
         ref_check_quotient_consistency(quotient, group, one, iso_map, res.family)
         others = np.flatnonzero(images != 0)  # every t but 1, in code order
         for j in (others[0], others[others.size // 2], others[-1]):
@@ -398,7 +398,7 @@ def test_array_consistency_check_matches_the_per_t_loop():
             lambda_t[j] -= 1
             mutant = dataclasses.replace(quotient, lambda_t=lambda_t)
             got = _failure(
-                constructions._check_quotient_consistency, mutant, group, images, res.report
+                constructions._check_quotient_consistency, mutant, group, images, res.family
             )
             want = _failure(
                 ref_check_quotient_consistency, mutant, group, one, iso_map, res.family
@@ -619,7 +619,8 @@ def test_block_symmetry_negative_control():
     d1.add((0, moved[1], moved[2]))
     from designforge.designs import Block
 
-    fam.blocks[0] = Block.from_elements(fam.ambient, frozenset(d1))
+    first = Block.from_elements(fam.ambient, frozenset(d1))
+    res = dataclasses.replace(res, family=dataclasses.replace(fam, blocks=(first, fam.blocks[1])))
     rep = block_symmetry_report(res)
     assert not rep.ok
     assert rep.witness is not None

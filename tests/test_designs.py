@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designforge import designs
-from designforge.constructions import cyclotomic_family, szekeres_family
+from designforge.constructions import (
+    PreconditionError,
+    cyclotomic_family,
+    galois_ring_ddf,
+    szekeres_family,
+    teichmuller_difference_set,
+)
 from designforge.designs import (
     Block,
     DesignParams,
@@ -20,6 +27,7 @@ from designforge.designs import (
     verify_gdd,
 )
 from designforge.field import FieldCtx
+from designforge.galois import RingCtx
 from designforge.groups import (
     FiniteAbelianGroup,
     Subgroup,
@@ -29,6 +37,7 @@ from designforge.groups import (
     json_object,
     subgroup_generated,
 )
+from designforge.hadamard import skew_from_df
 from designforge.search import Certificate, SearchSpec, search_ddf
 
 
@@ -129,7 +138,7 @@ def test_verify_against_declared_parameters():
         declared=DesignParams(0, 1, (2, 2)),
     )
     assert verify(fam).ok
-    fam.declared = DesignParams(1, 1, (2, 2))
+    fam = dataclasses.replace(fam, declared=DesignParams(1, 1, (2, 2)))
     assert not verify(fam).ok
 
 
@@ -219,6 +228,78 @@ def test_verify_flags_degenerate_blocks():
     fam = _family((3,), [[(0,)], [(1,)]])
     rep = verify(fam)
     assert rep.ok and rep.degenerate_blocks == 2
+
+
+def test_summary_prints_a_dash_for_either_empty_region():
+    # with N = G no element lies outside N, so mu is vacuous like a missing lambda
+    rep = verify(_family((2,), [[(0,), (1,)]], forbidden=[(0,), (1,)]))
+    assert rep.ok and (rep.lam, rep.mu) == (2, None)
+    assert rep.summary() == "VERIFIED: lambda=2 mu=- K=[2]"
+    assert verify(_family((3,), [[(0,), (1,), (2,)]])).summary() == "VERIFIED: lambda=- mu=3 K=[3]"
+
+
+# ---------------------------------------------------------------------------
+# the verdict a family carries
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: szekeres_family(FieldCtx(19)).family,
+        lambda: cyclotomic_family(FieldCtx(37), 4).family,
+        lambda: cyclotomic_family(FieldCtx(109), 4, with_zero=True).family,
+        lambda: galois_ring_ddf(RingCtx(3)).family,
+        lambda: galois_ring_ddf(RingCtx(3), include_ideal=True).family,
+        lambda: teichmuller_difference_set(RingCtx(4)).family,
+    ],
+    ids=["szekeres", "prop22", "prop23", "gr4-ddf", "gr4-union", "prop34"],
+)
+def test_a_constructed_family_carries_the_verdict_of_a_fresh_run(build):
+    family = build()
+    fresh = verify(DifferenceFamily.from_json(family.to_json()))
+    assert family.report.ok
+    assert family.report.summary() == fresh.summary()
+    assert np.array_equal(family.report.totals, fresh.totals)
+
+
+def test_a_family_and_its_verdict_are_frozen():
+    fam = szekeres_family(FieldCtx(19)).family
+    for target, attr, value in [
+        (fam, "blocks", fam.blocks[::-1]),
+        (fam, "declared", None),
+        (fam, "report", None),
+        (fam.report, "ok", False),
+    ]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, attr, value)
+    assert fam.report.ok and not fam.report.totals.flags.writeable
+
+
+def test_a_family_made_by_replace_carries_no_verdict():
+    fam = szekeres_family(FieldCtx(19)).family
+    g = fam.ambient
+    assert fam.report.ok
+    for changes in [
+        {},
+        {"blocks": fam.blocks[::-1]},
+        {"forbidden": Subgroup.from_elements(g, [(0,), (3,), (6,)])},
+        {"declared": DesignParams(None, 2, (4, 4))},
+        {"provenance": None},
+    ]:
+        assert dataclasses.replace(fam, **changes).report is None
+
+
+def test_skew_from_df_runs_the_oracle_on_a_family_without_a_verdict():
+    # one block swapped by replace: skew_from_df must verify the new family
+    # and refuse it, not assemble it on the old verdict and fail the gate
+    fam = szekeres_family(FieldCtx(19)).family
+    bad = Block(fam.ambient, [0, 1, 2, 7])
+    mutant = dataclasses.replace(fam, blocks=(bad, fam.blocks[1]))
+    assert mutant.report is None
+    with pytest.raises(PreconditionError, match="family failed verification"):
+        skew_from_df(mutant)
+    assert not mutant.report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +400,7 @@ def test_family_json_roundtrip():
         forbidden=[(0,), (3,)],
         declared=DesignParams(0, 1, (2, 2)),
     )
-    fam.provenance = {"construction": "test"}
+    fam = dataclasses.replace(fam, provenance={"construction": "test"})
     again = DifferenceFamily.from_json(fam.to_json())
     assert again.ambient == fam.ambient
     assert again.forbidden == fam.forbidden
@@ -346,8 +427,10 @@ def test_family_json_roundtrip_keeps_the_verdict(data):
     fam = DifferenceFamily(g, forbidden, blocks)
     if data.draw(st.booleans()):
         rep = verify(fam)
-        fam.declared = DesignParams(rep.lam, rep.mu, rep.sizes)
-        fam.provenance = {"construction": "random", "order": g.order}
+        fam = dataclasses.replace(
+            fam, declared=DesignParams(rep.lam, rep.mu, rep.sizes),
+            provenance={"construction": "random", "order": g.order},
+        )
     again = DifferenceFamily.from_json(json.loads(json.dumps(fam.to_json())))
     assert again.ambient == fam.ambient
     assert again.forbidden == fam.forbidden

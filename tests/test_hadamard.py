@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -297,7 +298,7 @@ def test_conditions_orient_blocks_after_serialization():
     # serialization sorts blocks, so the checker may find the negation-closed
     # block in either slot; the report records the orientation
     fam = galois_ring_ddf(RingCtx(3)).family
-    fam.blocks = [fam.blocks[1], fam.blocks[0]]
+    fam = dataclasses.replace(fam, blocks=fam.blocks[::-1])
     assert designs.verify(fam).ok
     rep = check_symmetric_conditions(fam)
     assert rep.ok and rep.block_order == (1, 0)
@@ -308,7 +309,7 @@ def test_conditions_orient_blocks_after_serialization():
 def test_conditions_negative_control_symmetry():
     # doubling the skew block leaves no negation-closed block at all
     fam = galois_ring_ddf(RingCtx(3)).family
-    fam.blocks = [fam.blocks[1], fam.blocks[1]]
+    fam = dataclasses.replace(fam, blocks=(fam.blocks[1], fam.blocks[1]))
     rep = check_symmetric_conditions(fam)
     assert not rep.ok
     assert any("negation-closed" in f for f in rep.failures)
