@@ -52,9 +52,9 @@ def summary_only(path):
 
 RUNS = [
     # the order-16384 symmetric array
-    ("symmetric-n7", ["hadamard", "symmetric", "--n", "7"], None, 512, sha256_prefix("871085a4339f")),
+    ("symmetric-n7", ["hadamard", "symmetric", "--n", "7"], None, 448, sha256_prefix("871085a4339f")),
     # the order-16364 skew array, Z_8181 over 16 row tiles
-    ("skew-q16363", ["hadamard", "skew", "--q", "16363"], None, 512, sha256_prefix("6646f3a14468")),
+    ("skew-q16363", ["hadamard", "skew", "--q", "16363"], None, 448, sha256_prefix("6646f3a14468")),
     # the Szekeres family at q = 524287 passes the oracle, and verify reads it back
     ("szekeres-q524287", ["construct", "szekeres", "--q", "524287"], None, 128,
      sha256_prefix("cc7056ee88e1")),

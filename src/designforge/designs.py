@@ -36,15 +36,19 @@ _NS_KEY, _NS_DIGIT, _NS_ROW, _NS_BYTE, _NS_BIN, _NS_RUN = 2.6, 12.0, 560.0, 0.03
 class Block:
     """A subset of a finite abelian group, stored only as its members' sorted,
     distinct, read-only codes; ``elements`` and ``sorted_elements`` decode them.
-    A code or element outside the group, or repeated, is refused."""
+    A code or element outside the group, or repeated, is refused, and so is
+    rebinding either slot, since a family's carried verdict covers them."""
 
     __slots__ = ("ambient", "codes")
 
     def __init__(self, ambient: FiniteAbelianGroup, codes: object) -> None:
         if np.ndim(codes) != 1:
             raise ValueError("block codes are not a 1-D array")
-        self.ambient = ambient
-        self.codes = ambient.sorted_codes(codes, "block")
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "codes", ambient.sorted_codes(codes, "block"))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot rebind Block.{name}")
 
     @classmethod
     def from_elements(cls, ambient: FiniteAbelianGroup, elements: Iterable[Element]) -> "Block":
@@ -61,7 +65,8 @@ class Block:
         blocks = []
         for row in ambient.sorted_codes(rows, "block"):
             block = cls.__new__(cls)
-            block.ambient, block.codes = ambient, row
+            object.__setattr__(block, "ambient", ambient)
+            object.__setattr__(block, "codes", row)
             blocks.append(block)
         return blocks
 

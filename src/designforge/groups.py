@@ -437,7 +437,8 @@ class Subgroup:
 
     Its one stored form is ``codes``, its members' sorted codes; ``elements``
     decodes them, and ``generators`` lists the codes that generate it.
-    ``coset_index`` is the one place cosets are computed.
+    ``coset_index`` is the one place cosets are computed.  No slot can be
+    rebound, since a family's carried verdict covers them.
     """
 
     __slots__ = ("parent", "codes", "generators", "_coset_index")
@@ -457,10 +458,13 @@ class Subgroup:
         gens, _ = closure_table(
             codes.size, 0, position_of_sum, lambda p: parent.element(int(codes[p]))
         )
-        self.parent = parent
-        self.codes = codes
-        self.generators = codes[gens].tolist()
-        self._coset_index: Optional[np.ndarray] = None
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "generators", codes[gens].tolist())
+        object.__setattr__(self, "_coset_index", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot rebind Subgroup.{name}")
 
     @classmethod
     def from_elements(cls, parent: FiniteAbelianGroup, elements: Iterable[Element]) -> "Subgroup":
@@ -504,8 +508,9 @@ class Subgroup:
             for g in self.generators:
                 least = cycle_least(least, group.code_add(every, g))
             # a coset's number is the rank of its least member among all of them
-            self._coset_index = np.searchsorted(np.flatnonzero(least == every), least)
-            self._coset_index.flags.writeable = False
+            index = np.searchsorted(np.flatnonzero(least == every), least)
+            index.flags.writeable = False
+            object.__setattr__(self, "_coset_index", index)
         return self._coset_index
 
     def coset_codes(self) -> np.ndarray:

@@ -11,13 +11,16 @@ ambient group's lexicographic element enumeration, which serialization
 records.
 
 Every whole-matrix step works on tiles of ``_TILE_ROWS`` rows: the Gram
-gate, the entry, symmetry and skewness checks, and the three assemblies.
-An assembly writes each group-developed block of rows by gathering int8 +-1
-tables, built once per assembly and indexed by group code, at the codes of
-that block's rows of the Cayley table (``FiniteAbelianGroup.cayley_rows``).
-Besides the int8 matrix itself, none holds more than a few tiles.  Each
-assembly claims its translations to the Gram gate, which verifies them and
-then multiplies one row per orbit.
+gate, the entry, symmetry and skewness checks, and ``_develop``, the one
+writer of the group-developed arrays.  The skew, symmetric and
+difference-set arrays each hand it their block formula as a grid of cells
+(op, table, sign), such as [[A, B], [-B, A]]; it gathers each int8 +-1
+table, indexed by group code, at the codes of a tile's rows of the Cayley
+table (``FiniteAbelianGroup.cayley_rows``), and derives the array's
+translations from the ops.  Besides the int8 matrix itself, none holds more
+than a few tiles.  The translations are claimed to the Gram gate, which
+verifies them and then multiplies one row per orbit.  The symmetric array's
+parts, for its identity checks, are read off the assembled array.
 """
 
 from __future__ import annotations
@@ -354,40 +357,19 @@ def sylvester(k: int) -> SignMatrix:
     return result
 
 
-def normalize(M: SignMatrix) -> Tuple[SignMatrix, np.ndarray, np.ndarray]:
-    """Negate rows/columns until the first row and column are all +1.
-
-    Returns the normalized matrix and the applied row/column signs.
-    """
-    col_signs = M.entries[0, :].copy()
-    A = M.entries * col_signs[None, :]
-    row_signs = A[:, 0].copy()
-    A = A * row_signs[:, None]
-    return SignMatrix(A, provenance=M.provenance), row_signs, col_signs
+def normalize(M: SignMatrix) -> SignMatrix:
+    """Negate rows/columns until the first row and column are all +1."""
+    A = M.entries * M.entries[0]
+    A = A * A[:, :1]
+    return SignMatrix(A, provenance=M.provenance)
 
 
-# -- group-indexed incidence machinery ------------------------------------------
+# -- group-developed arrays --------------------------------------------------------
 
-
-def _row_blocks(group: FiniteAbelianGroup) -> Iterator[Tuple[slice, np.ndarray]]:
-    """The group's positions in blocks of ``_TILE_ROWS`` rows: each block's
-    row slice and its row codes.  Callers check the order against
-    MAX_MATRIX_ORDER first."""
-    codes = np.arange(group.order, dtype=group.code_dtype)
-    for start in range(0, group.order, _TILE_ROWS):
-        yield slice(start, start + _TILE_ROWS), codes[start : start + _TILE_ROWS]
-
-
-def _gather_rows(
-    group: FiniteAbelianGroup, rows: np.ndarray, op: Callable, *tables: np.ndarray
-) -> List[np.ndarray]:
-    """Rows ``rows`` of the group-developed matrix of each int8 table indexed
-    by code: the table gathered (``take``) at ``group.cayley_rows(rows, op)``,
-    the codes of op(i, j) for i in ``rows`` and every code j.  The codes live
-    only here, so an assembly holds one block of codes at a time besides its
-    int8 rows."""
-    codes = group.cayley_rows(rows, op)
-    return [table.take(codes) for table in tables]
+# A cell of a developed array's block grid: (op, table, sign) gives the block
+# sign * table[op(i, j)] over row codes i and column codes j, with op
+# ``np.subtract`` or ``np.add`` and table an int8 +-1 array indexed by code.
+Cell = Tuple[Callable, np.ndarray, int]
 
 
 def _membership(group: FiniteAbelianGroup, codes: np.ndarray) -> np.ndarray:
@@ -396,19 +378,57 @@ def _membership(group: FiniteAbelianGroup, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _translations(
-    group: FiniteAbelianGroup, head: int, gens: Sequence[int], rows: tuple, cols: tuple
+def _develop(
+    M: np.ndarray,
+    head: int,
+    group: FiniteAbelianGroup,
+    gens: Sequence[int],
+    layout: Sequence[Sequence[Cell]],
 ) -> List[Symmetry]:
-    """Claims for an array that fixes its first ``head`` rows and columns,
-    then holds group-indexed blocks: per generator code g (the radix weights
-    generate any group), block b's rows move by rows[b] * g, columns by cols[b] * g."""
-    codes, v = np.arange(group.order, dtype=group.code_dtype), group.order
+    """Write the v x v blocks ``layout`` gives (v = |G|) into M below and
+    right of its first ``head`` rows and columns, and return the array's
+    translations: one claim (sigma, tau) per generator code g in ``gens``.
 
-    def moved(g: int, signs: tuple) -> np.ndarray:
-        blocks = [(group.code_add if s > 0 else group.code_sub)(codes, g) for s in signs]
-        return np.concatenate([np.arange(head)] + [head + b * v + x for b, x in enumerate(blocks)])
+    Each tile of ``_TILE_ROWS`` rows takes one op's codes at a time from
+    ``cayley_rows``, gathers each of that op's tables there once, and
+    writes the gathered rows, negated for sign -1, into each of its cells.
 
-    return [(moved(g, rows), moved(g, cols)) for g in gens]
+    A block of op(i, j) is unchanged when its rows move by s*g and its
+    columns by t*g, where t = s for i - j and t = -s for i + j.  With s = 1
+    on block row 0, the ops of row 0 fix each block column's t and those of
+    column 0 each block row's s.  The head rows and columns stay in place,
+    so the caller picks ``gens`` under which they are invariant too.
+    """
+    v = group.order
+    every = np.arange(v, dtype=group.code_dtype)
+    cells = [(b, c, *cell) for b, row in enumerate(layout) for c, cell in enumerate(row)]
+    ops = dict.fromkeys(op for _, _, op, _, _ in cells)
+    for start in range(0, v, _TILE_ROWS):
+        rows = every[start : start + _TILE_ROWS]
+        for op in ops:
+            codes, gathered = group.cayley_rows(rows, op), {}
+            for b, c, cell_op, table, sign in cells:
+                if cell_op is not op:
+                    continue
+                T = gathered.get(id(table))
+                if T is None:
+                    T = gathered[id(table)] = table.take(codes)
+                r = head + b * v + start
+                out = M[r : r + rows.size, head + c * v : head + (c + 1) * v]
+                if sign < 0:
+                    np.negative(T, out=out)
+                else:
+                    out[...] = T
+            del codes, gathered, T  # freed before the next op's codes are built
+    turn = {np.subtract: 1, np.add: -1}  # t = turn * s
+    col_signs = [turn[op] for op, _, _ in layout[0]]
+    row_signs = [turn[row[0][0]] * col_signs[0] for row in layout]
+
+    def moved(g: int, signs: List[int]) -> np.ndarray:
+        shifted = [(group.code_add if s > 0 else group.code_sub)(every, g) for s in signs]
+        return np.concatenate([np.arange(head)] + [head + b * v + x for b, x in enumerate(shifted)])
+
+    return [(moved(g, row_signs), moved(g, col_signs)) for g in gens]
 
 
 # -- skew Hadamard matrices from two-block families ------------------------------
@@ -459,13 +479,8 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
     M[:2, :2] = [[1, 1], [-1, 1]]
     M[:2, 2:] = np.repeat(np.array([[1, -1], [1, 1]], dtype=np.int8), v, axis=1)
     M[2:, :2] = np.repeat(np.array([[-1, -1], [1, -1]], dtype=np.int8), v, axis=0)
-    upper, lower = M[2 : v + 2, 2:], M[v + 2 :, 2:]
-    for rows, i in _row_blocks(group):
-        (A,) = _gather_rows(group, i, np.subtract, signs_S)
-        (B,) = _gather_rows(group, i, np.add, signs_T)
-        upper[rows, :v], upper[rows, v:] = A, B
-        np.negative(B, out=lower[rows, :v])
-        lower[rows, v:] = A
+    A, B = (np.subtract, signs_S, 1), (np.add, signs_T, 1)
+    claims = _develop(M, 2, group, group.weights, [[A, B], [(np.add, signs_T, -1), A]])
     result = SignMatrix(
         M,
         provenance={
@@ -475,7 +490,7 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
             "skew_block": skew_idx,
         },
     )
-    if not is_hadamard(result, _translations(group, 2, group.weights, (1, -1), (1, -1))):
+    if not is_hadamard(result, claims):
         raise AssemblyError("assembled matrix is not Hadamard")
     if not is_skew(result):
         raise AssemblyError("assembled matrix is not skew")
@@ -628,12 +643,10 @@ class SymmetricParts:
     """The pieces of the order-m^2 array, for the identity checks.
 
     Every array is int8; multiply them through ``_exact_product``, since an
-    int8 product wraps.  The v x v ones are built only on request:
-    ``symmetric_from_ddf`` writes the array from blocks of rows.
+    int8 product wraps.  ``of`` reads them off an assembled array.
     """
 
     group: FiniteAbelianGroup
-    N: Subgroup
     m: int
     H1: np.ndarray
     H2: np.ndarray
@@ -641,7 +654,26 @@ class SymmetricParts:
     Ap: np.ndarray  # +-1 incidence of i - j in the first block
     Bp: np.ndarray  # +-1 incidence of i + j in the second block
     n_in: np.ndarray  # [i,j] = 1 iff i - j in N
-    assignment: List[int]
+
+    @classmethod
+    def of(cls, M: np.ndarray, N: Subgroup) -> "SymmetricParts":
+        """The parts of M = [[-J, H1^T, H2^T], [H1, B', A'], [H2, A', -B' - 2C]]
+        built with forbidden subgroup N.  H1, H2, B' and the upper A' are
+        views of M, so a write to them writes M; C comes from the corner and
+        B', n_in from ``N.coset_index()``."""
+        m, v = 2 * N.order, N.parent.order
+        upper, lower = M[m : m + v], M[m + v :]
+        index = N.coset_index()
+        return cls(
+            group=N.parent,
+            m=m,
+            H1=upper[:, :m],
+            H2=lower[:, :m],
+            C=(lower[:, m + v :] + upper[:, m : m + v]) // -2,
+            Ap=upper[:, m + v :],
+            Bp=upper[:, m : m + v],
+            n_in=(index[:, None] == index).astype(np.int8),
+        )
 
 
 Assignment = Union[None, Sequence[int], random.Random, int]
@@ -662,56 +694,12 @@ def _resolve_assignment(n_cosets: int, assignment: Assignment) -> List[int]:
     return perm
 
 
-@dataclass
-class _SymmetricLayout:
-    """The order-m^2 array short of its v x v blocks, which ``matrix`` and
-    ``parts`` write a block of rows at a time from the group's codes."""
-
-    group: FiniteAbelianGroup
-    N: Subgroup
-    m: int
-    H1: np.ndarray
-    H2: np.ndarray
-    first: np.ndarray  # 0/1 membership of the type-1 block, by code
-    second: np.ndarray  # 0/1 membership of the type-2 block, by code
-    in_N: np.ndarray  # 0/1 membership of N, by code
-    assignment: List[int]
-
-    def parts(self) -> SymmetricParts:
-        v = self.group.order
-        first, second = 2 * self.first - 1, 2 * self.second - 1
-        Ap, Bp, C, n_in = (np.empty((v, v), dtype=np.int8) for _ in range(4))
-        for rows, i in _row_blocks(self.group):
-            Ap[rows], n_in[rows] = _gather_rows(self.group, i, np.subtract, first, self.in_N)
-            Bp[rows], C[rows] = _gather_rows(self.group, i, np.add, second, self.in_N)
-        return SymmetricParts(
-            self.group, self.N, self.m, self.H1, self.H2, C, Ap, Bp, n_in, self.assignment
-        )
-
-    def matrix(self) -> np.ndarray:
-        """[[-J, H1^T, H2^T], [H1, B', A'], [H2, A', -B' - 2C]] as int8."""
-        m, v = self.m, self.group.order
-        M = np.empty((m + 2 * v, m + 2 * v), dtype=np.int8)
-        M[:m, :m] = -1
-        M[:m, m : m + v], M[:m, m + v :] = self.H1.T, self.H2.T
-        M[m : m + v, :m], M[m + v :, :m] = self.H1, self.H2
-        upper, lower = M[m : m + v, m:], M[m + v :, m:]
-        # +-1 tables by code: A' of i - j, and B' and -B' - 2C of i + j
-        first, second = 2 * self.first - 1, 2 * self.second - 1
-        corner = 1 - 2 * self.second - 2 * self.in_N
-        for rows, i in _row_blocks(self.group):
-            (Ap,) = _gather_rows(self.group, i, np.subtract, first)
-            Bp, corner_rows = _gather_rows(self.group, i, np.add, second, corner)
-            upper[rows, :v], upper[rows, v:] = Bp, Ap
-            lower[rows, :v], lower[rows, v:] = Ap, corner_rows
-        return M
-
-
-def _symmetric_layout(
+def _symmetric_array(
     family: DifferenceFamily, H: Optional[SignMatrix], coset_assignment: Assignment
-) -> _SymmetricLayout:
-    """Check the order, the seed conditions and the seed, then place the
-    seed rows H1, H2 and the block memberships."""
+) -> Tuple[np.ndarray, List[int], List[Symmetry]]:
+    """Check the order, the seed conditions and the seed, then assemble
+    [[-J, H1^T, H2^T], [H1, B', A'], [H2, A', -B' - 2C]] as int8.  Returns
+    the array, the coset assignment and the array's translations by N."""
     check_matrix_order(2 * family.forbidden.order, 2)
     cond = check_symmetric_conditions(family)
     if not cond.ok:
@@ -727,28 +715,25 @@ def _symmetric_layout(
         raise PreconditionError(f"seed matrix has order {H.order}, need {m}")
     elif not is_hadamard(H):
         raise PreconditionError("seed matrix is not Hadamard")
-    H_norm, _, _ = normalize(H)
     first, second = (family.blocks[i] for i in cond.block_order)
-    group = family.ambient
-    N = family.forbidden
+    group, N = family.ambient, family.forbidden
+    v = group.order
     # element positions coincide with their mixed-radix codes, so the coset
     # index and the negation codes address rows directly
     coset_of = N.coset_index()
-    assignment = _resolve_assignment(group.order // N.order, coset_assignment)
-    Hp = H_norm.entries[1:, :]  # rows indexed by cosets
-    H1 = Hp[np.asarray(assignment, dtype=np.int64)[coset_of]]
-    H2 = -H1[group.code_sub(0, np.arange(group.order, dtype=group.code_dtype))]
-    return _SymmetricLayout(
-        group=group,
-        N=N,
-        m=m,
-        H1=H1,
-        H2=H2,
-        first=_membership(group, first.codes),
-        second=_membership(group, second.codes),
-        in_N=(coset_of == 0).astype(np.int8),
-        assignment=assignment,
-    )
+    assignment = _resolve_assignment(v // N.order, coset_assignment)
+    M = np.empty((m + 2 * v, m + 2 * v), dtype=np.int8)
+    M[:m, :m] = -1
+    H1, H2 = M[m : m + v, :m], M[m + v :, :m]
+    H1[...] = normalize(H).entries[1:][np.asarray(assignment, dtype=np.int64)[coset_of]]
+    np.negative(H1[group.code_sub(0, np.arange(v, dtype=group.code_dtype))], out=H2)
+    M[:m, m:] = M[m:, :m].T
+    # +-1 tables by code: A' of i - j, and B' and -B' - 2C of i + j
+    Ap = (np.subtract, 2 * _membership(group, first.codes) - 1, 1)
+    signs_B = 2 * _membership(group, second.codes) - 1
+    Bp, corner = (np.add, signs_B, 1), (np.add, -signs_B - 2 * _membership(group, N.codes), 1)
+    claims = _develop(M, m, group, N.generators, [[Bp, Ap], [Ap, corner]])
+    return M, assignment, claims
 
 
 def build_symmetric_parts(
@@ -764,10 +749,11 @@ def build_symmetric_parts(
     matrix with its first row removed; pass a permutation, a seed, or a
     Random for a randomized choice.  The Hadamard property must not depend
     on it.  The order m^2 is checked against MAX_MATRIX_ORDER first.  The
-    v x v parts come from the same blocks of rows ``symmetric_from_ddf``
-    writes.
+    parts are read off the array ``symmetric_from_ddf`` assembles, which is
+    not gated here.
     """
-    return _symmetric_layout(family, H, coset_assignment).parts()
+    M, _, _ = _symmetric_array(family, H, coset_assignment)
+    return SymmetricParts.of(M, family.forbidden)
 
 
 @dataclass
@@ -837,12 +823,11 @@ def identity_checks(parts: SymmetricParts) -> List[IdentityCheck]:
 class SymmetricHadamardResult:
     matrix: SignMatrix
     family: DifferenceFamily
-    layout: _SymmetricLayout = field(repr=False)
 
     @cached_property
     def parts(self) -> SymmetricParts:
-        """The v x v parts for ``identity_checks``, built on first read."""
-        return self.layout.parts()
+        """The parts for ``identity_checks``, read off the matrix on first use."""
+        return SymmetricParts.of(self.matrix.entries, self.family.forbidden)
 
 
 def symmetric_from_ddf(
@@ -853,25 +838,24 @@ def symmetric_from_ddf(
     """The symmetric Hadamard matrix of order m^2 from a qualifying family.
 
     The family passes a single ``check_symmetric_conditions`` call, in the
-    set-up shared with ``build_symmetric_parts``, which also supplies the
-    default Sylvester seed.  The array is written a block of rows at a time,
-    with no v x v part; it passes one Hadamard gate and one symmetry check,
-    and only on failure are the parts built to name the failing identity.
+    assembly shared with ``build_symmetric_parts``, which also supplies the
+    default Sylvester seed.  The array passes one Hadamard gate and one
+    symmetry check; only on failure are its parts read off it to name the
+    failing identity.
     """
-    layout = _symmetric_layout(family, H, coset_assignment)
-    m = layout.m
+    M, assignment, claims = _symmetric_array(family, H, coset_assignment)
+    m = 2 * family.forbidden.order
     matrix = SignMatrix(
-        layout.matrix(),
+        M,
         provenance={
             "construction": "symmetric",
             "order": m * m,
             "m": m,
             "family": family.provenance,
-            "assignment": layout.assignment,
+            "assignment": assignment,
         },
     )
-    result = SymmetricHadamardResult(matrix, family, layout)
-    claims = _translations(layout.group, m, layout.N.generators, (1, -1), (-1, 1))
+    result = SymmetricHadamardResult(matrix, family)
     if not (is_hadamard(matrix, claims) and is_symmetric(matrix)):
         failing = [c for c in identity_checks(result.parts) if not c.ok]
         names = ", ".join(f"{c.number}:{c.name}" for c in failing) or "none isolated"
@@ -892,10 +876,9 @@ def hadamard_from_difference_set(family: DifferenceFamily) -> SignMatrix:
     check_matrix_order(group.order)
     signs = 2 * _membership(group, family.blocks[0].codes) - 1
     A = np.empty((group.order, group.order), dtype=np.int8)
-    for rows, i in _row_blocks(group):
-        (A[rows],) = _gather_rows(group, i, np.subtract, signs)
+    claims = _develop(A, 0, group, group.weights, [[(np.subtract, signs, 1)]])
     M = SignMatrix(A, labels=list(group.elements()), provenance={"construction": "difference-set"})
-    if not is_hadamard(M, _translations(group, 0, group.weights, (1,), (1,))):
+    if not is_hadamard(M, claims):
         raise AssemblyError("difference set does not give a Hadamard matrix")
     return M
 

@@ -511,31 +511,77 @@ def test_code_arithmetic_matches_tuple_arithmetic(moduli, data):
     assert [big.element(int(c)) for c in big.code_sub(0, ex)] == [big.neg(x) for x in bx]
 
 
+def sign_tables(data, group, count):
+    """``count`` random int8 +-1 tables indexed by the group's codes."""
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=group.order, max_size=group.order)
+    return [np.array(data.draw(signs), dtype=np.int8) for _ in range(count)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(moduli_lists, st.sampled_from(TILES), st.data())
 def test_cayley_rows_match_code_arithmetic_on_every_row_block(moduli, tile, data):
-    # each row block of the assemblies, and rows in any order, against
+    # each row block the assemblies develop, and rows in any order, against
     # code_sub and code_add of the row codes against every code, and each
-    # block's gathered rows against fancy indexing at those codes
+    # developed block, kept and negated, against fancy indexing at those codes
     g = FiniteAbelianGroup(moduli)
     every = np.arange(g.order, dtype=g.code_dtype)
-    signs = st.lists(st.sampled_from([-1, 1]), min_size=g.order, max_size=g.order)
-    table = np.array(data.draw(signs), dtype=np.int8)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hadamard, "_TILE_ROWS", tile)
-        blocks = list(hadamard._row_blocks(g))
-    assert [rows.indices(g.order) for rows, _ in blocks] == [
-        (start, min(start + tile, g.order), 1) for start in range(0, g.order, tile)
-    ]
-    assert all(np.array_equal(i, every[rows]) for rows, i in blocks)
+    (table,) = sign_tables(data, g, 1)
+    blocks = [every[start : start + tile] for start in range(0, g.order, tile)]
     picked = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=8))
-    for i in [i for _, i in blocks] + [np.array(picked, dtype=g.code_dtype)]:
-        for op, combine in ((np.subtract, g.code_sub), (np.add, g.code_add)):
+    for op, combine in ((np.subtract, g.code_sub), (np.add, g.code_add)):
+        for i in blocks + [np.array(picked, dtype=g.code_dtype)]:
             want = combine(i[:, None], every[None, :])
             got = g.cayley_rows(i, op)
             assert got.dtype == g.code_dtype and np.array_equal(got, want)
-            gathered, again = hadamard._gather_rows(g, i, op, table, -table)
-            assert np.array_equal(gathered, table[want]) and np.array_equal(again, -table[want])
+        M, asked, cayley_rows = np.zeros((g.order, 2 * g.order), dtype=np.int8), [], g.cayley_rows
+
+        def spy(group, rows, row_op):
+            asked.append((rows.copy(), row_op))
+            return cayley_rows(rows, row_op)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hadamard, "_TILE_ROWS", tile)
+            mp.setattr(FiniteAbelianGroup, "cayley_rows", spy)
+            hadamard._develop(M, 0, g, g.weights, [[(op, table, 1), (op, table, -1)]])
+        # one code build per block of rows, the blocks covering every row once
+        assert [(i.tolist(), row_op) for i, row_op in asked] == [(i.tolist(), op) for i in blocks]
+        want = table[combine(every[:, None], every[None, :])]
+        assert np.array_equal(M[:, : g.order], want) and np.array_equal(M[:, g.order :], -want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(moduli_lists, st.sampled_from(TILES), st.integers(0, 2), st.sampled_from([1, 2]), st.data())
+def test_develop_writes_signed_blocks_and_derives_their_translations(moduli, tile, head, n, data):
+    # an n x n grid of cells with random ops, tables and signs after `head`
+    # border rows and columns of ones: each block against fancy indexing at
+    # code_sub or code_add, the border untouched, and the claims derived
+    # from the ops holding, one per generator, with one orbit per block row
+    g = FiniteAbelianGroup(moduli)
+    v, every = g.order, np.arange(g.order, dtype=g.code_dtype)
+    tables = sign_tables(data, g, 2)
+    ops = [[data.draw(st.sampled_from([np.subtract, np.add])) for _ in range(n)] for _ in range(n)]
+    if n == 2:
+        # the last op is forced: a block of i - j moves its rows and columns
+        # by the same multiple of g, a block of i + j by opposite ones
+        turn = {np.subtract: 1, np.add: -1}
+        ops[1][1] = np.subtract if turn[ops[0][0]] * turn[ops[0][1]] * turn[ops[1][0]] == 1 else np.add
+    picks = [[(data.draw(st.integers(0, 1)), data.draw(st.sampled_from([-1, 1]))) for _ in range(n)] for _ in range(n)]
+    layout = [[(ops[b][c], tables[t], sign) for c, (t, sign) in enumerate(row)] for b, row in enumerate(picks)]
+    M = np.ones((head + n * v, head + n * v), dtype=np.int8)
+    M[head:, head:] = 0
+    # the radix weights of the coordinates that are not Z_1 generate G
+    gens = [w for modulus, w in zip(g.moduli, g.weights) if modulus > 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hadamard, "_TILE_ROWS", tile)
+        claims = hadamard._develop(M, head, g, gens, layout)
+    for b, c in itertools.product(range(n), repeat=2):
+        op, table, sign = layout[b][c]
+        combine = g.code_sub if op is np.subtract else g.code_add
+        block = M[head + b * v : head + (b + 1) * v, head + c * v : head + (c + 1) * v]
+        assert np.array_equal(block, sign * table[combine(every[:, None], every[None, :])]), (b, c)
+    assert (M[:head] == 1).all() and (M[:, :head] == 1).all()
+    assert len(claims) == len(gens)
+    assert hadamard._orbit_leasts(M, claims).size == head + n
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +891,7 @@ def ref_symmetric_parts(family, assignment):
     coset_of = np.zeros(g.order, dtype=np.int64)
     for number, (_, coset) in enumerate(ref_cosets(g, N)):
         coset_of[[g.index(x) for x in coset]] = number
-    Hp = hadamard.normalize(hadamard.sylvester(m.bit_length() - 1))[0].entries[1:].astype(np.int64)
+    Hp = hadamard.normalize(hadamard.sylvester(m.bit_length() - 1)).entries[1:].astype(np.int64)
     H1 = Hp[np.asarray(assignment)[coset_of]]
     blocks = [b.elements for b in family.blocks]
     first = next(i for i, b in enumerate(blocks) if all(g.neg(x) in b for x in b))

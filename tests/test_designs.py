@@ -276,6 +276,31 @@ def test_a_family_and_its_verdict_are_frozen():
     assert fam.report.ok and not fam.report.totals.flags.writeable
 
 
+def test_the_blocks_and_subgroup_of_a_verified_family_refuse_rebinding():
+    # a rebound block or forbidden subgroup would leave report.ok True, and
+    # skew_from_df would assemble on the stale verdict and fail its gate
+    fam = szekeres_family(FieldCtx(19)).family
+    g = fam.ambient
+    rows = Block.from_rows(g, np.array([[0, 1, 2, 7], [3, 4, 5, 6]]))
+    for target, attr, value in [
+        (fam.blocks[0], "codes", np.array([0, 1, 2, 7])),
+        (fam.blocks[0], "ambient", g),
+        (rows[0], "codes", rows[1].codes),
+        (fam.forbidden, "codes", np.array([0, 3, 6])),
+        (fam.forbidden, "generators", []),
+        (fam.forbidden, "_coset_index", None),
+    ]:
+        with pytest.raises(AttributeError, match="cannot rebind"):
+            setattr(target, attr, value)
+    assert all(not b.codes.flags.writeable for b in fam.blocks + tuple(rows))
+    with pytest.raises(ValueError, match="read-only"):
+        fam.blocks[0].codes[0] = 7
+    # the lazy coset index still fills its own slot, once
+    index = fam.forbidden.coset_index()
+    assert fam.forbidden.coset_index() is index and not index.flags.writeable
+    assert fam.report.ok and skew_from_df(fam).matrix.order == 20
+
+
 def test_a_family_made_by_replace_carries_no_verdict():
     fam = szekeres_family(FieldCtx(19)).family
     g = fam.ambient

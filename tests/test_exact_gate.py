@@ -468,8 +468,10 @@ def test_developed_random_arrays_match_the_reference(seed, monkeypatch):
     group = FiniteAbelianGroup(rng.choice([(4,), (2, 2), (16,), (4, 4), (2, 2, 2, 2), (3, 5)]))
     signs = np.array([rng.choice((-1, 1)) for _ in range(group.order)], dtype=np.int8)
     codes = np.arange(group.order, dtype=group.code_dtype)
-    M = SignMatrix(signs[group.cayley_rows(codes, np.subtract)])
-    claims = hadamard._translations(group, 0, group.weights, (1,), (1,))
+    A = np.empty((group.order, group.order), dtype=np.int8)
+    claims = hadamard._develop(A, 0, group, group.weights, [[(np.subtract, signs, 1)]])
+    assert np.array_equal(A, signs[group.cayley_rows(codes, np.subtract)])
+    M = SignMatrix(A)
     monkeypatch.setattr(hadamard, "_TILE_ROWS", rng.choice([1, 3, 512]))
     assert hadamard._orbit_leasts(M.entries, claims).size == 1
     assert_claims_agree(M, claims)

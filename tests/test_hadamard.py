@@ -131,7 +131,7 @@ def test_normalize():
             A[i] *= -1
         if rng.random() < 0.5:
             A[:, i] *= -1
-    norm, _, _ = normalize(SignMatrix(A))
+    norm = normalize(SignMatrix(A))
     assert (norm.entries[0] == 1).all() and (norm.entries[:, 0] == 1).all()
     assert is_hadamard(norm)
 
@@ -389,20 +389,52 @@ def test_identity_checks_fail_with_witness_on_perturbation():
 
 def test_failed_symmetric_gate_builds_the_parts_to_name_identities(monkeypatch):
     # one code outside N moved into the type-2 block: the array stays +-1
-    # but fails the gate, and the parts built after it name identity 5
-    layout_of = hadamard._symmetric_layout
+    # but fails the gate, and the parts read off it name identity 5
+    family = galois_ring_ddf(RingCtx(3)).family
+    code = int(np.argmax(family.forbidden.coset_index() != 0))
+    membership, made = hadamard._membership, []
 
-    def corrupted(*args):
-        layout = layout_of(*args)
-        second = layout.second.copy()
-        code = int(np.argmin(layout.in_N))
-        second[code] = 1 - second[code]
-        layout.second = second
-        return layout
+    def flipped(group, codes):
+        out = membership(group, codes)
+        if len(made) == 1:  # the type-2 block's, after the type-1 block's
+            out[code] = 1 - out[code]
+        made.append(out)
+        return out
 
-    monkeypatch.setattr(hadamard, "_symmetric_layout", corrupted)
+    monkeypatch.setattr(hadamard, "_membership", flipped)
     with pytest.raises(hadamard.AssemblyError, match="failing identities: .*5:A'A'"):
-        symmetric_from_ddf(galois_ring_ddf(RingCtx(3)).family)
+        symmetric_from_ddf(family)
+
+
+@pytest.mark.parametrize("region", ["H1", "H2", "Bp", "Ap", "corner"])
+def test_one_flip_in_the_gated_symmetric_array_names_an_identity(region, monkeypatch):
+    # the parts are read off the very array that failed, so one flipped
+    # entry in any part they read shows in an identity
+    family = galois_ring_ddf(RingCtx(3)).family
+    m, v = 2 * family.forbidden.order, family.ambient.order
+    at = {"H1": (m + 3, 1), "H2": (m + v + 5, 2), "Bp": (m + 1, m + 6),
+          "Ap": (m + 2, m + v + 7), "corner": (m + v + 4, m + v + 9)}[region]
+    assemble = hadamard._symmetric_array
+
+    def flipped(*args):
+        M, assignment, claims = assemble(*args)
+        M[at] = -M[at]
+        return M, assignment, claims
+
+    monkeypatch.setattr(hadamard, "_symmetric_array", flipped)
+    with pytest.raises(hadamard.AssemblyError, match=r"failing identities: \d+:"):
+        symmetric_from_ddf(family)
+
+
+def test_symmetric_parts_are_read_off_the_returned_array():
+    family = galois_ring_ddf(RingCtx(3)).family
+    result = symmetric_from_ddf(family, coset_assignment=4)
+    parts = result.parts
+    assert all(np.shares_memory(getattr(parts, name), result.matrix.entries)
+               for name in ("H1", "H2", "Ap", "Bp"))
+    again = build_symmetric_parts(family, coset_assignment=4)
+    for name in ("H1", "H2", "C", "Ap", "Bp", "n_in"):
+        assert np.array_equal(getattr(parts, name), getattr(again, name)), name
 
 
 # ---------------------------------------------------------------------------
