@@ -20,8 +20,8 @@ import numpy as np
 from . import designs
 from .designs import Block, DesignParams, DifferenceFamily
 from .field import FieldCtx, UnitTables, isqrt_exact
-from .galois import RingCtx, unit_group_iso, unit_subgroup_split
-from .groups import FiniteAbelianGroup, GroupIso, Subgroup, closure_table
+from .galois import RingCtx, unit_group_iso
+from .groups import FiniteAbelianGroup, GroupIso, Subgroup
 
 Element = Tuple[int, ...]
 
@@ -165,33 +165,28 @@ def unit_quotient_family(
     group = tables.additive
     block_codes = [group.sorted_codes(D, "element") for D in blocks]
     n_codes = group.sorted_codes(subgroup, "element")
-    n_logs = tables.log[n_codes]
-    if (n_logs < 0).any():
-        x = group.element(int(n_codes[np.argmax(n_logs < 0)]))
-        raise PreconditionError(f"subgroup element {x} is not a unit")
-    gens = _subgroup_generators(tables, n_codes)
+    N = _unit_subgroup(tables, n_codes)
     for D in block_codes:
         in_d = _mask(group.order, D)
-        for g in gens:
+        for g in N.generators:
             if not in_d[tables.scale(g, D)].all():
                 g_elem = group.element(int(tables.exp[g]))
                 raise PreconditionError(f"block is not fixed by subgroup generator {g_elem}")
-    rep_logs = _transversal_logs(tables, n_logs, reps)
+    rep_logs = _transversal_logs(tables, N, reps)
     # the input family must be a difference family in the additive group
     base = _verified(DifferenceFamily(
         ambient=group,
         forbidden=Subgroup.trivial(group),
         blocks=[Block(group, D) for D in block_codes],
     ), "input blocks are not a difference family in R^+", need_mu=True)
-    n_position = np.full(tables.exp.size, -1, dtype=np.int64)
-    n_position[n_logs] = np.arange(n_codes.size)
+    in_n = _mask(tables.group.order, N.codes)
     out_blocks: List[Tuple[int, int, np.ndarray]] = []
     for i, D in enumerate(block_codes):
         shifted = tables.log[group.code_sub(D, tables.one)]
         shifted = shifted[shifted >= 0]
-        for y, y_inv in zip(np.asarray(reps).tolist(), tables.inv(rep_logs).tolist()):
-            inside = n_position[tables.mul(y_inv, shifted)]
-            out_blocks.append((i, y, n_codes[np.sort(inside[inside >= 0])]))
+        for y, y_log in zip(np.asarray(reps).tolist(), rep_logs.tolist()):
+            inside = tables.group.code_sub(shifted, y_log)
+            out_blocks.append((i, y, np.sort(tables.exp[inside[in_n[inside]]])))
     # lambda_t = sum_i #{(z, w) : z in D_i ∩ (I + 1), w in D_i, w - z = t - 1}
     ideal_plus_one = _mask(
         group.order, group.code_add(np.flatnonzero(tables.log < 0), tables.one)
@@ -217,30 +212,21 @@ def _shift_overlap(group: FiniteAbelianGroup, codes: np.ndarray, y: int) -> int:
     return int(_mask(group.order, codes)[group.code_sub(codes, y)].sum())
 
 
-def _subgroup_generators(tables: UnitTables, codes: np.ndarray) -> np.ndarray:
-    """Log codes of generators of the units with the given additive codes, or
-    PreconditionError if they are not closed; picked in element order."""
-    group = tables.additive
+def _unit_subgroup(tables: UnitTables, codes: np.ndarray) -> Subgroup:
+    """The units with the given additive codes as a ``Subgroup`` of the log
+    group ``tables.group``, or PreconditionError: a nonunit is named as a
+    ring element, a failed closure by its witness pair of log-group elements."""
     logs = tables.log[codes]
-    if tables.one not in codes:
-        raise PreconditionError(
-            f"not a subgroup: the identity {group.element(tables.one)} is missing"
-        )
-    position = np.full(tables.exp.size, -1, dtype=np.int64)
-    position[logs] = np.arange(codes.size)
+    if (logs < 0).any():
+        x = tables.additive.element(int(codes[np.argmax(logs < 0)]))
+        raise PreconditionError(f"subgroup element {x} is not a unit")
     try:
-        gens, _ = closure_table(
-            codes.size,
-            int(position[0]),
-            lambda a, b: position[tables.mul(logs[a], logs[b])],
-            lambda p: group.element(int(codes[p])),
-        )
+        return Subgroup(tables.group, logs)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from None
-    return logs[gens]
 
 
-def _transversal_logs(tables: UnitTables, n_logs: np.ndarray, reps: np.ndarray) -> np.ndarray:
+def _transversal_logs(tables: UnitTables, N: Subgroup, reps: np.ndarray) -> np.ndarray:
     """Log codes of the units with additive codes ``reps``, or
     PreconditionError unless their cosets y*N tile the unit group, checked in
     order: a nonunit or a coset that repeats an earlier one is named."""
@@ -248,11 +234,8 @@ def _transversal_logs(tables: UnitTables, n_logs: np.ndarray, reps: np.ndarray) 
     rep_logs = tables.log[reps]
     nonunit = np.flatnonzero(rep_logs < 0)
     valid = nonunit[0] if nonunit.size else rep_logs.size
-    # cosets of a subgroup are equal or disjoint: name each by its least log code
-    cosets = tables.mul(rep_logs[:valid, None], n_logs[None, :])
-    labels = cosets.min(axis=1, initial=tables.exp.size)
     seen: set = set()
-    for k, label in enumerate(labels.tolist()):
+    for k, label in enumerate(N.coset_index()[rep_logs[:valid]].tolist()):
         if label in seen:
             raise PreconditionError(
                 f"transversal element {group.element(int(reps[k]))} repeats a coset"
@@ -262,7 +245,7 @@ def _transversal_logs(tables: UnitTables, n_logs: np.ndarray, reps: np.ndarray) 
         raise PreconditionError(
             f"transversal element {group.element(int(reps[valid]))} is not a unit"
         )
-    covered = len(seen) * n_logs.size
+    covered = len(seen) * N.order
     if covered != tables.exp.size:
         raise PreconditionError(f"transversal covers {covered} of {tables.exp.size} units")
     return rep_logs
@@ -453,7 +436,7 @@ def galois_ring_data(
         N = group.sorted_codes(subgroup, "element")
         if not _mask(group.order, D)[N].all():
             raise PreconditionError("subgroup must be contained in D")
-        _subgroup_generators(tables, N)
+        _unit_subgroup(tables, N)
     # the principal units 1 + 2R are the log codes with odd part 0
     return GR4Data(ring, u, E, D, N, N[tables.log[N] < 2**n])
 
@@ -475,33 +458,23 @@ def _coset_reps(ring: RingCtx, N: np.ndarray) -> np.ndarray:
     identity coset first, then by least coset member.
 
     Within each coset the first principal unit in ``ring.principal_units()``
-    (Teichmuller) order is preferred, falling back to the least element.  N
-    is a verified subgroup of Z_m x Z_2^n, so it is the product of g0*Z_m
-    (g0 = gcd of m and its odd parts) and a subspace V of its 2-parts, and
-    the coset of the unit with log code (i, b) is named by (i mod g0, the
-    least member of b + V).
+    (Teichmuller) order is preferred, falling back to the least element.
+    Cosets are told apart by the coset index of N as a ``Subgroup`` of the
+    log group.
     """
     tables = ring.unit_tables
-    n = ring.n
-    logs = tables.log[N].astype(np.int64)
-    g0, _, coords = unit_subgroup_split(ring, logs)
-    span = np.flatnonzero(coords >= 0)
-    least_in_coset = (np.arange(2**n)[:, None] ^ span[None, :]).min(axis=1)
-
-    def key(log: np.ndarray) -> np.ndarray:
-        return (log >> n) % g0 << n | least_in_coset[log & (2**n - 1)]
-
+    sub = _unit_subgroup(tables, N)
+    index = sub.coset_index()
+    count = tables.group.order // sub.order
     units = np.flatnonzero(tables.log >= 0)
-    keys = key(tables.log[units].astype(np.int64))
-    least = np.full(tables.exp.size, units.size, dtype=np.int64)
-    np.minimum.at(least, keys, np.arange(units.size))
-    principal = tables.log[tables.additive.encode(ring.principal_units())].astype(np.int64)
-    first = np.full(tables.exp.size, principal.size, dtype=np.int64)
-    np.minimum.at(first, key(principal), np.arange(principal.size))
+    least = np.full(count, tables.additive.order, dtype=np.int64)
+    np.minimum.at(least, index[tables.log[units]], units)
+    principal = tables.log[tables.additive.encode(ring.principal_units())]
+    first = np.full(count, principal.size, dtype=np.int64)
+    np.minimum.at(first, index[principal], np.arange(principal.size))
     found = []  # (rep is not 1, least member, rep) per coset
-    for k in np.flatnonzero(least < units.size).tolist():
-        low = int(units[least[k]])
-        rep = int(tables.exp[principal[first[k]]]) if first[k] < principal.size else low
+    for low, p in zip(least.tolist(), first.tolist()):
+        rep = int(tables.exp[principal[p]]) if p < principal.size else low
         found.append((rep != tables.one, low, rep))
     return np.array([rep for _, _, rep in sorted(found)], dtype=np.int64)
 

@@ -212,18 +212,22 @@ class UnitTables:
     R^* = Z_m x Z_2^bits: a unit is xi^i (1 + 2b), with xi a primitive
     (Teichmuller) element of order m and b running over a GF(2)-space of
     dimension ``bits`` (0 for a field, where the unit is g^i).  Its log code
-    is ``i << bits | b``, so unit multiplication adds the first coordinate
-    mod m and xors the second.  ``exp`` maps each log code to the unit's
-    additive code in ``additive`` (the mixed-radix code of its coefficient
-    tuple), and ``log`` maps every additive code back, -1 on the nonunits.
+    ``i << bits | b`` is its mixed-radix code in ``group``, the
+    ``FiniteAbelianGroup`` Z_m x Z_2^bits, so units multiply by
+    ``group.code_add`` and divide by ``group.code_sub``, and unit subgroups
+    are ``Subgroup``s of ``group``.  ``exp`` maps each log code to the
+    unit's additive code in ``additive`` (the mixed-radix code of its
+    coefficient tuple), and ``log`` maps every additive code back, -1 on
+    the nonunits.
     """
 
-    __slots__ = ("additive", "m", "bits", "exp", "log")
+    __slots__ = ("additive", "group", "m", "bits", "exp", "log")
 
     def __init__(
         self, additive: FiniteAbelianGroup, m: int, bits: int, exp: np.ndarray, log: np.ndarray
     ) -> None:
         self.additive = additive
+        self.group = FiniteAbelianGroup((m,) + (2,) * bits)
         self.m = m
         self.bits = bits
         self.exp = exp
@@ -254,16 +258,6 @@ class UnitTables:
         """The additive code of 1."""
         return int(self.exp[0])
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Log code of the product of the units with log codes a and b."""
-        bits = self.bits
-        return ((a >> bits) + (b >> bits)) % self.m << bits | ((a ^ b) & ((1 << bits) - 1))
-
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        """Log code of the inverse."""
-        bits = self.bits
-        return (-(a >> bits)) % self.m << bits | (a & ((1 << bits) - 1))
-
     def scale(self, x: int, codes: np.ndarray) -> np.ndarray:
         """Additive codes of x * c for the unit with log code x and any
         elements c.  A nonunit c lies in the maximal ideal, so 1 + c is a
@@ -271,9 +265,9 @@ class UnitTables:
         logs = self.log[codes]
         unit = logs >= 0
         out = np.empty_like(codes)
-        out[unit] = self.exp[self.mul(x, logs[unit])]
+        out[unit] = self.exp[self.group.code_add(logs[unit], x)]
         shifted = self.log[self.additive.code_add(codes[~unit], self.one)]
-        out[~unit] = self.additive.code_sub(self.exp[self.mul(x, shifted)], self.exp[x])
+        out[~unit] = self.additive.code_sub(self.exp[self.group.code_add(shifted, x)], self.exp[x])
         return out
 
 

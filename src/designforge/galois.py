@@ -6,10 +6,12 @@ polynomial arithmetic (``field.poly_mulmod`` and kin) at modulus 4, and is
 the reference.  Hot paths hold an element as its additive code, its
 mixed-radix rank in Z_4^n, and a unit also as its log code (i, bbar) for
 xi^i(1+2*lift(bbar)), through one log/exp table pair per ring
-(``RingCtx.unit_tables``).  The context holds the Teichmuller set as codes,
-built by the field's doubling, exposes the unit decomposition a0*(1+2*a1),
-reduces onto the residue field F_{2^n}, and owns the coordinates that carry
-any unit subgroup onto Z_d x Z_2^s.
+(``RingCtx.unit_tables``).  A log code is the unit's code in the group
+Z_(2^n-1) x Z_2^n (``unit_tables.group``), so units multiply by its code
+arithmetic and unit subgroups are its ``Subgroup``s.  The context holds the
+Teichmuller set as codes, built by the field's doubling, exposes the unit
+decomposition a0*(1+2*a1), and reduces onto the residue field F_{2^n};
+``unit_group_iso`` carries any unit subgroup onto Z_d x Z_2^s.
 """
 
 from __future__ import annotations
@@ -332,20 +334,6 @@ def gf2_coordinates(vectors: Iterable[int], n: int) -> Tuple[List[int], np.ndarr
     return basis, coords
 
 
-def unit_subgroup_split(ring: RingCtx, logs: np.ndarray) -> Tuple[int, List[int], np.ndarray]:
-    """The structure of a unit subgroup N, given by its log codes.
-
-    N <= Z_m x Z_2^n with m odd, so N = g0*Z_m x V: g0 is the gcd of m and
-    the odd parts, and V is spanned by the 2-parts of N's principal units.
-    Returns g0 and the ``gf2_coordinates`` basis of V with its coordinates.
-    """
-    n = ring.n
-    odd, two = logs >> n, logs & (2**n - 1)
-    g0 = math.gcd(ring.unit_tables.m, *set(odd.tolist()))
-    basis, coords = gf2_coordinates(two[odd == 0].tolist(), n)
-    return g0, basis, coords
-
-
 def unit_group_iso(ring: RingCtx, subgroup: np.ndarray) -> GroupIso:
     """Map a unit subgroup N of GR(4,n), given by its additive codes, onto its
     invariant-factor model Z_d x Z_2^s.
@@ -367,8 +355,11 @@ def unit_group_iso(ring: RingCtx, subgroup: np.ndarray) -> GroupIso:
     logs = tables.log[codes].astype(np.int64)
     if (logs < 0).any():
         raise ZeroDivisionError(f"{group.element(int(codes[np.argmax(logs < 0)]))} is not a unit")
-    g0, basis, coords = unit_subgroup_split(ring, logs)
+    # N <= Z_m x Z_2^n with m odd, so N = g0*Z_m x V: g0 is the gcd of m and
+    # the odd parts, and V is spanned by the 2-parts of N's principal units
     odd, two = logs >> n, logs & (2**n - 1)
+    g0 = math.gcd(m, *set(odd.tolist()))
+    basis, coords = gf2_coordinates(two[odd == 0].tolist(), n)
     d_order = m // g0
     two_coords = coords[two]
     if (two_coords < 0).any():

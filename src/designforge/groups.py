@@ -183,13 +183,14 @@ class FiniteAbelianGroup:
     and working form is the mixed-radix code ``sum(c_i * weights[i])``:
     ``index``/``element`` convert one element, ``encode``/``decode`` whole
     arrays.  ``code_sub``/``code_add`` combine code arrays with one raw op
-    on the codes and a wrap correction per coordinate, never materialising
-    a coordinate axis or dividing the broadcast result; ``cayley_rows``
-    builds whole rows of the Cayley table from the small tables of a lead
-    and a trail factor.
+    on the codes and a wrap correction per coordinate, or one xor for a
+    trailing run of Z_2 coordinates, the code's low bits, never
+    materialising a coordinate axis or dividing the broadcast result;
+    ``cayley_rows`` builds whole rows of the Cayley table from the small
+    tables of a lead and a trail factor.
     """
 
-    __slots__ = ("moduli", "order", "weights", "_wraps")
+    __slots__ = ("moduli", "order", "weights", "_wraps", "_tail")
 
     def __init__(self, moduli: Sequence[int]) -> None:
         mods = tuple(int(m) for m in moduli)
@@ -202,9 +203,15 @@ class FiniteAbelianGroup:
         self.weights = tuple(itertools.accumulate(mods[:0:-1], operator.mul, initial=1))[::-1]
         self.order = self.weights[0] * mods[0]
         # (w, m*w, m*w in the narrowest signed type) per coordinate that can wrap
-        self._wraps = tuple(
+        wraps = tuple(
             (w, m * w, _narrowest_int(m * w)(m * w)) for m, w in zip(mods, self.weights) if m > 1
         )
+        # a trailing run of k Z_2 coordinates (Z_1 ones aside) is the code's low k bits
+        k = 0
+        while k < len(wraps) and wraps[-1 - k][:2] == (1 << k, 2 << k):
+            k += 1
+        self._wraps = wraps[: len(wraps) - k]
+        self._tail = (1 << k) - 1
 
     def __repr__(self) -> str:
         return f"FiniteAbelianGroup({list(self.moduli)})"
@@ -388,7 +395,9 @@ class FiniteAbelianGroup:
         return (heads[:, :, None] + tails[:, None, :]).reshape(rows.size, self.order)
 
     def _code_combine(self, x: object, y: object, op: Callable) -> np.ndarray:
-        # One raw op on the codes, then a correction of m*w wherever a
+        # The trailing Z_2 coordinates are the code's low bits, whose digits
+        # add and subtract alike by one xor; the head codes, those bits
+        # cleared, take one raw op, then a correction of m*w wherever a
         # coordinate's digits wrapped: digits are reduced residues, so one
         # correction is enough, and int32 codes stay below INT32_CODE_ORDER,
         # so the raw sum cannot overflow.  Only the (small) inputs are
@@ -396,19 +405,27 @@ class FiniteAbelianGroup:
         # the previous coordinate's x % w (x itself at the lead).  The
         # broadcast result sees a compare and a multiply-add per coordinate,
         # the product in the narrowest type holding m*w: a masked add is
-        # slower on the alternating masks of Z_2 coordinates, and an int32
-        # product costs memory and time.
+        # slower on the alternating masks, and an int32 product costs memory
+        # and time.
+        tail = self._tail
+        if not self._wraps:  # Z_2^k, or the trivial group
+            return x ^ y
+        if tail:
+            low = (x ^ y) & tail
+            x, y = x & ~tail, y & ~tail
         out = op(x, y)
         add = op is np.add
         undo = np.subtract if add else np.add
         for w, mw, step in self._wraps:
-            if w == 1:  # the last coordinate: x already is its digit
+            if w == tail + 1:  # the last head coordinate: x already is its digit times w
                 xd, yd = x, y
             else:
                 x_low, y_low = x % w, y % w
                 xd, yd, x, y = x - x_low, y - y_low, x_low, y_low
             wrapped = xd >= mw - yd if add else xd < yd
             undo(out, wrapped * step, out=out)
+        if tail:
+            np.bitwise_or(out, low, out=out)
         return out
 
     # -- serialization ---------------------------------------------------
@@ -436,7 +453,7 @@ class Subgroup:
     """A verified subgroup: contains zero, closed under addition (so under negation).
 
     Its one stored form is ``codes``, its members' sorted codes; ``elements``
-    decodes them, and ``generators`` lists the codes that generate it.
+    decodes them, and ``generators`` is the tuple of codes that generate it.
     ``coset_index`` is the one place cosets are computed.  No slot can be
     rebound, since a family's carried verdict covers them.
     """
@@ -460,7 +477,7 @@ class Subgroup:
         )
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "generators", codes[gens].tolist())
+        object.__setattr__(self, "generators", tuple(codes[gens].tolist()))
         object.__setattr__(self, "_coset_index", None)
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -378,6 +378,11 @@ def _membership(group: FiniteAbelianGroup, codes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _radix_generators(group: FiniteAbelianGroup) -> List[int]:
+    """The radix weights of the coordinates other than Z_1: they generate G."""
+    return [w for m, w in zip(group.moduli, group.weights) if m > 1]
+
+
 def _develop(
     M: np.ndarray,
     head: int,
@@ -480,7 +485,7 @@ def skew_from_df(family: DifferenceFamily) -> SkewHadamardResult:
     M[:2, 2:] = np.repeat(np.array([[1, -1], [1, 1]], dtype=np.int8), v, axis=1)
     M[2:, :2] = np.repeat(np.array([[-1, -1], [1, -1]], dtype=np.int8), v, axis=0)
     A, B = (np.subtract, signs_S, 1), (np.add, signs_T, 1)
-    claims = _develop(M, 2, group, group.weights, [[A, B], [(np.add, signs_T, -1), A]])
+    claims = _develop(M, 2, group, _radix_generators(group), [[A, B], [(np.add, signs_T, -1), A]])
     result = SignMatrix(
         M,
         provenance={
@@ -876,7 +881,7 @@ def hadamard_from_difference_set(family: DifferenceFamily) -> SignMatrix:
     check_matrix_order(group.order)
     signs = 2 * _membership(group, family.blocks[0].codes) - 1
     A = np.empty((group.order, group.order), dtype=np.int8)
-    claims = _develop(A, 0, group, group.weights, [[(np.subtract, signs, 1)]])
+    claims = _develop(A, 0, group, _radix_generators(group), [[(np.subtract, signs, 1)]])
     M = SignMatrix(A, labels=list(group.elements()), provenance={"construction": "difference-set"})
     if not is_hadamard(M, claims):
         raise AssemblyError("difference set does not give a Hadamard matrix")

@@ -511,6 +511,39 @@ def test_code_arithmetic_matches_tuple_arithmetic(moduli, data):
     assert [big.element(int(c)) for c in big.code_sub(0, ex)] == [big.neg(x) for x in bx]
 
 
+# A trailing run of Z_2 coordinates is the codes' low bits, combined by one
+# xor; beside such runs, Z_2 runs that end before another modulus, Z_1
+# coordinates after or inside a run, Z_4 runs, which xor would get wrong,
+# and int64 codes under a Z_2 tail and in an all-Z_2 group.
+Z2_RUN_MODULI = [
+    (3, 2, 2), (2, 2, 2, 2), (2,), (2, 2, 5), (2, 2, 3, 2), (3, 2, 1), (2, 1, 2), (1, 2),
+    (4, 2), (2, 4), (4, 4), (1,), (1, 1), (40009, 30011, 2, 2, 2), (2,) * 31,
+]
+
+
+@pytest.mark.parametrize("moduli", Z2_RUN_MODULI)
+def test_code_arithmetic_on_z2_runs_matches_tuple_arithmetic(moduli):
+    g = FiniteAbelianGroup(moduli)
+    assert g.code_dtype == (np.int64 if g.order > groups.INT32_CODE_ORDER else np.int32)
+    rng = random.Random(str(moduli))
+    xs, ys = ([tuple(rng.randrange(m) for m in moduli) for _ in range(12)] for _ in range(2))
+    cx, cy = g.encode(xs), g.encode(ys)
+    y0 = int(cy[0])
+    for combine, ref in ((g.code_add, g.add), (g.code_sub, g.sub)):
+        table = combine(cx[:, None], cy[None, :])
+        assert table.dtype == g.code_dtype
+        assert [[g.element(c) for c in row] for row in table.tolist()] == [
+            [ref(x, y) for y in ys] for x in xs
+        ]
+        # a Python-int operand on either side keeps the codes' dtype
+        for got, want in (
+            (combine(cx, y0), [ref(x, ys[0]) for x in xs]),
+            (combine(y0, cx), [ref(ys[0], x) for x in xs]),
+        ):
+            assert got.dtype == g.code_dtype
+            assert [g.element(c) for c in got.tolist()] == want
+
+
 def sign_tables(data, group, count):
     """``count`` random int8 +-1 tables indexed by the group's codes."""
     signs = st.lists(st.sampled_from([-1, 1]), min_size=group.order, max_size=group.order)
@@ -569,8 +602,7 @@ def test_develop_writes_signed_blocks_and_derives_their_translations(moduli, til
     layout = [[(ops[b][c], tables[t], sign) for c, (t, sign) in enumerate(row)] for b, row in enumerate(picks)]
     M = np.ones((head + n * v, head + n * v), dtype=np.int8)
     M[head:, head:] = 0
-    # the radix weights of the coordinates that are not Z_1 generate G
-    gens = [w for modulus, w in zip(g.moduli, g.weights) if modulus > 1]
+    gens = hadamard._radix_generators(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hadamard, "_TILE_ROWS", tile)
         claims = hadamard._develop(M, head, g, gens, layout)

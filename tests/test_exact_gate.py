@@ -368,6 +368,38 @@ def test_claims_of_each_builder_hold_and_leave_its_orbits(name, tile, monkeypatc
     assert hadamard._orbit_leasts(M.entries, claims).size == BUILDERS[name][1]
 
 
+def _padded_family(moduli, blocks):
+    """The family of ``blocks`` of last coordinates, the others 0, in G(moduli)."""
+    g = FiniteAbelianGroup(moduli)
+    pad = (0,) * (len(moduli) - len(blocks[0][0]))
+    return DifferenceFamily(
+        g, Subgroup.trivial(g), [Block.from_elements(g, [pad + x for x in b]) for b in blocks]
+    )
+
+
+@pytest.mark.parametrize(
+    "build, blocks, moduli",
+    [
+        # the (Z_7, 3, 2) pair {1, 2, 4}, {3, 5, 6}
+        (skew_from_df, [[(1,), (2,), (4,)], [(3,), (5,), (6,)]], (7,)),
+        # the (16, 6, 2) set of the nonzero points on the axes of Z_4 x Z_4
+        (hadamard_from_difference_set, [[(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]], (4, 4)),
+    ],
+)
+def test_claims_skip_a_z1_coordinate(build, blocks, moduli, monkeypatch):
+    # a Z_1 coordinate's radix weight is no translation of G: with one in
+    # front the builder claims what it claims without, and the gate sees
+    # the same array and the same orbit rows
+    seen = recording_gate(monkeypatch)
+    for padded in ((1,) + moduli, moduli):
+        build(_padded_family(padded, blocks))
+    (M, claims), (plain, plain_claims) = seen
+    assert len(claims) == len(plain_claims) == len(moduli)
+    assert np.array_equal(M.entries, plain.entries)
+    leasts = hadamard._orbit_leasts(M.entries, claims)
+    assert leasts.tolist() == hadamard._orbit_leasts(plain.entries, plain_claims).tolist()
+
+
 @pytest.mark.parametrize("tile", [3, 512])
 @pytest.mark.parametrize("name, table", [("skew-q23", 1), ("symmetric-n3", 1), ("difference-set-64", 0)])
 def test_developed_corruptions_keep_their_claims_and_fail(name, table, tile, monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from designforge.constructions import galois_ring_ddf
+from designforge.galois import RingCtx
 from designforge.groups import (
     FiniteAbelianGroup,
     GroupIso,
@@ -12,6 +14,7 @@ from designforge.groups import (
     cosets,
     subgroup_generated,
 )
+from designforge.hadamard import check_symmetric_conditions
 
 # ---------------------------------------------------------------------------
 # element arithmetic
@@ -224,12 +227,25 @@ def test_group_iso_refuses_a_domain_out_of_element_order():
 def test_closure_table_reports_witness():
     # Subgroup runs closure_table on its codes with code_add
     z6 = FiniteAbelianGroup((6,))
-    assert Subgroup(z6, range(6)).generators == [1]
-    assert Subgroup(z6, [0, 2, 4]).generators == [2]
+    assert Subgroup(z6, range(6)).generators == (1,)
+    assert Subgroup(z6, [0, 2, 4]).generators == (2,)
     with pytest.raises(ValueError, match=r"\(2,\) times \(2,\) leaves"):
         Subgroup(z6, [0, 2])
     with pytest.raises(ValueError, match="identity"):
         Subgroup(z6, [1])
+
+
+def test_subgroup_generators_cannot_change_in_place():
+    # the coset index and the symmetric gate's translation claims read the
+    # generators, so a cleared list once broke check_symmetric_conditions
+    family = galois_ring_ddf(RingCtx(3)).family
+    gens = family.forbidden.generators
+    assert type(gens) is tuple and gens
+    with pytest.raises(AttributeError):
+        gens.clear()
+    with pytest.raises(TypeError):
+        gens[0] = 0
+    assert check_symmetric_conditions(family).ok
 
 
 def test_group_json_roundtrip():

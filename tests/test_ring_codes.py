@@ -322,8 +322,11 @@ def test_unit_tables_multiply_like_the_ring():
         for _ in range(300):
             x, y, z = rng.choice(units), rng.choice(units), rng.choice(elements)
             lx, ly = (int(tables.log[group.index(a)]) for a in (x, y))
-            assert group.element(int(tables.exp[tables.mul(lx, ly)])) == ring.mul(x, y)
-            assert group.element(int(tables.exp[tables.inv(lx)])) == ring.inv(x)
+            # units multiply by the log group's code_add and invert by its code_sub from 0
+            product = tables.group.code_add(np.array([lx]), ly)[0]
+            inverse = tables.group.code_sub(0, np.array([lx]))[0]
+            assert group.element(int(tables.exp[product])) == ring.mul(x, y)
+            assert group.element(int(tables.exp[inverse])) == ring.inv(x)
             scaled = tables.scale(lx, np.array([group.index(z)]))
             assert group.element(int(scaled[0])) == ring.mul(x, z)
 

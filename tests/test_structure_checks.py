@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from designforge.constructions import (
     PreconditionError,
-    _subgroup_generators,
+    _unit_subgroup,
     galois_ring_data,
     unit_quotient_family,
 )
@@ -152,7 +152,7 @@ def test_unit_closure_check_matches_all_pairs_scan(which, seed):
         gens = rng.sample(elems, rng.randint(0, 2))
         candidate = perturb(rng, mult_closure(gens, one, mul), elems)
     codes = tables.additive.code_set(candidate)  # the closure check on the unit tables
-    new = rejects(_subgroup_generators, tables, codes, error=PreconditionError)
+    new = rejects(_unit_subgroup, tables, codes, error=PreconditionError)
     assert new == (not ref_is_closed(candidate, one, mul))
 
 
